@@ -12,14 +12,15 @@ from .design import (
     CurvePoint,
     DesignConvergenceError,
     DesignResult,
+    GroundState,
     UnattainableSpreadError,
     design_max_compact,
     dual_value,
+    ground_state,
     sweep_curve,
 )
 from .eigen import EigenConvergenceError, EigenPair, kth_eigenvalue, min_eigenpair, min_eigenvalue
 from .mathieu import MathieuEval, ce0, char_value_a0
-from .pencil import Pencil, PivotCertificate, build_pencil, psd_check, quad_forms, restricted_cone_test
 from .sequence import (
     Sequence,
     autocorrelation,

@@ -21,23 +21,21 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .bounds import eta_lower, eta_upper
 from .design import (
     DesignConvergenceError,
     UnattainableSpreadError,
-    curve_to_csv,
     design_max_compact,
-    design_to_json,
     sweep_curve,
 )
 from .eigen import EigenConvergenceError
 from .mathieu import ce0, char_value_a0
-from .sequence import read_sequence, sequence_to_text
-from .spreads import measure, report_to_json
-from .windows import WINDOW_NAMES, default_families, scan_to_csv, spread_scan
+from .sequence import Sequence, read_sequence, write_sequence
+from .spreads import measure
+from .windows import WINDOW_NAMES, default_families, spread_scan
 
 __all__ = ["main"]
 
@@ -73,93 +71,79 @@ def _parse_grid(text: str) -> np.ndarray:
     raise _CliError(f"grid kind must be log or lin, got {kind!r}")
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return "nan"
-    return repr(float(v))
+def _json_value(v):
+    """JSON-ready form of a value: a record becomes an object of its fields,
+    a Sequence its offset and real taps, a complex number [re, im], NaN
+    null and an infinity the string "inf" or "-inf"."""
+    if isinstance(v, Sequence):
+        return {"offset": v.offset, "taps": v.taps.real.tolist()}
+    if is_dataclass(v):
+        return {f.name: _json_value(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, float) and not math.isfinite(v):
+        return None if math.isnan(v) else repr(v)
+    return v
+
+
+def _columns(records, drop) -> list:
+    """One CSV column per field of the dataclass records, except those in
+    ``drop``; a complex field fills two, real then imaginary part."""
+    cols = []
+    for f in fields(records[0]):
+        if f.name in drop:
+            continue
+        col = np.array([getattr(r, f.name) for r in records])
+        cols += [col.real, col.imag] if col.dtype.kind == "c" else [col]
+    return cols
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: ``header``, then one row per index into the columns.  Strings
+    are written as is, other columns as floats (None is nan) with repr."""
+    cells = [
+        col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist())
+        for col in columns
+    ]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _run_design(args) -> str:
     res = design_max_compact(args.sigma2, taps=args.taps, tol=args.tol)
     if args.seq_output:
-        with open(args.seq_output, "w", encoding="utf-8") as fh:
-            fh.write(sequence_to_text(res.sequence))
+        write_sequence(res.sequence, args.seq_output)
     if args.format == "json":
-        return design_to_json(res) + "\n"
-    head = (
+        return json.dumps(_json_value(res)) + "\n"
+    return _csv(
         "sigma2,alpha,lambda1,lambda2,delta_n2,eta_p,"
-        "duality_gap,constraint_gap,eig_residual,tail_mass,status"
+        "duality_gap,constraint_gap,eig_residual,tail_mass,status",
+        _columns([res], drop=("sequence",)),
     )
-    row = ",".join(
-        _csv_cell(v)
-        for v in (
-            res.sigma2,
-            res.alpha,
-            res.lambda1,
-            res.lambda2,
-            res.delta_n2_opt,
-            res.eta_p,
-            res.duality_gap,
-            res.constraint_gap,
-            res.eig_residual,
-            res.tail_mass,
-        )
-    )
-    return f"{head}\n{row},{res.status}\n"
 
 
 def _run_analyze(args) -> str:
     rep = measure(read_sequence(args.input))
     if args.format == "json":
-        return report_to_json(rep) + "\n"
-    head = "mu_n,delta_n2,tau_re,tau_im,delta_wp2,mu_wl,delta_wl2,eta_p,eta_l"
-    row = ",".join(
-        _csv_cell(v)
-        for v in (
-            rep.mu_n,
-            rep.delta_n2,
-            rep.tau.real,
-            rep.tau.imag,
-            rep.delta_wp2,
-            rep.mu_wl,
-            rep.delta_wl2,
-            rep.eta_p,
-            rep.eta_l,
-        )
+        return json.dumps(_json_value(rep)) + "\n"
+    return _csv(
+        "mu_n,delta_n2,tau_re,tau_im,delta_wp2,mu_wl,delta_wl2,eta_p,eta_l",
+        _columns([rep], drop=("mu_wp",)),
     )
-    return f"{head}\n{row}\n"
 
 
 def _run_curve(args) -> str:
-    grid = _parse_grid(args.grid)
-    points = sweep_curve(grid, taps=args.taps, tol=args.tol)
+    points = sweep_curve(_parse_grid(args.grid), taps=args.taps, tol=args.tol)
     if args.format == "json":
-        obj = [
-            {
-                "sigma2": p.sigma2,
-                "delta_n2": None if math.isnan(p.delta_n2) else p.delta_n2,
-                "eta_p": None if math.isnan(p.eta_p) else p.eta_p,
-                "eta_lower": p.eta_lower,
-                "eta_upper": p.eta_upper,
-                "error": p.error,
-            }
-            for p in points
-        ]
-        return json.dumps(obj) + "\n"
-    return curve_to_csv(points)
+        return json.dumps([_json_value(p) for p in points]) + "\n"
+    return _csv("sigma2,delta_n2,eta_p,eta_lower,eta_upper", _columns(points, drop=("error",)))
 
 
 def _run_mathieu(args) -> str:
     if args.q is not None:
-        thetas = _parse_grid(args.grid or "0:3.141592653589793:257:lin")
-        ev = ce0(args.q, thetas)
-        lines = [f"# q={ev.q!r} a0={ev.a0!r}", "theta,ce0"]
-        lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(ev.thetas, ev.values)]
-        return "\n".join(lines) + "\n"
+        ev = ce0(args.q, _parse_grid(args.grid or "0:3.141592653589793:257:lin"))
+        return f"# q={ev.q!r} a0={ev.a0!r}\n" + _csv("theta,ce0", [ev.thetas, ev.values])
     qs = _parse_grid(args.grid or "0.25:100:40:log")
-    lines = ["q,a0"]
-    lines += [f"{float(q)!r},{char_value_a0(q)!r}" for q in qs]
-    return "\n".join(lines) + "\n"
+    return _csv("q,a0", [qs, [char_value_a0(q) for q in qs]])
 
 
 def _run_windows(args) -> str:
@@ -168,7 +152,8 @@ def _run_windows(args) -> str:
         fams = [f for f in fams if f.name == args.family]
         if not fams:
             raise _CliError(f"unknown family {args.family!r}")
-    return scan_to_csv(spread_scan(f) for f in fams)
+    points = [p for f in fams for p in spread_scan(f)]
+    return _csv("family,param,delta_wp2,delta_n2,eta_p", _columns(points, drop=("error",)))
 
 
 def _build_parser() -> _Parser:
@@ -219,10 +204,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text = args.run(args)
-    except _CliError as exc:
-        print(f"compactseq: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"compactseq: error: {exc}", file=sys.stderr)
         return 1
     except _SOLVER_ERRORS as exc:

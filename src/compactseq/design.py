@@ -17,18 +17,25 @@ and bisects b(l1) = alpha, which simultaneously drives the duality gap
 (= l1 * |b - alpha| for the ground-state primal candidate) to zero.  The
 optimal sequence is the ground state itself: symmetric, entrywise
 positive, and unit norm by construction.
+
+On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
+off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
+The dual works with the pencil P(lambda1, lambda2) = A - lambda1*B -
+lambda2*I, tridiagonal with diagonal k^2 - lambda2 and off-diagonal
+-lambda1/2.  P is positive semidefinite iff its Sturm count at shift 0 is
+zero (see :mod:`compactseq.eigen`).  :func:`ground_state` also serves the
+Mathieu evaluator, a0(q) = 4 lambda_min(A - (|q|/2) B).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import eta_lower, eta_upper
-from .eigen import min_eigenpair
+from .eigen import _apply, min_eigenpair
 from .sequence import Sequence
 
 __all__ = [
@@ -36,11 +43,11 @@ __all__ = [
     "DesignConvergenceError",
     "DesignResult",
     "CurvePoint",
+    "GroundState",
+    "ground_state",
     "dual_value",
     "design_max_compact",
     "sweep_curve",
-    "curve_to_csv",
-    "design_to_json",
     "TAIL_MASS_WARN",
 ]
 
@@ -73,16 +80,49 @@ class DesignResult:
     lambda2: float
     delta_n2_opt: float
     eta_p: float
-    sequence: Sequence
     duality_gap: float
     constraint_gap: float
     eig_residual: float
     tail_mass: float
     status: str
+    sequence: Sequence
+
+
+@dataclass(frozen=True)
+class GroundState:
+    """Canonical ground state x of A - lambda1*B: exactly symmetric, unit
+    norm taps, Rayleigh quotient lambda2, residual ||(A - lambda1*B -
+    lambda2)x||, the forms x'Ax and x'Bx, and the two end taps' energy."""
+
+    taps: np.ndarray
+    lambda2: float
+    residual: float
+    a_form: float
+    b_form: float
+    tail_mass: float
+
+
+def ground_state(vector, lambda1: float) -> GroundState:
+    """Symmetrize and normalize a raw ground eigenvector of A - lambda1*B
+    on k = -N..N, and evaluate the pencil's forms on the result."""
+    v = 0.5 * (vector + vector[::-1])
+    v /= np.linalg.norm(v)
+    k2 = np.arange(-(v.size // 2), v.size // 2 + 1, dtype=float) ** 2
+    tv = _apply(k2, -0.5 * float(lambda1), v)
+    lambda2 = float(v @ tv)
+    return GroundState(
+        taps=v,
+        lambda2=lambda2,
+        residual=float(np.linalg.norm(tv - lambda2 * v)),
+        a_form=float(v @ (k2 * v)),
+        b_form=float(v[:-1] @ v[1:]),
+        tail_mass=float(v[0] ** 2 + v[-1] ** 2),
+    )
 
 
 def _ground(k2, lambda1):
-    """Ground eigenpair of A - lambda1*B plus its lag-one form value."""
+    """Ground eigenpair of A - lambda1*B and its raw vector's lag-one form b;
+    bisecting on the symmetrized vector's b would round lambda1 differently."""
     pair = min_eigenpair(k2, -0.5 * lambda1)
     v = pair.vector
     return pair, float(v[:-1] @ v[1:])
@@ -97,8 +137,8 @@ def dual_value(lambda1: float, alpha: float, half_len: int) -> tuple[float, floa
         raise ValueError("lambda1 must be >= 0")
     n = int(half_len)
     k = np.arange(-n, n + 1, dtype=float)
-    pair, b = _ground(k * k, float(lambda1))
-    return float(alpha) * float(lambda1) + pair.value, b
+    gs = ground_state(min_eigenpair(k * k, -0.5 * float(lambda1)).vector, lambda1)
+    return float(alpha) * float(lambda1) + gs.lambda2, gs.b_form
 
 
 def design_max_compact(sigma2: float, taps: int = 201, tol: float = 1e-10) -> DesignResult:
@@ -174,34 +214,21 @@ def design_max_compact(sigma2: float, taps: int = 201, tol: float = 1e-10) -> De
             f"constraint gap {best[2] - alpha:.3e} above target at lambda1 = {lambda1!r}"
         )
 
-    # Canonical output: exactly symmetric, entrywise positive, unit norm.
-    v = pair.vector
-    v = 0.5 * (v + v[::-1])
-    v /= np.linalg.norm(v)
-
-    tv = k2 * v
-    tv[:-1] += -0.5 * lambda1 * v[1:]
-    tv[1:] += -0.5 * lambda1 * v[:-1]
-    lambda2 = float(v @ tv)
-    eig_residual = float(np.linalg.norm(tv - lambda2 * v))
-    a_form = float(v @ (k2 * v))
-    b_form = float(v[:-1] @ v[1:])
-
-    dual = alpha * lambda1 + lambda2
-    tail = float(v[0] ** 2 + v[-1] ** 2)
+    gs = ground_state(pair.vector, lambda1)
+    dual = alpha * lambda1 + gs.lambda2
     return DesignResult(
         sigma2=sigma2,
         alpha=alpha,
         lambda1=lambda1,
-        lambda2=lambda2,
-        delta_n2_opt=a_form,
-        eta_p=a_form * sigma2,
-        sequence=Sequence(v, offset=-half),
-        duality_gap=abs(a_form - dual),
-        constraint_gap=b_form - alpha,
-        eig_residual=eig_residual,
-        tail_mass=tail,
-        status="increase-taps" if tail > TAIL_MASS_WARN else "ok",
+        lambda2=gs.lambda2,
+        delta_n2_opt=gs.a_form,
+        eta_p=gs.a_form * sigma2,
+        duality_gap=abs(gs.a_form - dual),
+        constraint_gap=gs.b_form - alpha,
+        eig_residual=gs.residual,
+        tail_mass=gs.tail_mass,
+        status="increase-taps" if gs.tail_mass > TAIL_MASS_WARN else "ok",
+        sequence=Sequence(gs.taps, offset=-half),
     )
 
 
@@ -236,33 +263,3 @@ def sweep_curve(sigma2_grid, taps: int = 201, tol: float = 1e-10) -> list[CurveP
         else:
             points.append(CurvePoint(s2, res.delta_n2_opt, res.eta_p, lo_b, up_b))
     return points
-
-
-def curve_to_csv(points) -> str:
-    lines = ["sigma2,delta_n2,eta_p,eta_lower,eta_upper"]
-    for p in points:
-        lines.append(
-            f"{p.sigma2!r},{p.delta_n2!r},{p.eta_p!r},{p.eta_lower!r},{p.eta_upper!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def design_to_json(res: DesignResult) -> str:
-    obj = {
-        "sigma2": res.sigma2,
-        "alpha": res.alpha,
-        "lambda1": res.lambda1,
-        "lambda2": res.lambda2,
-        "delta_n2_opt": res.delta_n2_opt,
-        "eta_p": res.eta_p,
-        "duality_gap": res.duality_gap,
-        "constraint_gap": res.constraint_gap,
-        "eig_residual": res.eig_residual,
-        "tail_mass": res.tail_mass,
-        "status": res.status,
-        "sequence": {
-            "offset": res.sequence.offset,
-            "taps": [float(t.real) for t in res.sequence.taps],
-        },
-    }
-    return json.dumps(obj)

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "EigenPair",
     "EigenConvergenceError",
-    "eigenvalue_count",
     "min_eigenvalue",
     "kth_eigenvalue",
     "min_eigenpair",
@@ -65,15 +64,6 @@ def _count_below(d, b2, shift):
     return count
 
 
-def eigenvalue_count(diag, offdiag, shift) -> int:
-    """Number of eigenvalues strictly below ``shift``."""
-    d = [float(v) for v in diag]
-    b = float(offdiag)
-    if b == 0.0:
-        return sum(1 for v in d if v < shift)
-    return _count_below(d, b * b, float(shift))
-
-
 def _bisect_kth(d, b, k, tol):
     """Bracket the k-th smallest eigenvalue (0-based) to width <= tol."""
     b2 = b * b
@@ -98,11 +88,7 @@ def _bisect_kth(d, b, k, tol):
 
 def min_eigenvalue(diag, offdiag, tol: float = 1e-12) -> float:
     """Smallest eigenvalue of tridiag(diag, offdiag) to absolute width tol."""
-    d = [float(v) for v in diag]
-    if float(offdiag) == 0.0 or len(d) == 1:
-        return min(d)
-    lo, hi = _bisect_kth(d, float(offdiag), 0, tol)
-    return 0.5 * (lo + hi)
+    return kth_eigenvalue(diag, offdiag, 0, tol)
 
 
 def kth_eigenvalue(diag, offdiag, k: int, tol: float = 1e-12) -> float:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import ground_state
 from .eigen import min_eigenpair
 
 __all__ = ["MathieuEval", "char_value_a0", "ce0"]
@@ -37,7 +38,7 @@ _NORMALIZATION = "int_0^{2pi} ce0(q,t)^2 dt = pi; sqrt(2)*ce0 has unit mean squa
 
 
 def _ground_taps(q: float, half_len: int | None):
-    """Positive unit-norm coefficient taps for |q|, grown until tails vanish."""
+    """Ground state for |q| on a grid grown until the raw tails vanish."""
     lam1 = 0.5 * abs(float(q))
     if half_len is not None:
         n = int(half_len)
@@ -49,23 +50,15 @@ def _ground_taps(q: float, half_len: int | None):
         sizes = [n, 2 * n, 4 * n, 8 * n, 16 * n]
     for n in sizes:
         k = np.arange(-n, n + 1, dtype=float)
-        pair = min_eigenpair(k * k, -0.5 * lam1)
-        v = pair.vector
+        v = min_eigenpair(k * k, -0.5 * lam1).vector
         if half_len is not None or max(abs(v[0]), abs(v[-1])) < _TAIL_AMP:
-            v = 0.5 * (v + v[::-1])
-            v /= np.linalg.norm(v)
-            return v, n, pair
+            return ground_state(v, lam1), n
     raise RuntimeError(f"coefficient tails not resolved at half_len {n}")
 
 
 def char_value_a0(q: float, half_len: int | None = None) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
-    v, n, pair = _ground_taps(q, half_len)
-    k = np.arange(-n, n + 1, dtype=float)
-    tv = k * k * v
-    tv[:-1] += -0.25 * abs(float(q)) * v[1:]
-    tv[1:] += -0.25 * abs(float(q)) * v[:-1]
-    return 4.0 * float(v @ tv)
+    return 4.0 * _ground_taps(q, half_len)[0].lambda2
 
 
 @dataclass(frozen=True)
@@ -89,26 +82,19 @@ class MathieuEval:
 def ce0(q: float, thetas, half_len: int | None = None) -> MathieuEval:
     """Sample the lowest even eigenfunction ce0(q; t) at the given angles."""
     q = float(q)
-    v, n, pair = _ground_taps(q, half_len)
+    gs, n = _ground_taps(q, half_len)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
-    half = v[n:].copy()  # c_k = tap at +k, k = 0..n
+    half = gs.taps[n:].copy()  # c_k = tap at +k, k = 0..n
     if q > 0.0:
         half[1::2] = -half[1::2]
     kk = np.arange(1, n + 1)
     vals = (half[0] + 2.0 * np.cos(2.0 * np.outer(t, kk)) @ half[1:]) / math.sqrt(2.0)
-
-    k = np.arange(-n, n + 1, dtype=float)
-    tv = k * k * v
-    tv[:-1] += -0.25 * abs(q) * v[1:]
-    tv[1:] += -0.25 * abs(q) * v[:-1]
-    a0 = 4.0 * float(v @ tv)
-
     vals.setflags(write=False)
     return MathieuEval(
         q=q,
-        a0=a0,
+        a0=4.0 * gs.lambda2,
         thetas=t,
         values=vals,
-        fourier_coeffs=v,
+        fourier_coeffs=gs.taps,
         half_len=n,
     )

@@ -7,13 +7,12 @@ design routines in this package operate on this type.
 
 The on-disk format is one tap per line as two floats ``re im``, with an
 optional leading header line ``# offset=<int>`` (missing header means
-offset 0).  CSV and JSON emitters mirror the same content.
+offset 0).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,6 @@ __all__ = [
     "read_sequence",
     "write_sequence",
     "parse_sequence",
-    "sequence_to_text",
-    "sequence_to_csv",
-    "sequence_to_json",
-    "sequence_from_json",
 ]
 
 
@@ -62,10 +57,6 @@ class Sequence:
     def indices(self) -> np.ndarray:
         """Time indices of the stored taps (``offset .. offset+len-1``)."""
         return self.offset + np.arange(self.taps.size)
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.taps.imag == 0.0))
 
 
 def norm2(x: Sequence) -> float:
@@ -115,12 +106,6 @@ def autocorrelation(x: Sequence, m: int) -> complex:
 # ---------------------------------------------------------------------------
 # serialization
 
-def sequence_to_text(x: Sequence) -> str:
-    lines = [f"# offset={x.offset}"]
-    lines += [f"{float(t.real) + 0.0!r} {float(t.imag) + 0.0!r}" for t in x.taps]
-    return "\n".join(lines) + "\n"
-
-
 def parse_sequence(text: str) -> Sequence:
     """Parse the ``re im`` per-line text format (optional offset header)."""
     offset = 0
@@ -152,26 +137,8 @@ def read_sequence(path) -> Sequence:
 
 
 def write_sequence(x: Sequence, path) -> None:
+    """Write ``x`` in the ``re im`` text format, offset header first."""
+    lines = [f"# offset={x.offset}"]
+    lines += [f"{float(t.real) + 0.0!r} {float(t.imag) + 0.0!r}" for t in x.taps]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sequence_to_text(x))
-
-
-def sequence_to_csv(x: Sequence) -> str:
-    lines = [f"# offset={x.offset}", "re,im"]
-    lines += [f"{float(t.real) + 0.0!r},{float(t.imag) + 0.0!r}" for t in x.taps]
-    return "\n".join(lines) + "\n"
-
-
-def sequence_to_json(x: Sequence) -> str:
-    return json.dumps(
-        {
-            "offset": x.offset,
-            "taps": [[float(t.real) + 0.0, float(t.imag) + 0.0] for t in x.taps],
-        }
-    )
-
-
-def sequence_from_json(text: str) -> Sequence:
-    obj = json.loads(text)
-    taps = np.array([complex(re, im) for re, im in obj["taps"]])
-    return Sequence(taps, int(obj.get("offset", 0)))
+        fh.write("\n".join(lines) + "\n")

@@ -24,7 +24,6 @@ than one nonzero tap, while eta_l can drop below 1/4.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,6 @@ __all__ = [
     "tf_spread_periodic",
     "tf_spread_linear",
     "measure",
-    "report_to_json",
 ]
 
 
@@ -159,7 +157,16 @@ class SpreadReport:
 
 
 def measure(x: Sequence) -> SpreadReport:
-    """Evaluate every spread measure of ``x`` in one pass."""
+    """Evaluate every spread measure of ``x``.
+
+    Each measure comes from its own function, so the autocorrelation is
+    computed three times (for mu_wl, delta_wl2 and eta_l).  The measures
+    are scale-invariant, so the taps are first scaled by the exact power
+    of two that puts max|x_k| in [0.5, 1): |x_k|^2 then neither underflows
+    nor overflows at any tap scale.
+    """
+    _, e = np.frexp(np.max(np.abs(x.taps)))
+    x = Sequence(np.ldexp(x.taps.real, -e) + 1j * np.ldexp(x.taps.imag, -e), x.offset)
     tau = trig_moment(x)
     dwp2 = periodic_freq_spread(x)
     dn2 = time_spread(x)
@@ -180,27 +187,3 @@ def measure(x: Sequence) -> SpreadReport:
         eta_l=tf_spread_linear(x),
         mu_wp=1.0 - tau,
     )
-
-
-def _json_float(v):
-    if v is None:
-        return None
-    if math.isinf(v):
-        return "inf"
-    return v
-
-
-def report_to_json(rep: SpreadReport) -> str:
-    """JSON text for a report; infinities encoded as the string "inf"."""
-    obj = {
-        "mu_n": rep.mu_n,
-        "delta_n2": rep.delta_n2,
-        "tau": [rep.tau.real, rep.tau.imag],
-        "delta_wp2": _json_float(rep.delta_wp2),
-        "mu_wl": rep.mu_wl,
-        "delta_wl2": rep.delta_wl2,
-        "eta_p": _json_float(rep.eta_p),
-        "eta_l": rep.eta_l,
-        "mu_wp": [rep.mu_wp.real, rep.mu_wp.imag],
-    }
-    return json.dumps(obj)

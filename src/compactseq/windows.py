@@ -11,7 +11,7 @@ designed optimum at matched frequency spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "three_tap_eta_p",
     "default_families",
     "spread_scan",
-    "scan_to_csv",
 ]
 
 WINDOW_NAMES = ("rectangular", "triangular", "hann", "hamming", "blackman")
@@ -178,14 +177,3 @@ def spread_scan(family: WindowFamily) -> list[ScanPoint]:
             )
     points.sort(key=lambda pt: (math.isnan(pt.delta_wp2), pt.delta_wp2))
     return points
-
-
-def scan_to_csv(scans) -> str:
-    """CSV rows ``family,param,delta_wp2,delta_n2,eta_p`` for scan output."""
-    lines = ["family,param,delta_wp2,delta_n2,eta_p"]
-    for points in scans:
-        for p in points:
-            lines.append(
-                f"{p.family},{p.param!r},{p.delta_wp2!r},{p.delta_n2!r},{p.eta_p!r}"
-            )
-    return "\n".join(lines) + "\n"

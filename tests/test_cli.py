@@ -82,6 +82,23 @@ def test_analyze(capsys, tmp_path):
     assert float(row.split(",")[1]) == pytest.approx(0.08950617283950617)
 
 
+def test_analyze_extreme_tap_scales(capsys, tmp_path):
+    # spreads are scale-invariant: tiny and huge taps report the unit-scale values
+    def report(scale):
+        p = tmp_path / "scaled.seq"
+        p.write_text("".join(f"{v * scale!r} 0\n" for v in (1.0, 7.0, 2.0)))
+        code, out, err = run(capsys, "analyze", "--input", str(p))
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    unit = report(1.0)
+    for scale in (1e-300, 1e160):
+        obj = report(scale)
+        assert set(obj) == set(unit)
+        for key, value in unit.items():
+            assert obj[key] == pytest.approx(value, rel=1e-12)
+
+
 def test_curve_csv(capsys):
     code, out, _ = run(capsys, "curve", "--grid", "0.1:1:3:log")
     assert code == 0

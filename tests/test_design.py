@@ -10,13 +10,12 @@ from compactseq.design import (
     CurvePoint,
     DesignResult,
     UnattainableSpreadError,
-    curve_to_csv,
     design_max_compact,
-    design_to_json,
     dual_value,
     sweep_curve,
 )
 from compactseq.bounds import eta_lower, eta_upper
+from compactseq.cli import main
 from compactseq.spreads import measure
 
 
@@ -144,7 +143,12 @@ def test_short_grid_warns_via_status():
     assert res.status == "increase-taps"
 
 
-def test_sweep_and_csv():
+def _cli(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_sweep_and_csv(capsys):
     pts = sweep_curve(np.geomspace(0.05, 5.0, 5))
     assert [p.sigma2 for p in pts] == pytest.approx(list(np.geomspace(0.05, 5.0, 5)))
     for p in pts:
@@ -153,7 +157,7 @@ def test_sweep_and_csv():
         assert p.eta_lower < p.eta_upper
     dn = [p.delta_n2 for p in pts]
     assert all(a > b for a, b in zip(dn, dn[1:]))
-    text = curve_to_csv(pts)
+    text = _cli(capsys, "curve", "--grid", "0.05:5:5:log")
     lines = text.strip().splitlines()
     assert lines[0] == "sigma2,delta_n2,eta_p,eta_lower,eta_upper"
     assert len(lines) == 6
@@ -162,18 +166,18 @@ def test_sweep_and_csv():
     assert first[2] == pytest.approx(pts[0].eta_p)
 
 
-def test_sweep_marks_failures():
+def test_sweep_marks_failures(capsys):
     pts = sweep_curve([0.5, 1e-9], taps=21)
     assert pts[0].error is None
     assert pts[1].error is not None
     assert math.isnan(pts[1].delta_n2)
-    text = curve_to_csv(pts)
+    text = _cli(capsys, "curve", "--grid", "0.5:1e-9:2:log", "--taps", "21")
     assert "nan" in text.strip().splitlines()[2]
 
 
-def test_design_json_fields():
+def test_design_json_fields(capsys):
     res = design_max_compact(0.5, taps=31)
-    obj = json.loads(design_to_json(res))
+    obj = json.loads(_cli(capsys, "design", "--sigma2", "0.5", "--taps", "31"))
     assert obj["sigma2"] == 0.5
     assert obj["alpha"] == pytest.approx(1 / math.sqrt(1.5), rel=1e-15)
     assert obj["status"] == "ok"

@@ -1,3 +1,11 @@
+"""The pencil P(lambda1, lambda2) = A - lambda1*B - lambda2*I of the design dual.
+
+On the grid k = -N..N, P has diagonal k^2 - lambda2 and constant
+off-diagonal -lambda1/2.  It is semidefinite iff lambda2 <= lambda_min of
+A - lambda1*B, so its verdict is the sign of ``min_eigenvalue``; the two
+forms x'Ax and x'Bx are the ones ``ground_state`` evaluates.
+"""
+
 import math
 
 import numpy as np
@@ -5,70 +13,63 @@ import pytest
 
 from helpers import jacobi_eigh, tridiag_dense
 
+from compactseq.design import ground_state
 from compactseq.eigen import min_eigenvalue
-from compactseq.pencil import (
-    build_pencil,
-    psd_check,
-    quad_forms,
-    restricted_cone_test,
-)
+from compactseq.spreads import time_spread, trig_moment
 from compactseq.windows import three_tap
 
 
-def test_build_small():
-    p = build_pencil(1, 0.0, 0.0)
-    assert list(p.diag) == [1.0, 0.0, 1.0]
-    assert p.offdiag == 0.0
-    p = build_pencil(1, 2.0, -1.0)
-    assert list(p.diag) == [2.0, 1.0, 2.0]
-    assert p.offdiag == -1.0
-    assert p.size == 3
-    assert list(p.grid) == [-1, 0, 1]
-    with pytest.raises(ValueError):
-        build_pencil(0, 1.0, 0.0)
+def _pencil(half_len, lam1, lam2):
+    k = np.arange(-half_len, half_len + 1, dtype=float)
+    return k * k - lam2, -lam1 / 2.0
+
+
+def _pencil_min(half_len, lam1, lam2):
+    return min_eigenvalue(*_pencil(half_len, lam1, lam2))
+
+
+def _in_cone(lam1, lam2):
+    """Closed-form sufficient condition lambda2 < 1 - sqrt(1 + lambda1^2)."""
+    return lam2 < 1.0 - math.sqrt(1.0 + lam1 * lam1)
 
 
 def test_quad_forms_three_tap():
-    p = build_pencil(1, 1.0, 0.0)
-    x = three_tap(0.1).taps.real
-    a, b = quad_forms(p, x)
-    assert a == pytest.approx(0.02, rel=1e-13)
-    assert b == pytest.approx(2 * 0.1 * math.sqrt(0.98), rel=1e-13)
+    x = three_tap(0.1)
+    gs = ground_state(x.taps.real, 1.0)
+    assert gs.a_form == pytest.approx(0.02, rel=1e-13)
+    assert gs.b_form == pytest.approx(2 * 0.1 * math.sqrt(0.98), rel=1e-13)
+    # the forms are the time spread and the trig moment of the sequence
+    assert gs.a_form == pytest.approx(time_spread(x), rel=1e-13)
+    assert gs.b_form == pytest.approx(trig_moment(x).real, rel=1e-13)
+    # a non-unit input is normalized before the forms are read
+    scaled = ground_state(3.0 * x.taps.real, 1.0)
+    assert (scaled.a_form, scaled.b_form) == pytest.approx((gs.a_form, gs.b_form), rel=1e-15)
 
 
 def test_quad_forms_delta():
-    p = build_pencil(2, 0.5, 0.0)
     x = np.zeros(5)
     x[2] = 1.0
-    assert quad_forms(p, x) == (0.0, 0.0)
-
-
-def test_quad_forms_norm_violation():
-    p = build_pencil(1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        quad_forms(p, np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        quad_forms(p, np.ones(4) / 2.0)
+    gs = ground_state(x, 0.5)
+    assert (gs.a_form, gs.b_form) == (0.0, 0.0)
 
 
 def test_psd_examples():
     # diagonal shift dominates: k^2 + 2 with small coupling is clearly PSD
-    cert = psd_check(build_pencil(30, 1.0, -2.0))
-    assert cert.is_psd and cert.fail_index is None
+    assert _pencil_min(30, 1.0, -2.0) > 0
     # lambda2 = 0.5 kills the center diagonal entry at k = 0
-    cert = psd_check(build_pencil(30, 0.0, 0.5))
-    assert not cert.is_psd
-    assert cert.fail_index == 0
-    assert cert.min_pivot == pytest.approx(-0.5)
+    assert _pencil_min(30, 0.0, 0.5) == pytest.approx(-0.5)
     # just inside the closed-form cone
-    cert = psd_check(build_pencil(30, 1.0, 1.0 - math.sqrt(2.0) - 0.01))
-    assert cert.is_psd
+    assert _pencil_min(30, 1.0, 1.0 - math.sqrt(2.0) - 0.01) > 0
 
 
 def test_restricted_cone_examples():
-    assert restricted_cone_test(0.0, -0.1)
-    assert not restricted_cone_test(1.0, 0.0)
-    assert restricted_cone_test(3.0, -2.2)  # 1 - sqrt(10) ~ -2.162
+    # inside the cone the pencil is semidefinite (1 - sqrt(10) ~ -2.162)
+    for lam1, lam2 in ((0.0, -0.1), (3.0, -2.2)):
+        assert _in_cone(lam1, lam2)
+        assert _pencil_min(30, lam1, lam2) >= 0
+    # outside it, at (1, 0), the coupled k = 0 row makes it indefinite
+    assert not _in_cone(1.0, 0.0)
+    assert _pencil_min(30, 1.0, 0.0) < 0
 
 
 def test_restricted_cone_implies_psd():
@@ -77,23 +78,24 @@ def test_restricted_cone_implies_psd():
     for _ in range(10_000):
         lam1 = float(rng.uniform(0.0, 10.0))
         lam2 = float(rng.uniform(-15.0, 2.0))
-        if restricted_cone_test(lam1, lam2):
+        if _in_cone(lam1, lam2):
             hits += 1
-            assert psd_check(build_pencil(25, lam1, lam2)).is_psd
+            assert _pencil_min(25, lam1, lam2) >= -1e-12
     assert hits > 1000  # the sampled box actually exercises the cone
 
 
 def test_psd_check_matches_min_eigenvalue():
+    # dense LAPACK spectrum as the oracle: Jacobi is too slow for 300 of these
     rng = np.random.default_rng(22)
     checked = 0
     for _ in range(300):
         lam1 = float(rng.uniform(0.0, 10.0))
         lam2 = float(rng.uniform(-3.0, 3.0))
-        p = build_pencil(12, lam1, lam2)
-        w = min_eigenvalue(p.diag, p.offdiag)
+        diag, off = _pencil(12, lam1, lam2)
+        w = np.linalg.eigvalsh(tridiag_dense(diag, off))[0]
         if abs(w) < 1e-8:
             continue  # indeterminate at the boundary for either method
-        assert psd_check(p).is_psd == (w > 0)
+        assert (min_eigenvalue(diag, off) > 0) == (w > 0)
         checked += 1
     assert checked > 250
 
@@ -103,8 +105,8 @@ def test_psd_check_against_dense_oracle():
     for _ in range(40):
         lam1 = float(rng.uniform(0.0, 6.0))
         lam2 = float(rng.uniform(-2.0, 2.0))
-        p = build_pencil(6, lam1, lam2)
-        w, _ = jacobi_eigh(tridiag_dense(p.diag, p.offdiag))
+        diag, off = _pencil(6, lam1, lam2)
+        w, _ = jacobi_eigh(tridiag_dense(diag, off))
         if abs(w[0]) < 1e-8:
             continue
-        assert psd_check(p).is_psd == (w[0] > 0)
+        assert (min_eigenvalue(diag, off) > 0) == (w[0] > 0)

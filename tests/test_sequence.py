@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from compactseq.cli import main
 from compactseq.sequence import (
     Sequence,
     autocorrelation,
@@ -12,10 +13,6 @@ from compactseq.sequence import (
     norm2,
     parse_sequence,
     read_sequence,
-    sequence_from_json,
-    sequence_to_csv,
-    sequence_to_json,
-    sequence_to_text,
     shift,
     write_sequence,
 )
@@ -56,7 +53,7 @@ def test_shift_and_modulus():
     m = modulus(Sequence([3 + 4j, -2.0], offset=2))
     assert m.offset == 2
     assert np.allclose(m.taps, [5.0, 2.0])
-    assert m.is_real
+    assert np.all(m.taps.imag == 0)
 
 
 def test_dtft_values():
@@ -119,23 +116,22 @@ def test_parse_header_optional():
         parse_sequence("# offset=0\n")
 
 
-def test_text_format_shape():
-    text = sequence_to_text(Sequence([1.0, -2.5j], offset=3))
-    lines = text.strip().splitlines()
+def test_text_format_shape(tmp_path):
+    path = tmp_path / "seq.txt"
+    write_sequence(Sequence([1.0, -2.5j], offset=3), path)
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "# offset=3"
     assert lines[1] == "1.0 0.0"
     assert lines[2] == "0.0 -2.5"
 
 
-def test_csv_and_json_mirror():
-    s = Sequence([1.0, -2.5j], offset=3)
-    csv_lines = sequence_to_csv(s).strip().splitlines()
-    assert csv_lines[0] == "# offset=3"
-    assert csv_lines[1] == "re,im"
-    assert csv_lines[2] == "1.0,0.0"
-    obj = json.loads(sequence_to_json(s))
-    assert obj["offset"] == 3
-    assert obj["taps"] == [[1.0, 0.0], [0.0, -2.5]]
-    back = sequence_from_json(sequence_to_json(s))
-    assert back.offset == s.offset
-    assert np.array_equal(back.taps, s.taps)
+def test_csv_and_json_mirror(tmp_path, capsys):
+    # the design report's JSON sequence mirrors its --seq-output text file
+    path = tmp_path / "design.seq"
+    argv = ["design", "--sigma2", "0.5", "--taps", "31", "--seq-output", str(path)]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)["sequence"]
+    back = read_sequence(path)
+    assert obj["offset"] == back.offset == -15
+    assert obj["taps"] == back.taps.real.tolist()
+    assert np.all(back.taps.imag == 0)

@@ -6,14 +6,14 @@ import pytest
 
 from helpers import freq_moments_quad, random_sequences, trig_moment_quad
 
-from compactseq.sequence import Sequence, modulus, shift
+from compactseq.cli import main
+from compactseq.sequence import Sequence, modulus, shift, write_sequence
 from compactseq.spreads import (
     DegenerateSpreadError,
     linear_freq_center,
     linear_freq_spread,
     measure,
     periodic_freq_spread,
-    report_to_json,
     tf_spread_linear,
     tf_spread_periodic,
     time_center,
@@ -163,8 +163,14 @@ def test_uncertainty_floor_fuzz():
         assert rep.eta_p >= 0.25 - 1e-9
 
 
-def test_report_json_encoding():
-    obj = json.loads(report_to_json(measure(EX1)))
+def test_report_json_encoding(tmp_path, capsys):
+    def report(x):
+        path = tmp_path / "x.seq"
+        write_sequence(x, path)
+        assert main(["analyze", "--input", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    obj = report(EX1)
     assert set(obj) == {
         "mu_n", "delta_n2", "tau", "delta_wp2", "mu_wl", "delta_wl2",
         "eta_p", "eta_l", "mu_wp",
@@ -172,8 +178,8 @@ def test_report_json_encoding():
     assert obj["tau"] == pytest.approx([EX1_TAU, 0.0])
     assert obj["mu_wp"] == pytest.approx([1 - EX1_TAU, 0.0])
     # infinities serialize as the string "inf", the degenerate product as null
-    obj = json.loads(report_to_json(measure(Sequence([1.0, 0.0, 1.0]))))
+    obj = report(Sequence([1.0, 0.0, 1.0]))
     assert obj["delta_wp2"] == "inf"
     assert obj["eta_p"] == "inf"
-    obj = json.loads(report_to_json(measure(Sequence([1.0]))))
+    obj = report(Sequence([1.0]))
     assert obj["eta_p"] is None

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compactseq.cli import main
 from compactseq.sequence import norm2
 from compactseq.spreads import measure
 from compactseq.windows import (
@@ -10,7 +11,6 @@ from compactseq.windows import (
     WindowFamily,
     default_families,
     sampled_gaussian,
-    scan_to_csv,
     spread_scan,
     standard_windows,
     three_tap,
@@ -107,15 +107,15 @@ def test_spread_scan_marks_degenerate():
     assert math.isnan(bad[0].eta_p)
 
 
-def test_default_families_and_csv():
+def test_default_families_and_csv(capsys):
     fams = default_families()
     names = [f.name for f in fams]
     assert names == list(WINDOW_NAMES) + ["gaussian", "three_tap"]
     assert fams[0].params[0] == 5 and fams[0].params[-1] == 401
-    text = scan_to_csv([spread_scan(WindowFamily("three_tap", (0.1, 0.3), three_tap))])
-    lines = text.strip().splitlines()
+    assert main(["windows", "--family", "three_tap"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "family,param,delta_wp2,delta_n2,eta_p"
-    assert len(lines) == 3
-    assert lines[1].startswith("three_tap,")
-    cells = lines[1].split(",")
-    assert float(cells[2]) < float(lines[2].split(",")[2])  # sorted by spread
+    assert len(lines) == 1 + len(fams[-1].params)
+    assert all(line.startswith("three_tap,") for line in lines[1:])
+    spreads = [float(line.split(",")[2]) for line in lines[1:]]
+    assert spreads == sorted(spreads)  # sorted by spread
