@@ -31,18 +31,7 @@ from .sequence import (
     shift,
     write_sequence,
 )
-from .spreads import (
-    DegenerateSpreadError,
-    SpreadReport,
-    linear_freq_spread,
-    measure,
-    periodic_freq_spread,
-    tf_spread_linear,
-    tf_spread_periodic,
-    time_center,
-    time_spread,
-    trig_moment,
-)
+from .spreads import SpreadReport, measure
 from .windows import (
     WindowFamily,
     default_families,

@@ -60,6 +60,8 @@ def _parse_grid(text: str) -> np.ndarray:
     except ValueError as exc:
         raise _CliError(f"bad grid {text!r}: {exc}") from None
     kind = parts[3]
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _CliError(f"grid endpoints must be finite, got {text!r}")
     if points < 1:
         raise _CliError("grid needs at least one point")
     if kind == "log":

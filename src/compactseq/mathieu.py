@@ -40,6 +40,8 @@ _NORMALIZATION = "int_0^{2pi} ce0(q,t)^2 dt = pi; sqrt(2)*ce0 has unit mean squa
 def _ground_taps(q: float, half_len: int | None):
     """Ground state for |q| on a grid grown until the raw tails vanish."""
     lam1 = 0.5 * abs(float(q))
+    if not math.isfinite(lam1):
+        raise ValueError(f"q must be finite, got {float(q)!r}")
     if half_len is not None:
         n = int(half_len)
         if n < 1:

@@ -144,6 +144,14 @@ def test_mathieu_table_mode(capsys):
     assert a0s == sorted(a0s, reverse=True)  # a0 decreases with q
 
 
+def test_mathieu_non_finite_q(capsys):
+    for argv in (["--q", "inf"], ["--grid", "1:inf:2:log"]):
+        code, out, err = run(capsys, "mathieu", *argv)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("compactseq: error:") and err.count("\n") == 1
+
+
 def test_windows_scan(capsys):
     code, out, _ = run(capsys, "windows", "--family", "three_tap")
     assert code == 0

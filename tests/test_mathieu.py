@@ -94,3 +94,11 @@ def test_scaled_ce0_is_unit_energy_spectrum():
     t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
     y = math.sqrt(2.0) * ce0(-4.0, t).values
     assert float(np.mean(y * y)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_non_finite_q_rejected():
+    for q in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            char_value_a0(q)
+        with pytest.raises(ValueError, match="finite"):
+            ce0(q, [0.0], half_len=10)

@@ -15,7 +15,7 @@ from helpers import jacobi_eigh, tridiag_dense
 
 from compactseq.design import ground_state
 from compactseq.eigen import min_eigenvalue
-from compactseq.spreads import time_spread, trig_moment
+from compactseq.spreads import measure
 from compactseq.windows import three_tap
 
 
@@ -39,8 +39,9 @@ def test_quad_forms_three_tap():
     assert gs.a_form == pytest.approx(0.02, rel=1e-13)
     assert gs.b_form == pytest.approx(2 * 0.1 * math.sqrt(0.98), rel=1e-13)
     # the forms are the time spread and the trig moment of the sequence
-    assert gs.a_form == pytest.approx(time_spread(x), rel=1e-13)
-    assert gs.b_form == pytest.approx(trig_moment(x).real, rel=1e-13)
+    rep = measure(x)
+    assert gs.a_form == pytest.approx(rep.delta_n2, rel=1e-13)
+    assert gs.b_form == pytest.approx(rep.tau.real, rel=1e-13)
     # a non-unit input is normalized before the forms are read
     scaled = ground_state(3.0 * x.taps.real, 1.0)
     assert (scaled.a_form, scaled.b_form) == pytest.approx((gs.a_form, gs.b_form), rel=1e-15)

@@ -8,18 +8,7 @@ from helpers import freq_moments_quad, random_sequences, trig_moment_quad
 
 from compactseq.cli import main
 from compactseq.sequence import Sequence, modulus, shift, write_sequence
-from compactseq.spreads import (
-    DegenerateSpreadError,
-    linear_freq_center,
-    linear_freq_spread,
-    measure,
-    periodic_freq_spread,
-    tf_spread_linear,
-    tf_spread_periodic,
-    time_center,
-    time_spread,
-    trig_moment,
-)
+from compactseq.spreads import measure
 from compactseq.windows import three_tap, three_tap_eta_p
 
 EX1 = Sequence(np.array([1.0, 7.0, 2.0]))
@@ -36,20 +25,23 @@ EX1_ETA_L = 0.15854672481530894
 
 
 def test_example_time_measures():
-    assert time_center(EX1) == pytest.approx(EX1_MU_N, rel=1e-15)
-    assert time_spread(EX1) == pytest.approx(EX1_DN2, rel=1e-15)
+    rep = measure(EX1)
+    assert rep.mu_n == pytest.approx(EX1_MU_N, rel=1e-15)
+    assert rep.delta_n2 == pytest.approx(EX1_DN2, rel=1e-15)
 
 
 def test_example_periodic_measures():
-    assert trig_moment(EX1) == pytest.approx(EX1_TAU, rel=1e-15)
-    assert periodic_freq_spread(EX1) == pytest.approx(EX1_DWP2, rel=1e-14)
-    assert tf_spread_periodic(EX1) == pytest.approx(EX1_ETA_P, rel=1e-14)
+    rep = measure(EX1)
+    assert rep.tau == pytest.approx(EX1_TAU, rel=1e-15)
+    assert rep.delta_wp2 == pytest.approx(EX1_DWP2, rel=1e-14)
+    assert rep.eta_p == pytest.approx(EX1_ETA_P, rel=1e-14)
 
 
 def test_example_linear_measures():
-    assert linear_freq_center(EX1) == pytest.approx(0.0, abs=1e-15)
-    assert linear_freq_spread(EX1) == pytest.approx(EX1_DWL2, rel=1e-14)
-    eta_l = tf_spread_linear(EX1)
+    rep = measure(EX1)
+    assert rep.mu_wl == pytest.approx(0.0, abs=1e-15)
+    assert rep.delta_wl2 == pytest.approx(EX1_DWL2, rel=1e-14)
+    eta_l = rep.eta_l
     assert eta_l == pytest.approx(EX1_ETA_L, rel=1e-14)
     # the linear product dips below the 1/4 floor of the periodic one
     assert eta_l < 0.25
@@ -57,15 +49,14 @@ def test_example_linear_measures():
 
 def test_single_delta():
     d = Sequence([2.0], offset=5)
-    assert time_spread(d) == 0.0
-    assert math.isinf(periodic_freq_spread(d))
-    assert linear_freq_spread(d) == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
+    rep = measure(d)
+    assert rep.delta_n2 == 0.0
+    assert math.isinf(rep.delta_wp2)
+    assert rep.delta_wl2 == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
 
 
 def test_degenerate_eta_p_raises():
     d = Sequence([0.0, 3.0, 0.0], offset=-1)
-    with pytest.raises(DegenerateSpreadError):
-        tf_spread_periodic(d)
     rep = measure(d)
     assert rep.eta_p is None
     assert math.isinf(rep.delta_wp2)
@@ -74,29 +65,54 @@ def test_degenerate_eta_p_raises():
 def test_zero_tau_infinite_spread():
     # two taps two apart: lag-1 products vanish but the support doesn't
     s = Sequence([1.0, 0.0, 1.0])
-    assert trig_moment(s) == 0
-    assert math.isinf(periodic_freq_spread(s))
     rep = measure(s)
+    assert rep.tau == 0
+    assert math.isinf(rep.delta_wp2)
     assert rep.eta_p == math.inf
+
+
+def test_unsquarable_tau_is_infinite_spread():
+    # |tau| = 1e-170 is nonzero but its square underflows to 0
+    rep = measure(Sequence([1.0, 1e-170]))
+    assert rep.tau != 0
+    assert math.isinf(rep.delta_wp2)
+    assert rep.eta_p == math.inf
+
+
+def test_autocorrelation_taken_once_per_lag(monkeypatch):
+    # every measure comes from one rho vector: n lag products for n taps
+    import compactseq.spreads as spreads
+
+    calls = []
+    inner = spreads.autocorrelation
+
+    def counting(x, m):
+        calls.append(m)
+        return inner(x, m)
+
+    monkeypatch.setattr(spreads, "autocorrelation", counting)
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 17, 401):
+        calls.clear()
+        measure(Sequence(rng.normal(size=n) + 1j * rng.normal(size=n)))
+        assert len(calls) <= n
 
 
 def test_three_tap_closed_forms():
     for eps in (0.1, 0.01, 0.3):
-        s = three_tap(eps)
-        assert time_center(s) == pytest.approx(0.0, abs=1e-15)
-        assert time_spread(s) == pytest.approx(2 * eps**2, rel=1e-13)
-        assert trig_moment(s).real == pytest.approx(
+        rep = measure(three_tap(eps))
+        assert rep.mu_n == pytest.approx(0.0, abs=1e-15)
+        assert rep.delta_n2 == pytest.approx(2 * eps**2, rel=1e-13)
+        assert rep.tau.real == pytest.approx(
             2 * eps * math.sqrt(1 - 2 * eps**2), rel=1e-13
         )
-        assert tf_spread_periodic(s) == pytest.approx(
-            three_tap_eta_p(eps), rel=1e-13
-        )
-    s = three_tap(0.1)
-    assert periodic_freq_spread(s) == pytest.approx(24.510204081632653, rel=1e-13)
-    assert tf_spread_periodic(s) == pytest.approx(0.4902040816326531, rel=1e-13)
+        assert rep.eta_p == pytest.approx(three_tap_eta_p(eps), rel=1e-13)
+    rep = measure(three_tap(0.1))
+    assert rep.delta_wp2 == pytest.approx(24.510204081632653, rel=1e-13)
+    assert rep.eta_p == pytest.approx(0.4902040816326531, rel=1e-13)
     # both parameter extremes push the product toward 1/2
     assert three_tap_eta_p(0.01) == pytest.approx(0.5, abs=1e-3)
-    assert tf_spread_periodic(three_tap(0.5)) == pytest.approx(0.5, rel=1e-12)
+    assert measure(three_tap(0.5)).eta_p == pytest.approx(0.5, rel=1e-12)
 
 
 def test_trig_moment_against_integral():
@@ -106,16 +122,17 @@ def test_trig_moment_against_integral():
     rng = np.random.default_rng(11)
     for s in random_sequences(rng, 12):
         q = trig_moment_quad(s)
-        assert q == pytest.approx(np.conj(trig_moment(s)), abs=1e-12)
-    assert trig_moment_quad(EX1) == pytest.approx(trig_moment(EX1), abs=1e-13)
+        assert q == pytest.approx(np.conj(measure(s).tau), abs=1e-12)
+    assert trig_moment_quad(EX1) == pytest.approx(measure(EX1).tau, abs=1e-13)
 
 
 def test_linear_spread_against_quadrature():
     rng = np.random.default_rng(12)
     for s in random_sequences(rng, 15, max_len=10):
         mu_q, var_q = freq_moments_quad(s)
-        assert linear_freq_center(s) == pytest.approx(mu_q, abs=1e-6)
-        assert linear_freq_spread(s) == pytest.approx(var_q, abs=1e-6)
+        rep = measure(s)
+        assert rep.mu_wl == pytest.approx(mu_q, abs=1e-6)
+        assert rep.delta_wl2 == pytest.approx(var_q, abs=1e-6)
 
 
 def test_shift_invariance():
