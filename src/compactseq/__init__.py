@@ -19,7 +19,7 @@ from .design import (
     ground_state,
     sweep_curve,
 )
-from .eigen import EigenConvergenceError, EigenPair, kth_eigenvalue, min_eigenpair, min_eigenvalue
+from .eigen import EigenConvergenceError, EigenPair, min_eigenpair, min_eigenvalue
 from .mathieu import MathieuEval, ce0, char_value_a0
 from .sequence import (
     Sequence,

@@ -111,7 +111,7 @@ def _csv(header: str, columns) -> str:
 
 
 def _run_design(args) -> str:
-    res = design_max_compact(args.sigma2, taps=args.taps, tol=args.tol)
+    res = design_max_compact(args.sigma2, taps=args.taps)
     if args.seq_output:
         write_sequence(res.sequence, args.seq_output)
     if args.format == "json":
@@ -134,7 +134,7 @@ def _run_analyze(args) -> str:
 
 
 def _run_curve(args) -> str:
-    points = sweep_curve(_parse_grid(args.grid), taps=args.taps, tol=args.tol)
+    points = sweep_curve(_parse_grid(args.grid), taps=args.taps)
     if args.format == "json":
         return json.dumps([_json_value(p) for p in points]) + "\n"
     return _csv("sigma2,delta_n2,eta_p,eta_lower,eta_upper", _columns(points, drop=("error",)))
@@ -166,7 +166,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma2", type=float, required=True,
                    help="target periodic frequency spread (> 0)")
     p.add_argument("--taps", type=int, default=201, help="odd grid length (default 201)")
-    p.add_argument("--tol", type=float, default=1e-10, help="constraint tolerance")
     p.add_argument("--seq-output", help="also write the sequence file here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=_run_design)
@@ -180,7 +179,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", default="0.01:10:25:log",
                    help="sigma2 grid start:stop:points:log|lin")
     p.add_argument("--taps", type=int, default=201)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(run=_run_curve)
 

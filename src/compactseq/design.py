@@ -22,9 +22,10 @@ On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
 off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
 The dual works with the pencil P(lambda1, lambda2) = A - lambda1*B -
 lambda2*I, tridiagonal with diagonal k^2 - lambda2 and off-diagonal
--lambda1/2.  P is positive semidefinite iff its Sturm count at shift 0 is
-zero (see :mod:`compactseq.eigen`).  :func:`ground_state` also serves the
-Mathieu evaluator, a0(q) = 4 lambda_min(A - (|q|/2) B).
+-lambda1/2.  P is positive semidefinite iff it has no eigenvalue below 0
+(the yes/no Sturm test of :mod:`compactseq.eigen` at shift 0).
+:func:`ground_state` also serves the Mathieu evaluator,
+a0(q) = 4 lambda_min(A - (|q|/2) B).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 TAIL_MASS_WARN = 1e-10
+_CONSTRAINT_TOL = 1e-10
 
 
 class UnattainableSpreadError(RuntimeError):
@@ -141,14 +143,14 @@ def dual_value(lambda1: float, alpha: float, half_len: int) -> tuple[float, floa
     return float(alpha) * float(lambda1) + gs.lambda2, gs.b_form
 
 
-def design_max_compact(sigma2: float, taps: int = 201, tol: float = 1e-10) -> DesignResult:
+def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     """Minimal-time-spread sequence with periodic frequency spread sigma2.
 
     ``taps`` (odd, >= 5) fixes the grid k = -(taps-1)/2 .. (taps-1)/2; it
     must be large enough that alpha = 1/sqrt(1+sigma2) stays below the
     largest eigenvalue cos(pi/(taps+1)) of the lag-one form, otherwise the
     constraint is unattainable and UnattainableSpreadError is raised.
-    ``tol`` bounds |x'Bx - alpha| at the solution; the bisection tightens
+    |x'Bx - alpha| at the solution is at most 1e-10; the bisection tightens
     it further to keep the duality gap near 1e-9 even for large lambda1.
     """
     sigma2 = float(sigma2)
@@ -157,9 +159,6 @@ def design_max_compact(sigma2: float, taps: int = 201, tol: float = 1e-10) -> De
     taps = int(taps)
     if taps < 5 or taps % 2 == 0:
         raise ValueError("taps must be odd and >= 5")
-    tol = float(tol)
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
 
     half = (taps - 1) // 2
     alpha = 1.0 / math.sqrt(1.0 + sigma2)
@@ -174,7 +173,7 @@ def design_max_compact(sigma2: float, taps: int = 201, tol: float = 1e-10) -> De
     k2 = k * k
 
     def gap_target(l1):
-        return min(tol, 1e-9 / max(1.0, l1))
+        return min(_CONSTRAINT_TOL, 1e-9 / max(1.0, l1))
 
     # Bracket the crossing b(l1) = alpha; b(0) = 0 < alpha.
     lo, b_lo = 0.0, 0.0
@@ -209,7 +208,7 @@ def design_max_compact(sigma2: float, taps: int = 201, tol: float = 1e-10) -> De
     # b - alpha (one ulp of alpha), so the certifiable duality gap floors
     # at lambda1 * ulp.  Accept whatever bisection achieved as long as the
     # published certificates still hold; raise only when they cannot.
-    if gap > tol or lambda1 * gap > 1e-8:
+    if gap > _CONSTRAINT_TOL or lambda1 * gap > 1e-8:
         raise DesignConvergenceError(
             f"constraint gap {best[2] - alpha:.3e} above target at lambda1 = {lambda1!r}"
         )
@@ -244,7 +243,7 @@ class CurvePoint:
     error: str | None = None
 
 
-def sweep_curve(sigma2_grid, taps: int = 201, tol: float = 1e-10) -> list[CurvePoint]:
+def sweep_curve(sigma2_grid, taps: int = 201) -> list[CurvePoint]:
     """Run the designer across a sigma2 grid; failures mark their point.
 
     Points are produced in grid order.  A point whose design raises keeps
@@ -257,7 +256,7 @@ def sweep_curve(sigma2_grid, taps: int = 201, tol: float = 1e-10) -> list[CurveP
         lo_b = eta_lower(s2)
         up_b = eta_upper(s2)
         try:
-            res = design_max_compact(s2, taps=taps, tol=tol)
+            res = design_max_compact(s2, taps=taps)
         except (UnattainableSpreadError, DesignConvergenceError) as exc:
             points.append(CurvePoint(s2, math.nan, math.nan, lo_b, up_b, str(exc)))
         else:

@@ -1,19 +1,23 @@
-"""Extreme eigenpairs of symmetric tridiagonal matrices.
+"""Ground eigenpairs of symmetric tridiagonal matrices.
 
 The matrices handled here have an arbitrary real diagonal and a constant
-real off-diagonal.  The smallest eigenvalue is located by Sturm-sequence
-bisection: the number of negative pivots of the shifted LDL^T recurrence
+real off-diagonal.  The smallest eigenvalue is located by bisection on a
+yes/no Sturm test: the shifted LDL^T recurrence
 
     p_1 = d_1 - s,    p_i = d_i - s - b^2 / p_{i-1}
 
-equals the number of eigenvalues below the shift s, so the minimum can be
-bracketed to any width inside the Gershgorin interval.  The eigenvector
-then comes from inverse iteration with the shift placed strictly below
-the bracket.  With the off-diagonal oriented negative (a similarity flip
-of alternate signs, which leaves eigenvalues alone), the shifted matrix
-is an M-matrix: Thomas elimination meets no cancellation and the iterates
-stay entrywise positive in floating point, which pins the sign of the
-returned ground state instead of leaving it to roundoff.
+has as many negative pivots as there are eigenvalues below the shift s,
+so the matrix has an eigenvalue below s exactly when some pivot is
+negative, and the test stops at the first pivot <= 0 (a zero pivot counts
+as negative).  Bisecting on that
+answer brackets the minimum to width 1e-12 inside the Gershgorin
+interval.  The eigenvector then comes from inverse iteration with the
+shift placed strictly below the bracket.  With the off-diagonal oriented
+negative (a similarity flip of alternate signs, which leaves eigenvalues
+alone), the shifted matrix is an M-matrix: Thomas elimination meets no
+cancellation and the iterates stay entrywise positive in floating point,
+which pins the sign of the returned ground state instead of leaving it to
+roundoff.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ __all__ = [
     "EigenPair",
     "EigenConvergenceError",
     "min_eigenvalue",
-    "kth_eigenvalue",
     "min_eigenpair",
 ]
 
 _MAX_BISECT = 300
+_BRACKET_WIDTH = 1e-12
+_MAX_SOLVES = 50
 
 
 class EigenConvergenceError(RuntimeError):
@@ -47,25 +52,20 @@ class EigenPair:
     iterations: int
 
 
-def _count_below(d, b2, shift):
-    """Eigenvalues of tridiag(d, b) strictly below ``shift`` (Sturm count)."""
-    count = 0
+def _has_eigenvalue_below(d, b2, shift):
+    """Whether tridiag(d, b) has an eigenvalue strictly below ``shift``."""
     piv = d[0] - shift
-    if piv == 0.0:
-        piv = -1e-290
-    if piv < 0.0:
-        count = 1
+    if piv <= 0.0:
+        return True
     for i in range(1, len(d)):
         piv = d[i] - shift - b2 / piv
-        if piv == 0.0:
-            piv = -1e-290
-        if piv < 0.0:
-            count += 1
-    return count
+        if piv <= 0.0:
+            return True
+    return False
 
 
-def _bisect_kth(d, b, k, tol):
-    """Bracket the k-th smallest eigenvalue (0-based) to width <= tol."""
+def _bracket_min(d, b):
+    """Bracket the smallest eigenvalue to width <= 1e-12."""
     b2 = b * b
     r = 2.0 * abs(b)
     lo = min(d) - r
@@ -74,32 +74,24 @@ def _bisect_kth(d, b, k, tol):
     lo -= pad
     hi += pad
     for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
+        if hi - lo <= _BRACKET_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _count_below(d, b2, mid) >= k + 1:
+        if _has_eigenvalue_below(d, b2, mid):
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def min_eigenvalue(diag, offdiag, tol: float = 1e-12) -> float:
-    """Smallest eigenvalue of tridiag(diag, offdiag) to absolute width tol."""
-    return kth_eigenvalue(diag, offdiag, 0, tol)
-
-
-def kth_eigenvalue(diag, offdiag, k: int, tol: float = 1e-12) -> float:
-    """k-th smallest eigenvalue (k = 0 is the minimum)."""
+def min_eigenvalue(diag, offdiag) -> float:
+    """Smallest eigenvalue of tridiag(diag, offdiag) to absolute width 1e-12."""
     d = [float(v) for v in diag]
-    n = len(d)
-    if not 0 <= k < n:
-        raise ValueError(f"k must be in [0, {n})")
-    if float(offdiag) == 0.0 or n == 1:
-        return sorted(d)[k]
-    lo, hi = _bisect_kth(d, float(offdiag), k, tol)
+    if float(offdiag) == 0.0 or len(d) == 1:
+        return min(d)
+    lo, hi = _bracket_min(d, float(offdiag))
     return 0.5 * (lo + hi)
 
 
@@ -110,14 +102,14 @@ def _apply(darr, off, v):
     return out
 
 
-def min_eigenpair(diag, offdiag, tol: float = 1e-12, max_iter: int = 50) -> EigenPair:
+def min_eigenpair(diag, offdiag) -> EigenPair:
     """Smallest eigenvalue and unit eigenvector.
 
     The vector's sign is canonicalized so its center entry is positive;
     for a negative off-diagonal the whole ground state is then entrywise
     positive.  Raises :class:`EigenConvergenceError` if inverse iteration
     cannot meet the residual contract ``1e-10 * (1 + |value|)`` within
-    ``max_iter`` solves (50 by default).
+    50 solves.
     """
     d = [float(v) for v in diag]
     n = len(d)
@@ -128,7 +120,7 @@ def min_eigenpair(diag, offdiag, tol: float = 1e-12, max_iter: int = 50) -> Eige
         vec[i] = 1.0
         return EigenPair(d[i], vec, 0.0, 0)
 
-    lo, hi = _bisect_kth(d, b, 0, tol)
+    lo, hi = _bracket_min(d, b)
     scale = max(abs(v) for v in d) + 2.0 * abs(b)
     eps = np.finfo(float).eps
 
@@ -164,7 +156,7 @@ def min_eigenpair(diag, offdiag, tol: float = 1e-12, max_iter: int = 50) -> Eige
     u = np.full(n, 1.0 / np.sqrt(n))
     best = None
     prev = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SOLVES + 1):
         v = solve(u)
         v /= np.linalg.norm(v)
         tv = _apply(darr, off, v)

@@ -37,30 +37,23 @@ _TAIL_AMP = 1e-12
 _NORMALIZATION = "int_0^{2pi} ce0(q,t)^2 dt = pi; sqrt(2)*ce0 has unit mean square"
 
 
-def _ground_taps(q: float, half_len: int | None):
+def _ground_taps(q: float):
     """Ground state for |q| on a grid grown until the raw tails vanish."""
     lam1 = 0.5 * abs(float(q))
     if not math.isfinite(lam1):
         raise ValueError(f"q must be finite, got {float(q)!r}")
-    if half_len is not None:
-        n = int(half_len)
-        if n < 1:
-            raise ValueError("half_len must be >= 1")
-        sizes = [n]
-    else:
-        n = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
-        sizes = [n, 2 * n, 4 * n, 8 * n, 16 * n]
-    for n in sizes:
+    n0 = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
+    for n in (n0, 2 * n0, 4 * n0, 8 * n0, 16 * n0):
         k = np.arange(-n, n + 1, dtype=float)
         v = min_eigenpair(k * k, -0.5 * lam1).vector
-        if half_len is not None or max(abs(v[0]), abs(v[-1])) < _TAIL_AMP:
+        if max(abs(v[0]), abs(v[-1])) < _TAIL_AMP:
             return ground_state(v, lam1), n
     raise RuntimeError(f"coefficient tails not resolved at half_len {n}")
 
 
-def char_value_a0(q: float, half_len: int | None = None) -> float:
+def char_value_a0(q: float) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
-    return 4.0 * _ground_taps(q, half_len)[0].lambda2
+    return 4.0 * _ground_taps(q)[0].lambda2
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,10 @@ class MathieuEval:
     normalization: str = _NORMALIZATION
 
 
-def ce0(q: float, thetas, half_len: int | None = None) -> MathieuEval:
+def ce0(q: float, thetas) -> MathieuEval:
     """Sample the lowest even eigenfunction ce0(q; t) at the given angles."""
     q = float(q)
-    gs, n = _ground_taps(q, half_len)
+    gs, n = _ground_taps(q)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
     half = gs.taps[n:].copy()  # c_k = tap at +k, k = 0..n
     if q > 0.0:

@@ -37,6 +37,8 @@ from .sequence import Sequence, autocorrelation, norm2
 
 __all__ = ["SpreadReport", "measure"]
 
+_TINY = np.finfo(float).tiny
+
 
 def _rho(x: Sequence, r0: float) -> np.ndarray:
     """Normalized autocorrelation taps rho_m = r_m / r_0 for m = 1..len-1."""
@@ -50,8 +52,9 @@ class SpreadReport:
     """All spread measures of one sequence.
 
     ``eta_p`` is None exactly when the sequence has a single nonzero tap
-    (degenerate 0 * inf product).  ``mu_wp = 1 - tau`` is carried along as
-    metadata; nothing downstream consumes it.
+    (degenerate 0 * inf product).  ``mu_wp = 1 - tau`` is the periodic
+    frequency center; ``analyze --format json`` prints it, the CSV form
+    leaves it out.
     """
 
     mu_n: float
@@ -69,10 +72,13 @@ def measure(x: Sequence) -> SpreadReport:
     """Evaluate every spread measure of ``x``.
 
     The measures are scale-invariant, so the taps are first scaled by the
-    exact power of two that puts max|x_k| in [0.5, 1): |x_k|^2 then neither
+    exact power of two that puts max|x_k| in [0.5, 1): ||x||^2 then neither
     underflows nor overflows at any tap scale.  The weight vector and the
     autocorrelation vector rho are then computed once each, which takes
-    len(x) lag products in all.
+    len(x) lag products in all.  Taps far below the largest one can still
+    have squares (or a |tau|^2) below the normal range; eta_p is then
+    formed from unsquared ratios, so it stays accurate even where
+    delta_n2 rounds to 0 and delta_wp2 to infinity.
     """
     _, e = np.frexp(np.max(np.abs(x.taps)))
     x = Sequence(np.ldexp(x.taps.real, -e) + 1j * np.ldexp(x.taps.imag, -e), x.offset)
@@ -89,8 +95,16 @@ def measure(x: Sequence) -> SpreadReport:
     dwp2 = (1.0 - t2) / t2 if t2 else math.inf
     if np.count_nonzero(x.taps) <= 1:
         eta_p = None
-    elif math.isinf(dwp2):
+    elif t == 0.0:
         eta_p = math.inf
+    elif t2 < _TINY or dn2 < len(x) ** 3 * _TINY:
+        # Weights below the normal range cost dn2 at most len^3 * 2^-1074,
+        # under an ulp when dn2 >= len^3 * tiny.  Otherwise, or when |tau|^2
+        # is below the normal range, form dn2 * (1 - t2)/t2 from unsquared
+        # ratios; a product beyond the float range is inf.
+        with np.errstate(over="ignore"):
+            z = np.abs(x.taps) * (k - mu_n) / (math.sqrt(r0) * t)
+            eta_p = float(z @ z) * (1.0 - t2)
     else:
         eta_p = dn2 * dwp2
 

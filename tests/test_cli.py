@@ -58,6 +58,10 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+    # the solver tolerances are constants, not flags
+    for argv in (("design", "--sigma2", "0.1"), ("curve",)):
+        code, out, err = run(capsys, *argv, "--tol", "1e-10")
+        assert code == 1 and out == "" and err.count("\n") == 1 and "--tol" in err
 
 
 def test_analyze(capsys, tmp_path):

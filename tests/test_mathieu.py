@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from compactseq.eigen import kth_eigenvalue
+from helpers import tridiag_dense
+
+from compactseq.eigen import min_eigenvalue
 from compactseq.mathieu import ce0, char_value_a0
 
 
@@ -28,8 +30,8 @@ def test_a0_is_the_bottom_of_the_spectrum():
         lam1 = q / 2.0
         n = 40
         k = np.arange(-n, n + 1, dtype=float)
-        ground = kth_eigenvalue(k * k, -lam1 / 2.0, 0)
-        second = kth_eigenvalue(k * k, -lam1 / 2.0, 1)
+        ground = min_eigenvalue(k * k, -lam1 / 2.0)
+        second = np.linalg.eigvalsh(tridiag_dense(k * k, -lam1 / 2.0))[1]
         assert 4 * ground == pytest.approx(char_value_a0(q), abs=1e-9)
         assert second > ground + 1e-6
 
@@ -80,12 +82,10 @@ def test_ce0_satisfies_ode():
 
 
 def test_explicit_half_len():
-    # a generous fixed grid must agree with the auto-grown one
-    assert char_value_a0(2.0, half_len=60) == pytest.approx(
-        char_value_a0(2.0), abs=1e-11
-    )
-    with pytest.raises(ValueError):
-        char_value_a0(2.0, half_len=0)
+    # the auto-grown grid must agree with a generous fixed 121-row grid
+    k = np.arange(-60, 61, dtype=float)
+    lam = np.linalg.eigvalsh(tridiag_dense(k * k, -0.5))[0]
+    assert char_value_a0(2.0) == pytest.approx(4.0 * lam, abs=1e-11)
 
 
 def test_scaled_ce0_is_unit_energy_spectrum():
@@ -101,4 +101,4 @@ def test_non_finite_q_rejected():
         with pytest.raises(ValueError, match="finite"):
             char_value_a0(q)
         with pytest.raises(ValueError, match="finite"):
-            ce0(q, [0.0], half_len=10)
+            ce0(q, [0.0])

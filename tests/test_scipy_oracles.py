@@ -1,0 +1,30 @@
+"""scipy as an independent oracle for a0 and the ground eigenpair.  scipy is
+not a runtime dependency; these tests skip where it is not installed."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("scipy")
+from scipy.linalg import eigh_tridiagonal  # noqa: E402
+from scipy.special import mathieu_a  # noqa: E402
+
+from compactseq.eigen import min_eigenpair  # noqa: E402
+from compactseq.mathieu import char_value_a0  # noqa: E402
+
+
+@pytest.mark.parametrize("q", np.geomspace(0.1, 1e4, 25).tolist())
+def test_a0_matches_scipy_mathieu_a(q):
+    want = float(mathieu_a(0, q))
+    assert abs(char_value_a0(q) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 41, 201, 999])
+@pytest.mark.parametrize("lam1", [0.0, 0.3, 10.0, 1e3, 1e5, 1e7, 1e9])
+def test_ground_pair_matches_eigh_tridiagonal(n, lam1):
+    k = np.arange(-(n // 2), n // 2 + 1, dtype=float)
+    off = -lam1 / 2.0
+    pair = min_eigenpair(k * k, off)
+    w, v = eigh_tridiagonal(k * k, np.full(n - 1, off), select="i", select_range=(0, 0))
+    want = v[:, 0] * np.sign(v[:, 0] @ pair.vector)
+    assert abs(pair.value - w[0]) <= 1e-9 * (1.0 + abs(w[0]))
+    assert np.max(np.abs(pair.vector - want)) <= 1e-9

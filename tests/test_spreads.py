@@ -72,11 +72,19 @@ def test_zero_tau_infinite_spread():
 
 
 def test_unsquarable_tau_is_infinite_spread():
-    # |tau| = 1e-170 is nonzero but its square underflows to 0
+    # |tau| = 1e-170 is nonzero but its square underflows to 0 (eta_p stays
+    # finite: test_eta_p_with_underflowing_squares)
     rep = measure(Sequence([1.0, 1e-170]))
     assert rep.tau != 0
     assert math.isinf(rep.delta_wp2)
-    assert rep.eta_p == math.inf
+
+
+@pytest.mark.parametrize("eps", [1e-150, 1e-155, 1e-160, 1e-170, 1e-300])
+def test_eta_p_with_underflowing_squares(eps):
+    # taps (1, eps): eta_p = 1 - eps^2/(1 + eps^2)^2, although eps^2 and
+    # |tau|^2 fall below the normal range
+    exact = 1.0 - eps * eps / (1.0 + eps * eps) ** 2
+    assert measure(Sequence([1.0, eps])).eta_p == pytest.approx(exact, rel=1e-12)
 
 
 def test_autocorrelation_taken_once_per_lag(monkeypatch):
