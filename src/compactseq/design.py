@@ -12,9 +12,13 @@ one scalar variable:
 
 g is concave; its derivative is alpha - b(l1) where b(l1) = x'Bx on the
 ground state of A - l1*B, and b is nondecreasing in l1 with b(0) = 0 and
-supremum lambda_max(B) = cos(pi/(2N+2)).  The optimizer therefore brackets
-and bisects b(l1) = alpha, which simultaneously drives the duality gap
-(= l1 * |b - alpha| for the ground-state primal candidate) to zero.  The
+supremum lambda_max(B) = cos(pi/(2N+2)).  The optimizer therefore solves
+b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
+|b - alpha| for the ground-state primal candidate) to zero.  It runs
+Brent's root finder in log(l1) on log(b / (b_sup - b)), which is close to
+linear in log(l1) for small, large and grid-limited l1 alike, from a seed
+given by the two asymptotic limits of b; a design takes about 5 ground
+solves.  The
 optimal sequence is the ground state itself: symmetric, entrywise
 positive, and unit norm by construction.
 
@@ -54,6 +58,9 @@ __all__ = [
 
 TAIL_MASS_WARN = 1e-10
 _CONSTRAINT_TOL = 1e-10
+_MAX_SOLVES = 100
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class UnattainableSpreadError(RuntimeError):
@@ -61,7 +68,7 @@ class UnattainableSpreadError(RuntimeError):
 
 
 class DesignConvergenceError(RuntimeError):
-    """The dual bisection could not reach its gap target."""
+    """The dual root search could not reach its gap target."""
 
 
 @dataclass(frozen=True)
@@ -123,11 +130,84 @@ def ground_state(vector, lambda1: float) -> GroundState:
 
 
 def _ground(k2, lambda1):
-    """Ground eigenpair of A - lambda1*B and its raw vector's lag-one form b;
-    bisecting on the symmetrized vector's b would round lambda1 differently."""
+    """Ground eigenpair of A - lambda1*B and b, the Rayleigh quotient of B
+    at its raw vector.  Both sums are exactly rounded (``math.fsum``), so b
+    steps monotonically through the floats next to alpha even where b(l1)
+    is flat to rounding near its supremum; a plain dot product adds a few
+    ulps of noise there, and the certificate, which then needs b == alpha
+    exactly, becomes a matter of luck."""
     pair = min_eigenpair(k2, -0.5 * lambda1)
     v = pair.vector
-    return pair, float(v[:-1] @ v[1:])
+    return pair, math.fsum((v[:-1] * v[1:]).tolist()) / math.fsum((v * v).tolist())
+
+
+def _logit(b, b_sup):
+    """G(b) = log(b / (b_sup - b)).  As a function of s = log(l1) it is
+    close to a straight line in all three regimes of b(l1): slope 1 while
+    b ~ l1, 1/2 while 1 - b ~ 1/(2 sqrt(2 l1)), and 2 once the grid is
+    too short and b_sup - b falls as 1/l1^2."""
+    return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
+
+
+def _find_root(trial, s):
+    """Drive the increasing function f(s) to 0 from the seed s.
+
+    ``trial(s)`` returns f(s) and whether the stopping test holds there.
+    The search ends at the first trial that passes, at an exact zero,
+    once the bracket is down to rounding in s, or after 100 trials.
+
+    Until f changes sign, each step assumes the smallest local slope of f
+    in its direction: 1 going down (b ~ l1) and 1/2 going up, so it lands
+    on the root or steps over it.  From that bracket on this is Brent's
+    zeroin: inverse quadratic or secant interpolation, and a bisection
+    whenever the interpolated step would not halve the step before last.
+    """
+    fs, done = trial(s)
+    n = 1
+    while not done and fs != 0.0 and n < _MAX_SOLVES:
+        a, fa = s, fs
+        s -= fs * (2.0 if fs < 0.0 else 1.0)
+        fs, done = trial(s)
+        n += 1
+        if (fs > 0.0) != (fa > 0.0):
+            break
+    else:
+        return
+    b, fb = s, fs
+    c, fc = a, fa
+    d = e = b - a
+    while not done and fb != 0.0 and n < _MAX_SOLVES:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * max(1.0, abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return
+        bisect = True
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            r = fb / fa
+            if a == c:
+                p, q = 2.0 * m * r, 1.0 - r
+            else:
+                q, t = fa / fc, fb / fc
+                p = r * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (r - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+                bisect = False
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb, done = trial(b)
+        n += 1
 
 
 def dual_value(lambda1: float, alpha: float, half_len: int) -> tuple[float, float]:
@@ -150,8 +230,11 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     must be large enough that alpha = 1/sqrt(1+sigma2) stays below the
     largest eigenvalue cos(pi/(taps+1)) of the lag-one form, otherwise the
     constraint is unattainable and UnattainableSpreadError is raised.
-    |x'Bx - alpha| at the solution is at most 1e-10; the bisection tightens
-    it further to keep the duality gap near 1e-9 even for large lambda1.
+    |x'Bx - alpha| at the solution is at most 1e-10, and at most
+    1e-9/lambda1 once lambda1 > 1, to keep the duality gap near 1e-9 even
+    for large lambda1.  The search for that lambda1 starts at the larger
+    of b's small- and large-lambda1 limits solved for alpha and brackets
+    and refines it with Brent's method (see ``_find_root``).
     """
     sigma2 = float(sigma2)
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
@@ -175,42 +258,30 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     def gap_target(l1):
         return min(_CONSTRAINT_TOL, 1e-9 / max(1.0, l1))
 
-    # Bracket the crossing b(l1) = alpha; b(0) = 0 < alpha.
-    lo, b_lo = 0.0, 0.0
-    hi = 1.0
-    pair_hi, b_hi = _ground(k2, hi)
-    doublings = 0
-    while b_hi <= alpha:
-        lo, b_lo = hi, b_hi
-        hi *= 2.0
-        pair_hi, b_hi = _ground(k2, hi)
-        doublings += 1
-        if doublings > 60:
-            raise DesignConvergenceError("could not bracket the dual optimum")
+    g_alpha = _logit(alpha, b_sup)
+    best = None
 
-    best = (hi, pair_hi, b_hi)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        pair_mid, b_mid = _ground(k2, mid)
-        if abs(b_mid - alpha) < abs(best[2] - alpha):
-            best = (mid, pair_mid, b_mid)
-        if abs(b_mid - alpha) <= gap_target(mid):
-            break
-        if b_mid < alpha:
-            lo = mid
-        else:
-            hi = mid
-    lambda1, pair, _ = best
-    gap = abs(best[2] - alpha)
+    def trial(s):
+        nonlocal best
+        l1 = math.exp(s)
+        pair, b = _ground(k2, l1)
+        if best is None or abs(b - alpha) < abs(best[2] - alpha):
+            best = (l1, pair, b)
+        return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1)
+
+    # Seed: b's small-l1 limit b ~ l1, or its large-l1 limit
+    # b ~ 1 - 1/(2 sqrt(2 l1)) (Hellmann-Feynman on the large-q asymptotics
+    # of a0), solved for b = alpha, whichever is larger.
+    _find_root(trial, math.log(max(alpha, 0.125 / (1.0 - alpha) ** 2)))
+    lambda1, pair, b = best
+    gap = abs(b - alpha)
     # Once lambda1 is large the constraint can only be met to rounding in
     # b - alpha (one ulp of alpha), so the certifiable duality gap floors
-    # at lambda1 * ulp.  Accept whatever bisection achieved as long as the
+    # at lambda1 * ulp.  Accept whatever the root search achieved as long as the
     # published certificates still hold; raise only when they cannot.
     if gap > _CONSTRAINT_TOL or lambda1 * gap > 1e-8:
         raise DesignConvergenceError(
-            f"constraint gap {best[2] - alpha:.3e} above target at lambda1 = {lambda1!r}"
+            f"constraint gap {b - alpha:.3e} above target at lambda1 = {lambda1!r}"
         )
 
     gs = ground_state(pair.vector, lambda1)

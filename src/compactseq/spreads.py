@@ -38,6 +38,7 @@ from .sequence import Sequence, autocorrelation, norm2
 __all__ = ["SpreadReport", "measure"]
 
 _TINY = np.finfo(float).tiny
+_MAX_EXPONENT = 256
 
 
 def _rho(x: Sequence, r0: float) -> np.ndarray:
@@ -71,9 +72,11 @@ class SpreadReport:
 def measure(x: Sequence) -> SpreadReport:
     """Evaluate every spread measure of ``x``.
 
-    The measures are scale-invariant, so the taps are first scaled by the
-    exact power of two that puts max|x_k| in [0.5, 1): ||x||^2 then neither
-    underflows nor overflows at any tap scale.  The weight vector and the
+    The measures are scale-invariant, so the taps are first scaled by an
+    exact power of two: up to max|x_k| in [0.5, 1) when it is smaller, and
+    down only as far as max|x_k| < 2^256 when it is larger, so ||x||^2
+    neither underflows nor overflows at any tap scale and no nonzero tap
+    near the subnormal floor is flushed to 0.  The weight vector and the
     autocorrelation vector rho are then computed once each, which takes
     len(x) lag products in all.  Taps far below the largest one can still
     have squares (or a |tau|^2) below the normal range; eta_p is then
@@ -81,6 +84,7 @@ def measure(x: Sequence) -> SpreadReport:
     delta_n2 rounds to 0 and delta_wp2 to infinity.
     """
     _, e = np.frexp(np.max(np.abs(x.taps)))
+    e -= min(max(int(e), 0), _MAX_EXPONENT)
     x = Sequence(np.ldexp(x.taps.real, -e) + 1j * np.ldexp(x.taps.imag, -e), x.offset)
     r0 = norm2(x)
     k = x.indices

@@ -5,7 +5,10 @@ SHA-256 digest of its stdout (and of the ``--seq-output`` file) with a
 pinned value, so any change to a printed digit, a key order or a line
 ending fails here.  The cases cover all five subcommands in every output
 format; the small-sigma2 designs are the ones where a changed input to
-the dual bisection first moves a printed lambda1.
+the dual root search first moves a printed lambda1.  A change that is
+meant to move printed digits is checked first against
+``test_design_values.py``, which pins the design and curve values to
+1e-9 relative.
 
 The digests were recorded with numpy 2.4 on x86-64 Linux.  Float results
 can differ in the last digit on another platform or numpy build; after
@@ -66,28 +69,28 @@ CASES = _cases()
 SEQ_OUTPUT_ARGV = ("design", "--sigma2", "0.1", "--taps", "201", "--seq-output")
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "4c9f5031de9c05cdb7799b2f443e5069f47738b86c8f5a82504b979fef3ca4c0",
-    "design --sigma2 3e-4 --taps 201 --format csv": "dca501304689abb68bf3267aad46ae69fa331262a1a7fbcc3ec31fe322d6dcb9",
-    "design --sigma2 3e-4 --taps 1001 --format json": "fc2a634724006f4ccd30ad4e3d5eb9c7b66642a96ee18dde66762c2d56b0607d",
-    "design --sigma2 3e-4 --taps 1001 --format csv": "b777cf0cd0e16a0ad324648b3bfb60fde5b43548ac216b87356feba7dbdea130",
-    "design --sigma2 1e-3 --taps 201 --format json": "9f0b09c7dd66e7c0ea1a99110f7a64da388410f014f559476c590f8767833857",
-    "design --sigma2 1e-3 --taps 201 --format csv": "df26c9955f3181622d8e07461dbfbf41e3136b95e484e1fd6463690311931737",
-    "design --sigma2 1e-3 --taps 1001 --format json": "d224791c7062c43dc451dae4b9639996682b36a6b4caf550ad62b2b88b16f7d9",
-    "design --sigma2 1e-3 --taps 1001 --format csv": "f12c7886e00ba97cd7ef15bbfcb69a243f4ba28c90b26a177585e13c7397f2db",
-    "design --sigma2 0.1 --taps 201 --format json": "87ac2a085f15419a7b5ff47531aef88e64d013a9e670ebd5974fc4183ead8ad0",
-    "design --sigma2 0.1 --taps 201 --format csv": "d44054b4c297a3e5d22a8cb7decfd0d805c7b5834cfb9d0873a5e47ace2640c3",
-    "design --sigma2 0.1 --taps 1001 --format json": "43fd14fc773d9a5de492cab1974feb214658b9e14bbfda0bfceb21727857fbbc",
-    "design --sigma2 0.1 --taps 1001 --format csv": "2d609c83a55123513aa19d5c1d9e82c1ffd5e1133daf96b8a9ad88a3a838ed8b",
-    "design --sigma2 10 --taps 201 --format json": "f5c84308fa1fe685c81ab78cdfffc84d98f2cfc126d7cdee43e979fcb3f61e44",
-    "design --sigma2 10 --taps 201 --format csv": "41f6d4532f2944f2bd596866efba6bc41f45d6c87d678d27fba55c71bc98169b",
-    "design --sigma2 10 --taps 1001 --format json": "349ee404e2bcf2eb3625add64da84e6d49b471e586b422e292717e0d9e1cbce9",
-    "design --sigma2 10 --taps 1001 --format csv": "52cdcad76e41ec51a775aa27ed04c62d8d87fbc0d5912df3868cedd97ed523c8",
-    "curve --format csv": "6f18c2ff2896e7ae9fc0de92f55d9ea2db9b3877c7bb29e670885907472dd352",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "d89ef4cf89805e8bc170cdc14c744c7ecfafb52ebdc87ec352769b5942887a9a",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "aafa0aba316615b9cb5b939e4eb4f4f8726b8c88aebb5aae40b9dd0ef42ace48",
-    "curve --format json": "87072bd4a24e2e5229630eb6d928aeb88984041ffb3b078482cb3afe76b3a8a5",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "03f87f726ecf82861997d5ad38c4fe54e8c6c8ea49ca968a4223ff5ea33c2d83",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "66c6a6c80c55138f19495230795b3afb94ff51756ef6bc20e77f1f9983d4f676",
+    "design --sigma2 3e-4 --taps 201 --format json": "d82066e35bd77484af68329cd2ee9be4c78a06886fce310ad1542b23a3135180",
+    "design --sigma2 3e-4 --taps 201 --format csv": "7c15f0617a3681573ba764850fd34ccb992c0ea63b1116f96a786d544b133481",
+    "design --sigma2 3e-4 --taps 1001 --format json": "92c1d5690f01b9466f2c438e07ff453b01b79b6617babbceab658205241ab95d",
+    "design --sigma2 3e-4 --taps 1001 --format csv": "d53b0b543756c824921c0c40eb82d2fa68fb5963b0916ac223398f42c80839e1",
+    "design --sigma2 1e-3 --taps 201 --format json": "08c024651c715c107c40b72b1b6f098ae5ce4c45735de1e9ed1d921b3083b456",
+    "design --sigma2 1e-3 --taps 201 --format csv": "93751a5d1642898824401fc0f49a4e5fc4e0160e905ddce20f2352f34ff1cae6",
+    "design --sigma2 1e-3 --taps 1001 --format json": "2dafd5453d9185aaa07ed1ece5a6f626bb34e98f3d350488e546834d3e985b19",
+    "design --sigma2 1e-3 --taps 1001 --format csv": "a27aaa2c6c5c23962ff09f03d5fa32ea50bbd46464e583cf1c985a0a0f22e4f3",
+    "design --sigma2 0.1 --taps 201 --format json": "b76e99c3c86fbbe54b90b2365b690acee8332016e6a0fda7fefaf6a96067b3e9",
+    "design --sigma2 0.1 --taps 201 --format csv": "58c17c83a5e9973da5996f782fa371bf5588a4832239942b15f413e82a8cc586",
+    "design --sigma2 0.1 --taps 1001 --format json": "3005958e9801662351ac914c308fcd5c041f8a9097abd15ecd8c7b37df54649a",
+    "design --sigma2 0.1 --taps 1001 --format csv": "62607f5a4d2ec34e7fa0fcd611fcc0aea5e3f21ec4bc0a23176b8f32a78c195d",
+    "design --sigma2 10 --taps 201 --format json": "dd1187ea143f2f6a1ca1f73dd2bff5605c12a96bf4421c3fd2aad58afb2c4f72",
+    "design --sigma2 10 --taps 201 --format csv": "78bcc050084f200f5d67a5c7575792b8af634cf384d9ca0a2b6a4d57cb51c0d6",
+    "design --sigma2 10 --taps 1001 --format json": "231e3ca7d299dd3b23f363e7f3845212cc209c3c3ec293481a14da83c045f474",
+    "design --sigma2 10 --taps 1001 --format csv": "cfb733ef953f3f0ea18e07d50f233d23298e6ad413004f201f6dd895c4d5021f",
+    "curve --format csv": "ed55b64694983d88f97cf45dfb47e4e87205bd8146330a5326d26c6f6a9620ff",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "c40a5a6f46899e0ae26cafdf07c61d424d0572b5f22376cc133e2a82de81bc9a",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "e867caa3ab170805a00f59b8c88997facf95c4cb044a26148b380d18ddf54790",
+    "curve --format json": "83a1a19f4832edc4366e74abe85b79e21e70368a8280119b08c072f35619c1fe",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "1b3b4a4d12d4f40fc760184e187a7f6b6d2d84942510c86203420766acab3b32",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "2282023b5893ec607fd2a9e010a51c52126d066f2650db58a69fff67138b1937",
     "mathieu": "6293465982a93b5b9abf417dba3dba51e9c032657531fe9f361288f231a6f90e",
     "mathieu --q -2.5": "7f40f57c68966a0b8ba98f6d19d691856ffa12cdaabf971c454938a6c33f6686",
     "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "2ddce9212f658ae8bc1e79a1fcb22c8c19bb49076a80b25b4c75fdcf33fd020c",
@@ -102,7 +105,7 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "916c05d4d040286ccff8262c8d17b210f986adec0e9ec69e217414cb669c8bba",
+    "--seq-output": "609893751f481d2a5554d24d0ae5da1fe11b85e4a93a17295458620af8678c2e",
 }
 
 

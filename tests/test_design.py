@@ -182,3 +182,49 @@ def test_design_json_fields(capsys):
     assert len(obj["sequence"]["taps"]) == 31
     assert obj["sequence"]["offset"] == -15
     assert obj["eta_p"] == pytest.approx(res.eta_p, rel=0)
+
+
+def _sigma2_grid(taps):
+    """sigma2 from just above the smallest attainable value for ``taps``
+    (where b(l1) is flat to rounding at the solution) up to 1e300."""
+    s2_min = 1.0 / math.cos(math.pi / (taps + 1)) ** 2 - 1.0
+    near = [s2_min * (1.0 + 10.0**e) for e in range(-9, 0)]
+    return near + np.geomspace(2.0 * s2_min, 1e6, 12).tolist() + [1e10, 1e30, 1e100, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("taps", [5, 21, 201, 1001])
+def test_dual_solve_is_robust(taps):
+    # every grid point gives a certified design; the two hardest ones are
+    # sigma2 = 1e300 at 201 taps, where b floors near 1.7e-22 below
+    # l1 ~ 1e-20, and sigma2_min * (1 + 1e-9) at 1001 taps, where b is flat
+    # to rounding around l1 ~ 8.5e13 and the gap target asks for b == alpha
+    half = (taps - 1) // 2
+    for s2 in _sigma2_grid(taps):
+        res = design_max_compact(s2, taps)
+        assert abs(res.constraint_gap) <= 1e-10
+        # min_eigenpair's residual contract, with its ulp floor
+        floor = 100.0 * np.finfo(float).eps * (half**2 + res.lambda1)
+        assert res.eig_residual <= 1.01 * max(1e-10 * (1.0 + abs(res.lambda2)), floor)
+        assert res.lambda1 >= 0.0 and res.delta_n2_opt > 0.0
+
+
+@pytest.mark.parametrize("taps", [5, 21, 201, 1001])
+def test_dual_solve_work_count(monkeypatch, taps):
+    # the seeded root search needs a few ground-state solves per design,
+    # even next to the unattainable limit (doubling and bisection: up to 71)
+    import compactseq.design as design
+
+    calls = []
+    inner = design.min_eigenpair
+
+    def counting(diag, offdiag):
+        calls.append(offdiag)
+        return inner(diag, offdiag)
+
+    monkeypatch.setattr(design, "min_eigenpair", counting)
+    for s2 in _sigma2_grid(taps):
+        if s2 > 1e6:
+            continue
+        calls.clear()
+        design_max_compact(s2, taps)
+        assert len(calls) <= 20, s2

@@ -79,10 +79,11 @@ def test_unsquarable_tau_is_infinite_spread():
     assert math.isinf(rep.delta_wp2)
 
 
-@pytest.mark.parametrize("eps", [1e-150, 1e-155, 1e-160, 1e-170, 1e-300])
+@pytest.mark.parametrize("eps", [1e-150, 1e-155, 1e-160, 1e-170, 1e-300, 5e-324])
 def test_eta_p_with_underflowing_squares(eps):
     # taps (1, eps): eta_p = 1 - eps^2/(1 + eps^2)^2, although eps^2 and
-    # |tau|^2 fall below the normal range
+    # |tau|^2 fall below the normal range; 5e-324, the smallest subnormal,
+    # is flushed to 0 if the taps are scaled down to max|x| < 1
     exact = 1.0 - eps * eps / (1.0 + eps * eps) ** 2
     assert measure(Sequence([1.0, eps])).eta_p == pytest.approx(exact, rel=1e-12)
 
