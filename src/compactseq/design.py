@@ -17,10 +17,9 @@ b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
 |b - alpha| for the ground-state primal candidate) to zero.  It runs
 Brent's root finder in log(l1) on log(b / (b_sup - b)), which is close to
 linear in log(l1) for small, large and grid-limited l1 alike, from a seed
-given by the two asymptotic limits of b; a design takes about 5 ground
-solves.  The
-optimal sequence is the ground state itself: symmetric, entrywise
-positive, and unit norm by construction.
+given by the two asymptotic limits of b; a design takes about 4 to 5
+ground solves.  The optimal sequence is the ground state itself:
+symmetric, entrywise positive, and unit norm by construction.
 
 On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
 off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
@@ -230,11 +229,11 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     must be large enough that alpha = 1/sqrt(1+sigma2) stays below the
     largest eigenvalue cos(pi/(taps+1)) of the lag-one form, otherwise the
     constraint is unattainable and UnattainableSpreadError is raised.
-    |x'Bx - alpha| at the solution is at most 1e-10, and at most
-    1e-9/lambda1 once lambda1 > 1, to keep the duality gap near 1e-9 even
-    for large lambda1.  The search for that lambda1 starts at the larger
-    of b's small- and large-lambda1 limits solved for alpha and brackets
-    and refines it with Brent's method (see ``_find_root``).
+    |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
+    1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
+    for large lambda1.  It starts at the larger of b's small- and
+    large-lambda1 limits solved for alpha, then brackets and refines
+    lambda1 with Brent's method (see ``_find_root``).
     """
     sigma2 = float(sigma2)
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
@@ -277,8 +276,8 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     gap = abs(b - alpha)
     # Once lambda1 is large the constraint can only be met to rounding in
     # b - alpha (one ulp of alpha), so the certifiable duality gap floors
-    # at lambda1 * ulp.  Accept whatever the root search achieved as long as the
-    # published certificates still hold; raise only when they cannot.
+    # at lambda1 * ulp.  Accept whatever the root search achieved as long
+    # as the published certificates still hold; raise only when they cannot.
     if gap > _CONSTRAINT_TOL or lambda1 * gap > 1e-8:
         raise DesignConvergenceError(
             f"constraint gap {b - alpha:.3e} above target at lambda1 = {lambda1!r}"

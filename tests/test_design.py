@@ -197,7 +197,7 @@ def test_dual_solve_is_robust(taps):
     # every grid point gives a certified design; the two hardest ones are
     # sigma2 = 1e300 at 201 taps, where b floors near 1.7e-22 below
     # l1 ~ 1e-20, and sigma2_min * (1 + 1e-9) at 1001 taps, where b is flat
-    # to rounding around l1 ~ 8.5e13 and the gap target asks for b == alpha
+    # to rounding around l1 ~ 9e13 and the gap target asks for b == alpha
     half = (taps - 1) // 2
     for s2 in _sigma2_grid(taps):
         res = design_max_compact(s2, taps)
@@ -228,3 +228,21 @@ def test_dual_solve_work_count(monkeypatch, taps):
         calls.clear()
         design_max_compact(s2, taps)
         assert len(calls) <= 20, s2
+
+
+@pytest.mark.parametrize("jump", [0.3, 7.0])
+def test_root_search_narrows_a_jump_to_rounding(jump):
+    # f jumps from -1 to +1e-9 and the stopping test never passes, as where
+    # b(l1) is flat to rounding: interpolation alone would creep from the
+    # +1e-9 end, the bisection steps narrow the bracket to rounding in s
+    from compactseq.design import _find_root
+
+    seen = []
+
+    def trial(s):
+        seen.append(s)
+        return (1e-9 if s >= jump else -1.0), False
+
+    _find_root(trial, 0.0)
+    assert len(seen) < 100
+    assert abs(seen[-1] - jump) <= 4.0 * np.finfo(float).eps * max(1.0, jump)
