@@ -76,14 +76,14 @@ CURVES = {
 }
 
 
-@pytest.mark.parametrize("sigma2, taps", DESIGNS, ids=lambda v: str(v))
+@pytest.mark.parametrize("sigma2, taps", DESIGNS, ids=str)
 def test_design_values(sigma2, taps):
     res = design_max_compact(sigma2, taps)
     got = (res.lambda1, res.lambda2, res.delta_n2_opt, res.eta_p)
     assert got == pytest.approx(DESIGNS[sigma2, taps], rel=REL)
 
 
-@pytest.mark.parametrize("grid, taps", CURVES, ids=lambda v: str(v))
+@pytest.mark.parametrize("grid, taps", CURVES, ids=str)
 def test_curve_values(grid, taps):
     points = sweep_curve(_parse_grid(grid), taps)
     assert len(points) == len(CURVES[grid, taps])
