@@ -77,7 +77,11 @@ class DesignResult:
     ``eta_p`` is the product delta_n2_opt * sigma2.  The three gap fields
     certify the solution: duality_gap compares the primal objective with
     the dual value, constraint_gap is x'Bx - alpha on the returned
-    sequence, eig_residual is the ground-state residual norm.  tail_mass
+    sequence, eig_residual is the ground-state residual norm.  The
+    eigensolver's one residual bound holds for eig_residual up to the
+    rounding of the symmetrized vector: max(1e-10 * (1 + |lambda2|),
+    100 * eps * ||T||) with ||T|| = ((taps - 1)/2)^2 + lambda1, so on long
+    grids the ulp floor, not 1e-10 * (1 + |lambda2|), bounds it.  tail_mass
     is the energy in the two outermost taps; if it exceeds 1e-10 the grid
     was too short for the requested spread and status says "increase-taps".
     """

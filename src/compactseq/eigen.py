@@ -95,6 +95,16 @@ def min_eigenvalue(diag, offdiag) -> float:
     return 0.5 * (lo + hi)
 
 
+def _residual_bound(value, scale):
+    """Residual norm an eigenpair of value ``value`` must meet.
+
+    The contract is 1e-10 * (1 + |value|) unless the matrix norm ``scale``
+    makes that tighter than 100 ulps of ||T||, which double precision
+    cannot beat; then the ulp floor 100 * eps * scale applies.
+    """
+    return max(1e-10 * (1.0 + abs(value)), 100.0 * np.finfo(float).eps * scale)
+
+
 def _apply(darr, off, v):
     out = darr * v
     out[:-1] += off * v[1:]
@@ -107,9 +117,12 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
 
     The vector's sign is canonicalized so its center entry is positive;
     for a negative off-diagonal the whole ground state is then entrywise
-    positive.  Raises :class:`EigenConvergenceError` if inverse iteration
-    cannot meet the residual contract ``1e-10 * (1 + |value|)`` within
-    50 solves.
+    positive.  The residual contract is
+    ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)`` with
+    ||T|| = max|diag| + 2|offdiag| (``_residual_bound``): the second term,
+    100 ulps of the matrix norm, takes over where the first asks for more
+    than double precision gives.  Raises :class:`EigenConvergenceError` if
+    inverse iteration cannot meet it within 50 solves.
     """
     d = [float(v) for v in diag]
     n = len(d)
@@ -147,12 +160,6 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
             v[i] = (y[i] - off * v[i + 1]) / p[i]
         return v
 
-    # The residual contract is 1e-10 * (1 + |value|) unless the matrix norm
-    # makes that tighter than ~100 ulps of ||T||, which double precision
-    # cannot beat; then the ulp floor applies.
-    def threshold(lam):
-        return max(1e-10 * (1.0 + abs(lam)), 100.0 * eps * scale)
-
     u = np.full(n, 1.0 / np.sqrt(n))
     best = None
     prev = np.inf
@@ -164,14 +171,14 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         res = float(np.linalg.norm(tv - lam * v))
         if best is None or res < best[2]:
             best = (lam, v, res, it)
-        if res <= 0.5 * threshold(lam):
+        if res <= 0.5 * _residual_bound(lam, scale):
             break
         if it >= 3 and res >= 0.9 * prev:
             break  # at the rounding floor; keep the best iterate
         prev = res
         u = v
     lam, v, res, it = best
-    if res > threshold(lam):
+    if res > _residual_bound(lam, scale):
         raise EigenConvergenceError(
             f"inverse iteration stalled at residual {res:.3e} after {it} solves"
         )

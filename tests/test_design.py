@@ -16,6 +16,7 @@ from compactseq.design import (
 )
 from compactseq.bounds import eta_lower, eta_upper
 from compactseq.cli import main
+from compactseq.eigen import _residual_bound
 from compactseq.spreads import measure
 
 
@@ -203,9 +204,19 @@ def test_dual_solve_is_robust(taps):
         res = design_max_compact(s2, taps)
         assert abs(res.constraint_gap) <= 1e-10
         # min_eigenpair's residual contract, with its ulp floor
-        floor = 100.0 * np.finfo(float).eps * (half**2 + res.lambda1)
-        assert res.eig_residual <= 1.01 * max(1e-10 * (1.0 + abs(res.lambda2)), floor)
+        bound = _residual_bound(res.lambda2, half**2 + res.lambda1)
+        assert res.eig_residual <= 1.01 * bound
         assert res.lambda1 >= 0.0 and res.delta_n2_opt > 0.0
+
+
+def test_residual_floor_bounds_long_grids():
+    # on 1001 taps ||T|| = 500^2 + lambda1, so 100 ulps of it (5.6e-9) is
+    # looser than 1e-10 * (1 + |lambda2|) (2.4e-9), and this certified design
+    # sits between the two: the ulp floor is the bound that holds
+    res = design_max_compact(0.15375687591624407, 1001)
+    assert res.status == "ok"
+    assert res.eig_residual > 1e-10 * (1.0 + abs(res.lambda2))
+    assert res.eig_residual <= _residual_bound(res.lambda2, 500**2 + res.lambda1)
 
 
 @pytest.mark.parametrize("taps", [5, 21, 201, 1001])
