@@ -42,10 +42,16 @@ _MAX_EXPONENT = 256
 
 
 def _rho(x: Sequence, r0: float) -> np.ndarray:
-    """Normalized autocorrelation taps rho_m = r_m / r_0 for m = 1..len-1."""
-    return np.array(
-        [autocorrelation(x, m) / r0 for m in range(1, len(x))], dtype=complex
-    )
+    """Normalized autocorrelation taps rho_m = r_m / r_0 for m = 1..len-1.
+
+    One correlation gives every lag: numpy's ``correlate(t, t)`` at lag m is
+    sum_k x_{k+m} conj(x_k) = conj(r_m), hence the sign of the imaginary
+    part.  Real taps are correlated as reals.  The division is taken
+    componentwise, which keeps a zero imaginary part exactly zero.
+    """
+    t = x.taps if np.any(x.taps.imag) else x.taps.real
+    r = np.correlate(t, t, "full")[len(x):]
+    return r.real / r0 - 1j * (r.imag / r0)
 
 
 @dataclass(frozen=True)

@@ -97,10 +97,10 @@ GOLDEN = {
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
     "analyze --input ex1.seq --format csv": "7d7b33eaf9b837a1c04ce2e0090dca196e83c0690ac6bb6b4bcf1d2c4c5be421",
-    "analyze --input real.seq --format json": "8c4bea3b9ca252b93fc13e36ac663c352c25fd600da6b938faa60a60cdb5d366",
-    "analyze --input real.seq --format csv": "8caf8217e73f35ad3209dd4c619b9c1d0b17bdebfd72fdecedfebb6a7d9ec924",
-    "analyze --input complex.seq --format json": "1c02c169642ce3e5b8e08b5ec1e5ea27f3c5f6ba981c6c6468e87bafdd221c84",
-    "analyze --input complex.seq --format csv": "e6cfb5a3952bcf3d92c82fdd50df0c9c0635d41902ff9ebf7d7e868fe8bbddfb",
+    "analyze --input real.seq --format json": "51d284bcdaade6333234f544ec466aa1b54f492aeec7ab83d5f8fe31b133289c",
+    "analyze --input real.seq --format csv": "cfa06546948d3598688172186842886bbafdffa57855e103bd91dbd0faee1d87",
+    "analyze --input complex.seq --format json": "5a6dea144ec6ca113b00ceb6b506ddaff63d8c80d6c2e93c5d5f192a132eb82a",
+    "analyze --input complex.seq --format csv": "349f7edeec0d9dbbc1820584fac3190eef11b9663435108280038b013328bbfc",
     "analyze --input sparse.seq --format json": "075544e5ec587839233f37a7cb3d32f03180a552e5f6f3227bb6b8713da4bb70",
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",

@@ -7,7 +7,7 @@ import pytest
 from helpers import freq_moments_quad, random_sequences, trig_moment_quad
 
 from compactseq.cli import main
-from compactseq.sequence import Sequence, modulus, shift, write_sequence
+from compactseq.sequence import Sequence, autocorrelation, modulus, shift, write_sequence
 from compactseq.spreads import measure
 from compactseq.windows import three_tap, three_tap_eta_p
 
@@ -89,7 +89,8 @@ def test_eta_p_with_underflowing_squares(eps):
 
 
 def test_autocorrelation_taken_once_per_lag(monkeypatch):
-    # every measure comes from one rho vector: n lag products for n taps
+    # rho comes from one correlation, so the lag-one sum for tau is the only
+    # autocorrelation call, at every length
     import compactseq.spreads as spreads
 
     calls = []
@@ -104,7 +105,62 @@ def test_autocorrelation_taken_once_per_lag(monkeypatch):
     for n in (1, 2, 3, 17, 401):
         calls.clear()
         measure(Sequence(rng.normal(size=n) + 1j * rng.normal(size=n)))
-        assert len(calls) <= n
+        assert calls == [1]
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """(rescaled x, r0, rho) of every ``_rho`` call that ``measure`` makes."""
+    import compactseq.spreads as spreads
+
+    calls = []
+    inner = spreads._rho
+
+    def recording(x, r0):
+        rho = inner(x, r0)
+        calls.append((x, r0, rho))
+        return rho
+
+    monkeypatch.setattr(spreads, "_rho", recording)
+    return calls
+
+
+def _rho_oracle_cases():
+    rng = np.random.default_rng(17)
+    for n in [*range(1, 65), 401, 4001]:
+        re = rng.normal(size=n)
+        yield re
+        yield re + 1j * rng.normal(size=n)
+    for n in (2, 3, 9, 64, 401):
+        t = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t[1::2] = 0.0  # every odd lag, tau included, is exactly 0
+        yield t.real
+        yield t
+        t = np.zeros(n, dtype=complex)
+        t[rng.integers(n)] = 1.5 - 0.5j
+        yield t.real
+        yield t
+    for scale in (1e-300, 1e160):
+        yield scale * rng.normal(size=41)
+        yield scale * (rng.normal(size=41) + 1j * rng.normal(size=41))
+
+
+def test_rho_equals_the_per_lag_sums(rho_calls):
+    # the one correlation against rho_m = r_m / r_0 taken lag by lag, on the
+    # rescaled taps measure passes in; |rho_m| <= 1, so 1e-13 absolute
+    for taps in _rho_oracle_cases():
+        rho_calls.clear()
+        measure(Sequence(taps))
+        (x, r0, rho), = rho_calls
+        want = np.array(
+            [autocorrelation(x, m) / r0 for m in range(1, len(x))], dtype=complex
+        )
+        assert rho.shape == want.shape
+        assert np.max(np.abs(rho - want), initial=0.0) <= 1e-13, len(x)
+        if not np.any(x.taps.imag):
+            assert not np.any(rho.imag)
+        if not np.any(x.taps[1::2]):
+            assert not np.any(rho[::2])
 
 
 def test_three_tap_closed_forms():
