@@ -6,11 +6,14 @@ them as a ``SpreadReport``.  Everything comes from two vectors:
 * the tap-energy weights w_k = |x_k|^2 / ||x||^2, whose mean and variance
   are the time center mu_n and the time spread delta_n2, and
 * the normalized autocorrelation rho_m = r_m / r_0 for m = 1..len-1,
-  which gives both spreads of the 2*pi-periodic spectrum X(e^{jw}):
+  taken from one correlation of the taps with themselves and divided
+  by r_0 componentwise, which gives both spreads of the 2*pi-periodic
+  spectrum X(e^{jw}):
 
   - the periodic spread ``delta_wp2 = (1 - |tau|^2) / |tau|^2`` built from
-    the first trigonometric moment ``tau = rho_1`` (a circular-variance
-    style measure, infinite when tau vanishes), and
+    the first trigonometric moment ``tau = rho_1``, taken from the lag-one
+    sum of ``sequence.autocorrelation`` (a circular-variance style
+    measure, infinite when tau vanishes), and
   - the linear center mu_wl and spread ``delta_wl2``, the mean and the
     second central moment of |X|^2/(2*pi*||x||^2) over one period
     [-pi, pi).  The integral definitions are recovered term by term using
@@ -83,11 +86,12 @@ def measure(x: Sequence) -> SpreadReport:
     down only as far as max|x_k| < 2^256 when it is larger, so ||x||^2
     neither underflows nor overflows at any tap scale and no nonzero tap
     near the subnormal floor is flushed to 0.  The weight vector and the
-    autocorrelation vector rho are then computed once each, which takes
-    len(x) lag products in all.  Taps far below the largest one can still
-    have squares (or a |tau|^2) below the normal range; eta_p is then
-    formed from unsquared ratios, so it stays accurate even where
-    delta_n2 rounds to 0 and delta_wp2 to infinity.
+    autocorrelation vector rho are then computed once each: rho from one
+    correlation of the taps divided by r_0 componentwise, tau from the
+    lag-one sum.  Taps far below the largest one can still have squares
+    (or a |tau|^2) below the normal range; eta_p is then formed from
+    unsquared ratios, so it stays accurate even where delta_n2 rounds to
+    0 and delta_wp2 to infinity.
     """
     _, e = np.frexp(np.max(np.abs(x.taps)))
     e -= min(max(int(e), 0), _MAX_EXPONENT)
