@@ -36,6 +36,7 @@ __all__ = [
 _MAX_BISECT = 300
 _BRACKET_WIDTH = 1e-12
 _MAX_SOLVES = 50
+_EPS = np.finfo(float).eps
 
 
 class EigenConvergenceError(RuntimeError):
@@ -102,7 +103,7 @@ def _residual_bound(value, scale):
     makes that tighter than 100 ulps of ||T||, which double precision
     cannot beat; then the ulp floor 100 * eps * scale applies.
     """
-    return max(1e-10 * (1.0 + abs(value)), 100.0 * np.finfo(float).eps * scale)
+    return max(1e-10 * (1.0 + abs(value)), 100.0 * _EPS * scale)
 
 
 def _apply(darr, off, v):
@@ -135,11 +136,10 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
 
     lo, hi = _bracket_min(d, b)
     scale = max(abs(v) for v in d) + 2.0 * abs(b)
-    eps = np.finfo(float).eps
 
     # Shift strictly below the minimum so the flipped-sign matrix is a
     # positive-definite M-matrix.
-    shift = lo - max(hi - lo, 4.0 * eps * scale)
+    shift = lo - max(hi - lo, 4.0 * _EPS * scale)
     off = -abs(b)
     darr = np.array(d)
 
