@@ -7,7 +7,7 @@ designer's tridiagonal machinery doubles as an evaluator for the lowest
 even angular eigenfunction ce0 and its characteristic value a0.
 """
 
-from .bounds import BoundPair, a0_upper_bound, bound_pair, eta_lower, eta_upper, mclachlan_a0
+from .bounds import a0_upper_bound, eta_lower, eta_upper, mclachlan_a0
 from .design import (
     CurvePoint,
     DesignConvergenceError,
@@ -15,11 +15,10 @@ from .design import (
     GroundState,
     UnattainableSpreadError,
     design_max_compact,
-    dual_value,
     ground_state,
     sweep_curve,
 )
-from .eigen import EigenConvergenceError, EigenPair, min_eigenpair, min_eigenvalue
+from .eigen import EigenConvergenceError, EigenPair, min_eigenpair
 from .mathieu import MathieuEval, ce0, char_value_a0
 from .sequence import (
     Sequence,

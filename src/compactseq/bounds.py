@@ -23,13 +23,10 @@ three-term upper bound -2q + 2 sqrt(q) - 1/4 valid for all q > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "BoundPair",
     "eta_lower",
     "eta_upper",
-    "bound_pair",
     "MCLACHLAN_Q_MIN",
     "mclachlan_a0",
     "a0_upper_bound",
@@ -54,19 +51,6 @@ def eta_upper(sigma2: float) -> float:
     s2 = _check_sigma2(sigma2)
     r = math.sqrt(1.0 + s2)
     return s2 / 8.0 * (r / (r - 1.0) - 0.5)
-
-
-@dataclass(frozen=True)
-class BoundPair:
-    """Lower/upper envelope at one sigma2 (upper is the asymptotic one)."""
-
-    sigma2: float
-    eta_lower: float
-    eta_upper: float
-
-
-def bound_pair(sigma2: float) -> BoundPair:
-    return BoundPair(float(sigma2), eta_lower(sigma2), eta_upper(sigma2))
 
 
 MCLACHLAN_Q_MIN = 4.0

@@ -49,7 +49,6 @@ __all__ = [
     "CurvePoint",
     "GroundState",
     "ground_state",
-    "dual_value",
     "design_max_compact",
     "sweep_curve",
     "TAIL_MASS_WARN",
@@ -211,19 +210,6 @@ def _find_root(trial, s):
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb, done = trial(b)
         n += 1
-
-
-def dual_value(lambda1: float, alpha: float, half_len: int) -> tuple[float, float]:
-    """Dual objective g(lambda1) and the lag-one form b(lambda1).
-
-    b is the gradient complement: g'(lambda1) = alpha - b(lambda1).
-    """
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be >= 0")
-    n = int(half_len)
-    k = np.arange(-n, n + 1, dtype=float)
-    gs = ground_state(min_eigenpair(k * k, -0.5 * float(lambda1)).vector, lambda1)
-    return float(alpha) * float(lambda1) + gs.lambda2, gs.b_form
 
 
 def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:

@@ -1,23 +1,23 @@
 """Ground eigenpairs of symmetric tridiagonal matrices.
 
 The matrices handled here have an arbitrary real diagonal and a constant
-real off-diagonal.  The smallest eigenvalue is located by bisection on a
-yes/no Sturm test: the shifted LDL^T recurrence
+off-diagonal b <= 0, the sign of the coupling -lambda1/2 in every pencil
+A - lambda1*B the designer and the Mathieu evaluator solve.  The smallest
+eigenvalue is located by bisection on a yes/no Sturm test: the shifted
+LDL^T recurrence
 
     p_1 = d_1 - s,    p_i = d_i - s - b^2 / p_{i-1}
 
 has as many negative pivots as there are eigenvalues below the shift s,
 so the matrix has an eigenvalue below s exactly when some pivot is
 negative, and the test stops at the first pivot <= 0 (a zero pivot counts
-as negative).  Bisecting on that
-answer brackets the minimum to width 1e-12 inside the Gershgorin
-interval.  The eigenvector then comes from inverse iteration with the
-shift placed strictly below the bracket.  With the off-diagonal oriented
-negative (a similarity flip of alternate signs, which leaves eigenvalues
-alone), the shifted matrix is an M-matrix: Thomas elimination meets no
-cancellation and the iterates stay entrywise positive in floating point,
-which pins the sign of the returned ground state instead of leaving it to
-roundoff.
+as negative).  Bisecting on that answer brackets the minimum to width
+1e-12 inside the Gershgorin interval.  The eigenvector then comes from
+inverse iteration with the shift placed strictly below the bracket.  With
+b <= 0 the shifted matrix is an M-matrix with an entrywise positive
+inverse: Thomas elimination meets no cancellation and the iterates, started
+from a positive vector, stay positive in floating point, so the ground
+state needs no sign fix-up.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EigenPair",
-    "EigenConvergenceError",
-    "min_eigenvalue",
-    "min_eigenpair",
-]
+__all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 
 _MAX_BISECT = 300
 _BRACKET_WIDTH = 1e-12
@@ -50,7 +45,6 @@ class EigenPair:
     value: float
     vector: np.ndarray
     residual: float
-    iterations: int
 
 
 def _has_eigenvalue_below(d, b2, shift):
@@ -87,15 +81,6 @@ def _bracket_min(d, b):
     return lo, hi
 
 
-def min_eigenvalue(diag, offdiag) -> float:
-    """Smallest eigenvalue of tridiag(diag, offdiag) to absolute width 1e-12."""
-    d = [float(v) for v in diag]
-    if float(offdiag) == 0.0 or len(d) == 1:
-        return min(d)
-    lo, hi = _bracket_min(d, float(offdiag))
-    return 0.5 * (lo + hi)
-
-
 def _residual_bound(value, scale):
     """Residual norm an eigenpair of value ``value`` must meet.
 
@@ -114,11 +99,12 @@ def _apply(darr, off, v):
 
 
 def min_eigenpair(diag, offdiag) -> EigenPair:
-    """Smallest eigenvalue and unit eigenvector.
+    """Smallest eigenvalue and unit eigenvector of tridiag(diag, offdiag).
 
-    The vector's sign is canonicalized so its center entry is positive;
-    for a negative off-diagonal the whole ground state is then entrywise
-    positive.  The residual contract is
+    ``offdiag`` must be <= 0 (raises ``ValueError`` otherwise).  Then the
+    shifted matrix that inverse iteration factors is an M-matrix, so the
+    returned vector is entrywise nonnegative with no sign fix-up.  The
+    residual contract is
     ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)`` with
     ||T|| = max|diag| + 2|offdiag| (``_residual_bound``): the second term,
     100 ulps of the matrix norm, takes over where the first asks for more
@@ -128,36 +114,36 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     d = [float(v) for v in diag]
     n = len(d)
     b = float(offdiag)
+    if b > 0.0:
+        raise ValueError(f"offdiag must be <= 0, got {b!r}")
     if b == 0.0 or n == 1:
         i = int(np.argmin(d))
         vec = np.zeros(n)
         vec[i] = 1.0
-        return EigenPair(d[i], vec, 0.0, 0)
+        return EigenPair(d[i], vec, 0.0)
 
     lo, hi = _bracket_min(d, b)
     scale = max(abs(v) for v in d) + 2.0 * abs(b)
 
-    # Shift strictly below the minimum so the flipped-sign matrix is a
-    # positive-definite M-matrix.
+    # Shift strictly below the minimum: T - shift I is a nonsingular M-matrix.
     shift = lo - max(hi - lo, 4.0 * _EPS * scale)
-    off = -abs(b)
     darr = np.array(d)
 
     # Thomas factorization of (T - shift I); pivots stay positive.
     p = np.empty(n)
     p[0] = d[0] - shift
     for i in range(1, n):
-        p[i] = d[i] - shift - off * (off / p[i - 1])
+        p[i] = d[i] - shift - b * (b / p[i - 1])
 
     def solve(u):
         y = np.empty(n)
         y[0] = u[0]
         for i in range(1, n):
-            y[i] = u[i] - (off / p[i - 1]) * y[i - 1]
+            y[i] = u[i] - (b / p[i - 1]) * y[i - 1]
         v = np.empty(n)
         v[n - 1] = y[n - 1] / p[n - 1]
         for i in range(n - 2, -1, -1):
-            v[i] = (y[i] - off * v[i + 1]) / p[i]
+            v[i] = (y[i] - b * v[i + 1]) / p[i]
         return v
 
     u = np.full(n, 1.0 / np.sqrt(n))
@@ -166,7 +152,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     for it in range(1, _MAX_SOLVES + 1):
         v = solve(u)
         v /= np.linalg.norm(v)
-        tv = _apply(darr, off, v)
+        tv = _apply(darr, b, v)
         lam = float(v @ tv)
         res = float(np.linalg.norm(tv - lam * v))
         if best is None or res < best[2]:
@@ -182,13 +168,5 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         raise EigenConvergenceError(
             f"inverse iteration stalled at residual {res:.3e} after {it} solves"
         )
-
-    if b > 0.0:
-        v = v.copy()
-        v[1::2] = -v[1::2]
-    center = n // 2
-    anchor = v[center] if v[center] != 0.0 else v[np.argmax(np.abs(v))]
-    if anchor < 0.0:
-        v = -v
     v.setflags(write=False)
-    return EigenPair(lam, v, res, it)
+    return EigenPair(lam, v, res)

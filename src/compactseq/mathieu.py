@@ -34,7 +34,6 @@ from .eigen import min_eigenpair
 __all__ = ["MathieuEval", "char_value_a0", "ce0"]
 
 _TAIL_AMP = 1e-12
-_NORMALIZATION = "int_0^{2pi} ce0(q,t)^2 dt = pi; sqrt(2)*ce0 has unit mean square"
 
 
 def _ground_taps(q: float):
@@ -48,7 +47,7 @@ def _ground_taps(q: float):
         v = min_eigenpair(k * k, -0.5 * lam1).vector
         if max(abs(v[0]), abs(v[-1])) < _TAIL_AMP:
             return ground_state(v, lam1), n
-    raise RuntimeError(f"coefficient tails not resolved at half_len {n}")
+    raise RuntimeError(f"coefficient tails not resolved at half-length {n}")
 
 
 def char_value_a0(q: float) -> float:
@@ -60,9 +59,10 @@ def char_value_a0(q: float) -> float:
 class MathieuEval:
     """ce0 samples plus the spectral data they came from.
 
-    ``fourier_coeffs`` holds the full symmetric tap vector (positive,
-    unit norm); tap N+k is the coefficient of cos(2kt) up to the overall
-    1/sqrt(2) scale and, for q > 0, the reflection sign (-1)^k.
+    ``fourier_coeffs`` holds the full symmetric tap vector (positive, unit
+    norm) on k = -N..N, N = ``len(fourier_coeffs) // 2``; tap N+k is the
+    coefficient of cos(2kt) up to the overall 1/sqrt(2) scale and, for
+    q > 0, the reflection sign (-1)^k.
     """
 
     q: float
@@ -70,8 +70,6 @@ class MathieuEval:
     thetas: np.ndarray
     values: np.ndarray
     fourier_coeffs: np.ndarray
-    half_len: int
-    normalization: str = _NORMALIZATION
 
 
 def ce0(q: float, thetas) -> MathieuEval:
@@ -91,5 +89,4 @@ def ce0(q: float, thetas) -> MathieuEval:
         thetas=t,
         values=vals,
         fourier_coeffs=gs.taps,
-        half_len=n,
     )

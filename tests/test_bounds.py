@@ -5,7 +5,6 @@ import pytest
 
 from compactseq.bounds import (
     a0_upper_bound,
-    bound_pair,
     eta_lower,
     eta_upper,
     mclachlan_a0,
@@ -43,13 +42,6 @@ def test_domain_errors():
             eta_lower(bad)
         with pytest.raises(ValueError):
             eta_upper(bad)
-
-
-def test_bound_pair():
-    bp = bound_pair(0.1)
-    assert bp.sigma2 == 0.1
-    assert bp.eta_lower == eta_lower(0.1)
-    assert bp.eta_upper == eta_upper(0.1)
 
 
 def test_mclachlan_series():

@@ -10,8 +10,9 @@ from compactseq.design import (
     CurvePoint,
     DesignResult,
     UnattainableSpreadError,
+    _ground,
     design_max_compact,
-    dual_value,
+    ground_state,
     sweep_curve,
 )
 from compactseq.bounds import eta_lower, eta_upper
@@ -21,17 +22,17 @@ from compactseq.spreads import measure
 
 
 def test_dual_value_at_zero():
-    # ground state of plain diag(k^2) is the delta: g(0) = 0, b(0) = 0
-    for alpha in (0.2, 0.9):
-        g, b = dual_value(0.0, alpha, 30)
-        assert g == pytest.approx(0.0, abs=1e-11)
-        assert b == pytest.approx(0.0, abs=1e-11)
-    with pytest.raises(ValueError):
-        dual_value(-1.0, 0.5, 30)
+    # ground state of plain diag(k^2) is the delta: g(0) = alpha*0 + lambda2
+    # = 0 for every alpha, and b(0) = 0
+    k = np.arange(-30, 31, dtype=float)
+    pair, b = _ground(k * k, 0.0)
+    assert ground_state(pair.vector, 0.0).lambda2 == pytest.approx(0.0, abs=1e-11)
+    assert b == pytest.approx(0.0, abs=1e-11)
 
 
 def test_b_form_nondecreasing():
-    bs = [dual_value(l1, 0.5, 40)[1] for l1 in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 80.0)]
+    k = np.arange(-40, 41, dtype=float)
+    bs = [_ground(k * k, l1)[1] for l1 in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 80.0)]
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bs, bs[1:]))
     assert bs[-1] < math.cos(math.pi / 82)  # capped by the lag-one form's top
 

@@ -7,8 +7,9 @@ from helpers import jacobi_eigh, tridiag_dense
 
 from compactseq.eigen import (
     EigenPair,
+    _bracket_min,
+    _has_eigenvalue_below,
     min_eigenpair,
-    min_eigenvalue,
 )
 
 
@@ -24,12 +25,12 @@ def test_oracle_self_check():
 
 
 def test_frozen_small_matrices():
-    # constant tridiagonal {0, 1/2}: eigenvalues cos(j pi / (n+1))
-    assert min_eigenvalue([0.0, 0.0, 0.0], 0.5) == pytest.approx(
+    # constant tridiagonal {0, -1/2}: eigenvalues cos(j pi / (n+1))
+    assert min_eigenpair([0.0, 0.0, 0.0], -0.5).value == pytest.approx(
         -math.sqrt(2) / 2, abs=1e-11
     )
     # 2x2 [[0, -1/2], [-1/2, 1]] -> (1 - sqrt(2))/2
-    assert min_eigenvalue([0.0, 1.0], -0.5) == pytest.approx(
+    assert min_eigenpair([0.0, 1.0], -0.5).value == pytest.approx(
         (1 - math.sqrt(2)) / 2, abs=1e-11
     )
 
@@ -39,7 +40,7 @@ def test_diagonal_degenerate():
     assert pair.value == 1.0
     assert list(pair.vector) == [0.0, 1.0, 0.0]
     assert pair.residual == 0.0
-    assert min_eigenvalue([3.0], 0.0) == 3.0
+    assert min_eigenpair([3.0], 0.0).value == 3.0
 
 
 def test_eigenvalue_count():
@@ -47,9 +48,8 @@ def test_eigenvalue_count():
     b = 0.5
     # spectrum is cos(j*pi/6), j = 1..5; probe strictly between eigenvalues
     w, _ = jacobi_eigh(tridiag_dense(d, b))
-    lam = min_eigenvalue(d, b)
     for shift in (-2.0, -0.6, -0.2, 0.31, 0.75, 2.0):
-        assert (lam < shift) == bool(np.any(w < shift))
+        assert _has_eigenvalue_below(d, b * b, shift) == bool(np.any(w < shift))
 
 
 def test_matches_jacobi_random():
@@ -62,7 +62,6 @@ def test_matches_jacobi_random():
         diag = half.astype(float) ** 2 - lam2
         off = -lam1 / 2.0
         w, v = jacobi_eigh(tridiag_dense(diag, off))
-        assert min_eigenvalue(diag, off) == pytest.approx(w[0], abs=1e-9)
         pair = min_eigenpair(diag, off)
         assert pair.value == pytest.approx(w[0], abs=1e-9)
         overlap = abs(float(pair.vector @ v[:, 0]))
@@ -82,14 +81,9 @@ def test_ground_state_signs():
     # negative off-diagonal: entrywise positive ground state
     pos = min_eigenpair(diag, -2.0)
     assert np.all(pos.vector > 0)
-    # positive off-diagonal: same magnitudes, alternating signs, same value
-    neg = min_eigenpair(diag, 2.0)
-    assert neg.value == pytest.approx(pos.value, abs=1e-11)
-    assert np.allclose(np.abs(neg.vector), pos.vector, atol=1e-12)
-    signs = np.sign(neg.vector)
-    assert np.all(signs[1:] * signs[:-1] == -1)
-    # canonical sign: center entry positive
-    assert pos.vector[6] > 0 and neg.vector[6] > 0
+    # a positive off-diagonal is outside the contract
+    with pytest.raises(ValueError):
+        min_eigenpair(diag, 2.0)
 
 
 def test_pencil_eigenvector_symmetry():
@@ -104,7 +98,7 @@ def test_min_eigenvalue_concave_in_lam1():
     diag = np.arange(-10, 11, dtype=float) ** 2
 
     def f(t):
-        return min_eigenvalue(diag, -t / 2.0)
+        return min_eigenpair(diag, -t / 2.0).value
 
     for _ in range(20):
         a, b, c = np.sort(rng.uniform(0.0, 20.0, size=3))
@@ -117,4 +111,6 @@ def test_min_eigenvalue_concave_in_lam1():
 def test_tolerance_controls_bracket():
     # the bracket is 1e-12 wide, so the midpoint is within 1e-11
     exact = -math.cos(math.pi / 8)
-    assert abs(min_eigenvalue([0.0] * 7, 0.5) - exact) < 1e-11
+    lo, hi = _bracket_min([0.0] * 7, -0.5)
+    assert hi - lo <= 1e-12
+    assert abs(0.5 * (lo + hi) - exact) < 1e-11

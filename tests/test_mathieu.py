@@ -5,7 +5,7 @@ import pytest
 
 from helpers import tridiag_dense
 
-from compactseq.eigen import min_eigenvalue
+from compactseq.eigen import min_eigenpair
 from compactseq.mathieu import ce0, char_value_a0
 
 
@@ -30,7 +30,7 @@ def test_a0_is_the_bottom_of_the_spectrum():
         lam1 = q / 2.0
         n = 40
         k = np.arange(-n, n + 1, dtype=float)
-        ground = min_eigenvalue(k * k, -lam1 / 2.0)
+        ground = min_eigenpair(k * k, -lam1 / 2.0).value
         second = np.linalg.eigvalsh(tridiag_dense(k * k, -lam1 / 2.0))[1]
         assert 4 * ground == pytest.approx(char_value_a0(q), abs=1e-9)
         assert second > ground + 1e-6

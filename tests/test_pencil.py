@@ -2,8 +2,9 @@
 
 On the grid k = -N..N, P has diagonal k^2 - lambda2 and constant
 off-diagonal -lambda1/2.  It is semidefinite iff lambda2 <= lambda_min of
-A - lambda1*B, so its verdict is the sign of ``min_eigenvalue``; the two
-forms x'Ax and x'Bx are the ones ``ground_state`` evaluates.
+A - lambda1*B, so its verdict is the yes/no Sturm test
+``_has_eigenvalue_below`` at shift 0; the two forms x'Ax and x'Bx are the
+ones ``ground_state`` evaluates.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from helpers import jacobi_eigh, tridiag_dense
 
 from compactseq.design import ground_state
-from compactseq.eigen import min_eigenvalue
+from compactseq.eigen import _has_eigenvalue_below, min_eigenpair
 from compactseq.spreads import measure
 from compactseq.windows import three_tap
 
@@ -24,8 +25,10 @@ def _pencil(half_len, lam1, lam2):
     return k * k - lam2, -lam1 / 2.0
 
 
-def _pencil_min(half_len, lam1, lam2):
-    return min_eigenvalue(*_pencil(half_len, lam1, lam2))
+def _has_below(half_len, lam1, lam2, shift=0.0):
+    """Sturm verdict: P has an eigenvalue below ``shift`` (0: not PSD)."""
+    diag, off = _pencil(half_len, lam1, lam2)
+    return _has_eigenvalue_below(diag, off * off, shift)
 
 
 def _in_cone(lam1, lam2):
@@ -56,21 +59,21 @@ def test_quad_forms_delta():
 
 def test_psd_examples():
     # diagonal shift dominates: k^2 + 2 with small coupling is clearly PSD
-    assert _pencil_min(30, 1.0, -2.0) > 0
+    assert not _has_below(30, 1.0, -2.0)
     # lambda2 = 0.5 kills the center diagonal entry at k = 0
-    assert _pencil_min(30, 0.0, 0.5) == pytest.approx(-0.5)
+    assert min_eigenpair(*_pencil(30, 0.0, 0.5)).value == pytest.approx(-0.5)
     # just inside the closed-form cone
-    assert _pencil_min(30, 1.0, 1.0 - math.sqrt(2.0) - 0.01) > 0
+    assert not _has_below(30, 1.0, 1.0 - math.sqrt(2.0) - 0.01)
 
 
 def test_restricted_cone_examples():
     # inside the cone the pencil is semidefinite (1 - sqrt(10) ~ -2.162)
     for lam1, lam2 in ((0.0, -0.1), (3.0, -2.2)):
         assert _in_cone(lam1, lam2)
-        assert _pencil_min(30, lam1, lam2) >= 0
+        assert not _has_below(30, lam1, lam2)
     # outside it, at (1, 0), the coupled k = 0 row makes it indefinite
     assert not _in_cone(1.0, 0.0)
-    assert _pencil_min(30, 1.0, 0.0) < 0
+    assert _has_below(30, 1.0, 0.0)
 
 
 def test_restricted_cone_implies_psd():
@@ -81,7 +84,7 @@ def test_restricted_cone_implies_psd():
         lam2 = float(rng.uniform(-15.0, 2.0))
         if _in_cone(lam1, lam2):
             hits += 1
-            assert _pencil_min(25, lam1, lam2) >= -1e-12
+            assert not _has_below(25, lam1, lam2, -1e-12)
     assert hits > 1000  # the sampled box actually exercises the cone
 
 
@@ -96,7 +99,7 @@ def test_psd_check_matches_min_eigenvalue():
         w = np.linalg.eigvalsh(tridiag_dense(diag, off))[0]
         if abs(w) < 1e-8:
             continue  # indeterminate at the boundary for either method
-        assert (min_eigenvalue(diag, off) > 0) == (w > 0)
+        assert (not _has_eigenvalue_below(diag, off * off, 0.0)) == (w > 0)
         checked += 1
     assert checked > 250
 
@@ -110,4 +113,4 @@ def test_psd_check_against_dense_oracle():
         w, _ = jacobi_eigh(tridiag_dense(diag, off))
         if abs(w[0]) < 1e-8:
             continue
-        assert (min_eigenvalue(diag, off) > 0) == (w[0] > 0)
+        assert (not _has_eigenvalue_below(diag, off * off, 0.0)) == (w[0] > 0)
