@@ -40,6 +40,7 @@ from .windows import WINDOW_NAMES, default_families, spread_scan
 __all__ = ["main"]
 
 _SOLVER_ERRORS = (UnattainableSpreadError, DesignConvergenceError, EigenConvergenceError)
+_NUMERIC_FLAGS = ("--sigma2", "--taps", "--q", "--grid")
 
 
 class _CliError(Exception):
@@ -49,6 +50,18 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad flags, not argparse's 2
         raise _CliError(message)
+
+
+def _join_negative_values(argv) -> list:
+    """Rewrite ``--q -1e-3`` as ``--q=-1e-3``: argparse takes a token that
+    starts with '-' for a value only in the forms -12 and -1.5."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _NUMERIC_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -202,7 +215,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         text = args.run(args)
     except (_CliError, ValueError, OSError) as exc:
         print(f"compactseq: error: {exc}", file=sys.stderr)

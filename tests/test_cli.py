@@ -156,6 +156,18 @@ def test_mathieu_non_finite_q(capsys):
         assert err.startswith("compactseq: error:") and err.count("\n") == 1
 
 
+def test_negative_values_after_a_space(capsys):
+    # exponent and grid forms that argparse would read as flags
+    for value, flag_eq in (
+        (["--q", "-1e-3"], ["--q=-1e-3"]),
+        (["--grid", "-10:-0.25:40:lin"], ["--grid=-10:-0.25:40:lin"]),
+    ):
+        spaced = run(capsys, "mathieu", *value)
+        joined = run(capsys, "mathieu", *flag_eq)
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[2] == ""
+
+
 def test_windows_scan(capsys):
     code, out, _ = run(capsys, "windows", "--family", "three_tap")
     assert code == 0
