@@ -1,0 +1,54 @@
+"""Package hygiene: public names resolve and numpy is the only runtime
+dependency.
+
+A stale ``__all__`` entry breaks nothing but ``from ... import *``, and a
+name the package root re-exports without listing it in its module's
+``__all__`` is public by accident, so neither shows in the unit tests.
+The import scan keeps the rule that ``compactseq`` needs only the standard
+library and numpy at run time (scipy and hypothesis are test-only).
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "compactseq"
+SOURCES = sorted(PKG.glob("*.py"))
+MODULES = [p.stem for p in SOURCES if not p.stem.startswith("__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(f"compactseq.{name}")
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing, f"compactseq.{name}.__all__ lists {missing}"
+
+
+def test_package_root_imports_only_public_names():
+    tree = ast.parse((PKG / "__init__.py").read_text(encoding="utf-8"))
+    checked = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module, ast.unparse(node)
+            public = importlib.import_module(f"compactseq.{node.module}").__all__
+            for alias in node.names:
+                assert alias.name in public, f"{alias.name} not in compactseq.{node.module}.__all__"
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_are_stdlib_or_numpy(path):
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root in allowed, f"{path.name}:{node.lineno} imports {root}"
