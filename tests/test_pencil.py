@@ -26,7 +26,7 @@ def _pencil(half_len, lam1, lam2):
 
 
 def _has_below(half_len, lam1, lam2, shift=0.0):
-    """Sturm verdict: P has an eigenvalue below ``shift`` (0: not PSD)."""
+    """Whether P has an eigenvalue below ``shift``; at 0, whether P is not PSD."""
     diag, off = _pencil(half_len, lam1, lam2)
     return _has_eigenvalue_below(diag, off * off, shift)
 
