@@ -18,6 +18,7 @@ the requested constraint is unattainable at the given tap count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -53,11 +54,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _join_negative_values(argv) -> list:
-    """Rewrite ``--q -1e-3`` as ``--q=-1e-3``: argparse takes a token that
-    starts with '-' for a value only in the forms -12 and -1.5."""
+    """Rewrite ``--q -1e-3`` as ``--q=-1e-3``, also for a prefix like ``--sig``:
+    argparse takes a token that starts with '-' for a value only in the forms
+    -12 and -1.5."""
     out = []
     for tok in argv:
-        if out and out[-1] in _NUMERIC_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+        numeric = out and len(out[-1]) > 2 and any(f.startswith(out[-1]) for f in _NUMERIC_FLAGS)
+        if numeric and tok.startswith("-") and not tok.startswith("--"):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -171,6 +174,7 @@ def _run_windows(args) -> str:
     return _csv("family,param,delta_wp2,delta_n2,eta_p", _columns(points, drop=("error",)))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="compactseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,8 +2,10 @@
 
 Everything here is deliberately independent of the package's own
 numerics: a dense cyclic-Jacobi eigensolver to check the tridiagonal
-bisection kernel against, and brute-force quadrature for the frequency
-moments the closed forms are supposed to reproduce.
+bisection kernel against, the plain Sturm bisection and inverse iteration
+that the seeded kernel must reproduce bit for bit, and brute-force
+quadrature for the frequency moments the closed forms are supposed to
+reproduce.
 """
 
 from __future__ import annotations
@@ -65,6 +67,94 @@ def jacobi_eigh(matrix, sweeps: int = 100, tol: float = 1e-14):
                 v[:, q] = s * colp + c * colq
     order = np.argsort(np.diag(a))
     return np.diag(a)[order], v[:, order]
+
+
+def _sturm_yes(d, b2, shift):
+    piv = d[0] - shift
+    if piv <= 0.0:
+        return True
+    for i in range(1, len(d)):
+        piv = d[i] - shift - b2 / piv
+        if piv <= 0.0:
+            return True
+    return False
+
+
+def bisect_min_reference(d, b):
+    """Plain Sturm bisection of the Gershgorin interval to width <= 1e-12,
+    one test per mid: the bracket the seeded ``eigen._bracket_min`` must
+    return bit for bit."""
+    b2 = b * b
+    r = 2.0 * abs(b)
+    lo = min(d) - r
+    hi = max(d) + r
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    lo -= pad
+    hi += pad
+    for _ in range(300):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if _sturm_yes(d, b2, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def min_eigenpair_reference(diag, offdiag):
+    """(value, vector, residual) of ``eigen.min_eigenpair`` for offdiag < 0
+    and len(diag) > 1, by the plain bisection and a numpy-array Thomas
+    solve: the numbers the kernel must reproduce bit for bit."""
+    eps = np.finfo(float).eps
+    d = [float(v) for v in diag]
+    n = len(d)
+    b = float(offdiag)
+    lo, hi = bisect_min_reference(d, b)
+    scale = max(abs(v) for v in d) + 2.0 * abs(b)
+    shift = lo - max(hi - lo, 4.0 * eps * scale)
+    darr = np.array(d)
+    p = np.empty(n)
+    p[0] = d[0] - shift
+    for i in range(1, n):
+        p[i] = d[i] - shift - b * (b / p[i - 1])
+
+    def solve(u):
+        y = np.empty(n)
+        y[0] = u[0]
+        for i in range(1, n):
+            y[i] = u[i] - (b / p[i - 1]) * y[i - 1]
+        v = np.empty(n)
+        v[n - 1] = y[n - 1] / p[n - 1]
+        for i in range(n - 2, -1, -1):
+            v[i] = (y[i] - b * v[i + 1]) / p[i]
+        return v
+
+    def bound(value):
+        return max(1e-10 * (1.0 + abs(value)), 100.0 * eps * scale)
+
+    u = np.full(n, 1.0 / np.sqrt(n))
+    best = None
+    prev = np.inf
+    for it in range(1, 51):
+        v = solve(u)
+        v /= np.linalg.norm(v)
+        tv = darr * v
+        tv[:-1] += b * v[1:]
+        tv[1:] += b * v[:-1]
+        lam = float(v @ tv)
+        res = float(np.linalg.norm(tv - lam * v))
+        if best is None or res < best[2]:
+            best = (lam, v, res)
+        if res <= 0.5 * bound(lam):
+            break
+        if it >= 3 and res >= 0.9 * prev:
+            break
+        prev = res
+        u = v
+    return best
 
 
 def freq_moments_quad(x: Sequence, npts: int = 1 << 16):

@@ -161,11 +161,19 @@ def test_negative_values_after_a_space(capsys):
     for value, flag_eq in (
         (["--q", "-1e-3"], ["--q=-1e-3"]),
         (["--grid", "-10:-0.25:40:lin"], ["--grid=-10:-0.25:40:lin"]),
+        (["--q", "1", "--gr", "-1:0:2:lin"], ["--q", "1", "--gr=-1:0:2:lin"]),
     ):
         spaced = run(capsys, "mathieu", *value)
         joined = run(capsys, "mathieu", *flag_eq)
         assert spaced == joined
         assert spaced[0] == 0 and spaced[2] == ""
+    # a unique prefix of --sigma2 reaches the value check; --s could also be
+    # --seq-output and stays argparse's error
+    spaced = run(capsys, "design", "--sig", "-1e-3")
+    assert spaced == run(capsys, "design", "--sig=-1e-3")
+    assert spaced[:2] == (1, "") and "sigma2 must be positive and finite" in spaced[2]
+    code, out, err = run(capsys, "design", "--s", "-1e-3")
+    assert (code, out) == (1, "") and "ambiguous option" in err
 
 
 def test_windows_scan(capsys):

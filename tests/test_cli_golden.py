@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compactseq.cli import main
+from compactseq.cli import _build_parser, main
 
 # Sequence files for ``analyze``, written with repr so their bytes are fixed.
 _K_REAL = np.arange(-20, 21)
@@ -143,6 +143,22 @@ def test_seq_output_bytes(tmp_path):
     path = tmp_path / "design.seq"
     _output(SEQ_OUTPUT_ARGV + (str(path),), tmp_path)
     assert _digest(path.read_text()) == GOLDEN["--seq-output"]
+
+
+def test_one_parser_serves_every_call(seq_dir):
+    # the parser is built once per process; a rejected argv and the argv
+    # before it must not leak into the next call's defaults or bytes
+    assert _build_parser() is _build_parser()
+    argvs = [("mathieu", "--q", "-2.5"), ("mathieu",), ("curve", "--format", "csv"),
+             ("analyze", "--input", "ex1.seq", "--format", "json"),
+             ("design", "--sigma2", "0.1", "--taps", "201", "--format", "csv"),
+             ("windows", "--family", "all")]
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["design", "--tol", "1"]) == 1
+        assert err.getvalue().startswith("compactseq: error:")
+        assert _digest(_output(argv, seq_dir)) == GOLDEN[" ".join(argv)]
 
 
 if __name__ == "__main__":
