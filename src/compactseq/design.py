@@ -78,7 +78,7 @@ class DesignResult:
     the dual value, constraint_gap is x'Bx - alpha on the returned
     sequence, eig_residual is the ground-state residual norm.  The
     eigensolver's one residual bound holds for eig_residual up to the
-    rounding of the symmetrized vector: max(1e-10 * (1 + |lambda2|),
+    rounding of the renormalized vector: max(1e-10 * (1 + |lambda2|),
     100 * eps * ||T||) with ||T|| = ((taps - 1)/2)^2 + lambda1, so on long
     grids the ulp floor, not 1e-10 * (1 + |lambda2|), bounds it.  tail_mass
     is the energy in the two outermost taps; if it exceeds 1e-10 the grid
@@ -114,10 +114,11 @@ class GroundState:
 
 
 def ground_state(vector, lambda1: float) -> GroundState:
-    """Symmetrize and normalize a raw ground eigenvector of A - lambda1*B
-    on k = -N..N, and evaluate the pencil's forms on the result."""
-    v = 0.5 * (vector + vector[::-1])
-    v /= np.linalg.norm(v)
+    """Normalize a raw ground eigenvector of A - lambda1*B on k = -N..N and
+    evaluate the pencil's forms on the result.  ``min_eigenpair`` returns
+    that vector mirrored bit for bit (it solves the even half and mirrors
+    it), so the taps come out exactly symmetric with no symmetrization."""
+    v = vector / np.linalg.norm(vector)
     k2 = np.arange(-(v.size // 2), v.size // 2 + 1, dtype=float) ** 2
     tv = _apply(k2, -0.5 * float(lambda1), v)
     lambda2 = float(v @ tv)

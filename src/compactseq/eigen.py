@@ -24,6 +24,17 @@ strictly below the bracket.  With b <= 0 the shifted matrix is an
 M-matrix with an entrywise positive inverse: Thomas elimination meets no
 cancellation and the iterates, started from a positive vector, stay
 positive in floating point, so the ground state needs no sign fix-up.
+
+Every grid k = -N..N has a diagonal of odd length equal to its reverse.
+There the ground state is even (the unique positive eigenvector of a
+matrix that commutes with the reversal), so it is solved on the rows
+k = 0..N alone and mirrored: the parity fold.  On that half only row 0
+changes.  It couples to v_1 and to v_-1 = v_1, so its upper coupling is
+2b, as in (a - 4)A_2 - q(A_4 + 2A_0) = 0 for the Mathieu coefficients
+(DLMF 28.4.5), and the first product in the recurrence above is 2 b^2.
+The half's eigenvalues are among the full grid's, so the bracket starts
+from the full grid's Gershgorin interval.  The residual is still taken on
+all 2N+1 rows.
 """
 
 from __future__ import annotations
@@ -55,29 +66,35 @@ class EigenPair:
     residual: float
 
 
-def _has_eigenvalue_below(d, b2, shift):
-    """Whether tridiag(d, b) has an eigenvalue strictly below ``shift``."""
+def _has_eigenvalue_below(d, b2, shift, b2_first=None):
+    """Whether tridiag(d, b) has an eigenvalue strictly below ``shift``;
+    ``b2_first`` replaces b^2 as the first coupling product."""
     piv = d[0] - shift
     if piv <= 0.0:
         return True
-    for i in range(1, len(d)):
-        piv = d[i] - shift - b2 / piv
+    t = b2 if b2_first is None else b2_first
+    for di in d[1:]:
+        piv = di - shift - t / piv
         if piv <= 0.0:
             return True
+        t = b2
     return False
 
 
-def _laguerre_step(d, b2, s):
+def _laguerre_step(d, b2, s, b2_first=None):
     """Laguerre's step from ``s`` toward the minimum, from the sums of
     1/(lam_j - s) and 1/(lam_j - s)^2, which the pivots' -p'/p and -p''/p
-    build up; None where ``_has_eigenvalue_below(d, b2, s)`` holds."""
+    build up; None where ``_has_eigenvalue_below(d, b2, s, b2_first)``
+    holds."""
     piv = d[0] - s
     if piv <= 0.0:
         return None
     g, h = 1.0 / piv, 0.0
     s1, s2 = g, g * g
+    c2 = b2 if b2_first is None else b2_first
     for di in d[1:]:
-        t = b2 / piv
+        t = c2 / piv
+        c2 = b2
         piv = di - s - t
         if piv <= 0.0:
             return None
@@ -91,10 +108,13 @@ def _laguerre_step(d, b2, s):
     return n / den if den > 0.0 else 0.0
 
 
-def _bracket_min(d, b):
+def _bracket_min(d, b, b2_first=None):
     """Bracket the smallest eigenvalue to width <= 1e-12, testing only mids
     strictly between the certified no ``below`` and yes ``above``.  Seeding
-    ends at a Laguerre step that is no finite advance inside the interval."""
+    ends at a Laguerre step that is no finite advance inside the interval.
+    With ``b2_first`` = 2b^2, ``d`` is the even half k = 0..N of an odd
+    palindrome, whose spectrum lies in the full grid's Gershgorin interval,
+    which is the one taken here in both cases."""
     b2 = b * b
     r = 2.0 * abs(b)
     lo = min(d) - r
@@ -104,7 +124,7 @@ def _bracket_min(d, b):
     hi += pad
     below, above, x = -math.inf, math.inf, lo
     for _ in range(_MAX_SEED):
-        step = _laguerre_step(d, b2, x)
+        step = _laguerre_step(d, b2, x, b2_first)
         if step is None:
             above = x
             break
@@ -119,7 +139,7 @@ def _bracket_min(d, b):
         t = x + w if x + w < above else x - w
         if t <= below:
             break
-        below, above = (below, t) if _has_eigenvalue_below(d, b2, t) else (t, above)
+        below, above = (below, t) if _has_eigenvalue_below(d, b2, t, b2_first) else (t, above)
         w *= 2.0
     for _ in range(_MAX_BISECT):
         if hi - lo <= _BRACKET_WIDTH:
@@ -131,7 +151,7 @@ def _bracket_min(d, b):
             lo = mid
         elif mid >= above:
             hi = mid
-        elif _has_eigenvalue_below(d, b2, mid):
+        elif _has_eigenvalue_below(d, b2, mid, b2_first):
             hi = above = mid
         else:
             lo = below = mid
@@ -160,8 +180,12 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
 
     ``offdiag`` must be <= 0 (raises ``ValueError`` otherwise).  Then the
     shifted matrix that inverse iteration factors is an M-matrix, so the
-    returned vector is entrywise nonnegative with no sign fix-up.  The
-    residual contract is
+    returned vector is entrywise nonnegative with no sign fix-up.  Where
+    ``diag`` has odd length 2N+1 and equals its reverse, as on every grid
+    k = -N..N, the ground state is even (the unique positive vector of a
+    matrix that commutes with the reversal), so it is solved on the rows
+    k = 0..N alone and mirrored: the returned vector equals its reverse
+    bit for bit.  The residual contract, always checked on all rows, is
     ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)`` with
     ||T|| = max|diag| + 2|offdiag| (``_residual_bound``): the second term,
     100 ulps of the matrix norm, takes over where the first asks for more
@@ -179,34 +203,46 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec[i] = 1.0
         return EigenPair(d[i], vec, 0.0)
 
-    lo, hi = _bracket_min(d, b)
-    scale = max(abs(v) for v in d) + 2.0 * abs(b)
+    scale = max(max(d), -min(d)) + 2.0 * abs(b)  # max|d| + 2|b|
+    darr = np.array(d)
+    # Parity fold: on the even half, row 0 couples to v_1 and v_-1 = v_1,
+    # so its upper coupling is 2b and the first coupling product 2b^2.
+    fold = n % 2 == 1 and d == d[::-1]
+    if fold:
+        d = d[n // 2:]
+    k = len(d)
+    b0 = 2.0 * b if fold else b
+    lo, hi = _bracket_min(d, b, b0 * b if fold else None)
 
     # Shift strictly below the minimum: T - shift I is a nonsingular M-matrix.
     shift = lo - max(hi - lo, 4.0 * _EPS * scale)
-    darr = np.array(d)
 
     # Thomas factorization of (T - shift I); pivots p stay positive.
     p = [d[0] - shift]
     m = []
+    c = b0
     for di in d[1:]:
         m.append(b / p[-1])
-        p.append(di - shift - b * m[-1])
+        p.append(di - shift - c * m[-1])
+        c = b
 
     def solve(u):
         y = u.tolist()
-        for i in range(1, n):
+        for i in range(1, k):
             y[i] -= m[i - 1] * y[i - 1]
-        y[n - 1] /= p[n - 1]
-        for i in range(n - 2, -1, -1):
+        y[k - 1] /= p[k - 1]
+        for i in range(k - 2, 0, -1):
             y[i] = (y[i] - b * y[i + 1]) / p[i]
+        y[0] = (y[0] - b0 * y[1]) / p[0]
         return np.array(y)
 
-    u = np.full(n, 1.0 / np.sqrt(n))
+    u = np.full(k, 1.0 / np.sqrt(n))
     best = None
     prev = np.inf
     for it in range(1, _MAX_SOLVES + 1):
         v = solve(u)
+        if fold:
+            v = np.concatenate((v[:0:-1], v))
         v /= np.linalg.norm(v)
         tv = _apply(darr, b, v)
         lam = float(v @ tv)
@@ -218,7 +254,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         if it >= 3 and res >= 0.9 * prev:
             break  # at the rounding floor; keep the best iterate
         prev = res
-        u = v
+        u = v[n - k:]
     lam, v, res, it = best
     if res > _residual_bound(lam, scale):
         raise EigenConvergenceError(

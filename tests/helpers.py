@@ -69,21 +69,23 @@ def jacobi_eigh(matrix, sweeps: int = 100, tol: float = 1e-14):
     return np.diag(a)[order], v[:, order]
 
 
-def _sturm_yes(d, b2, shift):
+def _sturm_yes(d, b2, shift, b2_first=None):
     piv = d[0] - shift
     if piv <= 0.0:
         return True
     for i in range(1, len(d)):
-        piv = d[i] - shift - b2 / piv
+        t = b2_first if i == 1 and b2_first is not None else b2
+        piv = d[i] - shift - t / piv
         if piv <= 0.0:
             return True
     return False
 
 
-def bisect_min_reference(d, b):
+def bisect_min_reference(d, b, b2_first=None):
     """Plain Sturm bisection of the Gershgorin interval to width <= 1e-12,
     one test per mid: the bracket the seeded ``eigen._bracket_min`` must
-    return bit for bit."""
+    return bit for bit.  ``b2_first`` replaces b^2 as the first coupling
+    product, 2b^2 on the even half of an odd palindrome."""
     b2 = b * b
     r = 2.0 * abs(b)
     lo = min(d) - r
@@ -97,45 +99,57 @@ def bisect_min_reference(d, b):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _sturm_yes(d, b2, mid):
+        if _sturm_yes(d, b2, mid, b2_first):
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def min_eigenpair_reference(diag, offdiag):
+def min_eigenpair_reference(diag, offdiag, fold=True):
     """(value, vector, residual) of ``eigen.min_eigenpair`` for offdiag < 0
     and len(diag) > 1, by the plain bisection and a numpy-array Thomas
-    solve: the numbers the kernel must reproduce bit for bit."""
+    solve: the numbers the kernel must reproduce bit for bit.
+
+    With ``fold``, an odd-length palindromic diagonal is solved on its even
+    half k = 0..N, whose row 0 has upper coupling 2b (first coupling
+    product 2b^2), and the half is mirrored; ``fold=False`` solves on all
+    rows, as the kernel did before the fold."""
     eps = np.finfo(float).eps
     d = [float(v) for v in diag]
     n = len(d)
     b = float(offdiag)
-    lo, hi = bisect_min_reference(d, b)
     scale = max(abs(v) for v in d) + 2.0 * abs(b)
-    shift = lo - max(hi - lo, 4.0 * eps * scale)
     darr = np.array(d)
-    p = np.empty(n)
+    folded = fold and n % 2 == 1 and d == d[::-1]
+    if folded:
+        d = d[n // 2:]
+    k = len(d)
+    up = np.full(k - 1, b)
+    if folded:
+        up[0] = 2.0 * b
+    lo, hi = bisect_min_reference(d, b, up[0] * b if folded else None)
+    shift = lo - max(hi - lo, 4.0 * eps * scale)
+    p = np.empty(k)
     p[0] = d[0] - shift
-    for i in range(1, n):
-        p[i] = d[i] - shift - b * (b / p[i - 1])
+    for i in range(1, k):
+        p[i] = d[i] - shift - up[i - 1] * (b / p[i - 1])
 
     def solve(u):
-        y = np.empty(n)
+        y = np.empty(k)
         y[0] = u[0]
-        for i in range(1, n):
+        for i in range(1, k):
             y[i] = u[i] - (b / p[i - 1]) * y[i - 1]
-        v = np.empty(n)
-        v[n - 1] = y[n - 1] / p[n - 1]
-        for i in range(n - 2, -1, -1):
-            v[i] = (y[i] - b * v[i + 1]) / p[i]
-        return v
+        v = np.empty(k)
+        v[k - 1] = y[k - 1] / p[k - 1]
+        for i in range(k - 2, -1, -1):
+            v[i] = (y[i] - up[i] * v[i + 1]) / p[i]
+        return np.concatenate((v[:0:-1], v)) if folded else v
 
     def bound(value):
         return max(1e-10 * (1.0 + abs(value)), 100.0 * eps * scale)
 
-    u = np.full(n, 1.0 / np.sqrt(n))
+    u = np.full(k, 1.0 / np.sqrt(n))
     best = None
     prev = np.inf
     for it in range(1, 51):
@@ -153,7 +167,7 @@ def min_eigenpair_reference(diag, offdiag):
         if it >= 3 and res >= 0.9 * prev:
             break
         prev = res
-        u = v
+        u = v[n - k:]
     return best
 
 

@@ -69,31 +69,31 @@ CASES = _cases()
 SEQ_OUTPUT_ARGV = ("design", "--sigma2", "0.1", "--taps", "201", "--seq-output")
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "d82066e35bd77484af68329cd2ee9be4c78a06886fce310ad1542b23a3135180",
-    "design --sigma2 3e-4 --taps 201 --format csv": "7c15f0617a3681573ba764850fd34ccb992c0ea63b1116f96a786d544b133481",
-    "design --sigma2 3e-4 --taps 1001 --format json": "92c1d5690f01b9466f2c438e07ff453b01b79b6617babbceab658205241ab95d",
-    "design --sigma2 3e-4 --taps 1001 --format csv": "d53b0b543756c824921c0c40eb82d2fa68fb5963b0916ac223398f42c80839e1",
-    "design --sigma2 1e-3 --taps 201 --format json": "08c024651c715c107c40b72b1b6f098ae5ce4c45735de1e9ed1d921b3083b456",
-    "design --sigma2 1e-3 --taps 201 --format csv": "93751a5d1642898824401fc0f49a4e5fc4e0160e905ddce20f2352f34ff1cae6",
-    "design --sigma2 1e-3 --taps 1001 --format json": "2dafd5453d9185aaa07ed1ece5a6f626bb34e98f3d350488e546834d3e985b19",
-    "design --sigma2 1e-3 --taps 1001 --format csv": "a27aaa2c6c5c23962ff09f03d5fa32ea50bbd46464e583cf1c985a0a0f22e4f3",
-    "design --sigma2 0.1 --taps 201 --format json": "b76e99c3c86fbbe54b90b2365b690acee8332016e6a0fda7fefaf6a96067b3e9",
-    "design --sigma2 0.1 --taps 201 --format csv": "58c17c83a5e9973da5996f782fa371bf5588a4832239942b15f413e82a8cc586",
-    "design --sigma2 0.1 --taps 1001 --format json": "3005958e9801662351ac914c308fcd5c041f8a9097abd15ecd8c7b37df54649a",
-    "design --sigma2 0.1 --taps 1001 --format csv": "62607f5a4d2ec34e7fa0fcd611fcc0aea5e3f21ec4bc0a23176b8f32a78c195d",
-    "design --sigma2 10 --taps 201 --format json": "dd1187ea143f2f6a1ca1f73dd2bff5605c12a96bf4421c3fd2aad58afb2c4f72",
-    "design --sigma2 10 --taps 201 --format csv": "78bcc050084f200f5d67a5c7575792b8af634cf384d9ca0a2b6a4d57cb51c0d6",
-    "design --sigma2 10 --taps 1001 --format json": "231e3ca7d299dd3b23f363e7f3845212cc209c3c3ec293481a14da83c045f474",
-    "design --sigma2 10 --taps 1001 --format csv": "cfb733ef953f3f0ea18e07d50f233d23298e6ad413004f201f6dd895c4d5021f",
-    "curve --format csv": "ed55b64694983d88f97cf45dfb47e4e87205bd8146330a5326d26c6f6a9620ff",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "c40a5a6f46899e0ae26cafdf07c61d424d0572b5f22376cc133e2a82de81bc9a",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "e867caa3ab170805a00f59b8c88997facf95c4cb044a26148b380d18ddf54790",
-    "curve --format json": "83a1a19f4832edc4366e74abe85b79e21e70368a8280119b08c072f35619c1fe",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "1b3b4a4d12d4f40fc760184e187a7f6b6d2d84942510c86203420766acab3b32",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "2282023b5893ec607fd2a9e010a51c52126d066f2650db58a69fff67138b1937",
-    "mathieu": "6293465982a93b5b9abf417dba3dba51e9c032657531fe9f361288f231a6f90e",
-    "mathieu --q -2.5": "7f40f57c68966a0b8ba98f6d19d691856ffa12cdaabf971c454938a6c33f6686",
-    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "2ddce9212f658ae8bc1e79a1fcb22c8c19bb49076a80b25b4c75fdcf33fd020c",
+    "design --sigma2 3e-4 --taps 201 --format json": "ed761c110a246bf0b7a527721c09ad7c7e2db745f4e494628b7bc0f6e784d13a",
+    "design --sigma2 3e-4 --taps 201 --format csv": "2b3bb5607203296ab088d01a9692f6df2d0739d4e3f574176776c0c84a16e021",
+    "design --sigma2 3e-4 --taps 1001 --format json": "062a735e5ea00c9f935d11035d876ac50eb4ddd304d5eddfdc2d559e746c5367",
+    "design --sigma2 3e-4 --taps 1001 --format csv": "f8160660bccde400e66f4a29da40507cc992f498be15d9e338b74a013eaf3edf",
+    "design --sigma2 1e-3 --taps 201 --format json": "b9217fdcf6fbf0f33e91cbc328e756238a197e8ea8f6a5be9e458a412fc838b3",
+    "design --sigma2 1e-3 --taps 201 --format csv": "931aff3ab84b99686031656a25734ce868a748ec189fd245f04a0036a4776f76",
+    "design --sigma2 1e-3 --taps 1001 --format json": "aafb2f6c16e52b52c79a044c067d7132bf2d33534f23267fba6a721f5041c3b9",
+    "design --sigma2 1e-3 --taps 1001 --format csv": "28c33bf26a7c28a8830e0b4dc632daa17deb3eb6ba4420a2682c0b22cc9de088",
+    "design --sigma2 0.1 --taps 201 --format json": "68c9b7fbfef0368dba90e43eb17d2d102c600145fa6639837f2127937af734c6",
+    "design --sigma2 0.1 --taps 201 --format csv": "f87e6d95e716de7b7d23449ef9239689cfcfd8b5d5eeea9245376827e459374f",
+    "design --sigma2 0.1 --taps 1001 --format json": "81b9217e84be014b1de2bbceed944a35dc1d7982ae1ed383af58c264849438c1",
+    "design --sigma2 0.1 --taps 1001 --format csv": "9e943cbd140a21665dc34c7ca6a3e1623eb35a57cc5c7dd832e69b38289d2d80",
+    "design --sigma2 10 --taps 201 --format json": "87fdbc401378fd4d01f03a378d5c38bf2a929dfa515571ce64ed54d22920fd34",
+    "design --sigma2 10 --taps 201 --format csv": "71c9fe2373246f33039d0f38a7ebc4efa16d731039bf6ae24df81be21d13ba74",
+    "design --sigma2 10 --taps 1001 --format json": "50446f9b4690461febbb120ee21a9a851b914a11c5df9b380e2bc30be2239a94",
+    "design --sigma2 10 --taps 1001 --format csv": "b05135f19c9c5b9f3f2c82729510f780c23d6110831a4e60c4570ea747dcbfcc",
+    "curve --format csv": "30b15df93be01031c78c5f47fbf97d6c335354b55c81af9b715048e55b33bef5",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "5c1767434a591f70bdc340b357576ec1db0c00999b266eb94abf0ef797ff7db3",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "325577a321d3785c6ba0755596e37a6e46f96c26d42f6b2aee92950c83856088",
+    "curve --format json": "8d0719bc565a0d443129d487c737514bb3c34c04684f136b95fb21d3f84f4238",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "cf70861f54e82e71cf5f41e2b794400dfa940b01b39bc630c9463fb86d86cd3e",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "94dc7c060640e086cf3851a411eeae358992051fe7417677c256d3c28b71a952",
+    "mathieu": "b2abe327cf5b470ce50c6aec12c2815b30860f3a8fb4856298dc5d0f7d63092e",
+    "mathieu --q -2.5": "30969ca0e33705a63c2973e36f09c818e1def30f312a5f594198cc0c11a795ec",
+    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "03b61e0b5ad407bb75630c8a7152dc3e1e14df4a583d426a4a69a840bfafdc5a",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
     "analyze --input ex1.seq --format csv": "7d7b33eaf9b837a1c04ce2e0090dca196e83c0690ac6bb6b4bcf1d2c4c5be421",
@@ -105,7 +105,7 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "609893751f481d2a5554d24d0ae5da1fe11b85e4a93a17295458620af8678c2e",
+    "--seq-output": "0c6d903d667749f39e57d55176a31c980d78e69abea74ef68d140608dab5d54e",
 }
 
 

@@ -91,3 +91,15 @@ def test_seed_replaces_most_sturm_tests(monkeypatch):
     assert counts["solves"] >= 69
     assert counts["passes"] <= 6 * counts["solves"]
     assert counts["tests"] <= 8 * counts["solves"]
+
+
+@PROPS
+@given(k2_family)
+def test_folded_bracket_is_bit_identical_to_plain_bisection(case):
+    # the even half k = 0..N with first coupling product 2b^2, as
+    # ``min_eigenpair`` folds the pencil
+    diag, offdiag = case
+    half = np.asarray(diag, dtype=float).tolist()[len(diag) // 2:]
+    b2_first = 2.0 * offdiag * offdiag
+    got = eigen._bracket_min(half, offdiag, b2_first)
+    assert got == bisect_min_reference(half, offdiag, b2_first)
