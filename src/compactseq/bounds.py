@@ -47,9 +47,16 @@ def eta_lower(sigma2: float) -> float:
 
 
 def eta_upper(sigma2: float) -> float:
-    """Small-sigma2 upper estimate (sigma2/8)(sqrt(1+s)/(sqrt(1+s)-1) - 1/2)."""
+    """Small-sigma2 upper estimate (sigma2/8)(sqrt(1+s)/(sqrt(1+s)-1) - 1/2).
+
+    Where sqrt(1 + sigma2) rounds to 1 (sigma2 below about 2.2e-16) the
+    quotient is 0/0; there the equal form (r(r + 1) - sigma2/2)/8, which
+    does not cancel, is returned instead.
+    """
     s2 = _check_sigma2(sigma2)
     r = math.sqrt(1.0 + s2)
+    if r == 1.0:
+        return (r * (r + 1.0) - 0.5 * s2) / 8.0
     return s2 / 8.0 * (r / (r - 1.0) - 0.5)
 
 

@@ -26,6 +26,16 @@ def test_limits():
     assert abs(eta_lower(1e6) - 0.5) <= 1e-3
 
 
+def test_eta_upper_where_the_root_rounds_to_one():
+    # sqrt(1 + sigma2) == 1.0 there, so r - 1 == 0 in the plain form
+    assert abs(eta_upper(1e-17) - 0.25) <= 1e-15
+    assert abs(eta_upper(5e-324) - 0.25) <= 1e-15
+    # values where r > 1 keep the plain formula's bits
+    for s2 in (1e-15, 1e-9, 0.1, 10.0):
+        r = math.sqrt(1.0 + s2)
+        assert eta_upper(s2) == s2 / 8.0 * (r / (r - 1.0) - 0.5)
+
+
 def test_ordering_and_monotonicity():
     grid = np.geomspace(1e-4, 10.0, 120)
     lows = [eta_lower(s) for s in grid]

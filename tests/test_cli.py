@@ -125,6 +125,18 @@ def test_curve_json_marks_failure(capsys):
     assert rows[1]["error"] is None
 
 
+def test_curve_below_double_precision_spread(capsys):
+    # sqrt(1 + sigma2) rounds to 1 on this grid; eta_upper used to divide
+    # by zero there and the traceback escaped main
+    code, out, _ = run(capsys, "curve", "--grid", "1e-17:1e-16:2:log", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(row["eta_upper"] - 0.25) <= 1e-15
+        assert row["eta_p"] is None and row["error"]
+
+
 def test_mathieu_point_mode(capsys):
     code, out, _ = run(capsys, "mathieu", "--q", "-2.5", "--grid", "0:1:5:lin")
     assert code == 0
