@@ -8,7 +8,8 @@ format; the small-sigma2 designs are the ones where a changed input to
 the dual root search first moves a printed lambda1.  A change that is
 meant to move printed digits is checked first against
 ``test_design_values.py``, which pins the design and curve values to
-1e-9 relative.
+1e-9 relative, ``test_mathieu_values.py`` and ``test_spread_values.py``,
+which pin the mathieu and analyze values to 1e-13 relative.
 
 The digests were recorded with numpy 2.4 on x86-64 Linux.  Float results
 can differ in the last digit on another platform or numpy build; after

@@ -12,19 +12,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from helpers import min_eigenpair_reference  # noqa: E402
+from test_eigen_seed import PROPS, k2_family  # noqa: E402
 
 from compactseq import design, eigen, mathieu  # noqa: E402
-
-PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-# the pencil A - lambda1*B on k = -N..N, as the designer and Mathieu build it
-k2_family = st.tuples(
-    st.integers(1, 1000).map(lambda h: 2 * h + 1),
-    st.floats(-8.0, 12.0).map(lambda e: 10.0**e),
-).map(lambda nl: ((np.arange(nl[0], dtype=float) - nl[0] // 2) ** 2, -0.5 * nl[1]))
 
 
 @st.composite
