@@ -1,18 +1,27 @@
-"""Ground eigenpairs of symmetric tridiagonal matrices.
+"""Ground eigenpairs of symmetric tridiagonal matrices on the grid k = -N..N.
 
-The matrices handled here have an arbitrary real diagonal and a constant
-off-diagonal b <= 0, the sign of the coupling -lambda1/2 in every pencil
-A - lambda1*B the designer and the Mathieu evaluator solve.  The smallest
-eigenvalue is located by bisection on a yes/no Sturm test: the shifted
-LDL^T recurrence
+The matrices handled here have a diagonal of odd length 2N+1 equal to its
+reverse, as diag(k^2) on k = -N..N is, and a constant off-diagonal
+b <= 0, the sign of the coupling -lambda1/2 in every pencil A - lambda1*B
+the designer and the Mathieu evaluator solve.  Such a matrix commutes
+with the reversal, so its ground state, the unique positive eigenvector,
+is even: it is solved on the rows k = 0..N alone and mirrored.  On that
+half only row 0 changes.  It couples to v_1 and to v_-1 = v_1, so its
+upper coupling is 2b, as in (a - 4)A_2 - q(A_4 + 2A_0) = 0 for the
+Mathieu coefficients (DLMF 28.4.5).
 
-    p_1 = d_1 - s,    p_i = d_i - s - b^2 / p_{i-1}
+The smallest eigenvalue is located by bisection on a yes/no Sturm test:
+the shifted LDL^T recurrence of the half
 
-has as many negative pivots as there are eigenvalues below the shift s,
-so the matrix has an eigenvalue below s exactly when some pivot is
-negative, and the test stops at the first pivot <= 0 (a zero pivot counts
-as negative).  Bisecting on that answer brackets the minimum to width
-1e-12 inside the Gershgorin interval.  As each pivot is a chain of
+    p_0 = d_0 - s,    p_1 = d_1 - s - 2 b^2 / p_0,
+    p_i = d_i - s - b^2 / p_{i-1}
+
+has as many negative pivots as the half has eigenvalues below the shift
+s, so it has an eigenvalue below s exactly when some pivot is negative,
+and the test stops at the first pivot <= 0 (a zero pivot counts as
+negative).  Bisecting on that answer brackets the minimum to width 1e-12
+inside the full grid's Gershgorin interval, which holds the half's
+eigenvalues as they are among the grid's.  As each pivot is a chain of
 correctly rounded operations monotone in s, the computed verdict is
 monotone in s (Demmel, Dhillon and Ren, ETNA 1995), so mids below a no or
 above a yes need no test.  Laguerre steps on the same recurrence, each a
@@ -24,17 +33,7 @@ strictly below the bracket.  With b <= 0 the shifted matrix is an
 M-matrix with an entrywise positive inverse: Thomas elimination meets no
 cancellation and the iterates, started from a positive vector, stay
 positive in floating point, so the ground state needs no sign fix-up.
-
-Every grid k = -N..N has a diagonal of odd length equal to its reverse.
-There the ground state is even (the unique positive eigenvector of a
-matrix that commutes with the reversal), so it is solved on the rows
-k = 0..N alone and mirrored: the parity fold.  On that half only row 0
-changes.  It couples to v_1 and to v_-1 = v_1, so its upper coupling is
-2b, as in (a - 4)A_2 - q(A_4 + 2A_0) = 0 for the Mathieu coefficients
-(DLMF 28.4.5), and the first product in the recurrence above is 2 b^2.
-The half's eigenvalues are among the full grid's, so the bracket starts
-from the full grid's Gershgorin interval.  The residual is still taken on
-all 2N+1 rows.
+The residual is taken on all 2N+1 rows.
 """
 
 from __future__ import annotations
@@ -66,13 +65,13 @@ class EigenPair:
     residual: float
 
 
-def _has_eigenvalue_below(d, b2, shift, b2_first=None):
-    """Whether tridiag(d, b) has an eigenvalue strictly below ``shift``;
-    ``b2_first`` replaces b^2 as the first coupling product."""
+def _has_eigenvalue_below(d, b2, shift):
+    """Whether the even half ``d`` (rows k = 0..N, off-diagonal b with
+    b^2 = ``b2``) has an eigenvalue strictly below ``shift``."""
     piv = d[0] - shift
     if piv <= 0.0:
         return True
-    t = b2 if b2_first is None else b2_first
+    t = 2.0 * b2
     for di in d[1:]:
         piv = di - shift - t / piv
         if piv <= 0.0:
@@ -81,17 +80,17 @@ def _has_eigenvalue_below(d, b2, shift, b2_first=None):
     return False
 
 
-def _laguerre_step(d, b2, s, b2_first=None):
-    """Laguerre's step from ``s`` toward the minimum, from the sums of
-    1/(lam_j - s) and 1/(lam_j - s)^2, which the pivots' -p'/p and -p''/p
-    build up; None where ``_has_eigenvalue_below(d, b2, s, b2_first)``
-    holds."""
+def _laguerre_step(d, b2, s):
+    """Laguerre's step from ``s`` toward the minimum of the even half ``d``,
+    from the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, which the pivots'
+    -p'/p and -p''/p build up; None where ``_has_eigenvalue_below(d, b2,
+    s)`` holds."""
     piv = d[0] - s
     if piv <= 0.0:
         return None
     g, h = 1.0 / piv, 0.0
     s1, s2 = g, g * g
-    c2 = b2 if b2_first is None else b2_first
+    c2 = 2.0 * b2
     for di in d[1:]:
         t = c2 / piv
         c2 = b2
@@ -108,13 +107,11 @@ def _laguerre_step(d, b2, s, b2_first=None):
     return n / den if den > 0.0 else 0.0
 
 
-def _bracket_min(d, b, b2_first=None):
-    """Bracket the smallest eigenvalue to width <= 1e-12, testing only mids
-    strictly between the certified no ``below`` and yes ``above``.  Seeding
-    ends at a Laguerre step that is no finite advance inside the interval.
-    With ``b2_first`` = 2b^2, ``d`` is the even half k = 0..N of an odd
-    palindrome, whose spectrum lies in the full grid's Gershgorin interval,
-    which is the one taken here in both cases."""
+def _bracket_min(d, b):
+    """Bracket the smallest eigenvalue of the even half ``d`` to width
+    <= 1e-12, testing only mids strictly between the certified no ``below``
+    and yes ``above``.  Seeding ends at a Laguerre step that is no finite
+    advance inside the interval."""
     b2 = b * b
     r = 2.0 * abs(b)
     lo = min(d) - r
@@ -124,7 +121,7 @@ def _bracket_min(d, b, b2_first=None):
     hi += pad
     below, above, x = -math.inf, math.inf, lo
     for _ in range(_MAX_SEED):
-        step = _laguerre_step(d, b2, x, b2_first)
+        step = _laguerre_step(d, b2, x)
         if step is None:
             above = x
             break
@@ -139,7 +136,7 @@ def _bracket_min(d, b, b2_first=None):
         t = x + w if x + w < above else x - w
         if t <= below:
             break
-        below, above = (below, t) if _has_eigenvalue_below(d, b2, t, b2_first) else (t, above)
+        below, above = (below, t) if _has_eigenvalue_below(d, b2, t) else (t, above)
         w *= 2.0
     for _ in range(_MAX_BISECT):
         if hi - lo <= _BRACKET_WIDTH:
@@ -151,7 +148,7 @@ def _bracket_min(d, b, b2_first=None):
             lo = mid
         elif mid >= above:
             hi = mid
-        elif _has_eigenvalue_below(d, b2, mid, b2_first):
+        elif _has_eigenvalue_below(d, b2, mid):
             hi = above = mid
         else:
             lo = below = mid
@@ -178,14 +175,13 @@ def _apply(darr, off, v):
 def min_eigenpair(diag, offdiag) -> EigenPair:
     """Smallest eigenvalue and unit eigenvector of tridiag(diag, offdiag).
 
-    ``offdiag`` must be <= 0 (raises ``ValueError`` otherwise).  Then the
-    shifted matrix that inverse iteration factors is an M-matrix, so the
-    returned vector is entrywise nonnegative with no sign fix-up.  Where
-    ``diag`` has odd length 2N+1 and equals its reverse, as on every grid
-    k = -N..N, the ground state is even (the unique positive vector of a
-    matrix that commutes with the reversal), so it is solved on the rows
-    k = 0..N alone and mirrored: the returned vector equals its reverse
-    bit for bit.  The residual contract, always checked on all rows, is
+    ``diag`` must have odd length 2N+1 and equal its reverse, as on every
+    grid k = -N..N, and ``offdiag`` must be <= 0; anything else raises
+    ``ValueError``.  The ground state is then even (the unique positive
+    vector of a matrix that commutes with the reversal), so it is solved
+    on the rows k = 0..N alone and mirrored: the returned vector is
+    entrywise nonnegative with no sign fix-up and equals its reverse bit
+    for bit.  The residual contract, checked on all rows, is
     ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)`` with
     ||T|| = max|diag| + 2|offdiag| (``_residual_bound``): the second term,
     100 ulps of the matrix norm, takes over where the first asks for more
@@ -197,31 +193,31 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     b = float(offdiag)
     if b > 0.0:
         raise ValueError(f"offdiag must be <= 0, got {b!r}")
+    if n % 2 == 0 or d != d[::-1]:
+        raise ValueError(f"diag must have odd length and equal its reverse, got length {n}")
+    half = d[n // 2:]
+    k = len(half)
     if b == 0.0 or n == 1:
-        i = int(np.argmin(d))
+        i = int(np.argmin(half))
         vec = np.zeros(n)
-        vec[i] = 1.0
-        return EigenPair(d[i], vec, 0.0)
+        vec[[k - 1 - i, k - 1 + i]] = 1.0
+        vec /= np.linalg.norm(vec)
+        return EigenPair(half[i], vec, 0.0)
 
     scale = max(max(d), -min(d)) + 2.0 * abs(b)  # max|d| + 2|b|
     darr = np.array(d)
-    # Parity fold: on the even half, row 0 couples to v_1 and v_-1 = v_1,
-    # so its upper coupling is 2b and the first coupling product 2b^2.
-    fold = n % 2 == 1 and d == d[::-1]
-    if fold:
-        d = d[n // 2:]
-    k = len(d)
-    b0 = 2.0 * b if fold else b
-    lo, hi = _bracket_min(d, b, b0 * b if fold else None)
+    lo, hi = _bracket_min(half, b)
 
     # Shift strictly below the minimum: T - shift I is a nonsingular M-matrix.
     shift = lo - max(hi - lo, 4.0 * _EPS * scale)
 
-    # Thomas factorization of (T - shift I); pivots p stay positive.
-    p = [d[0] - shift]
+    # Thomas factorization of (T - shift I) on the half, whose row 0 has
+    # upper coupling 2b; pivots p stay positive.
+    b0 = 2.0 * b
+    p = [half[0] - shift]
     m = []
     c = b0
-    for di in d[1:]:
+    for di in half[1:]:
         m.append(b / p[-1])
         p.append(di - shift - c * m[-1])
         c = b
@@ -241,8 +237,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     prev = np.inf
     for it in range(1, _MAX_SOLVES + 1):
         v = solve(u)
-        if fold:
-            v = np.concatenate((v[:0:-1], v))
+        v = np.concatenate((v[:0:-1], v))
         v /= np.linalg.norm(v)
         tv = _apply(darr, b, v)
         lam = float(v @ tv)
@@ -254,7 +249,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         if it >= 3 and res >= 0.9 * prev:
             break  # at the rounding floor; keep the best iterate
         prev = res
-        u = v[n - k:]
+        u = v[k - 1:]
     lam, v, res, it = best
     if res > _residual_bound(lam, scale):
         raise EigenConvergenceError(

@@ -69,24 +69,34 @@ def jacobi_eigh(matrix, sweeps: int = 100, tol: float = 1e-14):
     return np.diag(a)[order], v[:, order]
 
 
-def _sturm_yes(d, b2, shift, b2_first=None):
+def even_spectrum(diag, offdiag) -> np.ndarray:
+    """Eigenvalues, ascending, of the dense tridiag(diag, offdiag) whose
+    eigenvectors equal their reverse: the spectrum of the even half that
+    ``eigen`` solves on an odd palindromic diagonal with offdiag != 0."""
+    w, v = jacobi_eigh(tridiag_dense(diag, offdiag))
+    return w[np.max(np.abs(v - v[::-1]), axis=0) <= 1e-8]
+
+
+def _sturm_yes(d, b2, shift, b2_first):
     piv = d[0] - shift
     if piv <= 0.0:
         return True
     for i in range(1, len(d)):
-        t = b2_first if i == 1 and b2_first is not None else b2
+        t = b2_first if i == 1 else b2
         piv = d[i] - shift - t / piv
         if piv <= 0.0:
             return True
     return False
 
 
-def bisect_min_reference(d, b, b2_first=None):
+def bisect_min_reference(d, b, fold=True):
     """Plain Sturm bisection of the Gershgorin interval to width <= 1e-12,
     one test per mid: the bracket the seeded ``eigen._bracket_min`` must
-    return bit for bit.  ``b2_first`` replaces b^2 as the first coupling
-    product, 2b^2 on the even half of an odd palindrome."""
+    return bit for bit.  With ``fold``, ``d`` is the even half k = 0..N of
+    an odd palindrome, whose first coupling product is 2b^2; ``fold=False``
+    bisects tridiag(d, b) itself."""
     b2 = b * b
+    b2_first = 2.0 * b2 if fold else b2
     r = 2.0 * abs(b)
     lo = min(d) - r
     hi = max(d) + r
@@ -111,24 +121,24 @@ def min_eigenpair_reference(diag, offdiag, fold=True):
     and len(diag) > 1, by the plain bisection and a numpy-array Thomas
     solve: the numbers the kernel must reproduce bit for bit.
 
-    With ``fold``, an odd-length palindromic diagonal is solved on its even
-    half k = 0..N, whose row 0 has upper coupling 2b (first coupling
-    product 2b^2), and the half is mirrored; ``fold=False`` solves on all
-    rows, as the kernel did before the fold."""
+    With ``fold``, the odd-length palindromic diagonal is solved on its
+    even half k = 0..N, whose row 0 has upper coupling 2b (first coupling
+    product 2b^2), and the half is mirrored, as the kernel does;
+    ``fold=False`` solves on all rows, an independent full-grid answer."""
     eps = np.finfo(float).eps
     d = [float(v) for v in diag]
     n = len(d)
     b = float(offdiag)
     scale = max(abs(v) for v in d) + 2.0 * abs(b)
     darr = np.array(d)
-    folded = fold and n % 2 == 1 and d == d[::-1]
-    if folded:
+    if fold:
+        assert n % 2 == 1 and d == d[::-1]
         d = d[n // 2:]
     k = len(d)
     up = np.full(k - 1, b)
-    if folded:
+    if fold:
         up[0] = 2.0 * b
-    lo, hi = bisect_min_reference(d, b, up[0] * b if folded else None)
+    lo, hi = bisect_min_reference(d, b, fold)
     shift = lo - max(hi - lo, 4.0 * eps * scale)
     p = np.empty(k)
     p[0] = d[0] - shift
@@ -144,7 +154,7 @@ def min_eigenpair_reference(diag, offdiag, fold=True):
         v[k - 1] = y[k - 1] / p[k - 1]
         for i in range(k - 2, -1, -1):
             v[i] = (y[i] - up[i] * v[i + 1]) / p[i]
-        return np.concatenate((v[:0:-1], v)) if folded else v
+        return np.concatenate((v[:0:-1], v)) if fold else v
 
     def bound(value):
         return max(1e-10 * (1.0 + abs(value)), 100.0 * eps * scale)

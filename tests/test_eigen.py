@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import jacobi_eigh, tridiag_dense
+from helpers import even_spectrum, jacobi_eigh, tridiag_dense
 
 from compactseq.eigen import (
     EigenPair,
@@ -29,27 +29,41 @@ def test_frozen_small_matrices():
     assert min_eigenpair([0.0, 0.0, 0.0], -0.5).value == pytest.approx(
         -math.sqrt(2) / 2, abs=1e-11
     )
-    # 2x2 [[0, -1/2], [-1/2, 1]] -> (1 - sqrt(2))/2
-    assert min_eigenpair([0.0, 1.0], -0.5).value == pytest.approx(
-        (1 - math.sqrt(2)) / 2, abs=1e-11
+    # tridiag({1, 0, 1}, -1/2): the even vectors (a, c, a) give
+    # lambda^2 - lambda - 1/2 = 0, so (1 - sqrt(3))/2
+    assert min_eigenpair([1.0, 0.0, 1.0], -0.5).value == pytest.approx(
+        (1 - math.sqrt(3)) / 2, abs=1e-11
     )
 
 
 def test_diagonal_degenerate():
-    pair = min_eigenpair([4.0, 1.0, 9.0], 0.0)
+    pair = min_eigenpair([4.0, 1.0, 4.0], 0.0)
     assert pair.value == 1.0
     assert list(pair.vector) == [0.0, 1.0, 0.0]
     assert pair.residual == 0.0
     assert min_eigenpair([3.0], 0.0).value == 3.0
+    # an off-centre minimum comes back as its even, mirrored vector
+    pair = min_eigenpair([1.0, 4.0, 1.0], 0.0)
+    assert pair.value == 1.0
+    v = pair.vector
+    assert v[0] == v[2] == pytest.approx(math.sqrt(0.5), rel=1e-15) and v[1] == 0.0
+
+
+def test_even_length_or_non_palindromic_diag_is_refused():
+    for diag in ([0.0, 1.0], [4.0, 1.0, 9.0], [], [1.0, 0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="reverse"):
+            min_eigenpair(diag, -0.5)
 
 
 def test_eigenvalue_count():
     d = [0.0] * 5
     b = 0.5
-    # spectrum is cos(j*pi/6), j = 1..5; probe strictly between eigenvalues
-    w, _ = jacobi_eigh(tridiag_dense(d, b))
+    # spectrum is cos(j*pi/6), j = 1..5, with even vectors for odd j; the
+    # test runs on the even half; probe strictly between eigenvalues
+    w = even_spectrum(d, b)
+    assert np.allclose(w, np.cos(np.pi * np.array([5, 3, 1]) / 6.0), atol=1e-12)
     for shift in (-2.0, -0.6, -0.2, 0.31, 0.75, 2.0):
-        assert _has_eigenvalue_below(d, b * b, shift) == bool(np.any(w < shift))
+        assert _has_eigenvalue_below(d[2:], b * b, shift) == bool(np.any(w < shift))
 
 
 def test_matches_jacobi_random():
@@ -109,8 +123,9 @@ def test_min_eigenvalue_concave_in_lam1():
 
 
 def test_tolerance_controls_bracket():
-    # the bracket is 1e-12 wide, so the midpoint is within 1e-11
+    # the bracket is 1e-12 wide, so the midpoint is within 1e-11; the half
+    # of tridiag({0} * 7, -1/2), whose minimum is -cos(pi/8)
     exact = -math.cos(math.pi / 8)
-    lo, hi = _bracket_min([0.0] * 7, -0.5)
+    lo, hi = _bracket_min([0.0] * 4, -0.5)
     assert hi - lo <= 1e-12
     assert abs(0.5 * (lo + hi) - exact) < 1e-11

@@ -1,6 +1,8 @@
-"""Property tests for ``min_eigenpair``'s off-diagonal <= 0 contract: the
-ground state comes out entrywise nonnegative with no sign fix-up, its value
-agrees with LAPACK, and a positive off-diagonal is refused."""
+"""Property tests for ``min_eigenpair``'s contract: on an odd-length
+diagonal equal to its reverse with off-diagonal <= 0 the ground state
+comes out entrywise nonnegative with no sign fix-up and its value agrees
+with LAPACK; a positive off-diagonal, an even-length diagonal and one that
+differs from its reverse are refused."""
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from compactseq.eigen import min_eigenpair  # noqa: E402
 
 PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-diags = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60)
+entries = st.floats(-1e3, 1e3)
+# odd-length palindromes: a drawn list mirrored about its first entry
+diags = st.lists(entries, min_size=1, max_size=60).map(lambda h: h[:0:-1] + h)
 
 
 @PROPS
@@ -33,4 +37,14 @@ def test_ground_state_is_nonnegative_unit_and_exact(diag, offdiag):
 @given(diags, st.floats(0.0, 1e3, exclude_min=True))
 def test_positive_offdiag_is_refused(diag, offdiag):
     with pytest.raises(ValueError):
+        min_eigenpair(diag, offdiag)
+
+
+@PROPS
+@given(
+    st.lists(entries, max_size=60).filter(lambda d: len(d) % 2 == 0 or d != d[::-1]),
+    st.floats(-1e3, 0.0),
+)
+def test_even_or_non_palindromic_diag_is_refused(diag, offdiag):
+    with pytest.raises(ValueError, match="reverse"):
         min_eigenpair(diag, offdiag)

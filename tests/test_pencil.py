@@ -3,8 +3,9 @@
 On the grid k = -N..N, P has diagonal k^2 - lambda2 and constant
 off-diagonal -lambda1/2.  It is semidefinite iff lambda2 <= lambda_min of
 A - lambda1*B, so its verdict is the yes/no Sturm test
-``_has_eigenvalue_below`` at shift 0; the two forms x'Ax and x'Bx are the
-ones ``ground_state`` evaluates.
+``_has_eigenvalue_below`` at shift 0 on the even half k = 0..N, which holds
+the minimum; the two forms x'Ax and x'Bx are the ones ``ground_state``
+evaluates.
 """
 
 import math
@@ -28,7 +29,7 @@ def _pencil(half_len, lam1, lam2):
 def _has_below(half_len, lam1, lam2, shift=0.0):
     """Whether P has an eigenvalue below ``shift``; at 0, whether P is not PSD."""
     diag, off = _pencil(half_len, lam1, lam2)
-    return _has_eigenvalue_below(diag, off * off, shift)
+    return _has_eigenvalue_below(diag[half_len:], off * off, shift)
 
 
 def _in_cone(lam1, lam2):
@@ -99,7 +100,7 @@ def test_psd_check_matches_min_eigenvalue():
         w = np.linalg.eigvalsh(tridiag_dense(diag, off))[0]
         if abs(w) < 1e-8:
             continue  # indeterminate at the boundary for either method
-        assert (not _has_eigenvalue_below(diag, off * off, 0.0)) == (w > 0)
+        assert (not _has_below(12, lam1, lam2)) == (w > 0)
         checked += 1
     assert checked > 250
 
@@ -113,4 +114,4 @@ def test_psd_check_against_dense_oracle():
         w, _ = jacobi_eigh(tridiag_dense(diag, off))
         if abs(w[0]) < 1e-8:
             continue
-        assert (not _has_eigenvalue_below(diag, off * off, 0.0)) == (w[0] > 0)
+        assert (not _has_below(6, lam1, lam2)) == (w[0] > 0)
