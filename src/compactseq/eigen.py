@@ -185,8 +185,12 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)`` with
     ||T|| = max|diag| + 2|offdiag| (``_residual_bound``): the second term,
     100 ulps of the matrix norm, takes over where the first asks for more
-    than double precision gives.  Raises :class:`EigenConvergenceError` if
-    inverse iteration cannot meet it within 50 solves.
+    than double precision gives.  A matrix with ||T|| < 1 is solved scaled
+    by an exact power of two to ||T|| in [1/2, 1), so down to the smallest
+    subnormals the value is as accurate relative to ||T|| as at ||T|| ~ 1
+    and the contract holds with room.  Raises
+    :class:`EigenConvergenceError` if inverse iteration cannot meet it
+    within 50 solves.
     """
     d = np.asarray(diag, dtype=float).tolist()
     n = len(d)
@@ -195,6 +199,14 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         raise ValueError(f"offdiag must be <= 0, got {b!r}")
     if n % 2 == 0 or d != d[::-1]:
         raise ValueError(f"diag must have odd length and equal its reverse, got length {n}")
+    # The bracket width and pads below are absolute, so a matrix with
+    # ||T|| < 1 is solved scaled by an exact power of two to ||T|| in [1/2, 1).
+    scale = max(max(d), -min(d)) + 2.0 * abs(b)  # max|d| + 2|b|
+    e = -math.frexp(scale)[1] if scale < 1.0 else 0
+    if e:
+        d = [math.ldexp(x, e) for x in d]
+        b = math.ldexp(b, e)
+        scale = math.ldexp(scale, e)
     half = d[n // 2:]
     k = len(half)
     if b == 0.0 or n == 1:
@@ -202,9 +214,8 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec = np.zeros(n)
         vec[[k - 1 - i, k - 1 + i]] = 1.0
         vec /= np.linalg.norm(vec)
-        return EigenPair(half[i], vec, 0.0)
+        return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
 
-    scale = max(max(d), -min(d)) + 2.0 * abs(b)  # max|d| + 2|b|
     darr = np.array(d)
     lo, hi = _bracket_min(half, b)
 
@@ -251,7 +262,9 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         prev = res
         u = v[k - 1:]
     lam, v, res, it = best
-    if res > _residual_bound(lam, scale):
+    failed = res > _residual_bound(lam, scale)
+    lam, res = math.ldexp(lam, -e), math.ldexp(res, -e)
+    if failed:
         raise EigenConvergenceError(
             f"inverse iteration stalled at residual {res:.3e} after {it} solves"
         )

@@ -10,6 +10,8 @@ reproduce.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from compactseq.sequence import Sequence, dtft, norm2
@@ -124,12 +126,18 @@ def min_eigenpair_reference(diag, offdiag, fold=True):
     With ``fold``, the odd-length palindromic diagonal is solved on its
     even half k = 0..N, whose row 0 has upper coupling 2b (first coupling
     product 2b^2), and the half is mirrored, as the kernel does;
-    ``fold=False`` solves on all rows, an independent full-grid answer."""
+    ``fold=False`` solves on all rows, an independent full-grid answer.
+    A matrix with ||T|| < 1 is solved scaled by the power of two 2^e that
+    brings ||T|| into [1/2, 1), and the value and residual scaled back."""
     eps = np.finfo(float).eps
     d = [float(v) for v in diag]
     n = len(d)
     b = float(offdiag)
     scale = max(abs(v) for v in d) + 2.0 * abs(b)
+    e = -math.frexp(scale)[1] if scale < 1.0 else 0
+    d = [math.ldexp(v, e) for v in d]
+    b = math.ldexp(b, e)
+    scale = math.ldexp(scale, e)
     darr = np.array(d)
     if fold:
         assert n % 2 == 1 and d == d[::-1]
@@ -178,7 +186,8 @@ def min_eigenpair_reference(diag, offdiag, fold=True):
             break
         prev = res
         u = v[n - k:]
-    return best
+    lam, v, res = best
+    return math.ldexp(lam, -e), v, math.ldexp(res, -e)
 
 
 def freq_moments_quad(x: Sequence, npts: int = 1 << 16):

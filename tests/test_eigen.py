@@ -82,6 +82,18 @@ def test_matches_jacobi_random():
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-20, 1e-100, 1e-300])
+def test_tiny_scale_matches_jacobi(c):
+    # eigenpairs scale with the matrix, so c*T has value c*lambda and the
+    # same vector; the absolute tolerances must not swamp a tiny ||T||
+    diag, off = [5.0, 1.0, 0.0, 1.0, 5.0], -1.0
+    w, v = jacobi_eigh(tridiag_dense(diag, off))
+    pair = min_eigenpair([c * x for x in diag], c * off)
+    assert abs(pair.value / c - w[0]) <= 1e-13 * abs(w[0])
+    assert np.max(np.abs(pair.vector - np.abs(v[:, 0]))) <= 1e-10
+    assert pair.residual <= 1e-10 * c
+
+
 def test_residual_contract_large():
     k = np.arange(-100, 101, dtype=float)
     for lam1 in (0.1, 1.0, 10.0, 100.0):
