@@ -41,9 +41,14 @@ def _check_sigma2(sigma2: float) -> float:
 
 
 def eta_lower(sigma2: float) -> float:
-    """Exact lower bound sigma2 * (1 - sqrt(sigma2 / (1 + sigma2)))."""
+    """Exact lower bound sigma2 * (1 - sqrt(sigma2 / (1 + sigma2))).
+
+    It is evaluated as the equal t / (1 + sqrt(t)), t = sigma2/(1 + sigma2),
+    which does not cancel as sigma2 grows and tends to 1/2.
+    """
     s2 = _check_sigma2(sigma2)
-    return s2 * (1.0 - math.sqrt(s2 / (1.0 + s2)))
+    t = s2 / (1.0 + s2)
+    return t / (1.0 + math.sqrt(t))
 
 
 def eta_upper(sigma2: float) -> float:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -24,6 +25,17 @@ def test_limits():
     assert abs(eta_upper(1e-6) - 0.25) <= 1e-6
     assert abs(eta_lower(1e-6) - 0.0) <= 2e-6
     assert abs(eta_lower(1e6) - 0.5) <= 1e-3
+
+
+def test_eta_lower_does_not_cancel():
+    # against the defining formula in 1000-digit decimal arithmetic; the
+    # plain double form is 7e-11 off at 1e6 and reads 0 from about 1e16
+    for s2 in (5e-324, 1e-300, 1e-9, 0.1, 10.0, 1e6, 1e10, 1e16, 1e100, 1.7e308):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1000
+            s = decimal.Decimal(s2)
+            want = float(s * (1 - (s / (1 + s)).sqrt()))
+        assert abs(eta_lower(s2) - want) <= 1e-15 * want
 
 
 def test_eta_upper_where_the_root_rounds_to_one():
