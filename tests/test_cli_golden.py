@@ -86,12 +86,12 @@ GOLDEN = {
     "design --sigma2 10 --taps 201 --format csv": "71c9fe2373246f33039d0f38a7ebc4efa16d731039bf6ae24df81be21d13ba74",
     "design --sigma2 10 --taps 1001 --format json": "50446f9b4690461febbb120ee21a9a851b914a11c5df9b380e2bc30be2239a94",
     "design --sigma2 10 --taps 1001 --format csv": "b05135f19c9c5b9f3f2c82729510f780c23d6110831a4e60c4570ea747dcbfcc",
-    "curve --format csv": "30b15df93be01031c78c5f47fbf97d6c335354b55c81af9b715048e55b33bef5",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "5c1767434a591f70bdc340b357576ec1db0c00999b266eb94abf0ef797ff7db3",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "325577a321d3785c6ba0755596e37a6e46f96c26d42f6b2aee92950c83856088",
-    "curve --format json": "8d0719bc565a0d443129d487c737514bb3c34c04684f136b95fb21d3f84f4238",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "cf70861f54e82e71cf5f41e2b794400dfa940b01b39bc630c9463fb86d86cd3e",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "94dc7c060640e086cf3851a411eeae358992051fe7417677c256d3c28b71a952",
+    "curve --format csv": "09e26f54aec8c86e279b1c2228c3e12d3efe3927293fbb9580f38aeb1bb2bd35",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "053c2ed1e9d6b879429e39454578cf611aa2920057e96b9132cc9917ff739926",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "45942c34f0562fc5b655c1cc3e85691464927e0bcdd0d7d5cb6e807d9a2d30a8",
+    "curve --format json": "5f002808d9d3b3e2edb2f9c2739f92fe724d4525569943b84b385821c597562b",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "e551f6188dabcf0e87c852115fe1457f33871fbc791ad0972a37f53448bfa639",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "0049e7f30a7dc235bf350b90165c68413a98a1e963914ff69761ec7ac48bf0b9",
     "mathieu": "b2abe327cf5b470ce50c6aec12c2815b30860f3a8fb4856298dc5d0f7d63092e",
     "mathieu --q -2.5": "30969ca0e33705a63c2973e36f09c818e1def30f312a5f594198cc0c11a795ec",
     "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "03b61e0b5ad407bb75630c8a7152dc3e1e14df4a583d426a4a69a840bfafdc5a",
