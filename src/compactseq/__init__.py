@@ -19,7 +19,7 @@ from .design import (
     sweep_curve,
 )
 from .eigen import EigenConvergenceError, EigenPair, min_eigenpair
-from .mathieu import MathieuEval, ce0, char_value_a0
+from .mathieu import MathieuEval, MathieuGridError, ce0, char_value_a0
 from .sequence import (
     Sequence,
     autocorrelation,

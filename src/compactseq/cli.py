@@ -11,8 +11,9 @@ windows  spread scan of the stock window families (CSV)
 Grids are given as ``start:stop:points:log`` or ``start:stop:points:lin``.
 Output goes to stdout unless ``--output`` names a file; bytes are a pure
 function of the flags, so reruns reproduce them exactly.  Exit status is
-0 on success, 1 for invalid arguments or inputs, 2 when a solve fails or
-the requested constraint is unattainable at the given tap count.
+0 on success, 1 for invalid arguments or inputs, 2 when a solve fails, the
+requested constraint is unattainable at the given tap count or a Mathieu q
+needs a grid beyond the largest.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ from .design import (
     sweep_curve,
 )
 from .eigen import EigenConvergenceError
-from .mathieu import ce0, char_value_a0
+from .mathieu import MathieuGridError, ce0, char_value_a0
 from .sequence import Sequence, read_sequence, write_sequence
 from .spreads import measure
 from .windows import WINDOW_NAMES, default_families, spread_scan
 
 __all__ = ["main"]
 
-_SOLVER_ERRORS = (UnattainableSpreadError, DesignConvergenceError, EigenConvergenceError)
+_SOLVER_ERRORS = (
+    UnattainableSpreadError, DesignConvergenceError, EigenConvergenceError, MathieuGridError
+)
 _NUMERIC_FLAGS = ("--sigma2", "--taps", "--q", "--grid")
 
 

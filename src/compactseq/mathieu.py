@@ -12,7 +12,8 @@ the two signs of q are related by the quarter-period reflection
 ce0(q; t) = ce0(-q; pi/2 - t), which is how positive q is evaluated
 here.  The grid half-length is grown automatically until the outermost
 coefficients fall below 1e-12, so truncation never shows at double
-precision.
+precision, up to a half-length of 2**20 (|q| up to about 1e21); a larger
+grid is refused before it is allocated.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -31,9 +32,14 @@ import numpy as np
 from .design import ground_state
 from .eigen import min_eigenpair
 
-__all__ = ["MathieuEval", "char_value_a0", "ce0"]
+__all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
 _TAIL_AMP = 1e-12
+_MAX_HALF_LEN = 2**20
+
+
+class MathieuGridError(RuntimeError):
+    """The coefficient tails are not resolved on any grid within reach."""
 
 
 def _ground_taps(q: float):
@@ -43,11 +49,15 @@ def _ground_taps(q: float):
         raise ValueError(f"q must be finite, got {float(q)!r}")
     n0 = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
     for n in (n0, 2 * n0, 4 * n0, 8 * n0, 16 * n0):
+        if n > _MAX_HALF_LEN:
+            raise MathieuGridError(
+                f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}"
+            )
         k = np.arange(-n, n + 1, dtype=float)
         v = min_eigenpair(k * k, -0.5 * lam1).vector
         if max(abs(v[0]), abs(v[-1])) < _TAIL_AMP:
             return ground_state(v, lam1), n
-    raise RuntimeError(f"coefficient tails not resolved at half-length {n}")
+    raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
 
 
 def char_value_a0(q: float) -> float:

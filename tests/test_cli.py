@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from compactseq import mathieu
 from compactseq.cli import main
+from compactseq.eigen import EigenPair
 
 
 def run(capsys, *argv):
@@ -166,6 +168,23 @@ def test_mathieu_non_finite_q(capsys):
         assert code == 1 and out == ""
         assert "Traceback" not in err
         assert err.startswith("compactseq: error:") and err.count("\n") == 1
+
+
+def test_mathieu_grid_beyond_the_largest(capsys, monkeypatch):
+    # refused before the grid is allocated: q = 1e30 would need about 3.6e8
+    # rows and q = 1e300 more than numpy can index
+    for argv in (["--q", "1e30"], ["--q", "-1e300"], ["--grid", "1e25:1e30:2:log"]):
+        code, out, err = run(capsys, "mathieu", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("compactseq: solver failure:") and err.count("\n") == 1
+        assert "half-length above 1048576" in err
+    # tails still above 1e-12 on every grid take the same exit
+    flat = lambda diag, offdiag: EigenPair(0.0, np.full(len(diag), 0.5), 0.0)  # noqa: E731
+    monkeypatch.setattr(mathieu, "min_eigenpair", flat)
+    code, out, err = run(capsys, "mathieu", "--q", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("compactseq: solver failure: coefficient tails not resolved")
+    assert err.count("\n") == 1
 
 
 def test_negative_values_after_a_space(capsys):
