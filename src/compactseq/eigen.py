@@ -199,8 +199,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         raise ValueError(f"offdiag must be <= 0, got {b!r}")
     if n % 2 == 0 or d != d[::-1]:
         raise ValueError(f"diag must have odd length and equal its reverse, got length {n}")
-    # The bracket width and pads below are absolute, so a matrix with
-    # ||T|| < 1 is solved scaled by an exact power of two to ||T|| in [1/2, 1).
+    # The tolerances below are absolute: scale a tiny matrix to ||T|| >= 1/2.
     scale = max(max(d), -min(d)) + 2.0 * abs(b)  # max|d| + 2|b|
     e = -math.frexp(scale)[1] if scale < 1.0 else 0
     if e:
@@ -262,11 +261,9 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         prev = res
         u = v[k - 1:]
     lam, v, res, it = best
-    failed = res > _residual_bound(lam, scale)
-    lam, res = math.ldexp(lam, -e), math.ldexp(res, -e)
-    if failed:
+    if res > _residual_bound(lam, scale):
         raise EigenConvergenceError(
-            f"inverse iteration stalled at residual {res:.3e} after {it} solves"
+            f"inverse iteration stalled at residual {math.ldexp(res, -e):.3e} after {it} solves"
         )
     v.setflags(write=False)
-    return EigenPair(lam, v, res)
+    return EigenPair(math.ldexp(lam, -e), v, math.ldexp(res, -e))
