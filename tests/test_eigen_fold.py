@@ -53,8 +53,8 @@ def test_folded_vector_is_mirrored_bit_for_bit(case):
 
 
 def test_runtime_solves_are_folded(monkeypatch):
-    # every ground solve of the designer and of the Mathieu evaluator runs
-    # on N + 1 rows of its 2N + 1, so a fall-back to the full grid fails here
+    # every ground solve of the designer and of the Mathieu evaluator
+    # brackets N + 1 rows of its 2N + 1
     full, folded = [], []
 
     def record(rows, fn):

@@ -87,11 +87,12 @@ def test_seed_replaces_most_sturm_tests(monkeypatch):
     assert counts["tests"] <= 8 * counts["solves"]
 
 
-@PROPS
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(k2_family, scaled_palindromes()))
 def test_folded_bracket_is_bit_identical_to_plain_bisection(case):
     # the even half k = 0..N with first coupling product 2b^2, as
-    # ``min_eigenpair`` brackets every grid
+    # ``min_eigenpair`` brackets every grid; 300 examples, the 150 each of
+    # the k^2-only and the general bracket properties it replaces
     diag, offdiag = case
     half = np.asarray(diag, dtype=float).tolist()[len(diag) // 2:]
     assert eigen._bracket_min(half, offdiag) == bisect_min_reference(half, offdiag)
