@@ -87,12 +87,20 @@ def test_seed_replaces_most_sturm_tests(monkeypatch):
     assert counts["tests"] <= 8 * counts["solves"]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(k2_family, scaled_palindromes()))
+@PROPS
+@given(scaled_palindromes())
+def test_bracket_is_bit_identical_to_plain_bisection(case):
+    # random, repeated and constant halves at scales 10^+-150
+    diag, offdiag = case
+    half = np.asarray(diag, dtype=float).tolist()[len(diag) // 2:]
+    assert eigen._bracket_min(half, offdiag) == bisect_min_reference(half, offdiag)
+
+
+@PROPS
+@given(k2_family)
 def test_folded_bracket_is_bit_identical_to_plain_bisection(case):
-    # the even half k = 0..N with first coupling product 2b^2, as
-    # ``min_eigenpair`` brackets every grid; 300 examples, the 150 each of
-    # the k^2-only and the general bracket properties it replaces
+    # the even half k = 0..N of the k^2 grid with first coupling product
+    # 2b^2, as ``min_eigenpair`` brackets every design and Mathieu grid
     diag, offdiag = case
     half = np.asarray(diag, dtype=float).tolist()[len(diag) // 2:]
     assert eigen._bracket_min(half, offdiag) == bisect_min_reference(half, offdiag)
