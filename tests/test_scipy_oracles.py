@@ -1,21 +1,34 @@
-"""scipy as an independent oracle for a0 and the ground eigenpair.  scipy is
-not a runtime dependency; these tests skip where it is not installed."""
+"""scipy as an independent oracle for a0, ce0 and the ground eigenpair.
+scipy is not a runtime dependency; these tests skip where it is not
+installed."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("scipy")
 from scipy.linalg import eigh_tridiagonal  # noqa: E402
-from scipy.special import mathieu_a  # noqa: E402
+from scipy.special import mathieu_a, mathieu_cem  # noqa: E402
 
 from compactseq.eigen import min_eigenpair  # noqa: E402
-from compactseq.mathieu import char_value_a0  # noqa: E402
+from compactseq.cli import _parse_grid  # noqa: E402
+from compactseq.mathieu import ce0, char_value_a0  # noqa: E402
 
 
 @pytest.mark.parametrize("q", np.geomspace(0.1, 1e4, 25).tolist())
 def test_a0_matches_scipy_mathieu_a(q):
     want = float(mathieu_a(0, q))
     assert abs(char_value_a0(q) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "q, grid", [(-2.5, "0:3.141592653589793:257:lin"), (7.25, "0:6.283185307179586:64:lin")]
+)
+def test_ce0_matches_scipy_mathieu_cem(q, grid):
+    # the samples of the two ``mathieu --q`` golden cases; scipy takes the
+    # angle in degrees and uses the same normalization, mean square 1/2
+    thetas = _parse_grid(grid)
+    want = mathieu_cem(0, q, np.degrees(thetas))[0]
+    assert ce0(q, thetas).values.tolist() == pytest.approx(want.tolist(), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [3, 41, 201, 999])
