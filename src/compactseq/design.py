@@ -26,7 +26,8 @@ off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
 The dual works with the pencil P(lambda1, lambda2) = A - lambda1*B -
 lambda2*I, tridiagonal with diagonal k^2 - lambda2 and off-diagonal
 -lambda1/2.  P is positive semidefinite iff it has no eigenvalue below 0
-(the yes/no Sturm test of :mod:`compactseq.eigen` at shift 0).
+(the yes/no Sturm test on the LDL^T pivots of :mod:`compactseq.eigen` at
+shift 0).
 :func:`ground_state` also serves the Mathieu evaluator,
 a0(q) = 4 lambda_min(A - (|q|/2) B).
 """

@@ -10,27 +10,32 @@ half only row 0 changes.  It couples to v_1 and to v_-1 = v_1, so its
 upper coupling is 2b, as in (a - 4)A_2 - q(A_4 + 2A_0) = 0 for the
 Mathieu coefficients (DLMF 28.4.5).
 
-The smallest eigenvalue is located by bisection on a yes/no Sturm test:
-the shifted LDL^T recurrence of the half
+The inverse-iteration shift is placed by Laguerre's iteration on the
+shifted LDL^T recurrence of the half
 
     p_0 = d_0 - s,    p_1 = d_1 - s - 2 b^2 / p_0,
-    p_i = d_i - s - b^2 / p_{i-1}
+    p_i = d_i - s - b^2 / p_{i-1},
 
-has as many negative pivots as the half has eigenvalues below the shift
-s, so it has an eigenvalue below s exactly when some pivot is negative,
-and the test stops at the first pivot <= 0 (a zero pivot counts as
-negative).  Bisecting on that answer brackets the minimum to width 1e-12
-inside the full grid's Gershgorin interval, which holds the half's
-eigenvalues as they are among the grid's.  As each pivot is a chain of
-correctly rounded operations monotone in s, the computed verdict is
-monotone in s (Demmel, Dhillon and Ren, ETNA 1995), so mids below a no or
-above a yes need no test.  Laguerre steps on the same recurrence, each a
-certified no, climb cubically to the minimum without passing it (Li and
-Zeng, SIAM J. Sci. Comput. 1994) and tests just above add a yes: the plain
-bracket comes out bit for bit after about 4 steps and 3 tests, not 54.
-The eigenvector then comes from inverse iteration with the shift placed
-strictly below the bracket.  With b <= 0 the shifted matrix is an
-M-matrix with an entrywise positive inverse: Thomas elimination meets no
+which has as many negative pivots as the half has eigenvalues below the
+shift s: s is a certified no, below every eigenvalue, when all its
+pivots are positive (a zero pivot counts as negative).  The pivots'
+derivatives in s give the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, and
+Laguerre's step from them climbs from the full grid's Gershgorin bound,
+which holds the half's eigenvalues as they are among the grid's, to the
+minimum cubically without passing it (Li and Zeng, SIAM J. Sci. Comput.
+1994): about 4 passes reach the rounding level 4 eps (|s| + 2|b|).
+Where rounding carries a last step onto a yes, the shift retreats from
+it by fractions of that level until its pivots are all positive; each
+pivot is a chain of correctly rounded operations monotone in s, so the
+computed verdict is monotone in s (Demmel, Dhillon and Ren, ETNA 1995)
+and the retreat ends after a pass or two, at worst at the last certified
+iterate.  There is no bisection: the shift is a certified no a few ulps
+below the minimum, and the value returned is the Rayleigh quotient.
+The eigenvector then comes from inverse iteration at that shift, and the
+pivots of the pass that certified it, in the Sturm form above, are the
+Thomas factors: re-formed as c (b / p_{i-1}) so close to the minimum,
+some would round to <= 0.  With b <= 0 the shifted matrix is an M-matrix
+with an entrywise positive inverse: Thomas elimination meets no
 cancellation and the iterates, started from a positive vector, stay
 positive in floating point, so the ground state needs no sign fix-up.
 The residual is taken on all 2N+1 rows.
@@ -45,15 +50,14 @@ import numpy as np
 
 __all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 
-_MAX_BISECT = 300
-_MAX_SEED = 8
-_BRACKET_WIDTH = 1e-12
+_MAX_CLIMB = 30
 _MAX_SOLVES = 50
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 class EigenConvergenceError(RuntimeError):
-    """Inverse iteration failed to reach the residual target."""
+    """No certified shift was found, or inverse iteration failed to reach
+    the residual target."""
 
 
 @dataclass(frozen=True)
@@ -65,26 +69,29 @@ class EigenPair:
     residual: float
 
 
-def _has_eigenvalue_below(d, b2, shift):
-    """Whether the even half ``d`` (rows k = 0..N, off-diagonal b with
-    b^2 = ``b2``) has an eigenvalue strictly below ``shift``."""
-    piv = d[0] - shift
+def _pivots(d, b2, s):
+    """The LDL^T pivots of the even half ``d`` (rows k = 0..N, off-diagonal
+    b with b^2 = ``b2``) shifted by ``s``, in the Sturm form
+    d_i - s - b^2/p_{i-1}; None at the first pivot <= 0, where the half has
+    an eigenvalue at or below ``s``."""
+    piv = d[0] - s
     if piv <= 0.0:
-        return True
+        return None
+    p = [piv]
     t = 2.0 * b2
     for di in d[1:]:
-        piv = di - shift - t / piv
+        piv = di - s - t / piv
         if piv <= 0.0:
-            return True
+            return None
+        p.append(piv)
         t = b2
-    return False
+    return p
 
 
 def _laguerre_step(d, b2, s):
     """Laguerre's step from ``s`` toward the minimum of the even half ``d``,
     from the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, which the pivots'
-    -p'/p and -p''/p build up; None where ``_has_eigenvalue_below(d, b2,
-    s)`` holds."""
+    -p'/p and -p''/p build up; None where ``_pivots(d, b2, s)`` is."""
     piv = d[0] - s
     if piv <= 0.0:
         return None
@@ -107,52 +114,42 @@ def _laguerre_step(d, b2, s):
     return n / den if den > 0.0 else 0.0
 
 
-def _bracket_min(d, b):
-    """Bracket the smallest eigenvalue of the even half ``d`` to width
-    <= 1e-12, testing only mids strictly between the certified no ``below``
-    and yes ``above``.  Seeding ends at a Laguerre step that is no finite
-    advance inside the interval."""
+def _climb(d, b):
+    """A certified no within a few ulps of the minimum of the even half
+    ``d``, and its pivots: the inverse-iteration shift and its factors.
+
+    Laguerre steps climb from the Gershgorin bound until a step is at
+    rounding, <= 4 eps (|x| + 2|b|).  The point x + step they reach is the
+    shift if its pivots are all positive.  Otherwise, as when a step lands
+    on a yes, the shift retreats from that point by w/16, w/8, ..., w, with
+    w the rounding level of the landing, and never below the last
+    certified iterate: it stays within a few ulps of the minimum and moves
+    smoothly with the matrix.  Every try sits eps*w lower, the same double
+    unless the shift is tiny, and w >= 4e-100 eps, so 1/(lam - s), the
+    growth of an inverse iterate, stays below about 1e131."""
     b2 = b * b
     r = 2.0 * abs(b)
-    lo = min(d) - r
-    hi = max(d) + r
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    lo -= pad
-    hi += pad
-    below, above, x = -math.inf, math.inf, lo
-    for _ in range(_MAX_SEED):
+    x = min(d) - r
+    x -= 4.0 * _EPS * (abs(x) + r)
+    below = -math.inf
+    for _ in range(_MAX_CLIMB):
         step = _laguerre_step(d, b2, x)
         if step is None:
-            above = x
-            break
+            break  # rounding carried x onto a yes
         below = x
-        if not below < x + step < hi:
-            break
         x += step
-        if step <= 1e-6 * (abs(x) + r):  # cubic convergence: x is within rounding
+        if step <= 4.0 * _EPS * (abs(below) + r):
             break
-    w = _EPS * (abs(x) + r)
-    for _ in range(_MAX_SEED):
-        t = x + w if x + w < above else x - w
-        if t <= below:
-            break
-        below, above = (below, t) if _has_eigenvalue_below(d, b2, t) else (t, above)
-        w *= 2.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _BRACKET_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
-        elif _has_eigenvalue_below(d, b2, mid):
-            hi = above = mid
-        else:
-            lo = below = mid
-    return lo, hi
+    if below == -math.inf:
+        raise EigenConvergenceError(f"the Gershgorin bound {x!r} is not certified")
+    w = 4.0 * _EPS * max(max(abs(below), abs(x)) + r, 1e-100)
+    # a climb that ended on a yes skips m = 0, the point just refused
+    for m in (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, math.inf)[step is None:]:
+        s = max(below, x - m * w) - _EPS * w
+        p = _pivots(d, b2, s)
+        if p is not None:
+            return s, p
+    raise EigenConvergenceError(f"no certified shift below {x!r}")
 
 
 def _residual_bound(value, scale):
@@ -188,9 +185,12 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     than double precision gives.  A matrix with ||T|| < 1 is solved scaled
     by an exact power of two to ||T|| in [1/2, 1), so down to the smallest
     subnormals the value is as accurate relative to ||T|| as at ||T|| ~ 1
-    and the contract holds with room.  Raises
-    :class:`EigenConvergenceError` if inverse iteration cannot meet it
-    within 50 solves.
+    and the contract holds with room.  The vector comes from inverse
+    iteration at a certified shift a few ulps below the minimum, placed by
+    a Laguerre climb whose last pivot pass supplies the Thomas factors, so
+    one solve usually meets the contract.  Raises
+    :class:`EigenConvergenceError` if no certified shift is found or
+    inverse iteration cannot meet the contract within 50 solves.
     """
     d = np.asarray(diag, dtype=float).tolist()
     n = len(d)
@@ -216,21 +216,10 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
 
     darr = np.array(d)
-    lo, hi = _bracket_min(half, b)
-
-    # Shift strictly below the minimum: T - shift I is a nonsingular M-matrix.
-    shift = lo - max(hi - lo, 4.0 * _EPS * scale)
-
-    # Thomas factorization of (T - shift I) on the half, whose row 0 has
-    # upper coupling 2b; pivots p stay positive.
+    # T - shift I is a nonsingular M-matrix; reuse the certified pivots.
+    _, p = _climb(half, b)
+    m = [b / pi for pi in p[:-1]]
     b0 = 2.0 * b
-    p = [half[0] - shift]
-    m = []
-    c = b0
-    for di in half[1:]:
-        m.append(b / p[-1])
-        p.append(di - shift - c * m[-1])
-        c = b
 
     def solve(u):
         y = u.tolist()

@@ -1,11 +1,10 @@
 """Shared test oracles.
 
 Everything here is deliberately independent of the package's own
-numerics: a dense cyclic-Jacobi eigensolver to check the tridiagonal
-bisection kernel against, the plain Sturm bisection and inverse iteration
-that the seeded kernel must reproduce bit for bit, and brute-force
-quadrature for the frequency moments the closed forms are supposed to
-reproduce.
+numerics: a dense cyclic-Jacobi eigensolver and a dense ground pair of the
+even half to check the tridiagonal kernel against, the yes/no Sturm test
+its shift must pass, and brute-force quadrature for the frequency moments
+the closed forms are supposed to reproduce.
 """
 
 from __future__ import annotations
@@ -44,15 +43,13 @@ def jacobi_eigh(matrix, sweeps: int = 100, tol: float = 1e-14):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if abs(apq) <= 1e-300:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                # Python floats and hypot: theta^2 must not overflow
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                t = math.copysign(1.0 / (abs(theta) + math.hypot(1.0, theta)), theta)
+                c = 1.0 / math.hypot(1.0, t)
                 s = t * c
                 for mat in (a,):
                     colp = mat[:, p].copy()
@@ -79,115 +76,44 @@ def even_spectrum(diag, offdiag) -> np.ndarray:
     return w[np.max(np.abs(v - v[::-1]), axis=0) <= 1e-8]
 
 
-def _sturm_yes(d, b2, shift, b2_first):
+def has_eigenvalue_below(d, b2, shift):
+    """Whether the even half ``d`` (rows k = 0..N of an odd palindromic
+    diagonal, off-diagonal b with b^2 = ``b2``) has an eigenvalue strictly
+    below ``shift``: the yes/no Sturm test, whose LDL^T pivots
+    p_0 = d_0 - s, p_1 = d_1 - s - 2b^2/p_0, p_i = d_i - s - b^2/p_{i-1}
+    count the eigenvalues below s by their negative signs; it stops at the
+    first pivot <= 0 (a zero pivot counts as negative)."""
     piv = d[0] - shift
     if piv <= 0.0:
         return True
-    for i in range(1, len(d)):
-        t = b2_first if i == 1 else b2
-        piv = d[i] - shift - t / piv
+    t = 2.0 * b2
+    for di in d[1:]:
+        piv = di - shift - t / piv
         if piv <= 0.0:
             return True
+        t = b2
     return False
 
 
-def bisect_min_reference(d, b, fold=True):
-    """Plain Sturm bisection of the Gershgorin interval to width <= 1e-12,
-    one test per mid: the bracket the seeded ``eigen._bracket_min`` must
-    return bit for bit.  With ``fold``, ``d`` is the even half k = 0..N of
-    an odd palindrome, whose first coupling product is 2b^2; ``fold=False``
-    bisects tridiag(d, b) itself."""
-    b2 = b * b
-    b2_first = 2.0 * b2 if fold else b2
-    r = 2.0 * abs(b)
-    lo = min(d) - r
-    hi = max(d) + r
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    lo -= pad
-    hi += pad
-    for _ in range(300):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _sturm_yes(d, b2, mid, b2_first):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def min_eigenpair_reference(diag, offdiag, fold=True):
-    """(value, vector, residual) of ``eigen.min_eigenpair`` for offdiag < 0
-    and len(diag) > 1, by the plain bisection and a numpy-array Thomas
-    solve: the numbers the kernel must reproduce bit for bit.
-
-    With ``fold``, the odd-length palindromic diagonal is solved on its
-    even half k = 0..N, whose row 0 has upper coupling 2b (first coupling
-    product 2b^2), and the half is mirrored, as the kernel does;
-    ``fold=False`` solves on all rows, an independent full-grid answer.
-    A matrix with ||T|| < 1 is solved scaled by the power of two 2^e that
-    brings ||T|| into [1/2, 1), and the value and residual scaled back."""
-    eps = np.finfo(float).eps
-    d = [float(v) for v in diag]
-    n = len(d)
-    b = float(offdiag)
-    scale = max(abs(v) for v in d) + 2.0 * abs(b)
-    e = -math.frexp(scale)[1] if scale < 1.0 else 0
-    d = [math.ldexp(v, e) for v in d]
-    b = math.ldexp(b, e)
-    scale = math.ldexp(scale, e)
-    darr = np.array(d)
-    if fold:
-        assert n % 2 == 1 and d == d[::-1]
-        d = d[n // 2:]
-    k = len(d)
-    up = np.full(k - 1, b)
-    if fold:
-        up[0] = 2.0 * b
-    lo, hi = bisect_min_reference(d, b, fold)
-    shift = lo - max(hi - lo, 4.0 * eps * scale)
-    p = np.empty(k)
-    p[0] = d[0] - shift
-    for i in range(1, k):
-        p[i] = d[i] - shift - up[i - 1] * (b / p[i - 1])
-
-    def solve(u):
-        y = np.empty(k)
-        y[0] = u[0]
-        for i in range(1, k):
-            y[i] = u[i] - (b / p[i - 1]) * y[i - 1]
-        v = np.empty(k)
-        v[k - 1] = y[k - 1] / p[k - 1]
-        for i in range(k - 2, -1, -1):
-            v[i] = (y[i] - up[i] * v[i + 1]) / p[i]
-        return np.concatenate((v[:0:-1], v)) if fold else v
-
-    def bound(value):
-        return max(1e-10 * (1.0 + abs(value)), 100.0 * eps * scale)
-
-    u = np.full(k, 1.0 / np.sqrt(n))
-    best = None
-    prev = np.inf
-    for it in range(1, 51):
-        v = solve(u)
-        v /= np.linalg.norm(v)
-        tv = darr * v
-        tv[:-1] += b * v[1:]
-        tv[1:] += b * v[:-1]
-        lam = float(v @ tv)
-        res = float(np.linalg.norm(tv - lam * v))
-        if best is None or res < best[2]:
-            best = (lam, v, res)
-        if res <= 0.5 * bound(lam):
-            break
-        if it >= 3 and res >= 0.9 * prev:
-            break
-        prev = res
-        u = v[n - k:]
-    lam, v, res = best
-    return math.ldexp(lam, -e), v, math.ldexp(res, -e)
+def even_ground_pair(diag, offdiag, eigh=jacobi_eigh):
+    """(value, vector) of the ground state of tridiag(diag, offdiag) for an
+    odd palindromic ``diag`` and offdiag < 0, from a dense solve of its even
+    half: rows k = 0..N with couplings sqrt(2) b, b, ..., symmetric and
+    similar to the half ``eigen`` solves.  ``eigh`` is the dense solver
+    (``jacobi_eigh`` or ``np.linalg.eigh``); the matrix is scaled by a power
+    of two to ||T|| in [1/2, 1) for it, as Jacobi's stopping test is
+    absolute.  The vector is mirrored onto k = -N..N and has unit norm."""
+    d = np.asarray(diag, dtype=float)
+    n = d.size
+    half = d[n // 2:]
+    e = -math.frexp(float(np.max(np.abs(d))) + 2.0 * abs(offdiag))[1]
+    off = np.full(half.size - 1, math.ldexp(offdiag, e))
+    off[0] *= math.sqrt(2.0)
+    w, v = eigh(np.diag(np.ldexp(half, e)) + np.diag(off, 1) + np.diag(off, -1))
+    x = np.abs(v[:, 0])
+    x[0] *= math.sqrt(2.0)
+    x = np.concatenate((x[:0:-1], x))
+    return math.ldexp(float(w[0]), -e), x / np.linalg.norm(x)
 
 
 def freq_moments_quad(x: Sequence, npts: int = 1 << 16):

@@ -212,11 +212,11 @@ def test_dual_solve_is_robust(taps):
 
 def test_residual_floor_bounds_long_grids():
     # on 1001 taps ||T|| = 500^2 + lambda1, so 100 ulps of it (5.6e-9) is
-    # looser than 1e-10 * (1 + |lambda2|) (2.4e-9), and this certified design
-    # sits between the two: the ulp floor is the bound that holds
+    # looser than 1e-10 * (1 + |lambda2|) (2.4e-9), and the contract takes
+    # the looser of the two; with a shift a few ulps below the minimum this
+    # certified design's residual (5e-13) is now far inside both
     res = design_max_compact(0.15375687591624407, 1001)
     assert res.status == "ok"
-    assert res.eig_residual > 1e-10 * (1.0 + abs(res.lambda2))
     assert res.eig_residual <= _residual_bound(res.lambda2, 500**2 + res.lambda1)
 
 

@@ -1,10 +1,12 @@
 """Property tests for the designer and the CLI: ``ok`` designs sit inside the
-analytic envelope, the optimal time spread falls as sigma2 grows, and CLI
-output bytes are a pure function of the argv."""
+analytic envelope with symmetric, nonnegative taps, the optimal time spread
+falls as sigma2 grows, and CLI output bytes are a pure function of the
+argv."""
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -27,6 +29,11 @@ def test_ok_design_inside_envelope(sigma2):
     res = design_max_compact(sigma2, taps=201)
     if res.status == "ok":
         assert eta_lower(sigma2) <= res.eta_p <= eta_upper(sigma2)
+        # the sign contract: the taps are the ground state of an M-matrix,
+        # exactly symmetric and entrywise nonnegative
+        taps = res.sequence.taps
+        assert np.array_equal(taps, taps[::-1]) and np.all(taps.real >= 0.0)
+        assert not np.any(taps.imag)
 
 
 # sigma2 = 10^(e/8) for e in [-24, 8]: 1e-3 .. 10, a factor 1.33 apart at least

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import even_spectrum, jacobi_eigh, tridiag_dense
+from helpers import even_spectrum, has_eigenvalue_below, jacobi_eigh, tridiag_dense
 
-from compactseq.eigen import (
-    EigenPair,
-    _bracket_min,
-    _has_eigenvalue_below,
-    min_eigenpair,
-)
+from compactseq.eigen import _EPS, EigenPair, _climb, _pivots, min_eigenpair
 
 
 def test_oracle_self_check():
@@ -59,11 +54,14 @@ def test_eigenvalue_count():
     d = [0.0] * 5
     b = 0.5
     # spectrum is cos(j*pi/6), j = 1..5, with even vectors for odd j; the
-    # test runs on the even half; probe strictly between eigenvalues
+    # test runs on the even half; probe strictly between eigenvalues; the
+    # kernel's pivot pass refuses exactly the shifts the Sturm test says yes to
     w = even_spectrum(d, b)
     assert np.allclose(w, np.cos(np.pi * np.array([5, 3, 1]) / 6.0), atol=1e-12)
     for shift in (-2.0, -0.6, -0.2, 0.31, 0.75, 2.0):
-        assert _has_eigenvalue_below(d[2:], b * b, shift) == bool(np.any(w < shift))
+        below = bool(np.any(w < shift))
+        assert has_eigenvalue_below(d[2:], b * b, shift) == below
+        assert (_pivots(d[2:], b * b, shift) is None) == below
 
 
 def test_matches_jacobi_random():
@@ -135,9 +133,10 @@ def test_min_eigenvalue_concave_in_lam1():
 
 
 def test_tolerance_controls_bracket():
-    # the bracket is 1e-12 wide, so the midpoint is within 1e-11; the half
-    # of tridiag({0} * 7, -1/2), whose minimum is -cos(pi/8)
+    # the climb's shift and the minimum bracket the ground value to a few
+    # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({0} * 7, -1/2),
+    # whose minimum is -cos(pi/8)
     exact = -math.cos(math.pi / 8)
-    lo, hi = _bracket_min([0.0] * 4, -0.5)
-    assert hi - lo <= 1e-12
-    assert abs(0.5 * (lo + hi) - exact) < 1e-11
+    shift, piv = _climb([0.0] * 4, -0.5)
+    assert min(piv) > 0.0
+    assert 0.0 < exact - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 1.0)

@@ -3,9 +3,11 @@
 An odd-length diagonal that equals its reverse, as diag(k^2) on k = -N..N
 does, has an even ground state, so the kernel solves it on the rows
 k = 0..N with 2b^2 as the first coupling product and mirrors the half.
-The folded solve must agree with the unfolded one on all rows to rounding,
-return a vector that equals its reverse bit for bit, and be what the
-designer and the Mathieu evaluator actually run.
+The folded solve must agree on all rows, to rounding, with a dense solve
+(LAPACK through ``np.linalg.eigh``, on the symmetrized even half the
+unfolded grid's ground state lives on), return a vector that equals its
+reverse bit for bit, and be what the designer and the Mathieu evaluator
+actually run.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from helpers import min_eigenpair_reference  # noqa: E402
+from helpers import even_ground_pair  # noqa: E402
 from test_eigen_seed import PROPS, k2_family  # noqa: E402
 
 from compactseq import design, eigen, mathieu  # noqa: E402
@@ -34,7 +36,7 @@ def palindromes(draw):
 @given(k2_family)
 def test_folded_solve_matches_the_unfolded_one(case):
     diag, offdiag = case
-    lam, vec, _ = min_eigenpair_reference(diag, offdiag, fold=False)
+    lam, vec = even_ground_pair(diag, offdiag, eigh=np.linalg.eigh)
     pair = eigen.min_eigenpair(diag, offdiag)
     assert abs(pair.value - lam) <= 1e-13 * (1.0 + abs(lam))
     assert np.max(np.abs(pair.vector - vec)) <= 1e-12
@@ -54,7 +56,7 @@ def test_folded_vector_is_mirrored_bit_for_bit(case):
 
 def test_runtime_solves_are_folded(monkeypatch):
     # every ground solve of the designer and of the Mathieu evaluator
-    # brackets N + 1 rows of its 2N + 1
+    # climbs on N + 1 rows of its 2N + 1
     full, folded = [], []
 
     def record(rows, fn):
@@ -63,7 +65,7 @@ def test_runtime_solves_are_folded(monkeypatch):
             return fn(d, *args)
         return wrapped
 
-    monkeypatch.setattr(eigen, "_bracket_min", record(folded, eigen._bracket_min))
+    monkeypatch.setattr(eigen, "_climb", record(folded, eigen._climb))
     monkeypatch.setattr(design, "min_eigenpair", record(full, design.min_eigenpair))
     monkeypatch.setattr(mathieu, "min_eigenpair", record(full, mathieu.min_eigenpair))
     for sigma2, taps in ((1e-3, 201), (0.1, 201), (10.0, 1001)):

@@ -1,12 +1,15 @@
-"""The Laguerre-seeded bisection against the plain one.
+"""The Laguerre climb that places the inverse-iteration shift.
 
-``eigen._bracket_min`` skips the Sturm tests whose verdict a Laguerre step
-or an earlier test already fixes, so it must return exactly the bracket of
-the plain bisection in ``helpers.bisect_min_reference``, and
-``min_eigenpair`` exactly the value, vector and residual of
-``helpers.min_eigenpair_reference``.  A work-count bound keeps the seed
-from silently falling back to one test per mid.
+``eigen._climb`` steps from the Gershgorin bound to the minimum of the even
+half and returns a shift with its LDL^T pivots, which inverse iteration
+reuses as its factors.  The shift must be a certified no (every pivot
+positive, and ``helpers.has_eigenvalue_below`` agrees) within a few
+rounding levels of the minimum, ``min_eigenpair`` must agree with the
+dense Jacobi oracle, and a work-count bound keeps the climb from silently
+taking more passes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,15 +17,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import bisect_min_reference, min_eigenpair_reference  # noqa: E402
+from helpers import even_ground_pair, has_eigenvalue_below  # noqa: E402
 
 from compactseq import design, eigen  # noqa: E402
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
+
 # the pencil A - lambda1*B on k = -N..N, as the designer and Mathieu build it
 k2_family = st.tuples(
     st.integers(1, 1000).map(lambda h: 2 * h + 1),
+    st.floats(-8.0, 12.0).map(lambda e: 10.0**e),
+).map(lambda nl: ((np.arange(nl[0], dtype=float) - nl[0] // 2) ** 2, -0.5 * nl[1]))
+# the same on grids small enough for the dense Jacobi oracle
+k2_small = st.tuples(
+    st.integers(1, 30).map(lambda h: 2 * h + 1),
     st.floats(-8.0, 12.0).map(lambda e: 10.0**e),
 ).map(lambda nl: ((np.arange(nl[0], dtype=float) - nl[0] // 2) ** 2, -0.5 * nl[1]))
 
@@ -47,27 +56,67 @@ def scaled_palindromes(draw):
     return [v * scale for v in values], -draw(st.floats(0.0, 1.0)) * scale
 
 
+def _climbs(diag, offdiag):
+    """The (half, b, shift, pivots) of every climb ``min_eigenpair`` makes,
+    on the matrix it solves (scaled to ||T|| >= 1/2)."""
+    seen = []
+
+    def record(d, b):
+        s, p = climb(d, b)
+        seen.append((d, b, s, p))
+        return s, p
+
+    climb = eigen._climb
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigen, "_climb", record)
+        eigen.min_eigenpair(diag, offdiag)
+    return seen
+
+
+def _assert_certified_no_near_minimum(diag, offdiag):
+    for d, b, s, p in _climbs(diag, offdiag):
+        assert len(p) == len(d) and min(p) > 0.0
+        assert not has_eigenvalue_below(d, b * b, s)
+        # a few rounding levels below the minimum: w = 4 eps (|s| + 2|b|),
+        # floored where the kernel keeps 1/(lam - s) finite
+        w = 4.0 * eigen._EPS * max(abs(s) + 2.0 * abs(b), 1e-100)
+        assert has_eigenvalue_below(d, b * b, s + 4.0 * w)
+
+
+@PROPS
+@given(scaled_palindromes())
+def test_shift_is_a_certified_no(case):
+    # random, repeated and constant halves at scales 10^+-150
+    _assert_certified_no_near_minimum(*case)
+
+
+@PROPS
+@given(k2_family)
+def test_folded_shift_is_a_certified_no(case):
+    # the even half k = 0..N of the k^2 grid with first coupling product
+    # 2b^2, as ``min_eigenpair`` solves every design and Mathieu grid
+    _assert_certified_no_near_minimum(*case)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.one_of(k2_family, scaled_palindromes()))
-def test_eigenpair_is_bit_identical_to_plain_algorithm(case):
+@given(st.one_of(k2_small, scaled_palindromes()))
+def test_eigenpair_matches_jacobi(case):
     diag, offdiag = case
     if len(diag) == 1 or offdiag == 0.0:
         return  # no solve: the diagonal answer is returned directly
-    ref = min_eigenpair_reference(diag, offdiag)
-    try:
-        pair = eigen.min_eigenpair(diag, offdiag)
-    except eigen.EigenConvergenceError as exc:
-        # the plain algorithm's best iterate misses the bound as well
-        assert f"residual {ref[2]:.3e} " in str(exc)
-        return
-    assert (pair.value, pair.residual) == (ref[0], ref[2])
-    assert np.array_equal(pair.vector, ref[1])
+    norm_t = max(abs(v) for v in diag) + 2.0 * abs(offdiag)
+    lam, vec = even_ground_pair(diag, offdiag)
+    pair = eigen.min_eigenpair(diag, offdiag)
+    assert abs(pair.value - lam) <= 1e-13 * norm_t
+    assert pair.residual <= eigen._residual_bound(pair.value, norm_t)
+    assert np.array_equal(pair.vector, pair.vector[::-1]) and np.all(pair.vector >= 0.0)
+    assert abs(math.fsum(pair.vector**2) - 1.0) <= 1e-14
 
 
-def test_seed_replaces_most_sturm_tests(monkeypatch):
-    # the ground solves of a sigma2 sweep at 201 taps; plain bisection
-    # makes about 53 Sturm tests per solve
-    counts = dict.fromkeys(("solves", "passes", "tests"), 0)
+def test_climb_work_is_bounded(monkeypatch):
+    # the ground solves of a sigma2 sweep at 201 taps: about 4 Laguerre
+    # passes and 1 pivot pass each
+    counts = dict.fromkeys(("solves", "passes", "pivots"), 0)
 
     def counting(key, fn):
         def wrapped(*args):
@@ -75,32 +124,11 @@ def test_seed_replaces_most_sturm_tests(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(eigen, "_bracket_min", counting("solves", eigen._bracket_min))
+    monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
     monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
-    monkeypatch.setattr(
-        eigen, "_has_eigenvalue_below", counting("tests", eigen._has_eigenvalue_below)
-    )
+    monkeypatch.setattr(eigen, "_pivots", counting("pivots", eigen._pivots))
     for sigma2 in np.geomspace(3e-4, 10.0, 69):
         design.design_max_compact(float(sigma2), 201)
     assert counts["solves"] >= 69
     assert counts["passes"] <= 6 * counts["solves"]
-    assert counts["tests"] <= 8 * counts["solves"]
-
-
-@PROPS
-@given(scaled_palindromes())
-def test_bracket_is_bit_identical_to_plain_bisection(case):
-    # random, repeated and constant halves at scales 10^+-150
-    diag, offdiag = case
-    half = np.asarray(diag, dtype=float).tolist()[len(diag) // 2:]
-    assert eigen._bracket_min(half, offdiag) == bisect_min_reference(half, offdiag)
-
-
-@PROPS
-@given(k2_family)
-def test_folded_bracket_is_bit_identical_to_plain_bisection(case):
-    # the even half k = 0..N of the k^2 grid with first coupling product
-    # 2b^2, as ``min_eigenpair`` brackets every design and Mathieu grid
-    diag, offdiag = case
-    half = np.asarray(diag, dtype=float).tolist()[len(diag) // 2:]
-    assert eigen._bracket_min(half, offdiag) == bisect_min_reference(half, offdiag)
+    assert counts["pivots"] <= 2 * counts["solves"]

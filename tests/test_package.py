@@ -5,7 +5,8 @@ A stale ``__all__`` entry breaks nothing but ``from ... import *``, and a
 name the package root re-exports without listing it in its module's
 ``__all__`` is public by accident, so neither shows in the unit tests.
 The import scan keeps the rule that ``compactseq`` needs only the standard
-library and numpy at run time (scipy and hypothesis are test-only).
+library and numpy at run time (scipy and hypothesis are test-only), and a
+private helper that only the tests call belongs in ``tests/helpers.py``.
 """
 
 import ast
@@ -52,3 +53,27 @@ def test_runtime_imports_are_stdlib_or_numpy(path):
             continue
         for root in roots:
             assert root in allowed, f"{path.name}:{node.lineno} imports {root}"
+
+
+def test_private_names_have_a_runtime_use():
+    # every module-level _name is read somewhere in the package itself
+    defined, used = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((n, path.name) for n in names if n[:1] == "_" and n[:2] != "__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(f"{where}:{name}" for name, where in defined.items() if name not in used)
+    assert not unused, f"private names with no runtime use: {unused}"

@@ -3,9 +3,9 @@
 On the grid k = -N..N, P has diagonal k^2 - lambda2 and constant
 off-diagonal -lambda1/2.  It is semidefinite iff lambda2 <= lambda_min of
 A - lambda1*B, so its verdict is the yes/no Sturm test
-``_has_eigenvalue_below`` at shift 0 on the even half k = 0..N, which holds
-the minimum; the two forms x'Ax and x'Bx are the ones ``ground_state``
-evaluates.
+``helpers.has_eigenvalue_below`` at shift 0 on the even half k = 0..N,
+which holds the minimum; the two forms x'Ax and x'Bx are the ones
+``ground_state`` evaluates.
 """
 
 import math
@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import jacobi_eigh, tridiag_dense
+from helpers import has_eigenvalue_below, jacobi_eigh, tridiag_dense
 
 from compactseq.design import ground_state
-from compactseq.eigen import _has_eigenvalue_below, min_eigenpair
+from compactseq.eigen import min_eigenpair
 from compactseq.spreads import measure
 from compactseq.windows import three_tap
 
@@ -29,7 +29,7 @@ def _pencil(half_len, lam1, lam2):
 def _has_below(half_len, lam1, lam2, shift=0.0):
     """Whether P has an eigenvalue below ``shift``; at 0, whether P is not PSD."""
     diag, off = _pencil(half_len, lam1, lam2)
-    return _has_eigenvalue_below(diag[half_len:], off * off, shift)
+    return has_eigenvalue_below(diag[half_len:], off * off, shift)
 
 
 def _in_cone(lam1, lam2):
