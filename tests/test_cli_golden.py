@@ -70,31 +70,31 @@ CASES = _cases()
 SEQ_OUTPUT_ARGV = ("design", "--sigma2", "0.1", "--taps", "201", "--seq-output")
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "ed761c110a246bf0b7a527721c09ad7c7e2db745f4e494628b7bc0f6e784d13a",
-    "design --sigma2 3e-4 --taps 201 --format csv": "2b3bb5607203296ab088d01a9692f6df2d0739d4e3f574176776c0c84a16e021",
-    "design --sigma2 3e-4 --taps 1001 --format json": "062a735e5ea00c9f935d11035d876ac50eb4ddd304d5eddfdc2d559e746c5367",
-    "design --sigma2 3e-4 --taps 1001 --format csv": "f8160660bccde400e66f4a29da40507cc992f498be15d9e338b74a013eaf3edf",
-    "design --sigma2 1e-3 --taps 201 --format json": "b9217fdcf6fbf0f33e91cbc328e756238a197e8ea8f6a5be9e458a412fc838b3",
-    "design --sigma2 1e-3 --taps 201 --format csv": "931aff3ab84b99686031656a25734ce868a748ec189fd245f04a0036a4776f76",
-    "design --sigma2 1e-3 --taps 1001 --format json": "aafb2f6c16e52b52c79a044c067d7132bf2d33534f23267fba6a721f5041c3b9",
-    "design --sigma2 1e-3 --taps 1001 --format csv": "28c33bf26a7c28a8830e0b4dc632daa17deb3eb6ba4420a2682c0b22cc9de088",
-    "design --sigma2 0.1 --taps 201 --format json": "68c9b7fbfef0368dba90e43eb17d2d102c600145fa6639837f2127937af734c6",
-    "design --sigma2 0.1 --taps 201 --format csv": "f87e6d95e716de7b7d23449ef9239689cfcfd8b5d5eeea9245376827e459374f",
-    "design --sigma2 0.1 --taps 1001 --format json": "81b9217e84be014b1de2bbceed944a35dc1d7982ae1ed383af58c264849438c1",
-    "design --sigma2 0.1 --taps 1001 --format csv": "9e943cbd140a21665dc34c7ca6a3e1623eb35a57cc5c7dd832e69b38289d2d80",
-    "design --sigma2 10 --taps 201 --format json": "87fdbc401378fd4d01f03a378d5c38bf2a929dfa515571ce64ed54d22920fd34",
-    "design --sigma2 10 --taps 201 --format csv": "71c9fe2373246f33039d0f38a7ebc4efa16d731039bf6ae24df81be21d13ba74",
-    "design --sigma2 10 --taps 1001 --format json": "50446f9b4690461febbb120ee21a9a851b914a11c5df9b380e2bc30be2239a94",
-    "design --sigma2 10 --taps 1001 --format csv": "b05135f19c9c5b9f3f2c82729510f780c23d6110831a4e60c4570ea747dcbfcc",
-    "curve --format csv": "09e26f54aec8c86e279b1c2228c3e12d3efe3927293fbb9580f38aeb1bb2bd35",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "053c2ed1e9d6b879429e39454578cf611aa2920057e96b9132cc9917ff739926",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "45942c34f0562fc5b655c1cc3e85691464927e0bcdd0d7d5cb6e807d9a2d30a8",
-    "curve --format json": "5f002808d9d3b3e2edb2f9c2739f92fe724d4525569943b84b385821c597562b",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "e551f6188dabcf0e87c852115fe1457f33871fbc791ad0972a37f53448bfa639",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "0049e7f30a7dc235bf350b90165c68413a98a1e963914ff69761ec7ac48bf0b9",
-    "mathieu": "b2abe327cf5b470ce50c6aec12c2815b30860f3a8fb4856298dc5d0f7d63092e",
-    "mathieu --q -2.5": "30969ca0e33705a63c2973e36f09c818e1def30f312a5f594198cc0c11a795ec",
-    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "03b61e0b5ad407bb75630c8a7152dc3e1e14df4a583d426a4a69a840bfafdc5a",
+    "design --sigma2 3e-4 --taps 201 --format json": "a66ceabbc78988fa12b87cc210a7b06d81e27bcb6f5a60880250c31e392cf150",
+    "design --sigma2 3e-4 --taps 201 --format csv": "d08c26fa535504d326e251b64e85d8b411879009a1ccc0caba55f99422e4097b",
+    "design --sigma2 3e-4 --taps 1001 --format json": "2c532140ab943670da9279de5bd3b1f287a85d43b8d535e6388f91b330a31b19",
+    "design --sigma2 3e-4 --taps 1001 --format csv": "50e5dd8f0b8840f4a66178dcba98da62d7367f58de1a580bfac1c9f568591512",
+    "design --sigma2 1e-3 --taps 201 --format json": "c2dd8c410bf157dc9b7e004d06d0934b5d2da241e3d526532ed8fed612c632f2",
+    "design --sigma2 1e-3 --taps 201 --format csv": "c48e44f850a8cceccacd33e391f5bb37b5c717ae0c39315611c78d292e5ad4ce",
+    "design --sigma2 1e-3 --taps 1001 --format json": "6d600622e868b10b1183f728ce62e8f46958dfc07aeeec74c5300a05f98a249e",
+    "design --sigma2 1e-3 --taps 1001 --format csv": "42df2f29ac20a83d47ce46ad3e20c82dbbf25afaa3aec51b6448195c814c1519",
+    "design --sigma2 0.1 --taps 201 --format json": "7d5f517aa0beb0b65e46bb840a753e9596d79e28bb26f9ec9ba3905fd8a0aae6",
+    "design --sigma2 0.1 --taps 201 --format csv": "abd0cbf20031a3cdc13e232732c74f25c68e60d509b94ef0a97483a68ad1ba52",
+    "design --sigma2 0.1 --taps 1001 --format json": "9ab9b8d547b7db0fa00017e1f3eeef8c2d7a9a2dd8124fa3e378d4f8a4afec2b",
+    "design --sigma2 0.1 --taps 1001 --format csv": "5cd17a3cb66ea976d7a8899e7619eec3291e59931c49ab8ec6d8ca5329894bbe",
+    "design --sigma2 10 --taps 201 --format json": "45511c573602ed2b04fb2619ff97388c5f5ba807f5590cb27230766c56c0bb56",
+    "design --sigma2 10 --taps 201 --format csv": "a33eb7fdb7ba7389ea47b39ae20961f6a7a7a92c97e0bcad131d0d720dc2a072",
+    "design --sigma2 10 --taps 1001 --format json": "2d9c0e05d8bb9b8faa231d876bb94a451f3e779c6eef103bce87737ea1302626",
+    "design --sigma2 10 --taps 1001 --format csv": "2181aebdfd19ea8e1a73e132e86e1d45d9928a1dd88c4c83bac54bb92d153534",
+    "curve --format csv": "34a42b0077b304114f902b5a0f3f9f6805a2f2c9dbfc06cde333b38688afbc74",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "be9259b1b4d60589f40f62778486cc9adb3d695605f2250d9671e4622332dea4",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "0f0379835482c49643ce5c044b55cbb2fb50e34263d492d1b3287d2609b3234d",
+    "curve --format json": "0e9087ddcb305c9c0f91d8f59becf987036122c4eaf3a0e5cb81c60466e7cf6f",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "e5392f7b61dfcdc94d54aedf1c75633a53d867a0b6f50a9170208a8d758df078",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "ca55fa7b0512a3a39aedbcd9f78f4c5950998c15a99f943a2bc1076cebaf66e4",
+    "mathieu": "85e10c905963eb0420122981dbda2bb305758588a27232d0e77c5074cb685bc9",
+    "mathieu --q -2.5": "4fbaeb221650e8434aa04df9a3d5992f1b7b1bf00a6e693d5f4654f494aa492b",
+    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "ce7d9614bdd7533ebf35df4aa61ef006565a7c4da2295d58a8262bb630fcc6e7",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
     "analyze --input ex1.seq --format csv": "7d7b33eaf9b837a1c04ce2e0090dca196e83c0690ac6bb6b4bcf1d2c4c5be421",
@@ -106,7 +106,7 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "0c6d903d667749f39e57d55176a31c980d78e69abea74ef68d140608dab5d54e",
+    "--seq-output": "dfceb3f3c1e2c0fb8e3cfad04fd5c191deae00a74b6ad4120133340ba4841c64",
 }
 
 
