@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the package's own
 numerics: a dense cyclic-Jacobi eigensolver and a dense ground pair of the
 even half to check the tridiagonal kernel against, the yes/no Sturm test
-its shift must pass, and brute-force quadrature for the frequency moments
-the closed forms are supposed to reproduce.
+its shift must pass, brute-force quadrature for the frequency moments
+the closed forms are supposed to reproduce, and a line-by-line parser of
+the sequence text format.
 """
 
 from __future__ import annotations
@@ -150,3 +151,31 @@ def random_sequences(rng: np.random.Generator, count: int, max_len: int = 12):
             taps[0] = 1.0
         out.append(Sequence(taps, int(rng.integers(-8, 9))))
     return out
+
+
+def parse_sequence_reference(text: str) -> Sequence:
+    """The sequence text format read one line at a time: blank lines are
+    skipped, ``#`` lines are comments of which ``# offset=<int>`` sets the
+    offset (the last one wins), and every other line is one tap, ``re`` or
+    ``re im``, each token read by ``float``."""
+    offset = 0
+    taps = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("offset="):
+                offset = int(body[len("offset="):])
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            taps.append(complex(float(parts[0]), 0.0))
+        elif len(parts) == 2:
+            taps.append(complex(float(parts[0]), float(parts[1])))
+        else:
+            raise ValueError(f"bad sequence line: {raw!r}")
+    if not taps:
+        raise ValueError("no taps found")
+    return Sequence(np.array(taps), offset)
