@@ -13,6 +13,7 @@ offset 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,9 +41,9 @@ class Sequence:
         taps = np.atleast_1d(np.asarray(self.taps, dtype=np.complex128))
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a nonempty 1-d array")
-        if not np.all(np.isfinite(taps.real) & np.isfinite(taps.imag)):
+        if not np.isfinite(taps).all():
             raise ValueError("taps must be finite")
-        if not np.any(taps != 0):
+        if not taps.any():
             raise ValueError("sequence must have at least one nonzero tap")
         if self.offset != int(self.offset):
             raise ValueError("offset must be an integer")
@@ -107,28 +108,41 @@ def autocorrelation(x: Sequence, m: int) -> complex:
 # serialization
 
 def parse_sequence(text: str) -> Sequence:
-    """Parse the ``re im`` per-line text format (optional offset header)."""
+    """Parse the sequence text format (see the module docstring).
+
+    Every line is split once; the few ``#`` lines are read for the offset
+    and dropped, and all remaining tokens are converted by one ``float``
+    map, so each tap is bit for bit ``complex(float(re), float(im))``.
+    """
+    lines = text.splitlines()
+    rows = list(map(str.split, lines))
     offset = 0
-    taps = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
+    if "#" in text:
+        for i in [i for i, row in enumerate(rows) if row and row[0][0] == "#"]:
+            body = lines[i].strip()[1:].strip()
             if body.startswith("offset="):
                 offset = int(body[len("offset="):])
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            taps.append(complex(float(parts[0]), 0.0))
-        elif len(parts) == 2:
-            taps.append(complex(float(parts[0]), float(parts[1])))
-        else:
-            raise ValueError(f"bad sequence line: {raw!r}")
-    if not taps:
+            rows[i] = []
+    widths = list(map(len, rows))
+    if max(widths, default=0) > 2:
+        wide = next(i for i, n in enumerate(widths) if n > 2)
+        raise ValueError(f"bad sequence line: {lines[wide]!r}")
+    count = sum(widths)
+    if not count:
         raise ValueError("no taps found")
-    return Sequence(np.array(taps), offset)
+    vals = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64, count=count)
+    if not widths.count(1):
+        return Sequence(vals.view(np.complex128), offset)
+    if not widths.count(2):
+        return Sequence(vals, offset)
+    # mixed columns: a one-column line is the tap (re, 0.0)
+    n = np.array(widths)
+    n = n[n > 0]
+    end = np.cumsum(n)
+    pairs = np.zeros((n.size, 2))
+    pairs[:, 0] = vals[end - n]
+    pairs[n == 2, 1] = vals[end[n == 2] - 1]
+    return Sequence(pairs.view(np.complex128).reshape(-1), offset)
 
 
 def read_sequence(path) -> Sequence:

@@ -36,12 +36,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence import Sequence, autocorrelation, norm2
+from .sequence import Sequence, autocorrelation
 
 __all__ = ["SpreadReport", "measure"]
 
 _TINY = np.finfo(float).tiny
 _MAX_EXPONENT = 256
+# -0.0 read as an int64 is the smallest int64
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
+
+
+def _scaled(x: Sequence, e: int) -> Sequence:
+    """``x`` with its taps times 2^-e, bit for bit as the complex sum
+    ldexp(re, -e) + 1j*ldexp(im, -e) forms them.
+
+    That sum turns a -0.0 imaginary part into 0.0, and a -0.0 real part
+    into 0.0 unless the imaginary part is negative or -0.0.  The sign of an
+    exactly zero tau or mu_wl follows from those zeros, so taps holding a
+    -0.0 go through the sum; all others are scaled as float pairs, and
+    ``x`` itself is returned when e = 0.  The result is not validated
+    again: measure's power of two keeps every tap finite and the largest
+    one nonzero.
+    """
+    v = x.taps.view(np.float64)
+    if e:
+        v = np.ldexp(v, -e)
+    if v.view(np.int64).min() == _NEGATIVE_ZERO:
+        taps = v[0::2] + 1j * v[1::2]
+    elif e:
+        taps = v.view(np.complex128)
+    else:
+        return x
+    taps.setflags(write=False)
+    y = object.__new__(Sequence)
+    object.__setattr__(y, "taps", taps)
+    object.__setattr__(y, "offset", x.offset)
+    return y
 
 
 def _rho(x: Sequence, r0: float) -> np.ndarray:
@@ -93,14 +123,22 @@ def measure(x: Sequence) -> SpreadReport:
     unsquared ratios, so it stays accurate even where delta_n2 rounds to
     0 and delta_wp2 to infinity.
     """
-    _, e = np.frexp(np.max(np.abs(x.taps)))
-    e -= min(max(int(e), 0), _MAX_EXPONENT)
-    x = Sequence(np.ldexp(x.taps.real, -e) + 1j * np.ldexp(x.taps.imag, -e), x.offset)
-    r0 = norm2(x)
+    real = not x.taps.imag.any()
+    a = np.abs(x.taps.real if real else x.taps)
+    e = math.frexp(float(a.max()))[1]
+    e -= min(max(e, 0), _MAX_EXPONENT)
+    x = _scaled(x, e)
+    if e:
+        # |re| scales exactly; a complex modulus is taken again, as hypot
+        # rounds differently near the subnormal range
+        a = np.ldexp(a, -e) if real else np.abs(x.taps)
+    a2 = a**2
+    r0 = float(a2.sum())
     k = x.indices
-    w = np.abs(x.taps) ** 2 / r0
+    w = a2 / r0
     mu_n = float(w @ k)
-    dn2 = float(w @ (k - mu_n) ** 2)
+    dk = k - mu_n
+    dn2 = float(w @ dk**2)
 
     tau = autocorrelation(x, 1) / r0
     t = abs(tau)
@@ -117,16 +155,20 @@ def measure(x: Sequence) -> SpreadReport:
         # is below the normal range, form dn2 * (1 - t2)/t2 from unsquared
         # ratios; a product beyond the float range is inf.
         with np.errstate(over="ignore"):
-            z = np.abs(x.taps) * (k - mu_n) / (math.sqrt(r0) * t)
+            z = a * dk / (math.sqrt(r0) * t)
             eta_p = float(z @ z) * (1.0 - t2)
     else:
         eta_p = dn2 * dwp2
 
     rho = _rho(x, r0)
     m = np.arange(1, len(x))
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    mu_wl = float(2.0 * np.sum(signs * rho.imag / m))
-    dwl2 = float(math.pi**2 / 3.0 + 4.0 * np.sum(signs * rho.real / m**2) - mu_wl * mu_wl)
+    # the terms (-1)^m rho_m / m and (-1)^m rho_m / m^2: odd lags negated
+    im = rho.imag / m
+    im[::2] *= -1.0
+    re = rho.real / m**2
+    re[::2] *= -1.0
+    mu_wl = float(2.0 * im.sum())
+    dwl2 = float(math.pi**2 / 3.0 + 4.0 * re.sum() - mu_wl * mu_wl)
     return SpreadReport(
         mu_n=mu_n,
         delta_n2=dn2,
