@@ -42,31 +42,19 @@ __all__ = ["SpreadReport", "measure"]
 
 _TINY = np.finfo(float).tiny
 _MAX_EXPONENT = 256
-# -0.0 read as an int64 is the smallest int64
-_NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
 def _scaled(x: Sequence, e: int) -> Sequence:
-    """``x`` with its taps times 2^-e, bit for bit as the complex sum
-    ldexp(re, -e) + 1j*ldexp(im, -e) forms them.
+    """``x`` with its taps times 2^-e, ``x`` itself when e = 0.
 
-    That sum turns a -0.0 imaginary part into 0.0, and a -0.0 real part
-    into 0.0 unless the imaginary part is negative or -0.0.  The sign of an
-    exactly zero tau or mu_wl follows from those zeros, so taps holding a
-    -0.0 go through the sum; all others are scaled as float pairs, and
-    ``x`` itself is returned when e = 0.  The result is not validated
+    The taps are scaled as float pairs and the result is not validated
     again: measure's power of two keeps every tap finite and the largest
-    one nonzero.
+    one nonzero.  Signed zeros keep their sign, which no measure shows:
+    each reads a tap through |x_k| or through a sum that starts at +0.
     """
-    v = x.taps.view(np.float64)
-    if e:
-        v = np.ldexp(v, -e)
-    if v.view(np.int64).min() == _NEGATIVE_ZERO:
-        taps = v[0::2] + 1j * v[1::2]
-    elif e:
-        taps = v.view(np.complex128)
-    else:
+    if not e:
         return x
+    taps = np.ldexp(x.taps.view(np.float64), -e).view(np.complex128)
     taps.setflags(write=False)
     y = object.__new__(Sequence)
     object.__setattr__(y, "taps", taps)

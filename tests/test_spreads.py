@@ -163,6 +163,31 @@ def test_rho_equals_the_per_lag_sums(rho_calls):
             assert not np.any(rho[::2])
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.01, 1e-310, 1e300])
+def test_signed_zero_taps_do_not_show(scale):
+    # measure keeps a -0.0 tap as it is; every measure reads the taps
+    # through |x_k| or a sum that starts at +0, so no reported bit may
+    # depend on the sign of a zero
+    rng = np.random.default_rng(23)
+    negative_zeros = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        re = rng.choice([0.0, 1.0, -1.0, 0.5, -3.0], n) * scale
+        im = rng.choice([0.0, 0.0, 2.0, -0.25], n) * scale * rng.integers(2)
+        if not (np.any(re) or np.any(im)):
+            continue
+        flip = rng.random((2, n)) < 0.5
+        signed = np.empty(n, dtype=complex)
+        signed.real = np.where(flip[0] & (re == 0), -0.0, re)
+        signed.imag = np.where(flip[1] & (im == 0), -0.0, im)
+        plain = np.empty(n, dtype=complex)
+        plain.real, plain.imag = re + 0.0, im + 0.0
+        v = signed.view(float)
+        negative_zeros += np.count_nonzero(np.signbit(v) & (v == 0))
+        assert repr(measure(Sequence(signed))) == repr(measure(Sequence(plain)))
+    assert negative_zeros > 100
+
+
 def test_three_tap_closed_forms():
     for eps in (0.1, 0.01, 0.3):
         rep = measure(three_tap(eps))
