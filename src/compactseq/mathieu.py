@@ -36,6 +36,9 @@ __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
 _TAIL_AMP = 1e-12
 _MAX_HALF_LEN = 2**20
+# below this |q| the third term of a0's series, 29q^6/2304, is under
+# 2^-54 * q^2/2, i.e. under half an ulp of a0
+_SERIES_Q = (1152.0 / 29.0 * 2.0**-54) ** 0.25
 
 
 class MathieuGridError(RuntimeError):
@@ -60,9 +63,22 @@ def _ground_taps(q: float):
     raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
 
 
+def _a0_series(q: float) -> float | None:
+    """a0 = -q^2/2 + 7q^4/128 (DLMF 28.6.1) for |q| below ``_SERIES_Q``,
+    where these two terms fix it to half an ulp; None for larger |q|.
+
+    Near q = 0 the solve's shift stays a rounding level below the minimum,
+    and 4*lambda_min loses the sign of an a0 below about 1e-220.
+    """
+    if not abs(q) < _SERIES_Q:
+        return None
+    return -0.5 * q * q + 7.0 * q**4 / 128.0
+
+
 def char_value_a0(q: float) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
-    return 4.0 * _ground_taps(q)[0].lambda2
+    a0 = _a0_series(float(q))
+    return 4.0 * _ground_taps(q)[0].lambda2 if a0 is None else a0
 
 
 @dataclass(frozen=True)
@@ -93,9 +109,10 @@ def ce0(q: float, thetas) -> MathieuEval:
     kk = np.arange(1, n + 1)
     vals = (half[0] + 2.0 * np.cos(2.0 * np.outer(t, kk)) @ half[1:]) / math.sqrt(2.0)
     vals.setflags(write=False)
+    a0 = _a0_series(q)
     return MathieuEval(
         q=q,
-        a0=4.0 * gs.lambda2,
+        a0=4.0 * gs.lambda2 if a0 is None else a0,
         thetas=t,
         values=vals,
         fourier_coeffs=gs.taps,
