@@ -67,11 +67,14 @@ def _rho(x: Sequence, r0: float) -> np.ndarray:
 
     One correlation gives every lag: numpy's ``correlate(t, t)`` at lag m is
     sum_k x_{k+m} conj(x_k) = conj(r_m), hence the sign of the imaginary
-    part.  Real taps are correlated as reals.  The division is taken
-    componentwise, which keeps a zero imaginary part exactly zero.
+    part.  Real taps are correlated as reals and give a real rho.  The
+    division is taken componentwise, which keeps a zero imaginary part
+    exactly zero.
     """
-    t = x.taps if np.any(x.taps.imag) else x.taps.real
-    r = np.correlate(t, t, "full")[len(x):]
+    if not np.any(x.taps.imag):
+        t = x.taps.real
+        return np.correlate(t, t, "full")[len(x):] / r0
+    r = np.correlate(x.taps, x.taps, "full")[len(x):]
     return r.real / r0 - 1j * (r.imag / r0)
 
 
