@@ -122,12 +122,11 @@ def parse_sequence(text: str) -> Sequence:
     lines = text.splitlines()
     rows = list(map(str.split, lines))
     offset = 0
-    if "#" in text:
-        for i in [i for i, row in enumerate(rows) if row and row[0][0] == "#"]:
-            body = lines[i].strip()[1:].strip()
-            if body.startswith("offset="):
-                offset = int(body[len("offset="):])
-            rows[i] = []
+    for i in [i for i, row in enumerate(rows) if row and row[0][0] == "#"]:
+        body = lines[i].strip()[1:].strip()
+        if body.startswith("offset="):
+            offset = int(body[len("offset="):])
+        rows[i] = []
     widths = list(map(len, rows))
     if max(widths, default=0) > 2:
         wide = next(i for i, n in enumerate(widths) if n > 2)
