@@ -98,6 +98,13 @@ def test_parser_matches_the_reference(text):
         "# offset=0\n",
         "",
         "# offset=x\n1 2\n",
+        # str.split, str.strip and str.splitlines take Unicode whitespace
+        # and line breaks, float and int Unicode digits
+        "1\u00a02\n",
+        "1 2\x1c3 4\x855\u20286\n",
+        "\u3000#offset=2\n1\n",
+        "# offset=\u0661\u0662\n1 2\n",
+        "\u0663 4\n",
     ],
 )
 def test_parser_examples(text):
