@@ -68,7 +68,8 @@ def _a0_series(q: float) -> float | None:
     where these two terms fix it to half an ulp; None for larger |q|.
 
     Near q = 0 the solve's shift stays a rounding level below the minimum,
-    and 4*lambda_min loses the sign of an a0 below about 1e-220.
+    and 4*lambda_min is off by about the square of that distance: 8e-12
+    relative at q = 1e-110, and the wrong sign at q = 1e-120.
     """
     if not abs(q) < _SERIES_Q:
         return None

@@ -9,10 +9,11 @@ The on-disk text format is one tap per line: two floats ``re im``, or
 one float ``re`` for a real tap, and the two forms may be mixed.  Blank
 lines are skipped, and lines starting with ``#`` are comments, allowed
 anywhere.  A comment ``# offset=<int>``, with no space around the ``=``,
-sets the offset (the last one wins; none means offset 0).  A line with three or more fields, a field
-that ``float`` cannot read, a tap that is not finite, or a file without a
-nonzero tap is refused with ``ValueError``.  ``write_sequence`` writes the
-``# offset=`` header first and then ``re im`` lines.
+sets the offset (the last one wins; none means offset 0).  A line with
+three or more fields, a field that ``float`` cannot read, a tap that is
+not finite, or a file without a nonzero tap is refused with
+``ValueError``.  ``write_sequence`` writes the ``# offset=`` header
+first and then ``re im`` lines.
 """
 
 from __future__ import annotations
