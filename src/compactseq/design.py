@@ -139,10 +139,14 @@ def _ground(k2, lambda1):
     steps monotonically through the floats next to alpha even where b(l1)
     is flat to rounding near its supremum; a plain dot product adds a few
     ulps of noise there, and the certificate, which then needs b == alpha
-    exactly, becomes a matter of luck."""
+    exactly, becomes a matter of luck.  The vector is its mirror image, so
+    the sums run over its even half h = v[N:]: each mirrored product
+    appears twice, and the doubled half sums round to the same doubles."""
     pair = min_eigenpair(k2, -0.5 * lambda1)
-    v = pair.vector
-    return pair, math.fsum((v[:-1] * v[1:]).tolist()) / math.fsum((v * v).tolist())
+    h = pair.vector[pair.vector.size // 2:]
+    h2 = h * h
+    h2[1:] *= 2.0
+    return pair, 2.0 * math.fsum((h[:-1] * h[1:]).tolist()) / math.fsum(h2.tolist())
 
 
 def _logit(b, b_sup):

@@ -192,7 +192,8 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     :class:`EigenConvergenceError` if no certified shift is found or
     inverse iteration cannot meet the contract within 50 solves.
     """
-    d = np.asarray(diag, dtype=float).tolist()
+    darr = np.asarray(diag, dtype=float)
+    d = darr.tolist()
     n = len(d)
     b = float(offdiag)
     if b > 0.0:
@@ -206,6 +207,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         d = [math.ldexp(x, e) for x in d]
         b = math.ldexp(b, e)
         scale = math.ldexp(scale, e)
+        darr = np.array(d)
     half = d[n // 2:]
     k = len(half)
     if b == 0.0 or n == 1:
@@ -215,14 +217,13 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec /= np.linalg.norm(vec)
         return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
 
-    darr = np.array(d)
     # T - shift I is a nonsingular M-matrix; reuse the certified pivots.
     _, p = _climb(half, b)
     m = [b / pi for pi in p[:-1]]
     b0 = 2.0 * b
 
     def solve(u):
-        y = u.tolist()
+        y = u
         for i in range(1, k):
             y[i] -= m[i - 1] * y[i - 1]
         y[k - 1] /= p[k - 1]
@@ -231,16 +232,17 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         y[0] = (y[0] - b0 * y[1]) / p[0]
         return np.array(y)
 
-    u = np.full(k, 1.0 / np.sqrt(n))
+    u = [1.0 / math.sqrt(n)] * k
     best = None
     prev = np.inf
     for it in range(1, _MAX_SOLVES + 1):
         v = solve(u)
         v = np.concatenate((v[:0:-1], v))
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v @ v)
         tv = _apply(darr, b, v)
         lam = float(v @ tv)
-        res = float(np.linalg.norm(tv - lam * v))
+        r = tv - lam * v
+        res = math.sqrt(r @ r)
         if best is None or res < best[2]:
             best = (lam, v, res, it)
         if res <= 0.5 * _residual_bound(lam, scale):
@@ -248,7 +250,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         if it >= 3 and res >= 0.9 * prev:
             break  # at the rounding floor; keep the best iterate
         prev = res
-        u = v[k - 1:]
+        u = v[k - 1:].tolist()
     lam, v, res, it = best
     if res > _residual_bound(lam, scale):
         raise EigenConvergenceError(

@@ -62,16 +62,16 @@ def _scaled(x: Sequence, e: int) -> Sequence:
     return y
 
 
-def _rho(x: Sequence, r0: float) -> np.ndarray:
+def _rho(x: Sequence, r0: float, real: bool) -> np.ndarray:
     """Normalized autocorrelation taps rho_m = r_m / r_0 for m = 1..len-1.
 
     One correlation gives every lag: numpy's ``correlate(t, t)`` at lag m is
     sum_k x_{k+m} conj(x_k) = conj(r_m), hence the sign of the imaginary
-    part.  Real taps are correlated as reals and give a real rho.  The
-    division is taken componentwise, which keeps a zero imaginary part
-    exactly zero.
+    part.  Real taps (``real``) are correlated as reals and give a real
+    rho.  The division is taken componentwise, which keeps a zero imaginary
+    part exactly zero.
     """
-    if not np.any(x.taps.imag):
+    if real:
         t = x.taps.real
         return np.correlate(t, t, "full")[len(x):] / r0
     r = np.correlate(x.taps, x.taps, "full")[len(x):]
@@ -125,7 +125,9 @@ def measure(x: Sequence) -> SpreadReport:
         a = np.ldexp(a, -e) if real else np.abs(x.taps)
     a2 = a**2
     r0 = float(a2.sum())
-    k = x.indices
+    # the indices as floats, which the products below would cast them to
+    # (exact while |offset| + len <= 2^53)
+    k = np.arange(x.offset, x.offset + len(x), dtype=float)
     w = a2 / r0
     mu_n = float(w @ k)
     dk = k - mu_n
@@ -151,7 +153,7 @@ def measure(x: Sequence) -> SpreadReport:
     else:
         eta_p = dn2 * dwp2
 
-    rho = _rho(x, r0)
+    rho = _rho(x, r0, real)
     m = np.arange(1, len(x))
     # the terms (-1)^m rho_m / m and (-1)^m rho_m / m^2: odd lags negated
     im = rho.imag / m

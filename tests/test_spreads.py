@@ -116,8 +116,8 @@ def rho_calls(monkeypatch):
     calls = []
     inner = spreads._rho
 
-    def recording(x, r0):
-        rho = inner(x, r0)
+    def recording(x, r0, real):
+        rho = inner(x, r0, real)
         calls.append((x, r0, rho))
         return rho
 
