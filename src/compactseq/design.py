@@ -28,8 +28,6 @@ lambda2*I, tridiagonal with diagonal k^2 - lambda2 and off-diagonal
 -lambda1/2.  P is positive semidefinite iff it has no eigenvalue below 0
 (the yes/no Sturm test on the LDL^T pivots of :mod:`compactseq.eigen` at
 shift 0).
-:func:`ground_state` also serves the Mathieu evaluator,
-a0(q) = 4 lambda_min(A - (|q|/2) B).
 """
 
 from __future__ import annotations

@@ -10,10 +10,20 @@ with A = diag(k^2) and B the constant lag-one form, and the coefficients
 are the (entrywise positive) ground-state taps.  a0 is even in q, and
 the two signs of q are related by the quarter-period reflection
 ce0(q; t) = ce0(-q; pi/2 - t), which is how positive q is evaluated
-here.  The grid half-length is grown automatically until the outermost
-coefficients fall below 1e-12, so truncation never shows at double
-precision, up to a half-length of 2**20 (|q| up to about 1e21); a larger
-grid is refused before it is allocated.
+here.  Each point is one ground solve of the kernel
+:func:`compactseq.eigen.min_eigenpair`: a0 is 4 times its Rayleigh
+quotient and the coefficients are its unit, positive, palindromic vector.
+
+The first grid is the shorter of two half-lengths.  One grows as
+|q|^(1/4), the width of the ground state at large |q|.  The other is a
+tail bound that is short at small |q|: lambda_min <= d_0 = 0, so on every
+row k with k^2 > 2|b| (b = -|q|/4 the coupling) a coefficient is at most
+|b| / (k^2 - |b|) times the one before it (Parlett's ratio bound), and
+the grid ends at the first row where the product of those factors is
+below 1e-12.  Should the
+outermost coefficients still reach 1e-12, the grid is doubled, so
+truncation never shows at double precision, up to a half-length of 2**20
+(|q| up to about 1e21); a larger grid is refused before it is allocated.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -29,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import ground_state
-from .eigen import min_eigenpair
+from .eigen import EigenPair, min_eigenpair
 
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
@@ -45,21 +54,40 @@ class MathieuGridError(RuntimeError):
     """The coefficient tails are not resolved on any grid within reach."""
 
 
-def _ground_taps(q: float):
-    """Ground state for |q| on a grid grown until the raw tails vanish."""
+def _first_half_len(lam1: float) -> int:
+    """The first grid's half-length for the pencil A - lam1*B: the
+    large-|q| half-length n0, or the row where the tail bound drops below
+    ``_TAIL_AMP`` if that comes first.  The bound's rows start past
+    sqrt(lam1) = sqrt(2|b|), which lies beyond n0 once lam1 exceeds about
+    3500, so its loop makes at most 23 steps at any |q|."""
+    n0 = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
+    b = 0.5 * lam1
+    k = int(math.sqrt(lam1)) + 1  # the first row with k^2 > 2|b|
+    amp = 1.0
+    while k < n0:
+        amp *= b / (k * k - b)
+        if amp < _TAIL_AMP:
+            return k
+        k += 1
+    return n0
+
+
+def _ground_taps(q: float) -> tuple[EigenPair, int]:
+    """Ground eigenpair for |q| and its grid half-length, on a grid grown
+    until the tails vanish."""
     lam1 = 0.5 * abs(float(q))
     if not math.isfinite(lam1):
         raise ValueError(f"q must be finite, got {float(q)!r}")
-    n0 = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
+    n0 = _first_half_len(lam1)
     for n in (n0, 2 * n0, 4 * n0, 8 * n0, 16 * n0):
         if n > _MAX_HALF_LEN:
             raise MathieuGridError(
                 f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}"
             )
         k = np.arange(-n, n + 1, dtype=float)
-        v = min_eigenpair(k * k, -0.5 * lam1).vector
-        if max(abs(v[0]), abs(v[-1])) < _TAIL_AMP:
-            return ground_state(v, lam1), n
+        pair = min_eigenpair(k * k, -0.5 * lam1)
+        if pair.vector[0] < _TAIL_AMP:  # positive and palindromic
+            return pair, n
     raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
 
 
@@ -79,7 +107,7 @@ def _a0_series(q: float) -> float | None:
 def char_value_a0(q: float) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
     a0 = _a0_series(float(q))
-    return 4.0 * _ground_taps(q)[0].lambda2 if a0 is None else a0
+    return 4.0 * _ground_taps(q)[0].value if a0 is None else a0
 
 
 @dataclass(frozen=True)
@@ -102,9 +130,9 @@ class MathieuEval:
 def ce0(q: float, thetas) -> MathieuEval:
     """Sample the lowest even eigenfunction ce0(q; t) at the given angles."""
     q = float(q)
-    gs, n = _ground_taps(q)
+    pair, n = _ground_taps(q)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
-    half = gs.taps[n:].copy()  # c_k = tap at +k, k = 0..n
+    half = pair.vector[n:].copy()  # c_k = tap at +k, k = 0..n
     if q > 0.0:
         half[1::2] = -half[1::2]
     kk = np.arange(1, n + 1)
@@ -113,8 +141,8 @@ def ce0(q: float, thetas) -> MathieuEval:
     a0 = _a0_series(q)
     return MathieuEval(
         q=q,
-        a0=4.0 * gs.lambda2 if a0 is None else a0,
+        a0=4.0 * pair.value if a0 is None else a0,
         thetas=t,
         values=vals,
-        fourier_coeffs=gs.taps,
+        fourier_coeffs=pair.vector,
     )

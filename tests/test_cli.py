@@ -162,6 +162,18 @@ def test_mathieu_table_mode(capsys):
     assert a0s == sorted(a0s, reverse=True)  # a0 decreases with q
 
 
+def test_mathieu_point_header_is_the_table_row(capsys):
+    for q in ("1e-3", "0.3", "7.25", "1e4", "-1e-3", "-0.3", "-7.25", "-1e4"):
+        code, out, _ = run(capsys, "mathieu", "--q", q, "--grid", "0:1:2:lin")
+        assert code == 0
+        header = out.splitlines()[0]
+        kinds = ("lin",) if q.startswith("-") else ("lin", "log")
+        for kind in kinds:
+            code, out, _ = run(capsys, "mathieu", f"--grid={q}:{q}:1:{kind}")
+            assert code == 0
+            assert header == "# q={} a0={}".format(*out.splitlines()[1].split(","))
+
+
 def test_mathieu_non_finite_q(capsys):
     for argv in (["--q", "inf"], ["--grid", "1:inf:2:log"]):
         code, out, err = run(capsys, "mathieu", *argv)

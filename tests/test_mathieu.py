@@ -18,6 +18,13 @@ def test_char_value_classical_points():
     assert char_value_a0(25.0) == pytest.approx(-40.256779546566787, abs=1e-7)
 
 
+def test_a0_has_one_source():
+    # the table and the ce0 header take a0 from the same ground solve
+    for q in (1e-3, 0.3, 7.25, 1e4):
+        for s in (q, -q):
+            assert char_value_a0(s) == ce0(s, [0.0]).a0
+
+
 def test_char_value_even_in_q():
     for q in (0.4, 2.0, 25.0):
         assert char_value_a0(-q) == char_value_a0(q)
