@@ -92,9 +92,9 @@ GOLDEN = {
     "curve --format json": "0e9087ddcb305c9c0f91d8f59becf987036122c4eaf3a0e5cb81c60466e7cf6f",
     "curve --grid 1e-5:1:7:log --taps 101 --format json": "e5392f7b61dfcdc94d54aedf1c75633a53d867a0b6f50a9170208a8d758df078",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "ca55fa7b0512a3a39aedbcd9f78f4c5950998c15a99f943a2bc1076cebaf66e4",
-    "mathieu": "85e10c905963eb0420122981dbda2bb305758588a27232d0e77c5074cb685bc9",
-    "mathieu --q -2.5": "4fbaeb221650e8434aa04df9a3d5992f1b7b1bf00a6e693d5f4654f494aa492b",
-    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "ce7d9614bdd7533ebf35df4aa61ef006565a7c4da2295d58a8262bb630fcc6e7",
+    "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
+    "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
+    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "65d18ccefcea9a24114f9e42ec6367b78986573b5879c7c18836bcb87afa522a",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
     "analyze --input ex1.seq --format csv": "7d7b33eaf9b837a1c04ce2e0090dca196e83c0690ac6bb6b4bcf1d2c4c5be421",
