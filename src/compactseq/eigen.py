@@ -215,6 +215,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec = np.zeros(n)
         vec[[k - 1 - i, k - 1 + i]] = 1.0
         vec /= np.linalg.norm(vec)
+        vec.setflags(write=False)
         return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
 
     # T - shift I is a nonsingular M-matrix; reuse the certified pivots.
@@ -222,8 +223,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     m = [b / pi for pi in p[:-1]]
     b0 = 2.0 * b
 
-    def solve(u):
-        y = u
+    def solve(y):  # overwrites the list y
         for i in range(1, k):
             y[i] -= m[i - 1] * y[i - 1]
         y[k - 1] /= p[k - 1]

@@ -20,10 +20,10 @@ tail bound that is short at small |q|: lambda_min <= d_0 = 0, so on every
 row k with k^2 > 2|b| (b = -|q|/4 the coupling) a coefficient is at most
 |b| / (k^2 - |b|) times the one before it (Parlett's ratio bound), and
 the grid ends at the first row where the product of those factors is
-below 1e-12.  Should the
-outermost coefficients still reach 1e-12, the grid is doubled, so
-truncation never shows at double precision, up to a half-length of 2**20
-(|q| up to about 1e21); a larger grid is refused before it is allocated.
+below 1e-12.  Should the outermost coefficients still reach 1e-12, the
+grid is doubled, so truncation never shows at double precision, up to a
+half-length of 2**20 (|q| up to about 1e21); a larger grid is refused
+before it is allocated.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -115,9 +115,10 @@ class MathieuEval:
     """ce0 samples plus the spectral data they came from.
 
     ``fourier_coeffs`` holds the full symmetric tap vector (positive, unit
-    norm) on k = -N..N, N = ``len(fourier_coeffs) // 2``; tap N+k is the
-    coefficient of cos(2kt) up to the overall 1/sqrt(2) scale and, for
-    q > 0, the reflection sign (-1)^k.
+    norm, read-only like ``values``) on k = -N..N,
+    N = ``len(fourier_coeffs) // 2``; tap N+k is the coefficient of
+    cos(2kt) up to the overall 1/sqrt(2) scale and, for q > 0, the
+    reflection sign (-1)^k.
     """
 
     q: float

@@ -25,6 +25,14 @@ def test_a0_has_one_source():
             assert char_value_a0(s) == ce0(s, [0.0]).a0
 
 
+def test_ce0_arrays_are_read_only():
+    # the coefficients are the kernel's vector itself, also where b = 0
+    for q in (0.0, 1e-5, -3.0):
+        ev = ce0(q, [0.0, 1.0])
+        assert not ev.fourier_coeffs.flags.writeable
+        assert not ev.values.flags.writeable
+
+
 def test_char_value_even_in_q():
     for q in (0.4, 2.0, 25.0):
         assert char_value_a0(-q) == char_value_a0(q)
