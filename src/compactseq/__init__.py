@@ -12,10 +12,8 @@ from .design import (
     CurvePoint,
     DesignConvergenceError,
     DesignResult,
-    GroundState,
     UnattainableSpreadError,
     design_max_compact,
-    ground_state,
     sweep_curve,
 )
 from .eigen import EigenConvergenceError, EigenPair, min_eigenpair

@@ -171,8 +171,6 @@ def _run_windows(args) -> str:
     fams = default_families()
     if args.family != "all":
         fams = [f for f in fams if f.name == args.family]
-        if not fams:
-            raise _CliError(f"unknown family {args.family!r}")
     points = [p for f in fams for p in spread_scan(f)]
     return _csv("family,param,delta_wp2,delta_n2,eta_p", _columns(points, drop=("error",)))
 

@@ -25,9 +25,12 @@ On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
 off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
 The dual works with the pencil P(lambda1, lambda2) = A - lambda1*B -
 lambda2*I, tridiagonal with diagonal k^2 - lambda2 and off-diagonal
--lambda1/2.  P is positive semidefinite iff it has no eigenvalue below 0
-(the yes/no Sturm test on the LDL^T pivots of :mod:`compactseq.eigen` at
-shift 0).
+-lambda1/2.  P is positive semidefinite iff lambda2 <= lambda_min(A -
+lambda1*B), so the designer runs no PSD test of P: it takes lambda2, the
+vector and its residual from the ground eigenpair of
+:func:`compactseq.eigen.min_eigenpair`.  The yes/no Sturm test of P at
+shift 0 lives in ``tests/helpers.has_eigenvalue_below``, where the tests
+check the pencil against dense oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import eta_lower, eta_upper
-from .eigen import _apply, min_eigenpair
+from .eigen import min_eigenpair
 from .sequence import Sequence
 
 __all__ = [
@@ -46,8 +49,6 @@ __all__ = [
     "DesignConvergenceError",
     "DesignResult",
     "CurvePoint",
-    "GroundState",
-    "ground_state",
     "design_max_compact",
     "sweep_curve",
     "TAIL_MASS_WARN",
@@ -75,11 +76,12 @@ class DesignResult:
     ``eta_p`` is the product delta_n2_opt * sigma2.  The three gap fields
     certify the solution: duality_gap compares the primal objective with
     the dual value, constraint_gap is x'Bx - alpha on the returned
-    sequence, eig_residual is the ground-state residual norm.  The
-    eigensolver's one residual bound holds for eig_residual up to the
-    rounding of the renormalized vector: max(1e-10 * (1 + |lambda2|),
-    100 * eps * ||T||) with ||T|| = ((taps - 1)/2)^2 + lambda1, so on long
-    grids the ulp floor, not 1e-10 * (1 + |lambda2|), bounds it.  tail_mass
+    sequence, eig_residual is the ground-state residual norm.  lambda2 and
+    eig_residual are the eigensolver's value and residual as it certified
+    them, so its one residual bound holds for eig_residual exactly:
+    max(1e-10 * (1 + |lambda2|), 100 * eps * ||T||) with
+    ||T|| = ((taps - 1)/2)^2 + lambda1, so on long grids the ulp floor, not
+    1e-10 * (1 + |lambda2|), bounds it.  tail_mass
     is the energy in the two outermost taps; if it exceeds 1e-10 the grid
     was too short for the requested spread and status says "increase-taps".
     """
@@ -96,39 +98,6 @@ class DesignResult:
     tail_mass: float
     status: str
     sequence: Sequence
-
-
-@dataclass(frozen=True)
-class GroundState:
-    """Canonical ground state x of A - lambda1*B: exactly symmetric, unit
-    norm taps, Rayleigh quotient lambda2, residual ||(A - lambda1*B -
-    lambda2)x||, the forms x'Ax and x'Bx, and the two end taps' energy."""
-
-    taps: np.ndarray
-    lambda2: float
-    residual: float
-    a_form: float
-    b_form: float
-    tail_mass: float
-
-
-def ground_state(vector, lambda1: float) -> GroundState:
-    """Normalize a raw ground eigenvector of A - lambda1*B on k = -N..N and
-    evaluate the pencil's forms on the result.  ``min_eigenpair`` returns
-    that vector mirrored bit for bit (it solves the even half and mirrors
-    it), so the taps come out exactly symmetric with no symmetrization."""
-    v = vector / np.linalg.norm(vector)
-    k2 = np.arange(-(v.size // 2), v.size // 2 + 1, dtype=float) ** 2
-    tv = _apply(k2, -0.5 * float(lambda1), v)
-    lambda2 = float(v @ tv)
-    return GroundState(
-        taps=v,
-        lambda2=lambda2,
-        residual=float(np.linalg.norm(tv - lambda2 * v)),
-        a_form=float(v @ (k2 * v)),
-        b_form=float(v[:-1] @ v[1:]),
-        tail_mass=float(v[0] ** 2 + v[-1] ** 2),
-    )
 
 
 def _ground(k2, lambda1):
@@ -277,21 +246,22 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
             f"constraint gap {b - alpha:.3e} above target at lambda1 = {lambda1!r}"
         )
 
-    gs = ground_state(pair.vector, lambda1)
-    dual = alpha * lambda1 + gs.lambda2
+    v = pair.vector
+    a_form = float(v @ (k2 * v))
+    tail_mass = float(v[0] ** 2 + v[-1] ** 2)
     return DesignResult(
         sigma2=sigma2,
         alpha=alpha,
         lambda1=lambda1,
-        lambda2=gs.lambda2,
-        delta_n2_opt=gs.a_form,
-        eta_p=gs.a_form * sigma2,
-        duality_gap=abs(gs.a_form - dual),
-        constraint_gap=gs.b_form - alpha,
-        eig_residual=gs.residual,
-        tail_mass=gs.tail_mass,
-        status="increase-taps" if gs.tail_mass > TAIL_MASS_WARN else "ok",
-        sequence=Sequence(gs.taps, offset=-half),
+        lambda2=pair.value,
+        delta_n2_opt=a_form,
+        eta_p=a_form * sigma2,
+        duality_gap=abs(a_form - (alpha * lambda1 + pair.value)),
+        constraint_gap=float(v[:-1] @ v[1:]) - alpha,
+        eig_residual=pair.residual,
+        tail_mass=tail_mass,
+        status="increase-taps" if tail_mass > TAIL_MASS_WARN else "ok",
+        sequence=Sequence(v, offset=-half),
     )
 
 

@@ -38,10 +38,10 @@ def _unit(taps: np.ndarray, offset: int) -> Sequence:
     return Sequence(taps / np.linalg.norm(taps), offset)
 
 
-def _check_taps(taps: int, minimum: int = 3) -> int:
+def _check_taps(taps: int) -> int:
     taps = int(taps)
-    if taps < minimum:
-        raise ValueError(f"taps must be >= {minimum}")
+    if taps < 3:
+        raise ValueError("taps must be >= 3")
     if taps % 2 == 0:
         raise ValueError("taps must be odd so the window centers on the grid")
     return taps

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from compactseq import mathieu
-from compactseq.cli import main
+from compactseq.cli import _build_parser, main
 from compactseq.eigen import EigenPair
+from compactseq.windows import default_families
 
 
 def run(capsys, *argv):
@@ -227,6 +228,13 @@ def test_windows_scan(capsys):
     assert all(l.startswith("three_tap,") for l in lines[1:])
     etas = [float(l.split(",")[4]) for l in lines[1:]]
     assert all(e >= 0.25 for e in etas)
+    # argparse's choices are the only check on --family: they name exactly
+    # the stock families, and anything else is refused before a scan
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    choices = next(a for a in sub.choices["windows"]._actions if a.dest == "family").choices
+    assert set(choices) == {"all"} | {f.name for f in default_families()}
+    code, out, err = run(capsys, "windows", "--family", "kaiser")
+    assert (code, out) == (1, "") and "invalid choice" in err
 
 
 def test_output_file(capsys, tmp_path):

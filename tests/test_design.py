@@ -12,12 +12,11 @@ from compactseq.design import (
     UnattainableSpreadError,
     _ground,
     design_max_compact,
-    ground_state,
     sweep_curve,
 )
 from compactseq.bounds import eta_lower, eta_upper
 from compactseq.cli import main
-from compactseq.eigen import _residual_bound
+from compactseq.eigen import _residual_bound, min_eigenpair
 from compactseq.spreads import measure
 
 
@@ -26,7 +25,7 @@ def test_dual_value_at_zero():
     # = 0 for every alpha, and b(0) = 0
     k = np.arange(-30, 31, dtype=float)
     pair, b = _ground(k * k, 0.0)
-    assert ground_state(pair.vector, 0.0).lambda2 == pytest.approx(0.0, abs=1e-11)
+    assert pair.value == pytest.approx(0.0, abs=1e-11)
     assert b == pytest.approx(0.0, abs=1e-11)
 
 
@@ -104,6 +103,8 @@ def test_design_matches_measured_spread():
         assert rep.delta_n2 == pytest.approx(res.delta_n2_opt, rel=1e-10)
         assert rep.eta_p == pytest.approx(res.eta_p, rel=1e-8)
         assert rep.mu_n == pytest.approx(0.0, abs=1e-9)
+        # the lag-one form the designer reads is the measured trig moment
+        assert rep.tau.real == pytest.approx(res.constraint_gap + res.alpha, rel=1e-12)
 
 
 def test_design_between_bounds():
@@ -204,9 +205,13 @@ def test_dual_solve_is_robust(taps):
     for s2 in _sigma2_grid(taps):
         res = design_max_compact(s2, taps)
         assert abs(res.constraint_gap) <= 1e-10
-        # min_eigenpair's residual contract, with its ulp floor
+        # min_eigenpair's residual contract, with its ulp floor, on the
+        # kernel's own value and residual
         bound = _residual_bound(res.lambda2, half**2 + res.lambda1)
-        assert res.eig_residual <= 1.01 * bound
+        assert res.eig_residual <= bound
+        k = np.arange(-half, half + 1, dtype=float)
+        pair = min_eigenpair(k * k, -0.5 * res.lambda1)
+        assert (res.lambda2, res.eig_residual) == (pair.value, pair.residual)
         assert res.lambda1 >= 0.0 and res.delta_n2_opt > 0.0
 
 

@@ -4,8 +4,8 @@ On the grid k = -N..N, P has diagonal k^2 - lambda2 and constant
 off-diagonal -lambda1/2.  It is semidefinite iff lambda2 <= lambda_min of
 A - lambda1*B, so its verdict is the yes/no Sturm test
 ``helpers.has_eigenvalue_below`` at shift 0 on the even half k = 0..N,
-which holds the minimum; the two forms x'Ax and x'Bx are the ones
-``ground_state`` evaluates.
+which holds the minimum.  The designer runs no such test: it reads
+lambda2 off ``min_eigenpair``.
 """
 
 import math
@@ -15,10 +15,7 @@ import pytest
 
 from helpers import has_eigenvalue_below, jacobi_eigh, tridiag_dense
 
-from compactseq.design import ground_state
 from compactseq.eigen import min_eigenpair
-from compactseq.spreads import measure
-from compactseq.windows import three_tap
 
 
 def _pencil(half_len, lam1, lam2):
@@ -35,27 +32,6 @@ def _has_below(half_len, lam1, lam2, shift=0.0):
 def _in_cone(lam1, lam2):
     """Closed-form sufficient condition lambda2 < 1 - sqrt(1 + lambda1^2)."""
     return lam2 < 1.0 - math.sqrt(1.0 + lam1 * lam1)
-
-
-def test_quad_forms_three_tap():
-    x = three_tap(0.1)
-    gs = ground_state(x.taps.real, 1.0)
-    assert gs.a_form == pytest.approx(0.02, rel=1e-13)
-    assert gs.b_form == pytest.approx(2 * 0.1 * math.sqrt(0.98), rel=1e-13)
-    # the forms are the time spread and the trig moment of the sequence
-    rep = measure(x)
-    assert gs.a_form == pytest.approx(rep.delta_n2, rel=1e-13)
-    assert gs.b_form == pytest.approx(rep.tau.real, rel=1e-13)
-    # a non-unit input is normalized before the forms are read
-    scaled = ground_state(3.0 * x.taps.real, 1.0)
-    assert (scaled.a_form, scaled.b_form) == pytest.approx((gs.a_form, gs.b_form), rel=1e-15)
-
-
-def test_quad_forms_delta():
-    x = np.zeros(5)
-    x[2] = 1.0
-    gs = ground_state(x, 0.5)
-    assert (gs.a_form, gs.b_form) == (0.0, 0.0)
 
 
 def test_psd_examples():
