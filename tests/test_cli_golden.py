@@ -78,19 +78,19 @@ GOLDEN = {
     "design --sigma2 1e-3 --taps 201 --format csv": "c48e44f850a8cceccacd33e391f5bb37b5c717ae0c39315611c78d292e5ad4ce",
     "design --sigma2 1e-3 --taps 1001 --format json": "6d600622e868b10b1183f728ce62e8f46958dfc07aeeec74c5300a05f98a249e",
     "design --sigma2 1e-3 --taps 1001 --format csv": "42df2f29ac20a83d47ce46ad3e20c82dbbf25afaa3aec51b6448195c814c1519",
-    "design --sigma2 0.1 --taps 201 --format json": "7d5f517aa0beb0b65e46bb840a753e9596d79e28bb26f9ec9ba3905fd8a0aae6",
-    "design --sigma2 0.1 --taps 201 --format csv": "abd0cbf20031a3cdc13e232732c74f25c68e60d509b94ef0a97483a68ad1ba52",
-    "design --sigma2 0.1 --taps 1001 --format json": "9ab9b8d547b7db0fa00017e1f3eeef8c2d7a9a2dd8124fa3e378d4f8a4afec2b",
-    "design --sigma2 0.1 --taps 1001 --format csv": "5cd17a3cb66ea976d7a8899e7619eec3291e59931c49ab8ec6d8ca5329894bbe",
-    "design --sigma2 10 --taps 201 --format json": "45511c573602ed2b04fb2619ff97388c5f5ba807f5590cb27230766c56c0bb56",
-    "design --sigma2 10 --taps 201 --format csv": "a33eb7fdb7ba7389ea47b39ae20961f6a7a7a92c97e0bcad131d0d720dc2a072",
+    "design --sigma2 0.1 --taps 201 --format json": "995e620c7bfa2f9257b36c27b539a5d448d39dbe60ea4d376190f02da8b63827",
+    "design --sigma2 0.1 --taps 201 --format csv": "71ba4e022a2862f1860603e01ee12ab1dd82d7944df94115a0dc354f109c1355",
+    "design --sigma2 0.1 --taps 1001 --format json": "3aa8ac93f205937425679ca13e17e3fd117481fbc445500b1d5dde0b492e199d",
+    "design --sigma2 0.1 --taps 1001 --format csv": "2e5d3716ff5190d1b1b7e3b7194e03430582f30ce8436c07a683b2c5faf30d89",
+    "design --sigma2 10 --taps 201 --format json": "a4b50a70d8ee766a95c3b5a5bf797c50f67a663cfe4e4d305a92a1053638f3e4",
+    "design --sigma2 10 --taps 201 --format csv": "9c003e5242fc49980e1af4f9d7752537a90649348c0b4d2666300e37b91117fd",
     "design --sigma2 10 --taps 1001 --format json": "2d9c0e05d8bb9b8faa231d876bb94a451f3e779c6eef103bce87737ea1302626",
     "design --sigma2 10 --taps 1001 --format csv": "2181aebdfd19ea8e1a73e132e86e1d45d9928a1dd88c4c83bac54bb92d153534",
-    "curve --format csv": "34a42b0077b304114f902b5a0f3f9f6805a2f2c9dbfc06cde333b38688afbc74",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "be9259b1b4d60589f40f62778486cc9adb3d695605f2250d9671e4622332dea4",
+    "curve --format csv": "48d0b7b630ab4947779524041416722039e3371c53a251fb40e3dcc0fe3599bf",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "9cb4c92583dfe42775c44b67e58f57f83f54c01fed54aeeefdc2e1815904dfef",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "0f0379835482c49643ce5c044b55cbb2fb50e34263d492d1b3287d2609b3234d",
-    "curve --format json": "0e9087ddcb305c9c0f91d8f59becf987036122c4eaf3a0e5cb81c60466e7cf6f",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "e5392f7b61dfcdc94d54aedf1c75633a53d867a0b6f50a9170208a8d758df078",
+    "curve --format json": "c4bfe64cccde1f09d77fb892f2efa290cae9f1e494db9915893a985a22d6182a",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "08f56e20491e4f52150b27ceb6cd93ba0b516054a68e0b3a0f069953db41dd4a",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "ca55fa7b0512a3a39aedbcd9f78f4c5950998c15a99f943a2bc1076cebaf66e4",
     "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
     "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
@@ -106,7 +106,7 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "dfceb3f3c1e2c0fb8e3cfad04fd5c191deae00a74b6ad4120133340ba4841c64",
+    "--seq-output": "0b8aef6372f479f365379b05371574929488e105e9dc793f723089fb8955249a",
 }
 
 
