@@ -102,7 +102,7 @@ class DesignResult:
 
 def _ground(k2, lambda1):
     """Ground eigenpair of A - lambda1*B and b, the Rayleigh quotient of B
-    at its raw vector.  Both sums are exactly rounded (``math.fsum``), so b
+    at its unit vector.  Both sums are exactly rounded (``math.fsum``), so b
     steps monotonically through the floats next to alpha even where b(l1)
     is flat to rounding near its supremum; a plain dot product adds a few
     ulps of noise there, and the certificate, which then needs b == alpha
