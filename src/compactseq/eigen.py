@@ -24,25 +24,34 @@ Laguerre's step from them climbs from the full grid's Gershgorin bound,
 which holds the half's eigenvalues as they are among the grid's, to the
 minimum cubically without passing it (Li and Zeng, SIAM J. Sci. Comput.
 1994): about 4 passes reach the rounding level 4 eps (|s| + 2|b|).
-Where rounding carries a last step onto a yes, the shift retreats from
-it by fractions of that level until its pivots are all positive; each
-pivot is a chain of correctly rounded operations monotone in s, so the
-computed verdict is monotone in s (Demmel, Dhillon and Ren, ETNA 1995)
-and the retreat ends after a pass or two, at worst at the last certified
-iterate.  There is no bisection: the shift is a certified no a few ulps
-below the minimum, and the value returned is the Rayleigh quotient.
-The eigenvector then comes from inverse iteration at that shift, and the
-pivots of the pass that certified it, in the Sturm form above, are the
-Thomas factors: re-formed as c (b / p_{i-1}) so close to the minimum,
-some would round to <= 0.  With b <= 0 the shifted matrix is an M-matrix
-with an entrywise positive inverse: Thomas elimination meets no
-cancellation and the iterates, started from a positive vector, stay
-positive in floating point, so the ground state needs no sign fix-up.
-The residual is taken on all 2N+1 rows.
+The climb sees only the rows 0..W-1 of the half (``_window``): from row
+W on, Parlett's ratio bound, with lam_min <= min(d), puts the ground
+state below eps^2 of its largest entry, so the minimum on those rows
+lies less than |b| eps^2 above the half's, far inside the rounding
+level.  On a long grid at a small coupling that is a few dozen of a
+thousand rows; where the bound cannot cut, as on every Mathieu grid, W
+is the whole half.  Everything after the climb uses all N+1 rows.  The
+shift is certified by one pivot pass on the full half; where rounding
+carries a last step onto a yes, the shift retreats from it by fractions
+of that level until its pivots are all positive; each pivot is a chain
+of correctly rounded operations monotone in s, so the computed verdict
+is monotone in s (Demmel, Dhillon and Ren, ETNA 1995) and the retreat
+ends after a pass or two, at worst just below the last iterate.  There
+is no bisection: the shift is a certified no a few ulps below the
+minimum, and the value returned is the Rayleigh quotient.  The
+eigenvector then comes from inverse iteration at that shift on the full
+half, and the pivots of the pass that certified it, in the Sturm form
+above, are the Thomas factors: re-formed as c (b / p_{i-1}) so close to
+the minimum, some would round to <= 0.  With b <= 0 the shifted matrix
+is an M-matrix with an entrywise positive inverse: Thomas elimination
+meets no cancellation and the iterates, started from a positive vector,
+stay positive in floating point, so the ground state needs no sign
+fix-up.  The residual is taken on all 2N+1 rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -53,6 +62,7 @@ __all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 _MAX_CLIMB = 30
 _MAX_SOLVES = 50
 _EPS = float(np.finfo(float).eps)
+_TAIL = _EPS * _EPS
 
 
 class EigenConvergenceError(RuntimeError):
@@ -114,26 +124,65 @@ def _laguerre_step(d, b2, s):
     return n / den if den > 0.0 else 0.0
 
 
-def _climb(d, b):
-    """A certified no within a few ulps of the minimum of the even half
-    ``d``, and its pivots: the inverse-iteration shift and its factors.
+def _window(d, lo, hi, a):
+    """W, the number of leading rows of the even half ``d`` (entries from
+    ``lo`` = min(d) to ``hi`` = max(d), off-diagonal of magnitude ``a``)
+    that the climb sees: every row, unless Parlett's ratio bound puts the
+    ground state below eps^2 of its largest entry from row W on.
 
-    Laguerre steps climb from the Gershgorin bound until a step is at
-    rounding, <= 4 eps (|x| + 2|b|).  The point x + step they reach is the
-    shift if its pivots are all positive.  Otherwise, as when a step lands
-    on a yes, the shift retreats from that point by w/16, w/8, ..., w, with
-    w the rounding level of the landing, and never below the last
-    certified iterate: it stays within a few ulps of the minimum and moves
-    smoothly with the matrix.  Every try sits eps*w lower, the same double
+    lam_min <= lo, so from a row j0 past every row with d_j <= lo + 2a the
+    ground state falls by at least a / (d_j - lo - a) < 1 per row (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 7), and W is the first row where
+    the product of those factors from j0 is below eps^2.  No factor is
+    below a / (hi - lo - a), and on a half that rises through lo + 2a, as
+    k^2 does, bisection finds j0: where n - j0 such factors cannot reach
+    eps^2, as on every Mathieu grid (which ends where the same bound
+    reaches 1e-12), W = n with no row scanned."""
+    n = len(d)
+    top = lo + 2.0 * a
+    if hi <= top:
+        return n  # no row starts the bound
+    j = bisect.bisect_right(d, top)
+    if j == 0 or d[j - 1] > top:
+        j = 1  # j <= j0 either way: the row of lo is at most top
+    if (a / (hi - lo - a)) ** (n - j) >= _TAIL:
+        return n
+    if min(d[j:]) <= top:  # j0 lies past the last row that dips to top
+        j = n
+        while d[j - 1] > top:
+            j -= 1
+    amp = 1.0
+    for i in range(j, n):
+        amp *= a / (d[i] - lo - a)
+        if amp < _TAIL:
+            return i
+    return n
+
+
+def _climb(d, b, lo, hi):
+    """A certified no within a few ulps of the minimum of the even half
+    ``d``, whose entries run from ``lo`` to ``hi``, and its pivots: the
+    inverse-iteration shift and its factors.
+
+    Laguerre steps on the rows 0..W-1 that ``_window`` keeps climb from
+    the Gershgorin bound until a step is at rounding, <= 4 eps (|x| + 2|b|).
+    The point x + step they reach is the shift if its pivots on all of
+    ``d`` are positive.  Otherwise, as when a step lands on a yes, the
+    shift retreats from that point by w/16, w/8, ..., w, with w the
+    rounding level of the landing, and never below the last iterate: it
+    stays within a few ulps of the minimum and moves smoothly with the
+    matrix.  Every try sits eps*w lower, the same double
     unless the shift is tiny, and w >= 4e-100 eps, so 1/(lam - s), the
     growth of an inverse iterate, stays below about 1e131."""
     b2 = b * b
     r = 2.0 * abs(b)
-    x = min(d) - r
+    x = lo - r
     x -= 4.0 * _EPS * (abs(x) + r)
+    n = _window(d, lo, hi, abs(b))
+    rows = d if n == len(d) else d[:n]
     below = -math.inf
     for _ in range(_MAX_CLIMB):
-        step = _laguerre_step(d, b2, x)
+        step = _laguerre_step(rows, b2, x)
         if step is None:
             break  # rounding carried x onto a yes
         below = x
@@ -188,7 +237,10 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     and the contract holds with room.  The vector comes from inverse
     iteration at a certified shift a few ulps below the minimum, placed by
     a Laguerre climb whose last pivot pass supplies the Thomas factors, so
-    one solve usually meets the contract.  Raises
+    one solve usually meets the contract.  The climb's steps see only the
+    rows 0..W-1 of the half past which Parlett's ratio bound puts the
+    ground state below eps^2; the pivot pass that certifies the shift,
+    inverse iteration, the vector and its residual use every row.  Raises
     :class:`EigenConvergenceError` if no certified shift is found or
     inverse iteration cannot meet the contract within 50 solves.
     """
@@ -201,14 +253,16 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     if n % 2 == 0 or d != d[::-1]:
         raise ValueError(f"diag must have odd length and equal its reverse, got length {n}")
     # The tolerances below are absolute: scale a tiny matrix to ||T|| >= 1/2.
-    scale = max(max(d), -min(d)) + 2.0 * abs(b)  # max|d| + 2|b|
+    half = d[n // 2:]
+    lo, hi = min(half), max(half)
+    scale = max(hi, -lo) + 2.0 * abs(b)  # max|d| + 2|b|
     e = -math.frexp(scale)[1] if scale < 1.0 else 0
     if e:
-        d = [math.ldexp(x, e) for x in d]
+        half = [math.ldexp(x, e) for x in half]
+        lo, hi = math.ldexp(lo, e), math.ldexp(hi, e)
         b = math.ldexp(b, e)
         scale = math.ldexp(scale, e)
-        darr = np.array(d)
-    half = d[n // 2:]
+        darr = np.ldexp(darr, e)
     k = len(half)
     if b == 0.0 or n == 1:
         i = int(np.argmin(half))
@@ -219,7 +273,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
 
     # T - shift I is a nonsingular M-matrix; reuse the certified pivots.
-    _, p = _climb(half, b)
+    _, p = _climb(half, b, lo, hi)
     m = [b / pi for pi in p[:-1]]
     b0 = 2.0 * b
 

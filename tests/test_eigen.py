@@ -5,6 +5,7 @@ import pytest
 
 from helpers import even_spectrum, has_eigenvalue_below, jacobi_eigh, tridiag_dense
 
+from compactseq import design, eigen
 from compactseq.eigen import _EPS, EigenPair, _climb, _pivots, min_eigenpair
 
 
@@ -137,6 +138,31 @@ def test_tolerance_controls_bracket():
     # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({0} * 7, -1/2),
     # whose minimum is -cos(pi/8)
     exact = -math.cos(math.pi / 8)
-    shift, piv = _climb([0.0] * 4, -0.5)
+    shift, piv = _climb([0.0] * 4, -0.5, 0.0, 0.0)
     assert min(piv) > 0.0
     assert 0.0 < exact - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 1.0)
+
+
+def test_climb_work_is_bounded(monkeypatch):
+    # the ground solves of a sigma2 sweep at 201 taps: about 4 Laguerre
+    # passes, each on the rows the ground state holds above eps^2 (about
+    # half of the 101 half rows), and 1 pivot pass on all 101
+    counts = dict.fromkeys(("solves", "passes", "rows", "pivots"), 0)
+
+    def counting(key, fn):
+        def wrapped(d, *args):
+            counts[key] += 1
+            if key == "passes":
+                counts["rows"] += len(d)
+            return fn(d, *args)
+        return wrapped
+
+    monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
+    monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
+    monkeypatch.setattr(eigen, "_pivots", counting("pivots", eigen._pivots))
+    for sigma2 in np.geomspace(3e-4, 10.0, 69):
+        design.design_max_compact(float(sigma2), 201)
+    assert counts["solves"] >= 69
+    assert counts["passes"] <= 6 * counts["solves"]
+    assert counts["rows"] <= 0.6 * 101 * counts["passes"]
+    assert counts["pivots"] <= 2 * counts["solves"]

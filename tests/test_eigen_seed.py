@@ -2,11 +2,15 @@
 
 ``eigen._climb`` steps from the Gershgorin bound to the minimum of the even
 half and returns a shift with its LDL^T pivots, which inverse iteration
-reuses as its factors.  The shift must be a certified no (every pivot
-positive, and ``helpers.has_eigenvalue_below`` agrees) within a few
-rounding levels of the minimum, ``min_eigenpair`` must agree with the
-dense Jacobi oracle, and a work-count bound keeps the climb from silently
-taking more passes.
+reuses as its factors.  The steps see only the rows 0..W-1 that
+``eigen._window`` keeps, where W is the row from which Parlett's ratio
+bound puts the ground state below eps^2; the pivots that certify the
+shift are taken on the full half.  The shift must be a certified no
+(every pivot positive, and ``helpers.has_eigenvalue_below`` agrees)
+within a few rounding levels of the minimum, the ground state must be
+below eps^2 past W by an oracle that does not use the kernel, and
+``min_eigenpair`` must agree with the dense Jacobi oracle.  The climb's
+work counts are checked in ``test_eigen.py``, which needs no hypothesis.
 """
 
 import math
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from helpers import even_ground_pair, has_eigenvalue_below  # noqa: E402
 
@@ -58,11 +62,12 @@ def scaled_palindromes(draw):
 
 def _climbs(diag, offdiag):
     """The (half, b, shift, pivots) of every climb ``min_eigenpair`` makes,
-    on the matrix it solves (scaled to ||T|| >= 1/2)."""
+    on the matrix it solves (scaled to ||T|| >= 1/2); the half is the one
+    the climb is given, all of it, whatever window its steps see."""
     seen = []
 
-    def record(d, b):
-        s, p = climb(d, b)
+    def record(d, b, lo, hi):
+        s, p = climb(d, b, lo, hi)
         seen.append((d, b, s, p))
         return s, p
 
@@ -75,6 +80,8 @@ def _climbs(diag, offdiag):
 
 def _assert_certified_no_near_minimum(diag, offdiag):
     for d, b, s, p in _climbs(diag, offdiag):
+        # the shift is certified on every row of the half, not on the window
+        assert len(d) == len(diag) // 2 + 1
         assert len(p) == len(d) and min(p) > 0.0
         assert not has_eigenvalue_below(d, b * b, s)
         # a few rounding levels below the minimum: w = 4 eps (|s| + 2|b|),
@@ -113,22 +120,70 @@ def test_eigenpair_matches_jacobi(case):
     assert abs(math.fsum(pair.vector**2) - 1.0) <= 1e-14
 
 
-def test_climb_work_is_bounded(monkeypatch):
-    # the ground solves of a sigma2 sweep at 201 taps: about 4 Laguerre
-    # passes and 1 pivot pass each
-    counts = dict.fromkeys(("solves", "passes", "pivots"), 0)
+# k^2 grids up to 2001 rows at couplings from 5e-4 to 5e6: long grids at
+# small lambda1 are where the window cuts
+k2_wide = st.tuples(
+    st.integers(1, 1000).map(lambda h: 2 * h + 1),
+    st.floats(-3.0, 7.0).map(lambda e: 10.0**e),
+).map(lambda nl: ((np.arange(nl[0], dtype=float) - nl[0] // 2) ** 2, -0.5 * nl[1]))
 
-    def counting(key, fn):
-        def wrapped(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapped
 
-    monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
-    monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
-    monkeypatch.setattr(eigen, "_pivots", counting("pivots", eigen._pivots))
-    for sigma2 in np.geomspace(3e-4, 10.0, 69):
-        design.design_max_compact(float(sigma2), 201)
-    assert counts["solves"] >= 69
-    assert counts["passes"] <= 6 * counts["solves"]
-    assert counts["pivots"] <= 2 * counts["solves"]
+def _window(half, offdiag):
+    return eigen._window(half, min(half), max(half), abs(offdiag))
+
+
+def _log_amplitudes(half, offdiag, lam):
+    """log v_j - log max v over the rows of the even half, for the ground
+    state at the value ``lam``, from the backward ratio recurrence
+    r_j = v_{j+1}/v_j = |b| / (d_{j+1} - lam - |b| r_{j+1}), r_N = 0: each
+    row j >= 1 reads (d_j - lam) v_j = |b| (v_{j-1} + v_{j+1}).  It is
+    stable for the positive ground state, whose ratios are positive, and
+    resolves tails far below what a dense eigenvector does."""
+    a = abs(offdiag)
+    r, logs = 0.0, [0.0]
+    for dj in half[:0:-1]:
+        r = a / (dj - lam - a * r)
+        logs.append(math.log(r))
+    logv = np.concatenate(([0.0], np.cumsum(logs[:0:-1])))
+    return logv - logv.max()
+
+
+def _assert_ground_state_below_tail_past_window(half, diag, offdiag):
+    w = _window(half, offdiag)
+    lam, _ = even_ground_pair(diag, offdiag, eigh=np.linalg.eigh)
+    logv = _log_amplitudes(half, offdiag, lam)
+    assert np.all(logv[w:] < 2.0 * math.log(eigen._EPS))
+    return w
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(k2_wide)
+@example(((np.arange(2001, dtype=float) - 1000) ** 2, -28.9))  # the sigma2 = 0.1 design
+def test_window_holds_the_ground_state(case):
+    # past row W the true ground state is below eps^2 of its largest entry
+    diag, offdiag = case
+    half = diag[diag.size // 2:].tolist()
+    w = _assert_ground_state_below_tail_past_window(half, diag, offdiag)
+    if diag.size == 2001 and offdiag == -28.9:
+        assert w < 50  # the example is one the window cuts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k2_wide.filter(lambda c: c[0].size <= 601), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_window_keeps_every_row_to_a_dip(case, where, depth):
+    # a row past the window that dips back to min(d) + 2|b| or below holds
+    # the ground state up: the window reaches past it, and the full half
+    # is kept when the dip is the last row
+    diag, offdiag = case
+    half = diag[diag.size // 2:].tolist()
+    n = len(half)
+    w0 = _window(half, offdiag)
+    assume(w0 < n)
+    m = w0 + int(where * (n - 1 - w0))
+    half[m] = min(half) + depth * 2.0 * abs(offdiag)
+    dipped = np.array(half[:0:-1] + half)
+    w = _assert_ground_state_below_tail_past_window(half, dipped, offdiag)
+    assert w > m
+    half[-1], dipped[0], dipped[-1] = half[m], half[m], half[m]
+    assert _window(half, offdiag) == n
+    _assert_certified_no_near_minimum(dipped, offdiag)
