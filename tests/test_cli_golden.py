@@ -82,14 +82,14 @@ GOLDEN = {
     "design --sigma2 0.1 --taps 201 --format csv": "71ba4e022a2862f1860603e01ee12ab1dd82d7944df94115a0dc354f109c1355",
     "design --sigma2 0.1 --taps 1001 --format json": "3aa8ac93f205937425679ca13e17e3fd117481fbc445500b1d5dde0b492e199d",
     "design --sigma2 0.1 --taps 1001 --format csv": "2e5d3716ff5190d1b1b7e3b7194e03430582f30ce8436c07a683b2c5faf30d89",
-    "design --sigma2 10 --taps 201 --format json": "a4b50a70d8ee766a95c3b5a5bf797c50f67a663cfe4e4d305a92a1053638f3e4",
-    "design --sigma2 10 --taps 201 --format csv": "9c003e5242fc49980e1af4f9d7752537a90649348c0b4d2666300e37b91117fd",
-    "design --sigma2 10 --taps 1001 --format json": "2d9c0e05d8bb9b8faa231d876bb94a451f3e779c6eef103bce87737ea1302626",
-    "design --sigma2 10 --taps 1001 --format csv": "2181aebdfd19ea8e1a73e132e86e1d45d9928a1dd88c4c83bac54bb92d153534",
-    "curve --format csv": "48d0b7b630ab4947779524041416722039e3371c53a251fb40e3dcc0fe3599bf",
+    "design --sigma2 10 --taps 201 --format json": "165ce9553e3639f9b9392da0e30683da449924effe3aa9bed2bf99f41b95433a",
+    "design --sigma2 10 --taps 201 --format csv": "fc20901ac22f4b959192410378da0eb84136b98bcaa684ca32b28611d3b36437",
+    "design --sigma2 10 --taps 1001 --format json": "2865f1f9571af569f050f4410adec0f7a71e54c3b126ee2bf373fa67ff1932af",
+    "design --sigma2 10 --taps 1001 --format csv": "41d301790b39a1cce6841042580923d3fc07f02a1d318ea4b6e5d34694ca2e01",
+    "curve --format csv": "a6b947a5ee303dc16dbe244f8db5779b6fef6337e0a72ecf61e291013a92f3ad",
     "curve --grid 1e-5:1:7:log --taps 101 --format csv": "9cb4c92583dfe42775c44b67e58f57f83f54c01fed54aeeefdc2e1815904dfef",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "0f0379835482c49643ce5c044b55cbb2fb50e34263d492d1b3287d2609b3234d",
-    "curve --format json": "c4bfe64cccde1f09d77fb892f2efa290cae9f1e494db9915893a985a22d6182a",
+    "curve --format json": "8698ec39d0c413323a0e0c1a0bfa07690569171748f0c72b2bd076c10a21dd1e",
     "curve --grid 1e-5:1:7:log --taps 101 --format json": "08f56e20491e4f52150b27ceb6cd93ba0b516054a68e0b3a0f069953db41dd4a",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "ca55fa7b0512a3a39aedbcd9f78f4c5950998c15a99f943a2bc1076cebaf66e4",
     "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
