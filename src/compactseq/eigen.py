@@ -131,9 +131,9 @@ def _window(d, lo, hi, a):
     ground state below eps^2 of its largest entry from row W on.
 
     lam_min <= lo, so from a row j0 past every row with d_j <= lo + 2a the
-    ground state falls by at least a / (d_j - lo - a) < 1 per row (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 7), and W is the first row where
-    the product of those factors from j0 is below eps^2.  No factor is
+    ground state's ratio v_j / v_{j-1} is at most a / (d_j - lo - a) < 1
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 7), and W is the first
+    row where the product of those factors from j0 is below eps^2.  No factor is
     below a / (hi - lo - a), and on a half that rises through lo + 2a, as
     k^2 does, bisection finds j0: where n - j0 such factors cannot reach
     eps^2, as on every Mathieu grid (which ends where the same bound
