@@ -7,7 +7,7 @@ designer's tridiagonal machinery doubles as an evaluator for the lowest
 even angular eigenfunction ce0 and its characteristic value a0.
 """
 
-from .bounds import a0_upper_bound, eta_lower, eta_upper, mclachlan_a0
+from .bounds import eta_lower, eta_upper
 from .design import (
     CurvePoint,
     DesignConvergenceError,
@@ -18,16 +18,7 @@ from .design import (
 )
 from .eigen import EigenConvergenceError, EigenPair, min_eigenpair
 from .mathieu import MathieuEval, MathieuGridError, ce0, char_value_a0
-from .sequence import (
-    Sequence,
-    autocorrelation,
-    dtft,
-    modulus,
-    norm2,
-    read_sequence,
-    shift,
-    write_sequence,
-)
+from .sequence import Sequence, autocorrelation, read_sequence, write_sequence
 from .spreads import SpreadReport, measure
 from .windows import (
     WindowFamily,
@@ -36,7 +27,6 @@ from .windows import (
     spread_scan,
     standard_windows,
     three_tap,
-    three_tap_eta_p,
 )
 
 __version__ = "0.1.0"

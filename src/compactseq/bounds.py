@@ -10,27 +10,13 @@ asymptotic estimate meant for small sigma2 (it stays a valid ceiling in
 the acceptance range sigma2 <= 0.1 but grows uselessly loose beyond).
 Both tend to the right limits: 1/4 as sigma2 -> 0 and 1/2 (lower bound)
 as sigma2 -> inf.
-
-The same large-argument analysis gives a truncated series for the lowest
-even characteristic value a0(q) of the angular equation
-
-    y'' + (a - 2 q cos(2 theta)) y = 0,
-
-accurate to a few parts in 1e4 once q is moderately large, plus the
-three-term upper bound -2q + 2 sqrt(q) - 1/4 valid for all q > 0.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "eta_lower",
-    "eta_upper",
-    "MCLACHLAN_Q_MIN",
-    "mclachlan_a0",
-    "a0_upper_bound",
-]
+__all__ = ["eta_lower", "eta_upper"]
 
 
 def _check_sigma2(sigma2: float) -> float:
@@ -63,39 +49,3 @@ def eta_upper(sigma2: float) -> float:
     if r == 1.0:
         return (r * (r + 1.0) - 0.5 * s2) / 8.0
     return s2 / 8.0 * (r / (r - 1.0) - 0.5)
-
-
-MCLACHLAN_Q_MIN = 4.0
-
-# Coefficients of the large-q series for a0, by descending half-power of q.
-_A0_SERIES = (
-    -1.0 / 32.0,        # q^{-1/2}
-    -48.0 / 2.0**7,     # q^{-1}
-    -848.0 / 2.0**17,   # q^{-3/2}
-    -4752.0 / 2.0**20,  # q^{-2}
-    -126752.0 / 2.0**20,  # q^{-5/2}
-)
-
-
-def mclachlan_a0(q: float) -> float:
-    """Truncated large-q series for the lowest characteristic value a0(q).
-
-    Only meaningful for q >= 4 (raises below); relative accuracy improves
-    like a few 1e-4 and better as q grows.
-    """
-    q = float(q)
-    if q < MCLACHLAN_Q_MIN:
-        raise ValueError(f"series needs q >= {MCLACHLAN_Q_MIN}")
-    rq = math.sqrt(q)
-    total = -2.0 * q + 2.0 * rq - 0.25
-    power = 1.0 / rq
-    for coeff in _A0_SERIES:
-        total += coeff * power
-        power /= rq
-    return total
-
-
-def a0_upper_bound(q: float) -> float:
-    """Three-term ceiling -2q + 2 sqrt(q) - 1/4 for a0(q), q > 0."""
-    q = float(q)
-    return -2.0 * q + 2.0 * math.sqrt(q) - 0.25

@@ -11,7 +11,8 @@ windows  spread scan of the stock window families (CSV)
 Grids are given as ``start:stop:points:log`` or ``start:stop:points:lin``.
 Output goes to stdout unless ``--output`` names a file; bytes are a pure
 function of the flags, so reruns reproduce them exactly.  Exit status is
-0 on success, 1 for invalid arguments or inputs, 2 when a solve fails, the
+0 on success, 1 for invalid arguments or inputs (a ``--taps`` above
+2**21 + 1, the grid cap, among them), 2 when a solve fails, the
 requested constraint is unattainable at the given tap count or a Mathieu q
 needs a grid beyond the largest.
 """

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import eta_lower, eta_upper
-from .eigen import min_eigenpair
+from .eigen import _MAX_HALF_LEN, min_eigenpair
 from .sequence import Sequence
 
 __all__ = [
@@ -193,8 +193,10 @@ def _find_root(trial, s):
 def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     """Minimal-time-spread sequence with periodic frequency spread sigma2.
 
-    ``taps`` (odd, >= 5) fixes the grid k = -(taps-1)/2 .. (taps-1)/2; it
-    must be large enough that alpha = 1/sqrt(1+sigma2) stays below the
+    ``taps`` (odd, >= 5 and <= 2**21 + 1, the grid cap the Mathieu
+    evaluator shares) fixes the grid k = -(taps-1)/2 .. (taps-1)/2; a
+    larger count is refused before the grid is built.  It must be large
+    enough that alpha = 1/sqrt(1+sigma2) stays below the
     largest eigenvalue cos(pi/(taps+1)) of the lag-one form, otherwise the
     constraint is unattainable and UnattainableSpreadError is raised.
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
@@ -209,6 +211,8 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     taps = int(taps)
     if taps < 5 or taps % 2 == 0:
         raise ValueError("taps must be odd and >= 5")
+    if taps > 2 * _MAX_HALF_LEN + 1:
+        raise ValueError(f"taps must be at most {2 * _MAX_HALF_LEN + 1}")
 
     half = (taps - 1) // 2
     alpha = 1.0 / math.sqrt(1.0 + sigma2)

@@ -61,6 +61,8 @@ __all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 
 _MAX_CLIMB = 30
 _MAX_SOLVES = 50
+# the longest half N a caller builds a grid k = -N..N for
+_MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
 

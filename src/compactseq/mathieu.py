@@ -39,12 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenPair, min_eigenpair
+from .eigen import _MAX_HALF_LEN, EigenPair, min_eigenpair
 
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
 _TAIL_AMP = 1e-12
-_MAX_HALF_LEN = 2**20
 # below this |q| the third term of a0's series, 29q^6/2304, is under
 # 2^-54 * q^2/2, i.e. under half an ulp of a0
 _SERIES_Q = (1152.0 / 29.0 * 2.0**-54) ** 0.25

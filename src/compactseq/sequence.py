@@ -25,10 +25,6 @@ import numpy as np
 
 __all__ = [
     "Sequence",
-    "norm2",
-    "shift",
-    "modulus",
-    "dtft",
     "autocorrelation",
     "read_sequence",
     "write_sequence",
@@ -64,35 +60,6 @@ class Sequence:
     def indices(self) -> np.ndarray:
         """Time indices of the stored taps (``offset .. offset+len-1``)."""
         return self.offset + np.arange(self.taps.size)
-
-
-def norm2(x: Sequence) -> float:
-    """Squared l2 norm, sum of |x_k|^2."""
-    return float(np.sum(np.abs(x.taps) ** 2))
-
-
-def shift(x: Sequence, m: int) -> Sequence:
-    """Delay by m samples: tap values unchanged, indices moved to k+m."""
-    return Sequence(x.taps, x.offset + int(m))
-
-
-def modulus(x: Sequence) -> Sequence:
-    """Entrywise modulus |x_k| at the same indices."""
-    return Sequence(np.abs(x.taps), x.offset)
-
-
-def dtft(x: Sequence, omegas) -> np.ndarray:
-    """Discrete-time Fourier transform X(e^{jw}) = sum_k x_k e^{-jwk}.
-
-    Evaluated by direct summation at the requested frequencies, which keeps
-    the offset exact and puts no constraint on the grid.  Returns a complex
-    array of the same shape as ``omegas`` (or a scalar-shaped array for a
-    scalar input).
-    """
-    w = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    k = x.indices
-    out = np.exp(-1j * np.outer(w, k)) @ x.taps
-    return out.reshape(np.shape(omegas)) if np.shape(omegas) else out[0]
 
 
 def autocorrelation(x: Sequence, m: int) -> complex:

@@ -26,7 +26,6 @@ __all__ = [
     "standard_windows",
     "sampled_gaussian",
     "three_tap",
-    "three_tap_eta_p",
     "default_families",
     "spread_scan",
 ]
@@ -94,23 +93,13 @@ def gaussian_auto_taps(width: float) -> int:
 
 
 def three_tap(eps: float) -> Sequence:
-    """The three-tap probe (eps, sqrt(1 - 2 eps^2), eps) at k = -1, 0, 1.
-
-    Needs 0 < eps < 1/sqrt(2).  Its spread product has the closed form
-    given by :func:`three_tap_eta_p`, approaching 1/2 at both ends of the
-    parameter range.
-    """
+    """The three-tap probe (eps, sqrt(1 - 2 eps^2), eps) at k = -1, 0, 1,
+    for 0 < eps < 1/sqrt(2)."""
     eps = float(eps)
     if not 0.0 < eps < 1.0 / math.sqrt(2.0):
         raise ValueError("eps must lie in (0, 1/sqrt(2))")
     mid = math.sqrt(1.0 - 2.0 * eps * eps)
     return Sequence(np.array([eps, mid, eps]), -1)
-
-
-def three_tap_eta_p(eps: float) -> float:
-    """Closed form eta_p of the three-tap probe: 1/(2(1-2eps^2)) - 2eps^2."""
-    eps = float(eps)
-    return 1.0 / (2.0 * (1.0 - 2.0 * eps * eps)) - 2.0 * eps * eps
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Shared test oracles.
 
 Everything here is deliberately independent of the package's own
-numerics: a dense cyclic-Jacobi eigensolver and a dense ground pair of the
-even half to check the tridiagonal kernel against, the yes/no Sturm test
-its shift must pass, brute-force quadrature for the frequency moments
-the closed forms are supposed to reproduce, and a line-by-line parser of
-the sequence text format.
+numerics, which it takes only the ``Sequence`` container from: a dense
+cyclic-Jacobi eigensolver and a dense ground pair of the even half to
+check the tridiagonal kernel against, the yes/no Sturm test its shift
+must pass, the DTFT by direct summation and brute-force quadrature for
+the frequency moments the closed forms are supposed to reproduce,
+McLachlan's large-q series for a0 and its three-term ceiling, the
+three-tap probe's closed-form spread product, and a line-by-line parser
+of the sequence text format.
 """
 
 from __future__ import annotations
@@ -14,7 +17,36 @@ import math
 
 import numpy as np
 
-from compactseq.sequence import Sequence, dtft, norm2
+from compactseq.sequence import Sequence
+
+
+def norm2(x: Sequence) -> float:
+    """Squared l2 norm, sum of |x_k|^2."""
+    return float(np.sum(np.abs(x.taps) ** 2))
+
+
+def shift(x: Sequence, m: int) -> Sequence:
+    """Delay by m samples: tap values unchanged, indices moved to k+m."""
+    return Sequence(x.taps, x.offset + int(m))
+
+
+def modulus(x: Sequence) -> Sequence:
+    """Entrywise modulus |x_k| at the same indices."""
+    return Sequence(np.abs(x.taps), x.offset)
+
+
+def dtft(x: Sequence, omegas) -> np.ndarray:
+    """Discrete-time Fourier transform X(e^{jw}) = sum_k x_k e^{-jwk}.
+
+    Evaluated by direct summation at the requested frequencies, which keeps
+    the offset exact and puts no constraint on the grid.  Returns a complex
+    array of the same shape as ``omegas`` (or a scalar-shaped array for a
+    scalar input).
+    """
+    w = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    k = x.indices
+    out = np.exp(-1j * np.outer(w, k)) @ x.taps
+    return out.reshape(np.shape(omegas)) if np.shape(omegas) else out[0]
 
 
 def tridiag_dense(diag, offdiag) -> np.ndarray:
@@ -135,6 +167,49 @@ def trig_moment_quad(x: Sequence, npts: int = 8192) -> complex:
     w = -np.pi + 2.0 * np.pi * np.arange(npts) / npts
     vals = np.exp(1j * w) * np.abs(dtft(x, w)) ** 2
     return complex(np.mean(vals) / norm2(x))
+
+
+MCLACHLAN_Q_MIN = 4.0
+
+# Coefficients of the large-q series for a0, by descending half-power of q.
+_A0_SERIES = (
+    -1.0 / 32.0,        # q^{-1/2}
+    -48.0 / 2.0**7,     # q^{-1}
+    -848.0 / 2.0**17,   # q^{-3/2}
+    -4752.0 / 2.0**20,  # q^{-2}
+    -126752.0 / 2.0**20,  # q^{-5/2}
+)
+
+
+def mclachlan_a0(q: float) -> float:
+    """Truncated large-q series for the lowest characteristic value a0(q)
+    of y'' + (a - 2 q cos(2 theta)) y = 0 (McLachlan; DLMF 28.8.1).
+
+    Only meaningful for q >= 4 (raises below); relative accuracy improves
+    like a few 1e-4 and better as q grows.
+    """
+    q = float(q)
+    if q < MCLACHLAN_Q_MIN:
+        raise ValueError(f"series needs q >= {MCLACHLAN_Q_MIN}")
+    rq = math.sqrt(q)
+    total = -2.0 * q + 2.0 * rq - 0.25
+    power = 1.0 / rq
+    for coeff in _A0_SERIES:
+        total += coeff * power
+        power /= rq
+    return total
+
+
+def a0_upper_bound(q: float) -> float:
+    """Three-term ceiling -2q + 2 sqrt(q) - 1/4 for a0(q), q > 0."""
+    q = float(q)
+    return -2.0 * q + 2.0 * math.sqrt(q) - 0.25
+
+
+def three_tap_eta_p(eps: float) -> float:
+    """Closed form eta_p of the three-tap probe: 1/(2(1-2eps^2)) - 2eps^2."""
+    eps = float(eps)
+    return 1.0 / (2.0 * (1.0 - 2.0 * eps * eps)) - 2.0 * eps * eps
 
 
 def random_sequences(rng: np.random.Generator, count: int, max_len: int = 12):

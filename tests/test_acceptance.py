@@ -37,14 +37,24 @@ import time
 import numpy as np
 import pytest
 
-from helpers import jacobi_eigh, random_sequences, tridiag_dense
+from helpers import (
+    a0_upper_bound,
+    dtft,
+    jacobi_eigh,
+    mclachlan_a0,
+    modulus,
+    random_sequences,
+    shift,
+    three_tap_eta_p,
+    tridiag_dense,
+)
 
-from compactseq.bounds import a0_upper_bound, eta_lower, eta_upper, mclachlan_a0
+from compactseq.bounds import eta_lower, eta_upper
 from compactseq.cli import main as cli_main
 from compactseq.design import design_max_compact
 from compactseq.eigen import min_eigenpair
 from compactseq.mathieu import ce0, char_value_a0
-from compactseq.sequence import Sequence, dtft, modulus, shift
+from compactseq.sequence import Sequence
 from compactseq.spreads import measure
 from compactseq.windows import (
     WINDOW_NAMES,
@@ -53,7 +63,6 @@ from compactseq.windows import (
     spread_scan,
     standard_windows,
     three_tap,
-    three_tap_eta_p,
 )
 
 

@@ -4,12 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from compactseq.bounds import (
-    a0_upper_bound,
-    eta_lower,
-    eta_upper,
-    mclachlan_a0,
-)
+from helpers import a0_upper_bound, mclachlan_a0
+
+from compactseq.bounds import eta_lower, eta_upper
 
 
 def test_frozen_values():

@@ -65,6 +65,13 @@ def test_exit_codes(capsys):
     for argv in (("design", "--sigma2", "0.1"), ("curve",)):
         code, out, err = run(capsys, *argv, "--tol", "1e-10")
         assert code == 1 and out == "" and err.count("\n") == 1 and "--tol" in err
+    # refused before the grid is built: 2**50 + 1 taps would ask numpy for
+    # petabytes, and 2**21 + 3 is the first odd count past the cap 2**21 + 1
+    for taps in ("1125899906842625", "2097155"):
+        for argv in (("design", "--sigma2", "0.1"), ("curve",)):
+            code, out, err = run(capsys, *argv, "--taps", taps)
+            assert code == 1 and out == ""
+            assert err == "compactseq: error: taps must be at most 2097153\n"
 
 
 def test_analyze(capsys, tmp_path):

@@ -6,7 +6,8 @@ name the package root re-exports without listing it in its module's
 ``__all__`` is public by accident, so neither shows in the unit tests.
 The import scan keeps the rule that ``compactseq`` needs only the standard
 library and numpy at run time (scipy and hypothesis are test-only), and a
-private helper that only the tests call belongs in ``tests/helpers.py``.
+name, private or public, that only the tests call belongs in
+``tests/helpers.py``.
 """
 
 import ast
@@ -55,6 +56,19 @@ def test_runtime_imports_are_stdlib_or_numpy(path):
             assert root in allowed, f"{path.name}:{node.lineno} imports {root}"
 
 
+def _reads(tree) -> set:
+    """Every name the module reads: loaded names, attributes and imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def test_private_names_have_a_runtime_use():
     # every module-level _name is read somewhere in the package itself
     defined, used = {}, set()
@@ -68,12 +82,22 @@ def test_private_names_have_a_runtime_use():
             else:
                 names = []
             defined.update((n, path.name) for n in names if n[:1] == "_" and n[:2] != "__")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= _reads(tree)
     unused = sorted(f"{where}:{name}" for name, where in defined.items() if name not in used)
     assert not unused, f"private names with no runtime use: {unused}"
+
+
+def test_public_names_have_a_runtime_use():
+    # every name in a module's __all__ is read somewhere in the package;
+    # the package root's re-export is not a use
+    used = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            used |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    unused = sorted(
+        f"{name}.py:{n}"
+        for name in MODULES
+        for n in importlib.import_module(f"compactseq.{name}").__all__
+        if n not in used
+    )
+    assert not unused, f"public names with no runtime use: {unused}"

@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dtft, modulus, norm2, shift
+
 from compactseq.cli import main
 from compactseq.sequence import (
     Sequence,
     autocorrelation,
-    dtft,
-    modulus,
-    norm2,
     parse_sequence,
     read_sequence,
-    shift,
     write_sequence,
 )
 

@@ -4,12 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import freq_moments_quad, random_sequences, trig_moment_quad
+from helpers import (
+    freq_moments_quad,
+    modulus,
+    random_sequences,
+    shift,
+    three_tap_eta_p,
+    trig_moment_quad,
+)
 
 from compactseq.cli import main
-from compactseq.sequence import Sequence, autocorrelation, modulus, shift, write_sequence
+from compactseq.sequence import Sequence, autocorrelation, write_sequence
 from compactseq.spreads import measure
-from compactseq.windows import three_tap, three_tap_eta_p
+from compactseq.windows import three_tap
 
 EX1 = Sequence(np.array([1.0, 7.0, 2.0]))
 

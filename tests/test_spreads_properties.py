@@ -9,7 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from compactseq.sequence import Sequence, modulus, shift  # noqa: E402
+from helpers import modulus, shift  # noqa: E402
+
+from compactseq.sequence import Sequence  # noqa: E402
 from compactseq.spreads import measure  # noqa: E402
 from compactseq.windows import gaussian_auto_taps, sampled_gaussian  # noqa: E402
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import norm2, three_tap_eta_p
+
 from compactseq.cli import main
-from compactseq.sequence import norm2
 from compactseq.spreads import measure
 from compactseq.windows import (
     WINDOW_NAMES,
@@ -14,7 +15,6 @@ from compactseq.windows import (
     spread_scan,
     standard_windows,
     three_tap,
-    three_tap_eta_p,
 )
 
 
