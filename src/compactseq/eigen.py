@@ -39,14 +39,16 @@ is monotone in s (Demmel, Dhillon and Ren, ETNA 1995) and the retreat
 ends after a pass or two, at worst just below the last iterate.  There
 is no bisection: the shift is a certified no a few ulps below the
 minimum, and the value returned is the Rayleigh quotient.  The
-eigenvector then comes from inverse iteration at that shift on the full
-half, and the pivots of the pass that certified it, in the Sturm form
-above, are the Thomas factors: re-formed as c (b / p_{i-1}) so close to
-the minimum, some would round to <= 0.  With b <= 0 the shifted matrix
-is an M-matrix with an entrywise positive inverse: Thomas elimination
-meets no cancellation and the iterates, started from a positive vector,
-stay positive in floating point, so the ground state needs no sign
-fix-up.  The residual is taken on all 2N+1 rows.
+eigenvector then comes from one inverse-iteration solve at that shift on
+the full half, from the uniform start, and the pivots of the pass that
+certified it, in the Sturm form above, are the Thomas factors: re-formed
+as c (b / p_{i-1}) so close to the minimum, some would round to <= 0.
+With b <= 0 the shifted matrix is an M-matrix with an entrywise positive
+inverse: Thomas elimination meets no cancellation and the iterate,
+started from a positive vector, stays positive in floating point, so the
+ground state needs no sign fix-up.  So close to the minimum the one
+solve lands at rounding; its residual, taken on all 2N+1 rows, is checked
+against the contract, and a miss raises.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ import numpy as np
 __all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 
 _MAX_CLIMB = 30
-_MAX_SOLVES = 50
 # the longest half N a caller builds a grid k = -N..N for
 _MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
@@ -68,8 +69,8 @@ _TAIL = _EPS * _EPS
 
 
 class EigenConvergenceError(RuntimeError):
-    """No certified shift was found, or inverse iteration failed to reach
-    the residual target."""
+    """No certified shift was found, or the one inverse-iteration solve
+    missed the residual contract."""
 
 
 @dataclass(frozen=True)
@@ -236,15 +237,15 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     than double precision gives.  A matrix with ||T|| < 1 is solved scaled
     by an exact power of two to ||T|| in [1/2, 1), so down to the smallest
     subnormals the value is as accurate relative to ||T|| as at ||T|| ~ 1
-    and the contract holds with room.  The vector comes from inverse
-    iteration at a certified shift a few ulps below the minimum, placed by
-    a Laguerre climb whose last pivot pass supplies the Thomas factors, so
-    one solve usually meets the contract.  The climb's steps see only the
-    rows 0..W-1 of the half past which Parlett's ratio bound puts the
-    ground state below eps^2; the pivot pass that certifies the shift,
-    inverse iteration, the vector and its residual use every row.  Raises
-    :class:`EigenConvergenceError` if no certified shift is found or
-    inverse iteration cannot meet the contract within 50 solves.
+    and the contract holds with room.  The vector comes from one
+    inverse-iteration solve at a certified shift a few ulps below the
+    minimum, placed by a Laguerre climb whose last pivot pass supplies the
+    Thomas factors.  The climb's steps see only the rows 0..W-1 of the
+    half past which Parlett's ratio bound puts the ground state below
+    eps^2; the pivot pass that certifies the shift, the solve, the vector
+    and its residual use every row.  A non-finite entry raises
+    ``ValueError``.  Raises :class:`EigenConvergenceError` if no certified
+    shift is found or the solve's residual misses the contract.
     """
     darr = np.asarray(diag, dtype=float)
     d = darr.tolist()
@@ -258,6 +259,8 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     half = d[n // 2:]
     lo, hi = min(half), max(half)
     scale = max(hi, -lo) + 2.0 * abs(b)  # max|d| + 2|b|
+    if not math.isfinite(scale):
+        raise ValueError("diag and offdiag must be finite")
     e = -math.frexp(scale)[1] if scale < 1.0 else 0
     if e:
         half = [math.ldexp(x, e) for x in half]
@@ -274,43 +277,25 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec.setflags(write=False)
         return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
 
-    # T - shift I is a nonsingular M-matrix; reuse the certified pivots.
+    # T - shift I is a nonsingular M-matrix whose Thomas factors are the
+    # certified pivots: one solve from the uniform start
     _, p = _climb(half, b, lo, hi)
-    m = [b / pi for pi in p[:-1]]
-    b0 = 2.0 * b
-
-    def solve(y):  # overwrites the list y
-        for i in range(1, k):
-            y[i] -= m[i - 1] * y[i - 1]
-        y[k - 1] /= p[k - 1]
-        for i in range(k - 2, 0, -1):
-            y[i] = (y[i] - b * y[i + 1]) / p[i]
-        y[0] = (y[0] - b0 * y[1]) / p[0]
-        return np.array(y)
-
-    u = [1.0 / math.sqrt(n)] * k
-    best = None
-    prev = np.inf
-    for it in range(1, _MAX_SOLVES + 1):
-        v = solve(u)
-        v = np.concatenate((v[:0:-1], v))
-        v /= math.sqrt(v @ v)
-        tv = _apply(darr, b, v)
-        lam = float(v @ tv)
-        r = tv - lam * v
-        res = math.sqrt(r @ r)
-        if best is None or res < best[2]:
-            best = (lam, v, res, it)
-        if res <= 0.5 * _residual_bound(lam, scale):
-            break
-        if it >= 3 and res >= 0.9 * prev:
-            break  # at the rounding floor; keep the best iterate
-        prev = res
-        u = v[k - 1:].tolist()
-    lam, v, res, it = best
-    if res > _residual_bound(lam, scale):
+    y = [1.0 / math.sqrt(n)] * k
+    for i in range(1, k):
+        y[i] -= b / p[i - 1] * y[i - 1]
+    y[k - 1] /= p[k - 1]
+    for i in range(k - 2, 0, -1):
+        y[i] = (y[i] - b * y[i + 1]) / p[i]
+    y[0] = (y[0] - 2.0 * b * y[1]) / p[0]
+    v = np.array(y[:0:-1] + y)
+    v /= math.sqrt(v @ v)
+    tv = _apply(darr, b, v)
+    lam = float(v @ tv)
+    r = tv - lam * v
+    res = math.sqrt(r @ r)
+    if not res <= _residual_bound(lam, scale):
         raise EigenConvergenceError(
-            f"inverse iteration stalled at residual {math.ldexp(res, -e):.3e} after {it} solves"
+            f"inverse iteration missed the residual bound at {math.ldexp(res, -e):.3e}"
         )
     v.setflags(write=False)
     return EigenPair(math.ldexp(lam, -e), v, math.ldexp(res, -e))

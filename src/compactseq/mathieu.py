@@ -20,10 +20,10 @@ tail bound that is short at small |q|: lambda_min <= d_0 = 0, so on every
 row k with k^2 > 2|b| (b = -|q|/4 the coupling) a coefficient is at most
 |b| / (k^2 - |b|) times the one before it (Parlett's ratio bound), and
 the grid ends at the first row where the product of those factors is
-below 1e-12.  Should the outermost coefficients still reach 1e-12, the
-grid is doubled, so truncation never shows at double precision, up to a
-half-length of 2**20 (|q| up to about 1e21); a larger grid is refused
-before it is allocated.
+below 1e-12.  That grid is the only one: outermost coefficients that
+still reach 1e-12 raise :class:`MathieuGridError` rather than let
+truncation show, and so does a half-length above 2**20 (|q| above about
+1e21), refused before the grid is allocated.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -50,7 +50,8 @@ _SERIES_Q = (1152.0 / 29.0 * 2.0**-54) ** 0.25
 
 
 class MathieuGridError(RuntimeError):
-    """The coefficient tails are not resolved on any grid within reach."""
+    """The coefficient tails are not resolved on the grid, or the grid
+    would exceed the half-length cap."""
 
 
 def _first_half_len(lam1: float) -> int:
@@ -71,23 +72,20 @@ def _first_half_len(lam1: float) -> int:
     return n0
 
 
-def _ground_taps(q: float) -> tuple[EigenPair, int]:
-    """Ground eigenpair for |q| and its grid half-length, on a grid grown
-    until the tails vanish."""
+def _ground_taps(q: float) -> EigenPair:
+    """Ground eigenpair for |q| on the grid ``_first_half_len`` sizes,
+    checked for tails below ``_TAIL_AMP``."""
     lam1 = 0.5 * abs(float(q))
     if not math.isfinite(lam1):
         raise ValueError(f"q must be finite, got {float(q)!r}")
-    n0 = _first_half_len(lam1)
-    for n in (n0, 2 * n0, 4 * n0, 8 * n0, 16 * n0):
-        if n > _MAX_HALF_LEN:
-            raise MathieuGridError(
-                f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}"
-            )
-        k = np.arange(-n, n + 1, dtype=float)
-        pair = min_eigenpair(k * k, -0.5 * lam1)
-        if pair.vector[0] < _TAIL_AMP:  # positive and palindromic
-            return pair, n
-    raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
+    n = _first_half_len(lam1)
+    if n > _MAX_HALF_LEN:
+        raise MathieuGridError(f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}")
+    k = np.arange(-n, n + 1, dtype=float)
+    pair = min_eigenpair(k * k, -0.5 * lam1)
+    if pair.vector[0] >= _TAIL_AMP:  # positive and palindromic
+        raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
+    return pair
 
 
 def _a0_series(q: float) -> float | None:
@@ -106,7 +104,7 @@ def _a0_series(q: float) -> float | None:
 def char_value_a0(q: float) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
     a0 = _a0_series(float(q))
-    return 4.0 * _ground_taps(q)[0].value if a0 is None else a0
+    return 4.0 * _ground_taps(q).value if a0 is None else a0
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,8 @@ class MathieuEval:
 def ce0(q: float, thetas) -> MathieuEval:
     """Sample the lowest even eigenfunction ce0(q; t) at the given angles."""
     q = float(q)
-    pair, n = _ground_taps(q)
+    pair = _ground_taps(q)
+    n = pair.vector.size // 2
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
     half = pair.vector[n:].copy()  # c_k = tap at +k, k = 0..n
     if q > 0.0:

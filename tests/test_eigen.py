@@ -6,7 +6,14 @@ import pytest
 from helpers import even_spectrum, has_eigenvalue_below, jacobi_eigh, tridiag_dense
 
 from compactseq import design, eigen
-from compactseq.eigen import _EPS, EigenPair, _climb, _pivots, min_eigenpair
+from compactseq.eigen import (
+    _EPS,
+    EigenConvergenceError,
+    EigenPair,
+    _climb,
+    _pivots,
+    min_eigenpair,
+)
 
 
 def test_oracle_self_check():
@@ -99,6 +106,15 @@ def test_residual_contract_large():
         pair = min_eigenpair(k * k, -lam1 / 2.0)
         assert pair.residual <= 1e-10 * (1.0 + abs(pair.value))
         assert abs(float(pair.vector @ pair.vector) - 1.0) < 1e-12
+
+
+def test_a_missed_residual_raises(monkeypatch):
+    # no input reaches this: the one inverse-iteration solve has met the
+    # contract with room on every grid tried, but its check stays
+    monkeypatch.setattr(eigen, "_residual_bound", lambda value, scale: -1.0)
+    k = np.arange(-20, 21, dtype=float)
+    with pytest.raises(EigenConvergenceError, match="residual"):
+        min_eigenpair(k * k, -2.0)
 
 
 def test_ground_state_signs():

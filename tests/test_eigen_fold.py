@@ -49,7 +49,8 @@ def test_folded_vector_is_mirrored_bit_for_bit(case):
     diag, offdiag = case
     pair = eigen.min_eigenpair(diag, offdiag)
     assert np.array_equal(pair.vector, pair.vector[::-1])
-    assert pair.residual <= eigen._residual_bound(
+    # within 1e-3 of the contract: the margin the one solve relies on
+    assert pair.residual <= 1e-3 * eigen._residual_bound(
         pair.value, max(abs(v) for v in diag) + 2.0 * abs(offdiag)
     )
 

@@ -4,6 +4,8 @@ comes out entrywise nonnegative with no sign fix-up and its value agrees
 with LAPACK; a positive off-diagonal, an even-length diagonal and one that
 differs from its reverse are refused."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,4 +49,19 @@ def test_positive_offdiag_is_refused(diag, offdiag):
 )
 def test_even_or_non_palindromic_diag_is_refused(diag, offdiag):
     with pytest.raises(ValueError, match="reverse"):
+        min_eigenpair(diag, offdiag)
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        ([1.0, math.nan, 1.0], -1.0),
+        ([1.0, 0.0, 1.0], math.nan),
+        ([math.inf, 0.0, math.inf], -1.0),
+        ([1.0, 0.0, 1.0], -math.inf),
+    ],
+)
+def test_non_finite_input_is_refused(diag, offdiag):
+    # a NaN off the centre already fails the palindrome test; these pass it
+    with pytest.raises(ValueError, match="finite"):
         min_eigenpair(diag, offdiag)

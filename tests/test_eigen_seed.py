@@ -115,7 +115,10 @@ def test_eigenpair_matches_jacobi(case):
     lam, vec = even_ground_pair(diag, offdiag)
     pair = eigen.min_eigenpair(diag, offdiag)
     assert abs(pair.value - lam) <= 1e-13 * norm_t
-    assert pair.residual <= eigen._residual_bound(pair.value, norm_t)
+    # the one solve meets the contract with room (at most 1.8e-5 of it
+    # over this suite's solves); a change that erodes that margin fails
+    # here first
+    assert pair.residual <= 1e-3 * eigen._residual_bound(pair.value, norm_t)
     assert np.array_equal(pair.vector, pair.vector[::-1]) and np.all(pair.vector >= 0.0)
     assert abs(math.fsum(pair.vector**2) - 1.0) <= 1e-14
 

@@ -5,8 +5,10 @@ import pytest
 
 from helpers import tridiag_dense
 
+from compactseq import mathieu
+from compactseq.cli import main
 from compactseq.eigen import min_eigenpair
-from compactseq.mathieu import ce0, char_value_a0
+from compactseq.mathieu import MathieuGridError, ce0, char_value_a0
 
 
 def test_char_value_classical_points():
@@ -117,3 +119,13 @@ def test_non_finite_q_rejected():
             char_value_a0(q)
         with pytest.raises(ValueError, match="finite"):
             ce0(q, [0.0])
+
+
+def test_unresolved_tails_raise(monkeypatch, capsys):
+    # no q reaches this: the grid is solved once, and tails that still
+    # reach 1e-12 on it are refused
+    monkeypatch.setattr(mathieu, "_first_half_len", lambda lam1: 2)
+    with pytest.raises(MathieuGridError, match="not resolved"):
+        char_value_a0(100.0)
+    assert main(["mathieu", "--q", "100"]) == 2
+    assert "compactseq: solver failure:" in capsys.readouterr().err

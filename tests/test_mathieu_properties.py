@@ -40,6 +40,5 @@ def test_first_grid_resolves_the_tails(log10_q, sign):
     k = np.arange(-m, m + 1, dtype=float)
     want = 4.0 * float(np.linalg.eigvalsh(tridiag_dense(k * k, -abs(q) / 4.0))[0])
     assert abs(ev.a0 - want) <= 1e-12 * max(1.0, abs(want))
-    if abs(q) <= 1e4:
-        assert solve.call_count == 1
-        assert n <= _large_q_half_len(q)
+    assert solve.call_count == 1
+    assert n <= _large_q_half_len(q)
