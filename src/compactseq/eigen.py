@@ -66,6 +66,10 @@ _MAX_CLIMB = 30
 _MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
+# ||T|| from which a matrix is solved scaled down: far above every design
+# and Mathieu grid, and far below 1e154, where b^2 and the square of the
+# residual leave the float range
+_HUGE = 2.0**256
 
 
 class EigenConvergenceError(RuntimeError):
@@ -237,7 +241,10 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     than double precision gives.  A matrix with ||T|| < 1 is solved scaled
     by an exact power of two to ||T|| in [1/2, 1), so down to the smallest
     subnormals the value is as accurate relative to ||T|| as at ||T|| ~ 1
-    and the contract holds with room.  The vector comes from one
+    and the contract holds with room.  A matrix with ||T|| >= 2^256 is
+    solved scaled the same way, so b^2 and the residual's square stay
+    finite up to the largest floats, and its residual is held to the
+    contract in its own units.  The vector comes from one
     inverse-iteration solve at a certified shift a few ulps below the
     minimum, placed by a Laguerre climb whose last pivot pass supplies the
     Thomas factors.  The climb's steps see only the rows 0..W-1 of the
@@ -255,19 +262,11 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         raise ValueError(f"offdiag must be <= 0, got {b!r}")
     if n % 2 == 0 or d != d[::-1]:
         raise ValueError(f"diag must have odd length and equal its reverse, got length {n}")
-    # The tolerances below are absolute: scale a tiny matrix to ||T|| >= 1/2.
     half = d[n // 2:]
     lo, hi = min(half), max(half)
     scale = max(hi, -lo) + 2.0 * abs(b)  # max|d| + 2|b|
     if not math.isfinite(scale):
         raise ValueError("diag and offdiag must be finite")
-    e = -math.frexp(scale)[1] if scale < 1.0 else 0
-    if e:
-        half = [math.ldexp(x, e) for x in half]
-        lo, hi = math.ldexp(lo, e), math.ldexp(hi, e)
-        b = math.ldexp(b, e)
-        scale = math.ldexp(scale, e)
-        darr = np.ldexp(darr, e)
     k = len(half)
     if b == 0.0 or n == 1:
         i = int(np.argmin(half))
@@ -275,7 +274,16 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec[[k - 1 - i, k - 1 + i]] = 1.0
         vec /= np.linalg.norm(vec)
         vec.setflags(write=False)
-        return EigenPair(math.ldexp(half[i], -e), vec, 0.0)
+        return EigenPair(half[i], vec, 0.0)
+    # The tolerances below are absolute: scale a tiny matrix to ||T|| >= 1/2,
+    # and a huge one below 1 so that no square overflows.
+    e = -math.frexp(scale)[1] if scale < 1.0 or scale >= _HUGE else 0
+    if e:
+        half = [math.ldexp(x, e) for x in half]
+        lo, hi = math.ldexp(lo, e), math.ldexp(hi, e)
+        b = math.ldexp(b, e)
+        scale = math.ldexp(scale, e)
+        darr = np.ldexp(darr, e)
 
     # T - shift I is a nonsingular M-matrix whose Thomas factors are the
     # certified pivots: one solve from the uniform start
@@ -293,7 +301,10 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     lam = float(v @ tv)
     r = tv - lam * v
     res = math.sqrt(r @ r)
-    if not res <= _residual_bound(lam, scale):
+    bound = _residual_bound(lam, scale)
+    if e < 0:  # 1 + |value| does not scale: the contract in the matrix's units
+        bound = math.ldexp(_residual_bound(math.ldexp(lam, -e), math.ldexp(scale, -e)), e)
+    if not res <= bound:
         raise EigenConvergenceError(
             f"inverse iteration missed the residual bound at {math.ldexp(res, -e):.3e}"
         )

@@ -6,9 +6,20 @@ them as a ``SpreadReport``.  Everything comes from two vectors:
 * the tap-energy weights w_k = |x_k|^2 / ||x||^2, whose mean and variance
   are the time center mu_n and the time spread delta_n2, and
 * the normalized autocorrelation rho_m = r_m / r_0 for m = 1..len-1,
-  taken from one correlation of the taps with themselves and divided
-  by r_0 componentwise, which gives both spreads of the 2*pi-periodic
-  spectrum X(e^{jw}):
+  divided by r_0 componentwise, which gives both spreads of the
+  2*pi-periodic spectrum X(e^{jw}).  Below 416 real or 224 complex taps
+  it comes from one ``np.correlate`` of the taps with themselves, whose
+  lag m is conj(r_m), so the imaginary part is negated; from those
+  lengths on, where that O(len^2) correlation is the slower, from |F|^2
+  of the transform F of the taps zero-padded to a power of two
+  L >= 2 len - 1 (Wiener-Khinchin, no lag wraps around): ``irfft`` for
+  real taps, so rho stays exactly real, and for complex taps the
+  forward ``rfft`` of the real |F|^2, which gives L r_m with no
+  conjugate.  Each transformed lag is off by about eps r_0 log L, and
+  the weights 1/m and 1/m^2 below keep that near the eps pi^2/3 floor
+  that the cancellation in delta_wl2 already sets.  A sequence with one
+  nonzero tap, whose every lag is exactly 0, gets rho = 0 with no
+  transform.  From rho come:
 
   - the periodic spread ``delta_wp2 = (1 - |tau|^2) / |tau|^2`` built from
     the first trigonometric moment ``tau = rho_1``, taken from the lag-one
@@ -42,6 +53,10 @@ __all__ = ["SpreadReport", "measure"]
 
 _TINY = np.finfo(float).tiny
 _MAX_EXPONENT = 256
+# the lengths from which _rho takes the lags from transforms, where they
+# are timed faster than np.correlate (CHANGES.md)
+_FFT_REAL = 416
+_FFT_COMPLEX = 224
 
 
 def _scaled(x: Sequence, e: int) -> Sequence:
@@ -65,17 +80,38 @@ def _scaled(x: Sequence, e: int) -> Sequence:
 def _rho(x: Sequence, r0: float, real: bool) -> np.ndarray:
     """Normalized autocorrelation taps rho_m = r_m / r_0 for m = 1..len-1.
 
-    One correlation gives every lag: numpy's ``correlate(t, t)`` at lag m is
+    Below ``_FFT_REAL`` real taps or ``_FFT_COMPLEX`` complex taps one
+    correlation gives every lag: numpy's ``correlate(t, t)`` at lag m is
     sum_k x_{k+m} conj(x_k) = conj(r_m), hence the sign of the imaginary
-    part.  Real taps (``real``) are correlated as reals and give a real
-    rho.  The division is taken componentwise, which keeps a zero imaginary
-    part exactly zero.
+    part.  From those lengths on (timed in CHANGES.md), the lags come from
+    |F|^2, F the transform of the taps zero-padded to the power of two
+    L >= 2 len - 1, so that no lag wraps around: real taps take
+    ``irfft(|rfft|^2)``, which is real, and complex taps ``rfft(|fft|^2)``.
+    For the real |F|^2 that forward transform at m is L times the
+    conjugate of the inverse one, conj(conj(r_m)) = r_m, so the sign needs
+    no flip and L joins r_0 in the divisor.  Each lag is then off by about
+    eps r_0 log L instead of eps r_0; with one nonzero tap every r_m is
+    exactly 0, so rho is returned as 0 without a transform.  Real taps
+    (``real``) give a real rho.  The division is taken componentwise,
+    which keeps a zero imaginary part exactly zero.
     """
+    n = len(x)
+    if n < (_FFT_REAL if real else _FFT_COMPLEX):
+        if real:
+            t = x.taps.real
+            return np.correlate(t, t, "full")[n:] / r0
+        r = np.correlate(x.taps, x.taps, "full")[n:]
+        return r.real / r0 - 1j * (r.imag / r0)
+    if np.count_nonzero(x.taps) <= 1:
+        return np.zeros(n - 1)
+    size = 1 << (2 * n - 2).bit_length()
     if real:
-        t = x.taps.real
-        return np.correlate(t, t, "full")[len(x):] / r0
-    r = np.correlate(x.taps, x.taps, "full")[len(x):]
-    return r.real / r0 - 1j * (r.imag / r0)
+        f = np.fft.rfft(x.taps.real, size)
+        return np.fft.irfft(f.real**2 + f.imag**2, size)[1:n] / r0
+    f = np.fft.fft(x.taps, size)
+    r = np.fft.rfft(f.real**2 + f.imag**2)[1:n]
+    r0 *= size
+    return r.real / r0 + 1j * (r.imag / r0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +144,8 @@ def measure(x: Sequence) -> SpreadReport:
     neither underflows nor overflows at any tap scale and no nonzero tap
     near the subnormal floor is flushed to 0.  The weight vector and the
     autocorrelation vector rho are then computed once each: rho from one
-    correlation of the taps divided by r_0 componentwise, tau from the
+    correlation of the taps, or one transform pair on long sequences
+    (``_rho``), divided by r_0 componentwise, tau from the
     lag-one sum.  Taps far below the largest one can still have squares
     (or a |tau|^2) below the normal range; eta_p is then formed from
     unsquared ratios, so it stays accurate even where delta_n2 rounds to

@@ -5,7 +5,9 @@ numerics, which it takes only the ``Sequence`` container from: a dense
 cyclic-Jacobi eigensolver and a dense ground pair of the even half to
 check the tridiagonal kernel against, the yes/no Sturm test its shift
 must pass, the DTFT by direct summation and brute-force quadrature for
-the frequency moments the closed forms are supposed to reproduce,
+the frequency moments the closed forms are supposed to reproduce, the
+normalized autocorrelation from one ``np.correlate`` and the linear
+frequency moments its closed forms give,
 McLachlan's large-q series for a0 and its three-term ceiling, the
 three-tap probe's closed-form spread product, and a line-by-line parser
 of the sequence text format.
@@ -152,10 +154,34 @@ def even_ground_pair(diag, offdiag, eigh=jacobi_eigh):
 def freq_moments_quad(x: Sequence, npts: int = 1 << 16):
     """Trapezoidal (mu_wl, delta_wl2) of |X|^2/(2 pi ||x||^2) on [-pi, pi]."""
     w = np.linspace(-np.pi, np.pi, npts + 1)
-    dens = np.abs(dtft(x, w)) ** 2 / (2.0 * np.pi * norm2(x))
+    # the DTFT in blocks of frequencies keeps a long sequence's matrix small
+    spec = np.concatenate([dtft(x, w[i:i + 1024]) for i in range(0, w.size, 1024)])
+    dens = np.abs(spec) ** 2 / (2.0 * np.pi * norm2(x))
     mu = float(np.trapezoid(dens * w, w))
     var = float(np.trapezoid(dens * (w - mu) ** 2, w))
     return mu, var
+
+
+def rho_reference(x: Sequence) -> np.ndarray:
+    """rho_m = r_m / r_0 for m = 1..len-1 from one ``np.correlate`` of the
+    taps scaled to max|x_k| = 1, whose lag m is sum_k x_{k+m} conj(x_k),
+    that is conj(r_m)."""
+    t = x.taps / np.max(np.abs(x.taps))
+    r = np.correlate(t, t, "full")[len(t):]
+    return np.conj(r) / np.sum(np.abs(t) ** 2)
+
+
+def linear_moments_reference(x: Sequence):
+    """(mu_wl, delta_wl2) from ``rho_reference`` by the closed forms
+
+        mu_wl = 2 sum_m (-1)^m Im(rho_m) / m,
+        delta_wl2 = pi^2/3 + 4 sum_m (-1)^m Re(rho_m) / m^2 - mu_wl^2.
+    """
+    rho = rho_reference(x)
+    m = np.arange(1, len(x), dtype=float)
+    sign = np.where(np.arange(1, len(x)) % 2, -1.0, 1.0)
+    mu = float(2.0 * np.sum(sign * rho.imag / m))
+    return mu, float(math.pi**2 / 3.0 + 4.0 * np.sum(sign * rho.real / m**2) - mu * mu)
 
 
 def trig_moment_quad(x: Sequence, npts: int = 8192) -> complex:

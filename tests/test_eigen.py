@@ -100,6 +100,19 @@ def test_tiny_scale_matches_jacobi(c):
     assert pair.residual <= 1e-10 * c
 
 
+@pytest.mark.parametrize("c", [1e155, 1e200, 1e300])
+def test_huge_scale_matches_jacobi(c):
+    # from |b| ~ 1e154 on, b^2 overflows unless the matrix is scaled down
+    diag, off = [5.0, 1.0, 0.0, 1.0, 5.0], -1.0
+    w, v = jacobi_eigh(tridiag_dense(diag, off))
+    pair = min_eigenpair([c * x for x in diag], c * off)
+    assert abs(pair.value / c - w[0]) <= 1e-13 * abs(w[0])
+    assert np.max(np.abs(pair.vector - np.abs(v[:, 0]))) <= 1e-10
+    assert pair.residual <= 1e-10 * c
+    # a diagonal matrix is answered unscaled: no entry is flushed
+    assert min_eigenpair([c, 1e-300, c], 0.0).value == 1e-300
+
+
 def test_residual_contract_large():
     k = np.arange(-100, 101, dtype=float)
     for lam1 in (0.1, 1.0, 10.0, 100.0):

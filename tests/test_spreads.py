@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     freq_moments_quad,
+    linear_moments_reference,
     modulus,
     random_sequences,
     shift,
@@ -15,7 +16,7 @@ from helpers import (
 
 from compactseq.cli import main
 from compactseq.sequence import Sequence, autocorrelation, write_sequence
-from compactseq.spreads import measure
+from compactseq.spreads import _FFT_COMPLEX, _FFT_REAL, measure
 from compactseq.windows import three_tap
 
 EX1 = Sequence(np.array([1.0, 7.0, 2.0]))
@@ -230,6 +231,83 @@ def test_linear_spread_against_quadrature():
         rep = measure(s)
         assert rep.mu_wl == pytest.approx(mu_q, abs=1e-6)
         assert rep.delta_wl2 == pytest.approx(var_q, abs=1e-6)
+
+
+def _crossover(real):
+    return _FFT_REAL if real else _FFT_COMPLEX
+
+
+def _long_case(kind, real, n, rng):
+    t = rng.normal(size=n)
+    if not real:
+        t = t + 1j * rng.normal(size=n)
+    if kind == "sparse":
+        t[1::2] = 0.0  # every odd lag is exactly 0
+    elif kind == "tiny":
+        t = t * 1e-300
+    elif kind == "huge":
+        t = t * 1e160
+    return Sequence(t, 10**12 if kind == "offset" else -7)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["plain", "sparse", "tiny", "huge", "offset"])
+def test_linear_spread_from_transforms_matches_the_correlation(kind, real):
+    # just below the crossover rho comes from np.correlate, from it on from
+    # the transforms; both against one correlation of the taps in helpers
+    rng = np.random.default_rng(29)
+    for n in (_crossover(real) - 1, _crossover(real), 4001):
+        x = _long_case(kind, real, n, rng)
+        rep = measure(x)
+        mu, dwl2 = linear_moments_reference(x)
+        assert abs(rep.mu_wl - mu) <= 1e-14, n
+        assert abs(rep.delta_wl2 - dwl2) <= 1e-14, n
+        if real:
+            assert rep.mu_wl == 0.0
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_linear_spread_from_transforms_against_quadrature(real):
+    # the first length on the transforms; the trapezoid's own error, from
+    # the jump of w |X|^2 at +-pi, is under 1e-7 here
+    x = _long_case("plain", real, _crossover(real), np.random.default_rng(30))
+    mu_q, var_q = freq_moments_quad(x)
+    rep = measure(x)
+    assert rep.mu_wl == pytest.approx(mu_q, abs=1e-6)
+    assert rep.delta_wl2 == pytest.approx(var_q, abs=1e-6)
+
+
+def test_transforms_take_over_at_the_crossover(monkeypatch):
+    # np.correlate forms rho below each crossover and never from it on
+    calls = []
+    correlate = np.correlate
+
+    def counting(a, v, mode):
+        calls.append(len(a))
+        return correlate(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", counting)
+    rng = np.random.default_rng(31)
+    for real in (True, False):
+        c = _crossover(real)
+        for n in (c - 1, c, 4001):
+            calls.clear()
+            measure(_long_case("plain", real, n, rng))
+            assert calls == ([n] if n < c else []), (real, n)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_one_nonzero_tap_has_zero_linear_center(real):
+    # every lag of one nonzero tap is exactly 0, on either side of the
+    # crossover: no transform noise shows in mu_wl or delta_wl2
+    rng = np.random.default_rng(32)
+    c = _crossover(real)
+    for n in (1, 2, c - 1, c, 3000, 4001):
+        t = np.zeros(n, dtype=float if real else complex)
+        t[rng.integers(n)] = -2.5 if real else 1.5 - 0.5j
+        rep = measure(Sequence(t, 3))
+        assert rep.mu_wl == 0.0, n
+        assert rep.delta_wl2 == math.pi**2 / 3, n
 
 
 def test_shift_invariance():

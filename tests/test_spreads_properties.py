@@ -1,5 +1,7 @@
 """Property tests for ``measure``: scale, shift and modulus invariants and
-the 1/4 floor of eta_p, on generated sequences of up to 12 taps."""
+the 1/4 floor of eta_p, on generated sequences of up to 12 taps and, for
+the linear spread, of lengths on both sides of the lengths from which
+rho comes from transforms."""
 
 import math
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from helpers import modulus, shift  # noqa: E402
 
 from compactseq.sequence import Sequence  # noqa: E402
-from compactseq.spreads import measure  # noqa: E402
+from compactseq.spreads import _FFT_COMPLEX, _FFT_REAL, measure  # noqa: E402
 from compactseq.windows import gaussian_auto_taps, sampled_gaussian  # noqa: E402
 
 # fixed, seed-independent example budget so the suite's run time is bounded
@@ -103,3 +105,44 @@ def test_modulus_never_widens_eta_p(x):
         assert rep_m.eta_p is None
     else:
         assert rep_m.eta_p <= rep.eta_p * (1 + 1e-9)
+
+
+@st.composite
+def long_sequences(draw):
+    """Real or complex normal taps, some with every other tap zero, of a
+    length from below the complex crossover to above the real one."""
+    n = draw(st.integers(_FFT_COMPLEX - 64, _FFT_REAL + 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.normal(size=n)
+    if draw(st.booleans()):
+        taps = taps + 1j * rng.normal(size=n)
+    if draw(st.booleans()):
+        taps[1::2] = 0.0
+    return Sequence(taps, draw(st.integers(-50, 50)))
+
+
+@PROPS
+@given(
+    long_sequences(),
+    st.integers(-500, 500),
+    st.integers(-900, 900),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 2 * math.pi),
+)
+def test_linear_spread_invariants_across_the_crossover(x, m, k, mag, phase):
+    rep = measure(x)
+    # the frequency side never sees the offset
+    rep_s = measure(shift(x, m))
+    assert (rep_s.mu_wl, rep_s.delta_wl2) == (rep.mu_wl, rep.delta_wl2)
+    # a power of two is removed exactly
+    scaled = Sequence(np.ldexp(x.taps.real, k) + 1j * np.ldexp(x.taps.imag, k), x.offset)
+    assert measure(scaled) == rep
+    # a complex factor can move real taps from one side of their crossover
+    # to the other side of the complex one
+    rep_c = measure(Sequence(x.taps * (mag * np.exp(1j * phase)), x.offset))
+    for fld in ("mu_wl", "delta_wl2", "eta_l"):
+        assert getattr(rep_c, fld) == pytest.approx(getattr(rep, fld), rel=1e-9, abs=1e-12)
+    # the modulus is real, so its rho is real and mu_wl exactly 0
+    rep_m = measure(modulus(x))
+    assert rep_m.mu_wl == 0.0
+    assert rep_m.eta_p <= rep.eta_p * (1 + 1e-9)
