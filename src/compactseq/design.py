@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import eta_lower, eta_upper
+from .bounds import _check_sigma2, eta_lower, eta_upper
 from .eigen import _MAX_HALF_LEN, min_eigenpair
 from .sequence import Sequence
 
@@ -205,9 +205,7 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     large-lambda1 limits solved for alpha, then brackets and refines
     lambda1 with Brent's method (see ``_find_root``).
     """
-    sigma2 = float(sigma2)
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError("sigma2 must be positive and finite")
+    sigma2 = _check_sigma2(sigma2)
     taps = int(taps)
     if taps < 5 or taps % 2 == 0:
         raise ValueError("taps must be odd and >= 5")

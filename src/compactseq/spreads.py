@@ -149,7 +149,8 @@ def measure(x: Sequence) -> SpreadReport:
     lag-one sum.  Taps far below the largest one can still have squares
     (or a |tau|^2) below the normal range; eta_p is then formed from
     unsquared ratios, so it stays accurate even where delta_n2 rounds to
-    0 and delta_wp2 to infinity.
+    0 and delta_wp2 to infinity.  An offset that puts mu_n beyond the
+    float range raises ValueError.
     """
     real = not x.taps.imag.any()
     a = np.abs(x.taps.real if real else x.taps)
@@ -162,12 +163,15 @@ def measure(x: Sequence) -> SpreadReport:
         a = np.ldexp(a, -e) if real else np.abs(x.taps)
     a2 = a**2
     r0 = float(a2.sum())
-    # the indices as floats, which the products below would cast them to
-    # (exact while |offset| + len <= 2^53)
-    k = np.arange(x.offset, x.offset + len(x), dtype=float)
+    c = len(x) // 2  # moments about the middle tap: no offset costs dk its digits
+    k = np.arange(-c, len(x) - c, dtype=float)
     w = a2 / r0
-    mu_n = float(w @ k)
-    dk = k - mu_n
+    mean = float(w @ k)
+    try:
+        mu_n = (x.offset + c) + mean
+    except OverflowError:
+        raise ValueError("offset puts the time center beyond the float range") from None
+    dk = k - mean
     dn2 = float(w @ dk**2)
 
     tau = autocorrelation(x, 1) / r0

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 WINDOW_NAMES = ("rectangular", "triangular", "hann", "hamming", "blackman")
+_COSINE_SUMS = {"rectangular": (1.0,), "hann": (0.5, 0.5), "hamming": (0.54, 0.46),
+                "blackman": (0.42, 0.5, 0.08)}
 
 
 def _unit(taps: np.ndarray, offset: int) -> Sequence:
@@ -49,28 +51,21 @@ def _check_taps(taps: int) -> int:
 def standard_windows(name: str, taps: int) -> Sequence:
     """One of the classical windows, unit energy, centered at index 0.
 
-    Supported names: rectangular, triangular (Bartlett, zero endpoints),
-    hann, hamming (0.54/0.46), blackman (0.42/0.50/0.08).  ``taps`` is the
-    full length M; the cosine windows use the symmetric convention with
-    denominator M - 1.
+    ``taps`` is the full length M.  triangular is Bartlett's, zero at both
+    ends; rectangular, hann, hamming (0.54/0.46) and blackman
+    (0.42/0.50/0.08) are the generalized-cosine sums (Harris, Proc. IEEE
+    66(1), 1978) w[n] = sum_j (-1)^j a_j cos(2 pi j n / (M - 1)).
     """
     taps = _check_taps(taps)
     n = np.arange(taps, dtype=float)
     m = taps - 1
-    if name == "rectangular":
-        w = np.ones(taps)
-    elif name == "triangular":
+    if name == "triangular":
         w = 1.0 - np.abs(n - m / 2.0) / (m / 2.0)
-    elif name == "hann":
-        w = 0.5 - 0.5 * np.cos(2.0 * math.pi * n / m)
-    elif name == "hamming":
-        w = 0.54 - 0.46 * np.cos(2.0 * math.pi * n / m)
-    elif name == "blackman":
-        w = (
-            0.42
-            - 0.5 * np.cos(2.0 * math.pi * n / m)
-            + 0.08 * np.cos(4.0 * math.pi * n / m)
-        )
+    elif name in _COSINE_SUMS:
+        a0, *rest = _COSINE_SUMS[name]
+        w = np.full(taps, a0)
+        for j, a in enumerate(rest, 1):
+            w += (-1) ** j * a * np.cos(2.0 * math.pi * j * n / m)
     else:
         raise ValueError(f"unknown window {name!r}; expected one of {WINDOW_NAMES}")
     return _unit(w, -(taps // 2))

@@ -96,6 +96,21 @@ def test_analyze(capsys, tmp_path):
     assert float(row.split(",")[1]) == pytest.approx(0.08950617283950617)
 
 
+def test_analyze_at_any_offset(capsys, tmp_path):
+    p = tmp_path / "ex1.seq"
+    for offset in (0, 10**12, 2**53, 10**20):
+        p.write_text(f"# offset={offset}\n1\n7\n2\n")
+        code, out, err = run(capsys, "analyze", "--input", str(p))
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        assert (obj["delta_n2"], obj["eta_p"]) == (0.08950617283950617, 0.5023305618543713)
+    # a time center past the float range is an input error, not a traceback
+    p.write_text("# offset=1" + "0" * 400 + "\n1\n7\n2\n")
+    code, out, err = run(capsys, "analyze", "--input", str(p))
+    assert code == 1 and out == ""
+    assert err == "compactseq: error: offset puts the time center beyond the float range\n"
+
+
 def test_analyze_extreme_tap_scales(capsys, tmp_path):
     # spreads are scale-invariant: tiny and huge taps report the unit-scale values
     def report(scale):
@@ -205,6 +220,24 @@ def test_mathieu_grid_beyond_the_largest(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("compactseq: solver failure: coefficient tails not resolved")
     assert err.count("\n") == 1
+
+
+def test_grid_too_large_to_allocate(capsys, monkeypatch):
+    # a real 1e12-point grid may or may not fail at once, depending on the
+    # host's overcommit policy, so the allocation failure is simulated
+    def refuse(start, stop, num, **kwargs):
+        raise MemoryError(f"Unable to allocate {8 * num} bytes")
+
+    monkeypatch.setattr(np, "geomspace", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    for argv in (
+        ["curve", "--grid", "0.01:1:1000000000000:log"],
+        ["mathieu", "--grid", "0:1:1000000000000:lin"],
+        ["mathieu", "--q", "1", "--grid", "0:1:1000000000000:lin"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "compactseq: error: Unable to allocate 8000000000000 bytes\n"
 
 
 def test_negative_values_after_a_space(capsys):

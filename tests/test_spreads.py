@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,6 +331,19 @@ def test_shift_invariance():
                 assert math.isinf(rep2.eta_p)
             else:
                 assert rep2.eta_p == pytest.approx(rep.eta_p, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset", [-1000, 10**12, 2**53, 10**20])
+def test_offset_moves_only_the_time_center(offset):
+    # the moments are taken about the middle tap, so an offset far beyond
+    # 2^53 still leaves every spread bit for bit as at offset 0
+    rng = np.random.default_rng(16)
+    for taps in (EX1.taps, rng.normal(size=50) + 1j * rng.normal(size=50)):
+        rep0 = measure(Sequence(taps, 0))
+        rep = measure(Sequence(taps, offset))
+        assert repr(replace(rep, mu_n=0.0)) == repr(replace(rep0, mu_n=0.0))
+        exact = Fraction(rep0.mu_n) + offset
+        assert abs(Fraction(rep.mu_n) - exact) <= math.ulp(rep.mu_n)
 
 
 def test_modulus_contraction():
