@@ -12,9 +12,10 @@ Grids are given as ``start:stop:points:log`` or ``start:stop:points:lin``.
 Output goes to stdout unless ``--output`` names a file; bytes are a pure
 function of the flags, so reruns reproduce them exactly.  Exit status is
 0 on success, 1 for invalid arguments or inputs (a ``--taps`` above
-2**21 + 1, the grid cap, and a ``--grid`` too large to allocate among
-them), 2 when a solve fails, the requested constraint is unattainable at
-the given tap count or a Mathieu q needs a grid beyond the largest.
+2**21 + 1, the grid cap, a ``--grid`` too large to allocate and an
+unwritable ``--output`` among them), 2 when a solve fails, the requested
+constraint is unattainable at the given tap count or a Mathieu q needs a
+grid beyond the largest.
 """
 
 from __future__ import annotations
@@ -223,17 +224,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         text = args.run(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (_CliError, ValueError, OSError, MemoryError) as exc:
         print(f"compactseq: error: {exc}", file=sys.stderr)
         return 1
     except _SOLVER_ERRORS as exc:
         print(f"compactseq: solver failure: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -56,11 +56,6 @@ class Sequence:
     def __len__(self) -> int:
         return self.taps.size
 
-    @property
-    def indices(self) -> np.ndarray:
-        """Time indices of the stored taps (``offset .. offset+len-1``)."""
-        return self.offset + np.arange(self.taps.size)
-
 
 def autocorrelation(x: Sequence, m: int) -> complex:
     """Deterministic autocorrelation r_m = sum_k x_k conj(x_{k+m}).

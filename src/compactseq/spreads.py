@@ -38,6 +38,11 @@ The products ``eta_p = delta_n2*delta_wp2`` and ``eta_l = delta_n2*delta_wl2``
 are the two time-frequency spread products; eta_p is bounded below by 1/4
 whenever the sequence has more than one nonzero tap, while eta_l can drop
 below 1/4.
+
+``measure(x, linear=False)`` skips rho and the lag sums: mu_wl, delta_wl2
+and eta_l are then None, and every other field is bit for bit the one
+``measure(x)`` gives.  The window scan, which keeps only delta_wp2,
+delta_n2 and eta_p, measures that way.
 """
 
 from __future__ import annotations
@@ -119,24 +124,26 @@ class SpreadReport:
     """All spread measures of one sequence.
 
     ``eta_p`` is None exactly when the sequence has a single nonzero tap
-    (degenerate 0 * inf product).  ``mu_wp = 1 - tau`` is the periodic
-    frequency center; ``analyze --format json`` prints it, the CSV form
-    leaves it out.
+    (degenerate 0 * inf product).  ``mu_wl``, ``delta_wl2`` and ``eta_l``
+    are None exactly when it was measured with ``linear=False``.
+    ``mu_wp = 1 - tau`` is the periodic frequency center; ``analyze
+    --format json`` prints it, the CSV form leaves it out.
     """
 
     mu_n: float
     delta_n2: float
     tau: complex
     delta_wp2: float
-    mu_wl: float
-    delta_wl2: float
+    mu_wl: float | None
+    delta_wl2: float | None
     eta_p: float | None
-    eta_l: float
+    eta_l: float | None
     mu_wp: complex
 
 
-def measure(x: Sequence) -> SpreadReport:
-    """Evaluate every spread measure of ``x``.
+def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
+    """Evaluate every spread measure of ``x``, or with ``linear=False``
+    all but the linear ones.
 
     The measures are scale-invariant, so the taps are first scaled by an
     exact power of two: up to max|x_k| in [0.5, 1) when it is smaller, and
@@ -150,7 +157,9 @@ def measure(x: Sequence) -> SpreadReport:
     (or a |tau|^2) below the normal range; eta_p is then formed from
     unsquared ratios, so it stays accurate even where delta_n2 rounds to
     0 and delta_wp2 to infinity.  An offset that puts mu_n beyond the
-    float range raises ValueError.
+    float range raises ValueError.  With ``linear=False`` neither rho nor
+    the lag sums are formed, and mu_wl, delta_wl2 and eta_l are None; the
+    other fields do not depend on ``linear``.
     """
     real = not x.taps.imag.any()
     a = np.abs(x.taps.real if real else x.taps)
@@ -194,15 +203,18 @@ def measure(x: Sequence) -> SpreadReport:
     else:
         eta_p = dn2 * dwp2
 
-    rho = _rho(x, r0, real)
-    m = np.arange(1, len(x))
-    # the terms (-1)^m rho_m / m and (-1)^m rho_m / m^2: odd lags negated
-    im = rho.imag / m
-    im[::2] *= -1.0
-    re = rho.real / m**2
-    re[::2] *= -1.0
-    mu_wl = float(2.0 * im.sum())
-    dwl2 = float(math.pi**2 / 3.0 + 4.0 * re.sum() - mu_wl * mu_wl)
+    mu_wl = dwl2 = eta_l = None
+    if linear:
+        rho = _rho(x, r0, real)
+        m = np.arange(1, len(x))
+        # the terms (-1)^m rho_m / m and (-1)^m rho_m / m^2: odd lags negated
+        im = rho.imag / m
+        im[::2] *= -1.0
+        re = rho.real / m**2
+        re[::2] *= -1.0
+        mu_wl = float(2.0 * im.sum())
+        dwl2 = float(math.pi**2 / 3.0 + 4.0 * re.sum() - mu_wl * mu_wl)
+        eta_l = dn2 * dwl2
     return SpreadReport(
         mu_n=mu_n,
         delta_n2=dn2,
@@ -211,6 +223,6 @@ def measure(x: Sequence) -> SpreadReport:
         mu_wl=mu_wl,
         delta_wl2=dwl2,
         eta_p=eta_p,
-        eta_l=dn2 * dwl2,
+        eta_l=eta_l,
         mu_wp=1.0 - tau,
     )

@@ -143,12 +143,13 @@ def spread_scan(family: WindowFamily) -> list[ScanPoint]:
 
     A parameter whose window degenerates (single nonzero tap, vanishing
     trig moment) yields a NaN point carrying the error text instead of
-    aborting the scan.
+    aborting the scan.  Each window is measured without its linear
+    spreads, which the scan does not keep.
     """
     points = []
     for p in family.params:
         try:
-            rep = measure(family.builder(p))
+            rep = measure(family.builder(p), linear=False)
             eta = rep.eta_p
             if eta is None:
                 raise ValueError("degenerate single-tap window")

@@ -22,6 +22,12 @@ import numpy as np
 from compactseq.sequence import Sequence
 
 
+def indices(x: Sequence) -> np.ndarray:
+    """Time indices of the stored taps (``offset .. offset+len-1``), as
+    int64: an offset beyond that range raises ``OverflowError``."""
+    return x.offset + np.arange(len(x))
+
+
 def norm2(x: Sequence) -> float:
     """Squared l2 norm, sum of |x_k|^2."""
     return float(np.sum(np.abs(x.taps) ** 2))
@@ -46,7 +52,7 @@ def dtft(x: Sequence, omegas) -> np.ndarray:
     scalar input).
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    k = x.indices
+    k = indices(x)
     out = np.exp(-1j * np.outer(w, k)) @ x.taps
     return out.reshape(np.shape(omegas)) if np.shape(omegas) else out[0]
 

@@ -277,6 +277,15 @@ def test_windows_scan(capsys):
     assert (code, out) == (1, "") and "invalid choice" in err
 
 
+def test_unwritable_output(capsys, tmp_path):
+    # the same exit 1 and error line as an unreadable --input, no traceback
+    target = tmp_path / "missing" / "scan.csv"
+    code, out, err = run(capsys, "windows", "--family", "three_tap", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("compactseq: error:") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dtft, modulus, norm2, shift
+from helpers import dtft, indices, modulus, norm2, shift
 
 from compactseq.cli import main
 from compactseq.sequence import (
@@ -29,7 +29,7 @@ def test_construction_validation():
         Sequence(np.array([1.0, np.inf]))
     s = Sequence([1, 2], offset=-3)
     assert s.taps.dtype == np.complex128
-    assert list(s.indices) == [-3, -2]
+    assert list(indices(s)) == [-3, -2]
     assert len(s) == 2
 
 

@@ -1,7 +1,8 @@
 """Property tests for ``measure``: scale, shift and modulus invariants and
 the 1/4 floor of eta_p, on generated sequences of up to 12 taps and, for
 the linear spread, of lengths on both sides of the lengths from which
-rho comes from transforms."""
+rho comes from transforms; and that ``linear=False`` leaves every other
+field bit for bit as it was."""
 
 import math
 
@@ -146,3 +147,41 @@ def test_linear_spread_invariants_across_the_crossover(x, m, k, mag, phase):
     rep_m = measure(modulus(x))
     assert rep_m.mu_wl == 0.0
     assert rep_m.eta_p <= rep.eta_p * (1 + 1e-9)
+
+
+@st.composite
+def any_sequences(draw):
+    """Real or complex normal taps at 1, 1e-300 or 1e160, of a few taps or
+    of a length near either crossover, some with every other tap zero
+    (tau = 0) and some with one nonzero tap, at any integer offset; a
+    normal draw is never 0, so a tap is always left."""
+    n = draw(
+        st.one_of(
+            st.integers(1, 12),
+            st.integers(_FFT_COMPLEX - 8, _FFT_COMPLEX + 8),
+            st.integers(_FFT_REAL - 8, _FFT_REAL + 8),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.normal(size=n)
+    if draw(st.booleans()):
+        taps = taps + 1j * rng.normal(size=n)
+    shape = draw(st.sampled_from(("plain", "zero_tau", "one_tap")))
+    if shape == "zero_tau":
+        taps[1::2] = 0.0
+    elif shape == "one_tap":
+        keep = draw(st.integers(0, n - 1))
+        taps[:keep] = 0.0
+        taps[keep + 1:] = 0.0
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e160)))
+    return Sequence(scale * taps, draw(st.integers(-(2**70), 2**70)))
+
+
+@PROPS
+@given(any_sequences())
+def test_measure_without_the_linear_spreads(x):
+    full, short = measure(x), measure(x, linear=False)
+    # repr tells -0.0 from 0.0 and prints every bit of a float or complex
+    for fld in ("mu_n", "delta_n2", "tau", "delta_wp2", "eta_p", "mu_wp"):
+        assert repr(getattr(short, fld)) == repr(getattr(full, fld))
+    assert (short.mu_wl, short.delta_wl2, short.eta_l) == (None, None, None)

@@ -119,3 +119,41 @@ def test_default_families_and_csv(capsys):
     assert all(line.startswith("three_tap,") for line in lines[1:])
     spreads = [float(line.split(",")[2]) for line in lines[1:]]
     assert spreads == sorted(spreads)  # sorted by spread
+
+
+# the fields measure forms whether or not it forms the linear spreads
+SHARED = ("mu_n", "delta_n2", "tau", "delta_wp2", "eta_p", "mu_wp")
+LINEAR = ("mu_wl", "delta_wl2", "eta_l")
+
+
+def test_scan_measure_matches_the_full_measure():
+    # repr tells -0.0 from 0.0 and prints every bit of a float or complex
+    for fam in default_families():
+        for p in fam.params:
+            x = fam.builder(p)
+            full, short = measure(x), measure(x, linear=False)
+            for fld in SHARED:
+                assert repr(getattr(short, fld)) == repr(getattr(full, fld)), (fam.name, p, fld)
+            for fld in LINEAR:
+                assert getattr(short, fld) is None, (fam.name, p, fld)
+
+
+def test_windows_scan_forms_no_rho(monkeypatch, capsys):
+    import compactseq.spreads as spreads
+
+    calls = []
+    inner = spreads._rho
+
+    def counting(x, r0, real):
+        calls.append(len(x))
+        return inner(x, r0, real)
+
+    monkeypatch.setattr(spreads, "_rho", counting)
+    assert main(["windows", "--family", "all"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + sum(
+        len(f.params) for f in default_families()
+    )
+    assert calls == []
+    # the counter sees the full measure's call
+    measure(three_tap(0.3))
+    assert calls == [3]
