@@ -206,6 +206,8 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     lambda1 with Brent's method (see ``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
+    if taps != int(taps):
+        raise ValueError("taps must be an integer")
     taps = int(taps)
     if taps < 5 or taps % 2 == 0:
         raise ValueError("taps must be odd and >= 5")

@@ -1,14 +1,13 @@
-"""Ground eigenpairs of symmetric tridiagonal matrices on the grid k = -N..N.
+"""The ground eigenpair of tridiag(k^2, b) on the grid k = -N..N.
 
-The matrices handled here have a diagonal of odd length 2N+1 equal to its
-reverse, as diag(k^2) on k = -N..N is, and a constant off-diagonal
-b <= 0, the sign of the coupling -lambda1/2 in every pencil A - lambda1*B
-the designer and the Mathieu evaluator solve.  Such a matrix commutes
-with the reversal, so its ground state, the unique positive eigenvector,
-is even: it is solved on the rows k = 0..N alone and mirrored.  On that
-half only row 0 changes.  It couples to v_1 and to v_-1 = v_1, so its
-upper coupling is 2b, as in (a - 4)A_2 - q(A_4 + 2A_0) = 0 for the
-Mathieu coefficients (DLMF 28.4.5).
+That one matrix family is the pencil A - lambda1*B, with A = diag(k^2)
+and the coupling b = -lambda1/2 <= 0, that the designer and the Mathieu
+evaluator both solve.  It commutes with the reversal, so its ground
+state, the unique positive eigenvector, is even: it is solved on the rows
+k = 0..N alone, d_i = i^2, and mirrored.  On that half only row 0
+changes.  It couples to v_1 and to v_-1 = v_1, so its upper coupling is
+2b, as in (a - 4)A_2 - q(A_4 + 2A_0) = 0 for the Mathieu coefficients
+(DLMF 28.4.5).
 
 The inverse-iteration shift is placed by Laguerre's iteration on the
 shifted LDL^T recurrence of the half
@@ -20,12 +19,11 @@ which has as many negative pivots as the half has eigenvalues below the
 shift s: s is a certified no, below every eigenvalue, when all its
 pivots are positive (a zero pivot counts as negative).  The pivots'
 derivatives in s give the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, and
-Laguerre's step from them climbs from the full grid's Gershgorin bound,
-which holds the half's eigenvalues as they are among the grid's, to the
+Laguerre's step from them climbs from the Gershgorin bound -2|b| to the
 minimum cubically without passing it (Li and Zeng, SIAM J. Sci. Comput.
 1994): about 4 passes reach the rounding level 4 eps (|s| + 2|b|).
 The climb sees only the rows 0..W-1 of the half (``_window``): from row
-W on, Parlett's ratio bound, with lam_min <= min(d), puts the ground
+W on, Parlett's ratio bound, with lam_min <= d_0 = 0, puts the ground
 state below eps^2 of its largest entry, so the minimum on those rows
 lies less than |b| eps^2 above the half's, far inside the rounding
 level.  On a long grid at a small coupling that is a few dozen of a
@@ -53,7 +51,6 @@ against the contract, and a miss raises.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -66,10 +63,6 @@ _MAX_CLIMB = 30
 _MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
-# ||T|| from which a matrix is solved scaled down: far above every design
-# and Mathieu grid, and far below 1e154, where b^2 and the square of the
-# residual leave the float range
-_HUGE = 2.0**256
 
 
 class EigenConvergenceError(RuntimeError):
@@ -131,45 +124,37 @@ def _laguerre_step(d, b2, s):
     return n / den if den > 0.0 else 0.0
 
 
-def _window(d, lo, hi, a):
-    """W, the number of leading rows of the even half ``d`` (entries from
-    ``lo`` = min(d) to ``hi`` = max(d), off-diagonal of magnitude ``a``)
-    that the climb sees: every row, unless Parlett's ratio bound puts the
-    ground state below eps^2 of its largest entry from row W on.
+def _window(n, a):
+    """W, the number of leading rows of the even half k = 0..n-1 of the
+    k^2 grid (off-diagonal of magnitude ``a``) that the climb sees: every
+    row, unless Parlett's ratio bound puts the ground state below eps^2 of
+    its largest entry from row W on.
 
-    lam_min <= lo, so from a row j0 past every row with d_j <= lo + 2a the
-    ground state's ratio v_j / v_{j-1} is at most a / (d_j - lo - a) < 1
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 7), and W is the first
-    row where the product of those factors from j0 is below eps^2.  No factor is
-    below a / (hi - lo - a), and on a half that rises through lo + 2a, as
-    k^2 does, bisection finds j0: where n - j0 such factors cannot reach
-    eps^2, as on every Mathieu grid (which ends where the same bound
-    reaches 1e-12), W = n with no row scanned."""
-    n = len(d)
-    top = lo + 2.0 * a
-    if hi <= top:
+    lam_min <= d_0 = 0, so from the first row j0 with j0^2 > 2a the ground
+    state's ratio v_j / v_{j-1} is at most a / (j^2 - a) < 1 (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 7), and W is the first row where the
+    product of those factors from j0 is below eps^2.  No factor is below
+    a / (N^2 - a): where n - j0 such factors cannot reach eps^2, as on every
+    Mathieu grid (which ends where the same bound reaches 1e-12), W = n with
+    no row scanned."""
+    hi = (n - 1) * (n - 1)
+    if hi <= 2.0 * a:
         return n  # no row starts the bound
-    j = bisect.bisect_right(d, top)
-    if j == 0 or d[j - 1] > top:
-        j = 1  # j <= j0 either way: the row of lo is at most top
-    if (a / (hi - lo - a)) ** (n - j) >= _TAIL:
+    j = math.isqrt(int(2.0 * a)) + 1  # j0; k^2 rises, so no row after it dips back
+    if (a / (hi - a)) ** (n - j) >= _TAIL:
         return n
-    if min(d[j:]) <= top:  # j0 lies past the last row that dips to top
-        j = n
-        while d[j - 1] > top:
-            j -= 1
     amp = 1.0
     for i in range(j, n):
-        amp *= a / (d[i] - lo - a)
+        amp *= a / (i * i - a)
         if amp < _TAIL:
             return i
     return n
 
 
-def _climb(d, b, lo, hi):
+def _climb(d, b):
     """A certified no within a few ulps of the minimum of the even half
-    ``d``, whose entries run from ``lo`` to ``hi``, and its pivots: the
-    inverse-iteration shift and its factors.
+    ``d`` = (0, 1, 4, ..., N^2), and its pivots: the inverse-iteration shift
+    and its factors.
 
     Laguerre steps on the rows 0..W-1 that ``_window`` keeps climb from
     the Gershgorin bound until a step is at rounding, <= 4 eps (|x| + 2|b|).
@@ -183,9 +168,8 @@ def _climb(d, b, lo, hi):
     growth of an inverse iterate, stays below about 1e131."""
     b2 = b * b
     r = 2.0 * abs(b)
-    x = lo - r
-    x -= 4.0 * _EPS * (abs(x) + r)
-    n = _window(d, lo, hi, abs(b))
+    x = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
+    n = _window(len(d), abs(b))
     rows = d if n == len(d) else d[:n]
     below = -math.inf
     for _ in range(_MAX_CLIMB):
@@ -228,66 +212,51 @@ def _apply(darr, off, v):
 def min_eigenpair(diag, offdiag) -> EigenPair:
     """Smallest eigenvalue and unit eigenvector of tridiag(diag, offdiag).
 
-    ``diag`` must have odd length 2N+1 and equal its reverse, as on every
-    grid k = -N..N, and ``offdiag`` must be <= 0; anything else raises
-    ``ValueError``.  The ground state is then even (the unique positive
-    vector of a matrix that commutes with the reversal), so it is solved
-    on the rows k = 0..N alone and mirrored: the returned vector is
-    entrywise nonnegative with no sign fix-up and equals its reverse bit
-    for bit.  The residual contract, checked on all rows, is
-    ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)`` with
-    ||T|| = max|diag| + 2|offdiag| (``_residual_bound``): the second term,
-    100 ulps of the matrix norm, takes over where the first asks for more
-    than double precision gives.  A matrix with ||T|| < 1 is solved scaled
-    by an exact power of two to ||T|| in [1/2, 1), so down to the smallest
-    subnormals the value is as accurate relative to ||T|| as at ||T|| ~ 1
-    and the contract holds with room.  A matrix with ||T|| >= 2^256 is
-    solved scaled the same way, so b^2 and the residual's square stay
-    finite up to the largest floats, and its residual is held to the
-    contract in its own units.  The vector comes from one
-    inverse-iteration solve at a certified shift a few ulps below the
-    minimum, placed by a Laguerre climb whose last pivot pass supplies the
-    Thomas factors.  The climb's steps see only the rows 0..W-1 of the
-    half past which Parlett's ratio bound puts the ground state below
-    eps^2; the pivot pass that certifies the shift, the solve, the vector
-    and its residual use every row.  A non-finite entry raises
-    ``ValueError``.  Raises :class:`EigenConvergenceError` if no certified
-    shift is found or the solve's residual misses the contract.
+    ``diag`` must be k^2 on a grid k = -N..N, 2N+1 entries, and
+    ``offdiag`` must be <= 0 with ||T|| = N^2 + 2|offdiag| finite and below
+    2^256; anything else raises ``ValueError``.  The ground state is then
+    even (the unique positive vector of a matrix that commutes with the
+    reversal), so it is solved on the rows k = 0..N alone and mirrored: the
+    returned vector is entrywise nonnegative with no sign fix-up and equals
+    its reverse bit for bit.  The residual contract, checked on all rows,
+    is ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)``
+    (``_residual_bound``): the second term, 100 ulps of the matrix norm,
+    takes over where the first asks for more than double precision gives.
+    The vector comes from one inverse-iteration solve at a certified shift
+    a few ulps below the minimum, placed by a Laguerre climb whose last
+    pivot pass supplies the Thomas factors.  The climb's steps see only the
+    rows 0..W-1 of the half past which Parlett's ratio bound puts the
+    ground state below eps^2; the pivot pass that certifies the shift, the
+    solve, the vector and its residual use every row.  Raises
+    :class:`EigenConvergenceError` if no certified shift is found or the
+    solve's residual misses the contract.
     """
     darr = np.asarray(diag, dtype=float)
-    d = darr.tolist()
-    n = len(d)
+    n = darr.size
+    half_len = n // 2
+    grid = np.arange(-half_len, half_len + 1, dtype=float)
+    if not np.array_equal(darr, grid * grid):
+        raise ValueError(f"diag must be k^2 on a grid k = -N..N, got {n} entries")
     b = float(offdiag)
     if b > 0.0:
         raise ValueError(f"offdiag must be <= 0, got {b!r}")
-    if n % 2 == 0 or d != d[::-1]:
-        raise ValueError(f"diag must have odd length and equal its reverse, got length {n}")
-    half = d[n // 2:]
-    lo, hi = min(half), max(half)
-    scale = max(hi, -lo) + 2.0 * abs(b)  # max|d| + 2|b|
-    if not math.isfinite(scale):
-        raise ValueError("diag and offdiag must be finite")
-    k = len(half)
+    scale = half_len * half_len + 2.0 * abs(b)  # ||T|| = N^2 + 2|b|
+    # every design and Mathieu grid lies far below 2^256 (|b| <= 2.5e20),
+    # and 2^256 far below 1e154, where b^2 and the square of the residual
+    # would leave the float range
+    if not scale < 2.0**256:
+        raise ValueError(f"offdiag must be finite with N^2 + 2|offdiag| < 2^256, got {b!r}")
     if b == 0.0 or n == 1:
-        i = int(np.argmin(half))
         vec = np.zeros(n)
-        vec[[k - 1 - i, k - 1 + i]] = 1.0
-        vec /= np.linalg.norm(vec)
+        vec[half_len] = 1.0
         vec.setflags(write=False)
-        return EigenPair(half[i], vec, 0.0)
-    # The tolerances below are absolute: scale a tiny matrix to ||T|| >= 1/2,
-    # and a huge one below 1 so that no square overflows.
-    e = -math.frexp(scale)[1] if scale < 1.0 or scale >= _HUGE else 0
-    if e:
-        half = [math.ldexp(x, e) for x in half]
-        lo, hi = math.ldexp(lo, e), math.ldexp(hi, e)
-        b = math.ldexp(b, e)
-        scale = math.ldexp(scale, e)
-        darr = np.ldexp(darr, e)
+        return EigenPair(0.0, vec, 0.0)
 
     # T - shift I is a nonsingular M-matrix whose Thomas factors are the
     # certified pivots: one solve from the uniform start
-    _, p = _climb(half, b, lo, hi)
+    half = darr[half_len:].tolist()
+    _, p = _climb(half, b)
+    k = half_len + 1
     y = [1.0 / math.sqrt(n)] * k
     for i in range(1, k):
         y[i] -= b / p[i - 1] * y[i - 1]
@@ -301,12 +270,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     lam = float(v @ tv)
     r = tv - lam * v
     res = math.sqrt(r @ r)
-    bound = _residual_bound(lam, scale)
-    if e < 0:  # 1 + |value| does not scale: the contract in the matrix's units
-        bound = math.ldexp(_residual_bound(math.ldexp(lam, -e), math.ldexp(scale, -e)), e)
-    if not res <= bound:
-        raise EigenConvergenceError(
-            f"inverse iteration missed the residual bound at {math.ldexp(res, -e):.3e}"
-        )
+    if not res <= _residual_bound(lam, scale):
+        raise EigenConvergenceError(f"inverse iteration missed the residual bound at {res:.3e}")
     v.setflags(write=False)
-    return EigenPair(math.ldexp(lam, -e), v, math.ldexp(res, -e))
+    return EigenPair(lam, v, res)

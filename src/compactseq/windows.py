@@ -40,6 +40,8 @@ def _unit(taps: np.ndarray, offset: int) -> Sequence:
 
 
 def _check_taps(taps: int) -> int:
+    if taps != int(taps):
+        raise ValueError("taps must be an integer")
     taps = int(taps)
     if taps < 3:
         raise ValueError("taps must be >= 3")

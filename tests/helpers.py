@@ -112,7 +112,7 @@ def jacobi_eigh(matrix, sweeps: int = 100, tol: float = 1e-14):
 def even_spectrum(diag, offdiag) -> np.ndarray:
     """Eigenvalues, ascending, of the dense tridiag(diag, offdiag) whose
     eigenvectors equal their reverse: the spectrum of the even half that
-    ``eigen`` solves on an odd palindromic diagonal with offdiag != 0."""
+    ``eigen`` solves on the diagonal k^2 with offdiag != 0."""
     w, v = jacobi_eigh(tridiag_dense(diag, offdiag))
     return w[np.max(np.abs(v - v[::-1]), axis=0) <= 1e-8]
 

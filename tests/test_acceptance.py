@@ -247,10 +247,9 @@ def test_criterion_09_eigen_vs_jacobi():
         lam1 = float(rng.uniform(0.0, 40.0))
         lam2 = float(rng.uniform(-10.0, 10.0))
         k = np.arange(-n, n + 1, dtype=float)
-        diag = k * k - lam2
         off = -lam1 / 2.0
-        w, _ = jacobi_eigh(tridiag_dense(diag, off))
-        worst = max(worst, abs(min_eigenpair(diag, off).value - w[0]))
+        w, _ = jacobi_eigh(tridiag_dense(k * k - lam2, off))
+        worst = max(worst, abs(min_eigenpair(k * k, off).value - lam2 - w[0]))
     ok = worst <= 1e-9
     check(
         "criterion 9: tridiagonal kernel vs dense Jacobi",

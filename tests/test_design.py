@@ -135,6 +135,8 @@ def test_unattainable_and_bad_args():
         design_max_compact(0.1, taps=10)
     with pytest.raises(ValueError):
         design_max_compact(0.1, taps=3)
+    with pytest.raises(ValueError, match="integer"):
+        design_max_compact(0.1, taps=201.9)
 
 
 def test_short_grid_warns_via_status():

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import even_spectrum, has_eigenvalue_below, jacobi_eigh, tridiag_dense
+from helpers import (
+    even_ground_pair,
+    even_spectrum,
+    has_eigenvalue_below,
+    jacobi_eigh,
+    tridiag_dense,
+)
 
 from compactseq import design, eigen
 from compactseq.eigen import (
@@ -12,8 +18,14 @@ from compactseq.eigen import (
     EigenPair,
     _climb,
     _pivots,
+    _residual_bound,
     min_eigenpair,
 )
+
+
+def _k2(half_len):
+    k = np.arange(-half_len, half_len + 1, dtype=float)
+    return k * k
 
 
 def test_oracle_self_check():
@@ -28,89 +40,139 @@ def test_oracle_self_check():
 
 
 def test_frozen_small_matrices():
-    # constant tridiagonal {0, -1/2}: eigenvalues cos(j pi / (n+1))
-    assert min_eigenpair([0.0, 0.0, 0.0], -0.5).value == pytest.approx(
-        -math.sqrt(2) / 2, abs=1e-11
-    )
-    # tridiag({1, 0, 1}, -1/2): the even vectors (a, c, a) give
-    # lambda^2 - lambda - 1/2 = 0, so (1 - sqrt(3))/2
+    # tridiag({1, 0, 1}, b): the even vectors (a, c, a) give
+    # lambda^2 - lambda - 2b^2 = 0, so (1 - sqrt(1 + 8b^2))/2
     assert min_eigenpair([1.0, 0.0, 1.0], -0.5).value == pytest.approx(
         (1 - math.sqrt(3)) / 2, abs=1e-11
     )
+    assert min_eigenpair([1.0, 0.0, 1.0], -1.0).value == pytest.approx(-1.0, abs=1e-11)
+    # the one-row grid k = 0 is its own ground state
+    pair = min_eigenpair([0.0], -0.5)
+    assert pair.value == 0.0 and list(pair.vector) == [1.0]
 
 
 def test_diagonal_degenerate():
-    pair = min_eigenpair([4.0, 1.0, 4.0], 0.0)
-    assert pair.value == 1.0
+    pair = min_eigenpair([1.0, 0.0, 1.0], 0.0)
+    assert pair.value == 0.0
     assert list(pair.vector) == [0.0, 1.0, 0.0]
     assert pair.residual == 0.0
-    assert min_eigenpair([3.0], 0.0).value == 3.0
-    # an off-centre minimum comes back as its even, mirrored vector
-    pair = min_eigenpair([1.0, 4.0, 1.0], 0.0)
-    assert pair.value == 1.0
-    v = pair.vector
-    assert v[0] == v[2] == pytest.approx(math.sqrt(0.5), rel=1e-15) and v[1] == 0.0
+    assert min_eigenpair([0.0], 0.0).value == 0.0
+    pair = min_eigenpair(_k2(20), -0.0)
+    assert pair.value == 0.0 and pair.vector[20] == 1.0 and pair.vector.sum() == 1.0
 
 
 def test_even_length_or_non_palindromic_diag_is_refused():
-    for diag in ([0.0, 1.0], [4.0, 1.0, 9.0], [], [1.0, 0.0, 0.0, 1.0]):
-        with pytest.raises(ValueError, match="reverse"):
+    # and every other diagonal that is not k^2 on k = -N..N: the kernel
+    # solves that one family
+    for diag in (
+        [0.0, 1.0],
+        [4.0, 1.0, 9.0],
+        [],
+        [1.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0],
+        [4.0, 1.0, 4.0],
+        [2.0, 0.0, 2.0],
+        _k2(5) - 0.5,
+        [[1.0, 0.0, 1.0]],
+        [1.0, math.nan, 1.0],
+    ):
+        with pytest.raises(ValueError, match=r"k\^2"):
             min_eigenpair(diag, -0.5)
 
 
+@pytest.mark.parametrize("c", [1e155, 1e200, 1e300])
+def test_huge_scale_is_refused(c):
+    # from |b| ~ 1e154 on, b^2 overflows: ||T|| >= 2^256 is refused
+    with pytest.raises(ValueError, match=r"2\^256"):
+        min_eigenpair(_k2(2), -c)
+
+
+def test_norm_bound_is_exact():
+    # ||T|| = N^2 + 2|b| is solved up to the last double below 2^256 and
+    # refused from 2^256 on, as is a non-finite coupling
+    b = math.nextafter(-(2.0**255), 0.0)
+    assert min_eigenpair(_k2(2), b).value == pytest.approx(math.sqrt(3.0) * b, rel=1e-13)
+    for b in (-(2.0**255), -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            min_eigenpair(_k2(2), b)
+
+
 def test_eigenvalue_count():
-    d = [0.0] * 5
-    b = 0.5
-    # spectrum is cos(j*pi/6), j = 1..5, with even vectors for odd j; the
-    # test runs on the even half; probe strictly between eigenvalues; the
-    # kernel's pivot pass refuses exactly the shifts the Sturm test says yes to
-    w = even_spectrum(d, b)
-    assert np.allclose(w, np.cos(np.pi * np.array([5, 3, 1]) / 6.0), atol=1e-12)
-    for shift in (-2.0, -0.6, -0.2, 0.31, 0.75, 2.0):
+    # tridiag({1, 0, 1}, -1): even half spectrum (1 -+ 3)/2, the odd
+    # vector (1, 0, -1) at 1
+    assert np.allclose(even_spectrum(_k2(1), -1.0), [-1.0, 2.0], atol=1e-12)
+    # on k = -3..3 probe strictly between eigenvalues of the even half;
+    # the kernel's pivot pass refuses exactly the shifts the Sturm test
+    # says yes to
+    b = -1.0
+    d = _k2(3)[3:].tolist()
+    w = even_spectrum(_k2(3), b)
+    mid = (w[1:] + w[:-1]) / 2.0
+    for shift in (w[0] - 1.0, w[0] - 1e-6, w[0] + 1e-6, *mid, w[-1] + 1.0):
         below = bool(np.any(w < shift))
-        assert has_eigenvalue_below(d[2:], b * b, shift) == below
-        assert (_pivots(d[2:], b * b, shift) is None) == below
+        assert has_eigenvalue_below(d, b * b, shift) == below
+        assert (_pivots(d, b * b, shift) is None) == below
 
 
 def test_matches_jacobi_random():
+    # the design pencil A - lambda1*B - lambda2*I: lambda2 moves the
+    # spectrum, so its minimum is min_eigenpair(k^2, b).value - lambda2
     rng = np.random.default_rng(42)
     for _ in range(30):
         n = int(rng.integers(2, 9))
-        half = np.arange(-n, n + 1)
         lam1 = float(rng.uniform(0.0, 30.0))
         lam2 = float(rng.uniform(-10.0, 10.0))
-        diag = half.astype(float) ** 2 - lam2
         off = -lam1 / 2.0
-        w, v = jacobi_eigh(tridiag_dense(diag, off))
-        pair = min_eigenpair(diag, off)
-        assert pair.value == pytest.approx(w[0], abs=1e-9)
+        w, v = jacobi_eigh(tridiag_dense(_k2(n) - lam2, off))
+        pair = min_eigenpair(_k2(n), off)
+        assert pair.value - lam2 == pytest.approx(w[0], abs=1e-9)
         overlap = abs(float(pair.vector @ v[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-20, 1e-100, 1e-300])
 def test_tiny_scale_matches_jacobi(c):
-    # eigenpairs scale with the matrix, so c*T has value c*lambda and the
-    # same vector; the absolute tolerances must not swamp a tiny ||T||
-    diag, off = [5.0, 1.0, 0.0, 1.0, 5.0], -1.0
-    w, v = jacobi_eigh(tridiag_dense(diag, off))
-    pair = min_eigenpair([c * x for x in diag], c * off)
-    assert abs(pair.value / c - w[0]) <= 1e-13 * abs(w[0])
+    # a tiny coupling b = -c on k = -2..2: the value is -2c^2 to second
+    # order in c, far below the Jacobi oracle's resolution of ||T|| ~ 4
+    diag = _k2(2)
+    norm_t = 4.0 + 2.0 * c
+    w, v = jacobi_eigh(tridiag_dense(diag, -c))
+    pair = min_eigenpair(diag, -c)
+    assert abs(pair.value - w[0]) <= 1e-13 * norm_t
     assert np.max(np.abs(pair.vector - np.abs(v[:, 0]))) <= 1e-10
-    assert pair.residual <= 1e-10 * c
+    assert pair.residual <= 1e-3 * _residual_bound(pair.value, norm_t)
+    if c * c > 0.0:  # where b^2 underflows the value is held in ||T|| only
+        assert abs(pair.value + 2.0 * c * c) <= 1e-13 * 2.0 * c * c
 
 
-@pytest.mark.parametrize("c", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("c", [1e20, 1e50, 1e76])
 def test_huge_scale_matches_jacobi(c):
-    # from |b| ~ 1e154 on, b^2 overflows unless the matrix is scaled down
-    diag, off = [5.0, 1.0, 0.0, 1.0, 5.0], -1.0
-    w, v = jacobi_eigh(tridiag_dense(diag, off))
-    pair = min_eigenpair([c * x for x in diag], c * off)
-    assert abs(pair.value / c - w[0]) <= 1e-13 * abs(w[0])
+    # b = -c on k = -2..2, up to ||T|| just below the refused 2^256: the
+    # value is -sqrt(3) c and the vector (1, sqrt(3), 2, sqrt(3), 1)/sqrt(12)
+    # to order 1/c
+    diag = _k2(2)
+    w, v = jacobi_eigh(tridiag_dense(diag, -c))
+    pair = min_eigenpair(diag, -c)
+    assert abs(pair.value / c - w[0] / c) <= 1e-13 * abs(w[0] / c)
     assert np.max(np.abs(pair.vector - np.abs(v[:, 0]))) <= 1e-10
     assert pair.residual <= 1e-10 * c
-    # a diagonal matrix is answered unscaled: no entry is flushed
-    assert min_eigenpair([c, 1e-300, c], 0.0).value == 1e-300
+
+
+@pytest.mark.parametrize("half_len", [1, 2, 5, 30])
+def test_fixed_sweep_matches_jacobi(half_len):
+    # a fixed sample of the k^2 family from the smallest to the largest
+    # coupling a design or Mathieu grid meets, with no optional dependency,
+    # against the dense Jacobi solve of the even half
+    diag = _k2(half_len)
+    for lam1 in (1e-8, 1e-2, 1.0, 1e2, 1e6, 1e12):
+        off = -0.5 * lam1
+        norm_t = half_len * half_len + lam1
+        lam, vec = even_ground_pair(diag, off)
+        pair = min_eigenpair(diag, off)
+        assert abs(pair.value - lam) <= 1e-13 * norm_t
+        assert np.max(np.abs(pair.vector - vec)) <= 1e-10
+        assert pair.residual <= 1e-3 * _residual_bound(pair.value, norm_t)
+        assert np.array_equal(pair.vector, pair.vector[::-1]) and np.all(pair.vector >= 0.0)
 
 
 def test_residual_contract_large():
@@ -164,12 +226,11 @@ def test_min_eigenvalue_concave_in_lam1():
 
 def test_tolerance_controls_bracket():
     # the climb's shift and the minimum bracket the ground value to a few
-    # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({0} * 7, -1/2),
-    # whose minimum is -cos(pi/8)
-    exact = -math.cos(math.pi / 8)
-    shift, piv = _climb([0.0] * 4, -0.5, 0.0, 0.0)
+    # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({1, 0, 1}, -1),
+    # whose minimum is exactly -1
+    shift, piv = _climb([0.0, 1.0], -1.0)
     assert min(piv) > 0.0
-    assert 0.0 < exact - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 1.0)
+    assert 0.0 < -1.0 - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 2.0)
 
 
 def test_climb_work_is_bounded(monkeypatch):

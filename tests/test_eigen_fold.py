@@ -1,8 +1,8 @@
 """The parity fold of ``min_eigenpair``.
 
-An odd-length diagonal that equals its reverse, as diag(k^2) on k = -N..N
-does, has an even ground state, so the kernel solves it on the rows
-k = 0..N with 2b^2 as the first coupling product and mirrors the half.
+The diagonal k^2 on k = -N..N equals its reverse, so the ground state is
+even: the kernel solves it on the rows k = 0..N with 2b^2 as the first
+coupling product and mirrors the half.
 The folded solve must agree on all rows, to rounding, with a dense solve
 (LAPACK through ``np.linalg.eigh``, on the symmetrized even half the
 unfolded grid's ground state lives on), return a vector that equals its
@@ -17,19 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from helpers import even_ground_pair  # noqa: E402
-from test_eigen_seed import PROPS, k2_family  # noqa: E402
+from test_eigen_seed import PROPS, k2_extreme, k2_family  # noqa: E402
 
 from compactseq import design, eigen, mathieu  # noqa: E402
-
-
-@st.composite
-def palindromes(draw):
-    """Odd-length diagonals equal to their reverse and an offdiag < 0 (no
-    underflow to the unsolved b = 0 case), at a scale 10^e with |e| <= 150."""
-    scale = 10.0 ** draw(st.integers(-150, 150))
-    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=30))
-    values = half[:0:-1] + half
-    return [v * scale for v in values], -draw(st.floats(1e-3, 1.0)) * scale
 
 
 @PROPS
@@ -44,7 +34,7 @@ def test_folded_solve_matches_the_unfolded_one(case):
 
 
 @PROPS
-@given(palindromes())
+@given(k2_extreme)
 def test_folded_vector_is_mirrored_bit_for_bit(case):
     diag, offdiag = case
     pair = eigen.min_eigenpair(diag, offdiag)

@@ -1,8 +1,9 @@
-"""Property tests for ``min_eigenpair``'s contract: on an odd-length
-diagonal equal to its reverse with off-diagonal <= 0 the ground state
-comes out entrywise nonnegative with no sign fix-up and its value agrees
-with LAPACK; a positive off-diagonal, an even-length diagonal and one that
-differs from its reverse are refused."""
+"""Property tests for ``min_eigenpair``'s contract: on the diagonal k^2
+of a grid k = -N..N with off-diagonal <= 0 the ground state comes out
+entrywise nonnegative with no sign fix-up and its value agrees with
+LAPACK; a positive off-diagonal and any diagonal that is not k^2 (even
+length, differing from its reverse, or a palindrome off the family) are
+refused."""
 
 import math
 
@@ -20,11 +21,18 @@ PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=Non
 
 entries = st.floats(-1e3, 1e3)
 # odd-length palindromes: a drawn list mirrored about its first entry
-diags = st.lists(entries, min_size=1, max_size=60).map(lambda h: h[:0:-1] + h)
+palindromes = st.lists(entries, min_size=1, max_size=60).map(lambda h: h[:0:-1] + h)
+# the diagonal k^2 on k = -N..N, N <= 30
+k2_diags = st.integers(0, 30).map(lambda n: np.arange(-n, n + 1, dtype=float) ** 2)
+
+
+def _is_k2(diag):
+    n = len(diag) // 2
+    return len(diag) % 2 == 1 and list(diag) == [float(k * k) for k in range(-n, n + 1)]
 
 
 @PROPS
-@given(diags, st.floats(-1e3, 0.0))
+@given(k2_diags, st.floats(-1e3, 0.0))
 def test_ground_state_is_nonnegative_unit_and_exact(diag, offdiag):
     pair = min_eigenpair(diag, offdiag)
     v = pair.vector
@@ -36,19 +44,23 @@ def test_ground_state_is_nonnegative_unit_and_exact(diag, offdiag):
 
 
 @PROPS
-@given(diags, st.floats(0.0, 1e3, exclude_min=True))
+@given(k2_diags, st.floats(0.0, 1e3, exclude_min=True))
 def test_positive_offdiag_is_refused(diag, offdiag):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="offdiag"):
         min_eigenpair(diag, offdiag)
 
 
 @PROPS
 @given(
-    st.lists(entries, max_size=60).filter(lambda d: len(d) % 2 == 0 or d != d[::-1]),
+    st.one_of(
+        st.lists(entries, max_size=60).filter(lambda d: len(d) % 2 == 0 or d != d[::-1]),
+        palindromes.filter(lambda d: not _is_k2(d)),
+    ),
     st.floats(-1e3, 0.0),
 )
 def test_even_or_non_palindromic_diag_is_refused(diag, offdiag):
-    with pytest.raises(ValueError, match="reverse"):
+    # and every palindrome off the k^2 family
+    with pytest.raises(ValueError, match=r"k\^2"):
         min_eigenpair(diag, offdiag)
 
 
@@ -62,6 +74,7 @@ def test_even_or_non_palindromic_diag_is_refused(diag, offdiag):
     ],
 )
 def test_non_finite_input_is_refused(diag, offdiag):
-    # a NaN off the centre already fails the palindrome test; these pass it
-    with pytest.raises(ValueError, match="finite"):
+    # a non-finite diagonal is not k^2; a non-finite coupling fails the
+    # ||T|| check
+    with pytest.raises(ValueError, match="finite" if np.all(np.isfinite(diag)) else r"k\^2"):
         min_eigenpair(diag, offdiag)

@@ -37,8 +37,10 @@ def _in_cone(lam1, lam2):
 def test_psd_examples():
     # diagonal shift dominates: k^2 + 2 with small coupling is clearly PSD
     assert not _has_below(30, 1.0, -2.0)
-    # lambda2 = 0.5 kills the center diagonal entry at k = 0
-    assert min_eigenpair(*_pencil(30, 0.0, 0.5)).value == pytest.approx(-0.5)
+    # lambda2 = 0.5 kills the center diagonal entry at k = 0: lambda2 moves
+    # the spectrum of A - lambda1*B, whose minimum the kernel solves
+    diag, off = _pencil(30, 0.0, 0.0)
+    assert min_eigenpair(diag, off).value - 0.5 == pytest.approx(-0.5)
     # just inside the closed-form cone
     assert not _has_below(30, 1.0, 1.0 - math.sqrt(2.0) - 0.01)
 

@@ -51,6 +51,8 @@ def test_window_errors():
         standard_windows("hann", 8)  # even length has no center tap
     with pytest.raises(ValueError):
         standard_windows("hann", 1)
+    with pytest.raises(ValueError, match="integer"):
+        standard_windows("hann", 9.7)
 
 
 def test_sampled_gaussian():
