@@ -158,7 +158,8 @@ def _run_curve(args) -> str:
     points = sweep_curve(_parse_grid(args.grid), taps=args.taps)
     if args.format == "json":
         return json.dumps([_json_value(p) for p in points]) + "\n"
-    return _csv("sigma2,delta_n2,eta_p,eta_lower,eta_upper", _columns(points, drop=("error",)))
+    drop = ("tail_mass", "status", "error")  # readers take every CSV cell for a float
+    return _csv("sigma2,delta_n2,eta_p,eta_lower,eta_upper", _columns(points, drop=drop))
 
 
 def _run_mathieu(args) -> str:

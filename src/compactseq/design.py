@@ -14,10 +14,11 @@ g is concave; its derivative is alpha - b(l1) where b(l1) = x'Bx on the
 ground state of A - l1*B, and b is nondecreasing in l1 with b(0) = 0 and
 supremum lambda_max(B) = cos(pi/(2N+2)).  The optimizer therefore solves
 b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
-|b - alpha| for the ground-state primal candidate) to zero.  It runs
-Brent's root finder in log(l1) on log(b / (b_sup - b)), which is close to
-linear in log(l1) for small, large and grid-limited l1 alike, from a seed
-given by the two asymptotic limits of b; a design takes about 4 to 5
+|b - alpha| for the ground-state primal candidate) to zero.  It takes
+safeguarded Newton steps in log(l1) on log(b / (b_sup - b)), which is
+close to linear in log(l1) for small, large and grid-limited l1 alike,
+from a seed given by the two asymptotic limits of b, with the exact slope
+b'(l1) of :func:`compactseq.eigen.form_slope`; a design takes about 3
 ground solves.  The optimal sequence is the ground state itself:
 symmetric, entrywise positive, and unit norm by construction.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import _MAX_HALF_LEN, min_eigenpair
+from .eigen import _MAX_HALF_LEN, form_slope, min_eigenpair
 from .sequence import Sequence
 
 __all__ = [
@@ -132,62 +133,36 @@ def _logit(b, b_sup):
 def _find_root(trial, s):
     """Drive the increasing function f(s) to 0 from the seed s.
 
-    ``trial(s)`` returns f(s) and whether the stopping test holds there.
-    The search ends at the first trial that passes, at an exact zero,
-    once the bracket is down to rounding in s, or after 100 trials.
-
-    Until f changes sign, each step assumes the smallest local slope of f
-    in its direction: 1 going down (b ~ l1) and 1/2 going up, so it lands
-    on the root or steps over it.  From that bracket on this is Brent's
-    zeroin: inverse quadratic or secant interpolation, and a bisection
-    whenever the interpolated step would not halve the step before last.
+    ``trial(s)`` returns f(s), whether the stopping test holds there, and a
+    callable for f'(s).  The search ends at the first trial that passes, at
+    an exact zero, once the bracket from f's signs is down to rounding in
+    s, or after 100 trials.  Each step is Newton's unless f' is not
+    positive, the Newton point leaves the bracket, or the step is zero or
+    more than half the step before last (a slope of the wrong size would
+    creep).  Then it bisects, or, until f has changed sign, steps by -2f
+    going up and -f going down, which assumes f's smallest local slope
+    that way (1/2 up, 1 down where b ~ l1) and so lands on or over the
+    root; a longer Newton step counts as leaving the bracket.
     """
-    fs, done = trial(s)
-    n = 1
-    while not done and fs != 0.0 and n < _MAX_SOLVES:
-        a, fa = s, fs
-        s -= fs * (2.0 if fs < 0.0 else 1.0)
-        fs, done = trial(s)
-        n += 1
-        if (fs > 0.0) != (fa > 0.0):
-            break
-    else:
-        return
-    b, fb = s, fs
-    c, fc = a, fa
-    d = e = b - a
-    while not done and fb != 0.0 and n < _MAX_SOLVES:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * max(1.0, abs(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
+    lo, hi, last, before = -math.inf, math.inf, math.inf, math.inf
+    for _ in range(_MAX_SOLVES):
+        fs, done, slope = trial(s)
+        if done or fs == 0.0:
             return
-        bisect = True
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            r = fb / fa
-            if a == c:
-                p, q = 2.0 * m * r, 1.0 - r
-            else:
-                q, t = fa / fc, fb / fc
-                p = r * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
-                q = (q - 1.0) * (t - 1.0) * (r - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-                bisect = False
-        if bisect:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb, done = trial(b)
-        n += 1
+        lo, hi = (s, hi) if fs < 0.0 else (lo, s)
+        if hi - lo <= 4.0 * _EPS * max(1.0, abs(s)):
+            return
+        if math.isinf(hi - lo):
+            u = s - fs * (2.0 if fs < 0.0 else 1.0)
+            cap = min(before, 2.0 * abs(u - s))
+        else:
+            u, cap = 0.5 * (lo + hi), before
+        g = slope()
+        t = s - fs / g if g > 0.0 else u
+        if not (lo < t < hi and 0.0 < abs(t - s) <= 0.5 * cap):
+            t = u
+        before, last = last, abs(t - s)
+        s = t
 
 
 def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
@@ -202,8 +177,9 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
     for large lambda1.  It starts at the larger of b's small- and
-    large-lambda1 limits solved for alpha, then brackets and refines
-    lambda1 with Brent's method (see ``_find_root``).
+    large-lambda1 limits solved for alpha, then refines lambda1 by Newton
+    steps on the exact slope of b, inside the bracket that the signs of
+    b - alpha give (see ``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
     if taps != int(taps):
@@ -238,7 +214,12 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
         pair, b = _ground(k2, l1)
         if best is None or abs(b - alpha) < abs(best[2] - alpha):
             best = (l1, pair, b)
-        return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1)
+
+        def slope():  # G'(s) = l1 b'(l1) (1/b + 1/(b_sup - b)), floored as _logit is
+            db = l1 * form_slope(pair, -0.5 * l1, b)
+            return db / max(b, _TINY) + db / max(b_sup - b, _TINY)
+
+        return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1), slope
 
     # Seed: b's small-l1 limit b ~ l1, or its large-l1 limit
     # b ~ 1 - 1/(2 sqrt(2 l1)) (Hellmann-Feynman on the large-q asymptotics
@@ -276,13 +257,16 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One sweep sample: optimum plus the analytic envelope at sigma2."""
+    """One sweep sample: optimum plus the analytic envelope at sigma2, and
+    the design's tail_mass and status (NaN and None where it raised)."""
 
     sigma2: float
     delta_n2: float
     eta_p: float
     eta_lower: float
     eta_upper: float
+    tail_mass: float = math.nan
+    status: str | None = None
     error: str | None = None
 
 
@@ -301,7 +285,8 @@ def sweep_curve(sigma2_grid, taps: int = 201) -> list[CurvePoint]:
         try:
             res = design_max_compact(s2, taps=taps)
         except (UnattainableSpreadError, DesignConvergenceError) as exc:
-            points.append(CurvePoint(s2, math.nan, math.nan, lo_b, up_b, str(exc)))
+            points.append(CurvePoint(s2, math.nan, math.nan, lo_b, up_b, error=str(exc)))
         else:
-            points.append(CurvePoint(s2, res.delta_n2_opt, res.eta_p, lo_b, up_b))
+            points.append(CurvePoint(s2, res.delta_n2_opt, res.eta_p, lo_b, up_b,
+                                     res.tail_mass, res.status))
     return points

@@ -46,17 +46,18 @@ inverse: Thomas elimination meets no cancellation and the iterate,
 started from a positive vector, stays positive in floating point, so the
 ground state needs no sign fix-up.  So close to the minimum the one
 solve lands at rounding; its residual, taken on all 2N+1 rows, is checked
-against the contract, and a miss raises.
+against the contract, and a miss raises.  The pair keeps the shift and
+its pivots, which ``form_slope`` reuses for the designer's one more solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
+__all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair", "form_slope"]
 
 _MAX_CLIMB = 30
 # the longest half N a caller builds a grid k = -N..N for
@@ -72,11 +73,14 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue/eigenvector pair with its 2-norm residual."""
+    """Eigenvalue/eigenvector pair with its 2-norm residual and ``s``, the
+    solve's certified shift below every eigenvalue, whose pivots it keeps."""
 
     value: float
     vector: np.ndarray
     residual: float
+    s: float
+    _pivots: list = field(default_factory=list, repr=False, compare=False)
 
 
 def _pivots(d, b2, s):
@@ -192,6 +196,19 @@ def _climb(d, b):
     raise EigenConvergenceError(f"no certified shift below {x!r}")
 
 
+def _solve(p, b, y):
+    """Solve (H - s) z = y in place on the leading len(y) rows of the even
+    half H (off-diagonal b, 2b above row 0), whose shifted pivots are p."""
+    k = len(y)
+    for i in range(1, k):
+        y[i] -= b / p[i - 1] * y[i - 1]
+    y[k - 1] /= p[k - 1]
+    for i in range(k - 2, 0, -1):
+        y[i] = (y[i] - b * y[i + 1]) / p[i]
+    y[0] = (y[0] - 2.0 * b * y[1]) / p[0]
+    return y
+
+
 def _residual_bound(value, scale):
     """Residual norm an eigenpair of value ``value`` must meet.
 
@@ -227,7 +244,8 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     pivot pass supplies the Thomas factors.  The climb's steps see only the
     rows 0..W-1 of the half past which Parlett's ratio bound puts the
     ground state below eps^2; the pivot pass that certifies the shift, the
-    solve, the vector and its residual use every row.  Raises
+    solve, the vector and its residual use every row.  The pair's ``s`` is
+    that shift (0 where b = 0 or N = 0, with no solve).  Raises
     :class:`EigenConvergenceError` if no certified shift is found or the
     solve's residual misses the contract.
     """
@@ -250,20 +268,13 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec = np.zeros(n)
         vec[half_len] = 1.0
         vec.setflags(write=False)
-        return EigenPair(0.0, vec, 0.0)
+        return EigenPair(0.0, vec, 0.0, 0.0)
 
     # T - shift I is a nonsingular M-matrix whose Thomas factors are the
     # certified pivots: one solve from the uniform start
     half = darr[half_len:].tolist()
-    _, p = _climb(half, b)
-    k = half_len + 1
-    y = [1.0 / math.sqrt(n)] * k
-    for i in range(1, k):
-        y[i] -= b / p[i - 1] * y[i - 1]
-    y[k - 1] /= p[k - 1]
-    for i in range(k - 2, 0, -1):
-        y[i] = (y[i] - b * y[i + 1]) / p[i]
-    y[0] = (y[0] - 2.0 * b * y[1]) / p[0]
+    s, p = _climb(half, b)
+    y = _solve(p, b, [1.0 / math.sqrt(n)] * (half_len + 1))
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)
     tv = _apply(darr, b, v)
@@ -273,4 +284,25 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     if not res <= _residual_bound(lam, scale):
         raise EigenConvergenceError(f"inverse iteration missed the residual bound at {res:.3e}")
     v.setflags(write=False)
-    return EigenPair(lam, v, res)
+    return EigenPair(lam, v, res, s, p)
+
+
+def form_slope(pair: EigenPair, offdiag, form) -> float:
+    """d(x'Bx)/d(lambda1) at the ground state x of A - lambda1*B, for the
+    ``pair`` solved at ``offdiag`` = -lambda1/2 < 0 on N >= 1 and its lag-one
+    form ``form`` = x'Bx: 2 r'(T - lam)^+ r with r = Bx - form*x (Kato,
+    Perturbation Theory for Linear Operators, ch. II).  One Thomas solve
+    with the pivots that certified the shift s gives (T - s)^-1 r, whose
+    part along x, the rounding of r'x over lam - s, is projected out; it
+    runs on the rows 0..W+1 of the even half, past which x, r and the
+    solution are below eps^2 (``_window``)."""
+    v = pair.vector
+    n = v.size // 2
+    m = min(_window(n + 1, -offdiag) + 2, n + 1)
+    x = v[n:n + m]
+    r = (_apply(0.0, 0.5, v) - form * v)[n:n + m]
+    y = np.array(_solve(pair._pivots, offdiag, r.tolist()))
+    # the full grid's inner products, on the half: weights (1, 2, 2, ...)
+    y[1:] *= 2.0
+    rx = 2.0 * float(r @ x) - float(r[0] * x[0])
+    return 2.0 * (float(r @ y) - float(x @ y) * rx)  # y less its part along x

@@ -214,7 +214,7 @@ def test_mathieu_grid_beyond_the_largest(capsys, monkeypatch):
         assert err.startswith("compactseq: solver failure:") and err.count("\n") == 1
         assert "half-length above 1048576" in err
     # tails still above 1e-12 on every grid take the same exit
-    flat = lambda diag, offdiag: EigenPair(0.0, np.full(len(diag), 0.5), 0.0)  # noqa: E731
+    flat = lambda diag, offdiag: EigenPair(0.0, np.full(len(diag), 0.5), 0.0, 0.0)  # noqa: E731
     monkeypatch.setattr(mathieu, "min_eigenpair", flat)
     code, out, err = run(capsys, "mathieu", "--q", "2")
     assert code == 2 and out == ""

@@ -252,16 +252,80 @@ def test_dual_solve_work_count(monkeypatch, taps):
 @pytest.mark.parametrize("jump", [0.3, 7.0])
 def test_root_search_narrows_a_jump_to_rounding(jump):
     # f jumps from -1 to +1e-9 and the stopping test never passes, as where
-    # b(l1) is flat to rounding: interpolation alone would creep from the
-    # +1e-9 end, the bisection steps narrow the bracket to rounding in s
+    # b(l1) is flat to rounding.  With the true slope of a step, 0, every
+    # step bisects; a positive slope sends Newton creeping from the +1e-9
+    # end, and a step that does not halve the one before it bisects too:
+    # either way the bracket narrows to rounding in s
     from compactseq.design import _find_root
 
-    seen = []
+    for slope in (0.0, math.nan, 1.0, 1e9):
+        seen = []
 
-    def trial(s):
-        seen.append(s)
-        return (1e-9 if s >= jump else -1.0), False
+        def trial(s):
+            seen.append(s)
+            return (1e-9 if s >= jump else -1.0), False, lambda: slope
 
-    _find_root(trial, 0.0)
-    assert len(seen) < 100
-    assert abs(seen[-1] - jump) <= 4.0 * np.finfo(float).eps * max(1.0, jump)
+        _find_root(trial, 0.0)
+        assert len(seen) < 100
+        assert abs(seen[-1] - jump) <= 4.0 * np.finfo(float).eps * max(1.0, jump)
+
+
+def _counting_solves(monkeypatch):
+    import compactseq.design as design
+
+    calls = []
+    inner = design.min_eigenpair
+
+    def counting(diag, offdiag):
+        calls.append(offdiag)
+        return inner(diag, offdiag)
+
+    monkeypatch.setattr(design, "min_eigenpair", counting)
+    return calls
+
+
+@pytest.mark.parametrize("factor", [1e3, 1e-3, 0.0, math.nan])
+def test_a_wrong_slope_falls_back_to_bisection(monkeypatch, factor):
+    # a slope 1e3 times too large creeps, 1e-3 times leaves the bracket, 0
+    # and NaN give no step: through the bisection steps each design still
+    # ends inside the certificates it publishes, with the same status
+    import compactseq.design as design
+
+    grid = _sigma2_grid(201)
+    want = [design_max_compact(s2, 201).status for s2 in grid]
+    true_slope = design.form_slope
+    monkeypatch.setattr(design, "form_slope", lambda *args: factor * true_slope(*args))
+    calls = _counting_solves(monkeypatch)
+    for s2, status in zip(grid, want):
+        calls.clear()
+        res = design_max_compact(s2, 201)
+        norm_t = 100**2 + res.lambda1
+        assert len(calls) < 100
+        assert res.status == status
+        assert abs(res.constraint_gap) <= 1e-10
+        assert res.duality_gap <= 2e-8 + 1e-15 * norm_t
+        assert res.eig_residual <= _residual_bound(res.lambda2, norm_t)
+
+
+@pytest.mark.parametrize("taps", [201, 2001])
+def test_newton_work_count(monkeypatch, taps):
+    # Newton on the exact slope: under 3 ground solves per design on
+    # average (Brent's method took 3.84 on this grid)
+    calls = _counting_solves(monkeypatch)
+    grid = np.geomspace(1e-3, 10.0, 25)
+    for s2 in grid:
+        design_max_compact(float(s2), taps)
+    assert len(calls) / grid.size <= 3.0
+
+
+def test_curve_points_carry_the_design_status():
+    # the sigma2 = 0.00316 point on 101 taps leans on the grid ends: its
+    # design says increase-taps, and so must its curve point
+    grid = np.geomspace(1e-5, 1.0, 7)
+    pts = sweep_curve(grid, taps=101)
+    for p in pts[:3]:  # below the grid's reach
+        assert p.error is not None and p.status is None and math.isnan(p.tail_mass)
+    for p in pts[3:]:
+        res = design_max_compact(p.sigma2, 101)
+        assert (p.status, p.tail_mass, p.error) == (res.status, res.tail_mass, None)
+    assert [p.status for p in pts[3:]] == ["increase-taps", "ok", "ok", "ok"]

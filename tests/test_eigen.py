@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from helpers import (
+    even_form_slope,
     even_ground_pair,
     even_spectrum,
     has_eigenvalue_below,
@@ -173,6 +175,57 @@ def test_fixed_sweep_matches_jacobi(half_len):
         assert np.max(np.abs(pair.vector - vec)) <= 1e-10
         assert pair.residual <= 1e-3 * _residual_bound(pair.value, norm_t)
         assert np.array_equal(pair.vector, pair.vector[::-1]) and np.all(pair.vector >= 0.0)
+
+
+# the fixed k^2 sample of the slope and shift tests; the dense oracle is
+# the Python Jacobi solver on the short grids and LAPACK's past them, where
+# Jacobi's rotations take seconds
+_SAMPLE_HALVES = (2, 10, 100, 1000)
+_SAMPLE_LAM1 = (1e-6, 1e-2, 1.0, 1e2, 1e6)
+
+
+@functools.cache
+def _dense_value_and_slope(half_len, lam1):
+    eigh = jacobi_eigh if half_len <= 10 else np.linalg.eigh
+    return even_form_slope(_k2(half_len), -0.5 * lam1, eigh)
+
+
+@pytest.mark.parametrize("half_len", _SAMPLE_HALVES)
+def test_form_slope_matches_oracles(monkeypatch, half_len):
+    # b'(lambda1) from one Thomas solve on the window rows, against the
+    # dense perturbation sum, a central difference of b and the same solve
+    # on every row of the half
+    diag = _k2(half_len)
+    for lam1 in _SAMPLE_LAM1:
+        off = -0.5 * lam1
+        pair, form = design._ground(diag, lam1)
+        slope = eigen.form_slope(pair, off, form)
+        assert abs(slope - _dense_value_and_slope(half_len, lam1)[1]) <= 1e-8 * slope
+        h = 1e-5 * lam1
+        diff = (design._ground(diag, lam1 + h)[1] - design._ground(diag, lam1 - h)[1]) / (2.0 * h)
+        # the difference also carries the rounding of the two b, over 2h
+        assert abs(diff - slope) <= 1e-6 * slope + 4.0 * _EPS * form / h
+        with monkeypatch.context() as mp:
+            mp.setattr(eigen, "_window", lambda n, a: n)
+            full = eigen.form_slope(pair, off, form)
+        assert abs(full - slope) <= 1e-14 * slope
+
+
+@pytest.mark.parametrize("half_len", _SAMPLE_HALVES)
+def test_certified_shift_bounds_the_minimum(half_len):
+    # the pair's shift s lies below every eigenvalue, by the exact Sturm
+    # count of the oracle, and within the climb's rounding level
+    # w = 4 eps (|lam| + 2|b|) of the dense minimum, which carries up to
+    # about w of rounding itself
+    diag = _k2(half_len)
+    half = diag[half_len:].tolist()
+    for lam1 in _SAMPLE_LAM1:
+        off = -0.5 * lam1
+        pair = min_eigenpair(diag, off)
+        lam = _dense_value_and_slope(half_len, lam1)[0]
+        w = 4.0 * _EPS * (abs(lam) + 2.0 * abs(off))
+        assert not has_eigenvalue_below(half, off * off, pair.s)
+        assert abs(lam - pair.s) <= w, (lam1, (lam - pair.s) / w)
 
 
 def test_residual_contract_large():
