@@ -70,28 +70,28 @@ CASES = _cases()
 SEQ_OUTPUT_ARGV = ("design", "--sigma2", "0.1", "--taps", "201", "--seq-output")
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "a66ceabbc78988fa12b87cc210a7b06d81e27bcb6f5a60880250c31e392cf150",
-    "design --sigma2 3e-4 --taps 201 --format csv": "d08c26fa535504d326e251b64e85d8b411879009a1ccc0caba55f99422e4097b",
-    "design --sigma2 3e-4 --taps 1001 --format json": "2c532140ab943670da9279de5bd3b1f287a85d43b8d535e6388f91b330a31b19",
-    "design --sigma2 3e-4 --taps 1001 --format csv": "50e5dd8f0b8840f4a66178dcba98da62d7367f58de1a580bfac1c9f568591512",
-    "design --sigma2 1e-3 --taps 201 --format json": "c2dd8c410bf157dc9b7e004d06d0934b5d2da241e3d526532ed8fed612c632f2",
-    "design --sigma2 1e-3 --taps 201 --format csv": "c48e44f850a8cceccacd33e391f5bb37b5c717ae0c39315611c78d292e5ad4ce",
-    "design --sigma2 1e-3 --taps 1001 --format json": "6d600622e868b10b1183f728ce62e8f46958dfc07aeeec74c5300a05f98a249e",
-    "design --sigma2 1e-3 --taps 1001 --format csv": "42df2f29ac20a83d47ce46ad3e20c82dbbf25afaa3aec51b6448195c814c1519",
-    "design --sigma2 0.1 --taps 201 --format json": "995e620c7bfa2f9257b36c27b539a5d448d39dbe60ea4d376190f02da8b63827",
-    "design --sigma2 0.1 --taps 201 --format csv": "71ba4e022a2862f1860603e01ee12ab1dd82d7944df94115a0dc354f109c1355",
-    "design --sigma2 0.1 --taps 1001 --format json": "3aa8ac93f205937425679ca13e17e3fd117481fbc445500b1d5dde0b492e199d",
-    "design --sigma2 0.1 --taps 1001 --format csv": "2e5d3716ff5190d1b1b7e3b7194e03430582f30ce8436c07a683b2c5faf30d89",
-    "design --sigma2 10 --taps 201 --format json": "165ce9553e3639f9b9392da0e30683da449924effe3aa9bed2bf99f41b95433a",
-    "design --sigma2 10 --taps 201 --format csv": "fc20901ac22f4b959192410378da0eb84136b98bcaa684ca32b28611d3b36437",
-    "design --sigma2 10 --taps 1001 --format json": "2865f1f9571af569f050f4410adec0f7a71e54c3b126ee2bf373fa67ff1932af",
-    "design --sigma2 10 --taps 1001 --format csv": "41d301790b39a1cce6841042580923d3fc07f02a1d318ea4b6e5d34694ca2e01",
-    "curve --format csv": "a6b947a5ee303dc16dbe244f8db5779b6fef6337e0a72ecf61e291013a92f3ad",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "9cb4c92583dfe42775c44b67e58f57f83f54c01fed54aeeefdc2e1815904dfef",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "0f0379835482c49643ce5c044b55cbb2fb50e34263d492d1b3287d2609b3234d",
-    "curve --format json": "8698ec39d0c413323a0e0c1a0bfa07690569171748f0c72b2bd076c10a21dd1e",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "08f56e20491e4f52150b27ceb6cd93ba0b516054a68e0b3a0f069953db41dd4a",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "ca55fa7b0512a3a39aedbcd9f78f4c5950998c15a99f943a2bc1076cebaf66e4",
+    "design --sigma2 3e-4 --taps 201 --format json": "95184d1f3a945c0f7c5746187759ffc5ddec4e9f8a7343c76037d2dcde4c56cd",
+    "design --sigma2 3e-4 --taps 201 --format csv": "5e5e9536ebd532307487d1d2729f75ef06d32fde3421bcc86c3f280888a740a8",
+    "design --sigma2 3e-4 --taps 1001 --format json": "a36358bca9b494ea19605b5f2cb4e7bdc430aaf5713ad078b3a9df351ca5b878",
+    "design --sigma2 3e-4 --taps 1001 --format csv": "68d77596a73b4a31db3d144d8b796654a151814a6f2650c0f2123b3fbb26fc86",
+    "design --sigma2 1e-3 --taps 201 --format json": "ded0f5090910eb11d6b0fece2cc7d75233611dfcdfb301d8d7a579087dfa865e",
+    "design --sigma2 1e-3 --taps 201 --format csv": "0eb03a3942050070cd9e4074669769c16e967c433fa26b64874c75be278ec2ea",
+    "design --sigma2 1e-3 --taps 1001 --format json": "054e1a745e99f6fdab41f6d7bddb37c2c7e99a6ffc2c6c09bd4e842cca37106e",
+    "design --sigma2 1e-3 --taps 1001 --format csv": "79cdd1be4e95aede97023fb6f31643788f54bdd9abc1bcada8d420b784e18094",
+    "design --sigma2 0.1 --taps 201 --format json": "451f9ab849a90c8d2e7d5b3cf4bd5bff480ed0e10b943aacb6352890ed4518b8",
+    "design --sigma2 0.1 --taps 201 --format csv": "bf2fbedbf76c82d161c0c133da53f7e3c2b4463da41977d5cd32ff3873d8e13c",
+    "design --sigma2 0.1 --taps 1001 --format json": "a0504f4bd93c1b83e1ac8aa83994a0d0f6cbe5af471a67e00e16b2d51451acde",
+    "design --sigma2 0.1 --taps 1001 --format csv": "c20bc17664838ec949544c176c8b04607f13ba1e3ca343c132c7496f665054dc",
+    "design --sigma2 10 --taps 201 --format json": "0797bdf23150c972f822944f64842ff08f85c09e47971f7c8b3b47961a9b4ebe",
+    "design --sigma2 10 --taps 201 --format csv": "fc808112cb6dbaca45bd4972b6f724b1d6cd331ec34cbdc6f130010b32dfb91b",
+    "design --sigma2 10 --taps 1001 --format json": "0e4e17c4aa83998bd17ce84b3dc88a5e2f6464a8af94293b6417a5da0e50e163",
+    "design --sigma2 10 --taps 1001 --format csv": "66f3ce671e172ca7c3ecda96c6e457da67eaf6fb5962794cf376e37498d8b764",
+    "curve --format csv": "fe584a349048224077a5e086547157784bfd5fd93032598e2bb9fb259ad3022e",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "f0d2851264f63ac3548fc8f62538ac8c5c83ce7c8587cb0f3f1eea83fa132a42",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "28d880a46135e9189fcc509f436dbe4d9a12a2bb406f5a2a25358cd3fc54c418",
+    "curve --format json": "bed17b11f9d33b6661912cdde058199eed6d86e179c47412db4416315981c96d",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "bcc73f0a0847a3b1152f7633041fc134c3abbcb4e34572498c9f8b7646759f82",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "d6a5efff4cfc8db42930bda07d69102a9662eeb518ea2436c2d411072f82585e",
     "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
     "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
     "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "65d18ccefcea9a24114f9e42ec6367b78986573b5879c7c18836bcb87afa522a",
@@ -106,7 +106,7 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "0b8aef6372f479f365379b05371574929488e105e9dc793f723089fb8955249a",
+    "--seq-output": "9daa449ce1882edd0ee36a515c4af2c2dcbe949706a651963a2be8522359438d",
 }
 
 
