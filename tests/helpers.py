@@ -163,10 +163,10 @@ def even_form_slope(diag, offdiag, eigh=jacobi_eigh):
     for an odd palindromic ``diag`` and offdiag < 0, where the slope is
     2 r'(T - value)^+ r with r = Bx - (x'Bx) x and B = tridiag(0, 1/2):
     the derivative of x'Bx along T = A - lambda1*B, offdiag = -lambda1/2,
-    by second-order perturbation theory.  From a dense solve of the even
-    half in the symmetric coordinates of ``even_ground_pair`` (T's
-    couplings sqrt(2) b, b, ..., B's sqrt(2)/2, 1/2, ...), every
-    eigenvector of it, scaled for ``eigh`` in the same way."""
+    by second-order perturbation theory.  From every eigenpair of the even
+    half, solved densely in the symmetric coordinates of
+    ``even_ground_pair`` (T's couplings sqrt(2) b, b, ..., B's sqrt(2)/2,
+    1/2, ...) and scaled for ``eigh`` the same way."""
     d = np.asarray(diag, dtype=float)
     half = d[d.size // 2:]
     e = -math.frexp(float(np.max(np.abs(d))) + 2.0 * abs(offdiag))[1]

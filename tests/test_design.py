@@ -309,8 +309,8 @@ def test_a_wrong_slope_falls_back_to_bisection(monkeypatch, factor):
 
 @pytest.mark.parametrize("taps", [201, 2001])
 def test_newton_work_count(monkeypatch, taps):
-    # Newton on the exact slope: under 3 ground solves per design on
-    # average (Brent's method took 3.84 on this grid)
+    # Newton on the exact slope: at most 3 ground solves per design on
+    # average (2.8 at both tap counts)
     calls = _counting_solves(monkeypatch)
     grid = np.geomspace(1e-3, 10.0, 25)
     for s2 in grid:
