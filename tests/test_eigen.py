@@ -190,6 +190,41 @@ def _dense_value_and_slope(half_len, lam1):
     return even_form_slope(_k2(half_len), -0.5 * lam1, eigh)
 
 
+# the rows of the half the climb's Laguerre steps see, at each lam1 of
+# _SAMPLE_LAM1 for each half-length of _SAMPLE_HALVES: Parlett's ratio
+# bound keeps the rows past which the ground state is below eps^2
+_CLIMB_ROWS = {
+    2: (3, 3, 3, 3, 3),
+    10: (5, 9, 11, 11, 11),
+    100: (5, 9, 17, 41, 101),
+    1000: (5, 9, 17, 41, 1001),
+}
+
+
+def _climb_rows(monkeypatch, half_len, offdiag):
+    rows = set()
+
+    def recorded(d, *args):
+        rows.add(len(d))
+        return step(d, *args)
+
+    step = eigen._laguerre_step
+    with monkeypatch.context() as mp:
+        mp.setattr(eigen, "_laguerre_step", recorded)
+        min_eigenpair(_k2(half_len), offdiag)
+    assert len(rows) == 1, rows
+    return rows.pop()
+
+
+def test_climb_rows_are_pinned(monkeypatch):
+    for half_len, rows in _CLIMB_ROWS.items():
+        for lam1, w in zip(_SAMPLE_LAM1, rows):
+            assert _climb_rows(monkeypatch, half_len, -0.5 * lam1) == w, (half_len, lam1)
+    # the sigma2 = 0.1 design at 2001 taps (README), and 2|b| = 4^2
+    assert _climb_rows(monkeypatch, 1000, -28.9) == 36
+    assert _climb_rows(monkeypatch, 1000, -8.0) == 27
+
+
 @pytest.mark.parametrize("half_len", _SAMPLE_HALVES)
 def test_form_slope_matches_oracles(monkeypatch, half_len):
     # b'(lambda1) from one Thomas solve on the window rows, against the

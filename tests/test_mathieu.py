@@ -105,6 +105,31 @@ def test_explicit_half_len():
     assert char_value_a0(2.0) == pytest.approx(4.0 * lam, abs=1e-11)
 
 
+# the first grid's half-length at lam1 = k^2 and its two one-ulp
+# neighbours, for the k where Parlett's tail bound ends the grid before
+# the large-|q| half-length n0 (k <= 14) and a few where n0 binds
+_HALF_LEN_AT_K2 = {
+    0: 1, 1: 9, 2: 12, 3: 14, 4: 16, 5: 18, 6: 20, 7: 22, 8: 24, 9: 25,
+    10: 27, 11: 29, 12: 30, 13: 32, 14: 33, 15: 35, 16: 35, 20: 39, 59: 60,
+}
+# and on a log grid of lam1, where the bound cuts a row or n0 binds
+_HALF_LEN_AT = {
+    0.0: 1, 5e-324: 1, 1e-300: 1, 1e4: 76, 1e6: 221, 1e8: 681, 1e12: 6736, 1e22: 2127327,
+}
+
+
+def test_first_half_len_is_pinned():
+    # every Mathieu grid is sized by these rows; a change to the sizing
+    # moves the grid, the solve and every printed coefficient
+    for k, n in _HALF_LEN_AT_K2.items():
+        lam1 = float(k * k)
+        for x in (math.nextafter(lam1, -math.inf), lam1, math.nextafter(lam1, math.inf)):
+            if x >= 0.0:
+                assert mathieu._first_half_len(x) == n, (k, x)
+    for lam1, n in _HALF_LEN_AT.items():
+        assert mathieu._first_half_len(lam1) == n, lam1
+
+
 def test_scaled_ce0_is_unit_energy_spectrum():
     # sqrt(2) * ce0 has mean square one over a period, matching a
     # unit-energy spectrum read through w = 2 theta
