@@ -22,21 +22,21 @@ derivatives in s give the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, and
 Laguerre's step from them climbs from the Gershgorin bound -2|b| to the
 minimum cubically without passing it (Li and Zeng, SIAM J. Sci. Comput.
 1994): about 4 passes reach the rounding level 4 eps (|s| + 2|b|).
-The climb sees only the rows 0..W-1 of the half (``_window``): from row
-W on, Parlett's ratio bound, with lam_min <= d_0 = 0, puts the ground
-state below eps^2 of its largest entry, so the minimum on those rows
-lies less than |b| eps^2 above the half's, far inside the rounding
+The climb sees only the rows 0..W-1 of the half (``_support`` at eps^2):
+from row W on, Parlett's ratio bound, with lam_min <= d_0 = 0, puts the
+ground state below eps^2 of its largest entry, so the minimum on those
+rows lies less than |b| eps^2 above the half's, far inside the rounding
 level.  On a long grid at a small coupling that is a few dozen of a
-thousand rows; where the bound cannot cut, as on every Mathieu grid, W
-is the whole half.  Everything after the climb uses all N+1 rows.  The
-shift is certified by one pivot pass on the full half; where rounding
-carries a last step onto a yes, the shift retreats from it by fractions
-of that level until its pivots are all positive; each pivot is a chain
-of correctly rounded operations monotone in s, so the computed verdict
-is monotone in s (Demmel, Dhillon and Ren, ETNA 1995) and the retreat
-ends after a pass or two, at worst just below the last iterate.  There
-is no bisection: the shift is a certified no a few ulps below the
-minimum, and the value returned is the Rayleigh quotient.  The
+thousand rows; on every Mathieu grid, which ends where the same bound
+reaches 1e-12, W is the whole half.  Everything after the climb uses all
+N+1 rows.  The shift is certified by one pivot pass on the full half;
+where rounding carries a last step onto a yes, the shift retreats from
+it by fractions of that level until its pivots are all positive; each
+pivot is a chain of correctly rounded operations monotone in s, so the
+computed verdict is monotone in s (Demmel, Dhillon and Ren, ETNA 1995)
+and the retreat ends after a pass or two, at worst just below the last
+iterate.  There is no bisection: the shift is a certified no a few ulps
+below the minimum, and the value returned is the Rayleigh quotient.  The
 eigenvector then comes from one inverse-iteration solve at that shift on
 the full half, from the uniform start, and the pivots of the pass that
 certified it, in the Sturm form above, are the Thomas factors: re-formed
@@ -44,10 +44,11 @@ as c (b / p_{i-1}) so close to the minimum, some would round to <= 0.
 With b <= 0 the shifted matrix is an M-matrix with an entrywise positive
 inverse: Thomas elimination meets no cancellation and the iterate,
 started from a positive vector, stays positive in floating point, so the
-ground state needs no sign fix-up.  So close to the minimum the one
-solve lands at rounding; its residual, taken on all 2N+1 rows, is checked
-against the contract, and a miss raises.  The pair keeps the shift and
-its pivots, which ``form_slope`` reuses for the designer's one more solve.
+ground state needs no sign fix-up.  So close to the minimum the one solve
+lands at rounding; its residual, taken on all 2N+1 rows, is checked
+against the contract, and a miss raises.  The pair keeps the shift, its
+pivots and W, which ``form_slope`` reuses for the designer's one more
+solve.
 """
 
 from __future__ import annotations
@@ -74,13 +75,15 @@ class EigenConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue/eigenvector pair with its 2-norm residual and ``s``, the
-    solve's certified shift below every eigenvalue, whose pivots it keeps."""
+    solve's certified shift below every eigenvalue, whose pivots it keeps
+    with ``_rows``, the climb's window W, for ``form_slope``."""
 
     value: float
     vector: np.ndarray
     residual: float
     s: float
     _pivots: list = field(default_factory=list, repr=False, compare=False)
+    _rows: int = field(default=0, repr=False, compare=False)
 
 
 def _pivots(d, b2, s):
@@ -128,40 +131,35 @@ def _laguerre_step(d, b2, s):
     return n / den if den > 0.0 else 0.0
 
 
-def _window(n, a):
-    """W, the number of leading rows of the even half k = 0..n-1 of the
-    k^2 grid (off-diagonal of magnitude ``a``) that the climb sees: every
-    row, unless Parlett's ratio bound puts the ground state below eps^2 of
-    its largest entry from row W on.
+def _support(a, end, tol):
+    """The first row i < ``end`` of the even half of the k^2 grid
+    (off-diagonal of magnitude ``a``) from which Parlett's ratio bound puts
+    the ground state below ``tol`` of its largest entry, else ``end``.
 
-    lam_min <= d_0 = 0, so from the first row j0 with j0^2 > 2a the ground
-    state's ratio v_j / v_{j-1} is at most a / (j^2 - a) < 1 (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 7), and W is the first row where the
-    product of those factors from j0 is below eps^2.  No factor is below
-    a / (N^2 - a): where n - j0 such factors cannot reach eps^2, as on every
-    Mathieu grid (which ends where the same bound reaches 1e-12), W = n with
-    no row scanned."""
-    hi = (n - 1) * (n - 1)
-    if hi <= 2.0 * a:
-        return n  # no row starts the bound
+    lam_min <= d_0 = 0, so from the first row j0 with j0^2 > 2a the ratio
+    v_i / v_{i-1} is at most a / (i^2 - a) < 1 (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 7); i is the first row where the product of
+    those factors from j0 is below ``tol``.  None is below
+    a / ((end - 1)^2 - a): where end - j0 of them cannot reach ``tol``, as
+    at eps^2 on every Mathieu grid, no row is scanned."""
     j = math.isqrt(int(2.0 * a)) + 1  # j0; k^2 rises, so no row after it dips back
-    if (a / (hi - a)) ** (n - j) >= _TAIL:
-        return n
+    if j >= end or (a / ((end - 1) ** 2 - a)) ** (end - j) >= tol:
+        return end
     amp = 1.0
-    for i in range(j, n):
+    for i in range(j, end):
         amp *= a / (i * i - a)
-        if amp < _TAIL:
+        if amp < tol:
             return i
-    return n
+    return end
 
 
 def _climb(d, b):
     """A certified no within a few ulps of the minimum of the even half
-    ``d`` = (0, 1, 4, ..., N^2), and its pivots: the inverse-iteration shift
-    and its factors.
+    ``d`` = (0, 1, 4, ..., N^2), its pivots and the window W: the
+    inverse-iteration shift, its factors and the rows the steps saw.
 
-    Laguerre steps on the rows 0..W-1 that ``_window`` keeps climb from
-    the Gershgorin bound until a step is at rounding, <= 4 eps (|x| + 2|b|).
+    Laguerre steps on the rows 0..W-1 that ``_support`` keeps at eps^2
+    climb from the Gershgorin bound until a step is at rounding, <= 4 eps (|x| + 2|b|).
     The point x + step they reach is the shift if its pivots on all of
     ``d`` are positive.  Otherwise, as when a step lands on a yes, the
     shift retreats from that point by w/16, w/8, ..., w, with w the
@@ -173,7 +171,7 @@ def _climb(d, b):
     b2 = b * b
     r = 2.0 * abs(b)
     x = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
-    n = _window(len(d), abs(b))
+    n = _support(abs(b), len(d), _TAIL)
     rows = d if n == len(d) else d[:n]
     below = -math.inf
     for _ in range(_MAX_CLIMB):
@@ -192,7 +190,7 @@ def _climb(d, b):
         s = max(below, x - m * w) - _EPS * w
         p = _pivots(d, b2, s)
         if p is not None:
-            return s, p
+            return s, p, n
     raise EigenConvergenceError(f"no certified shift below {x!r}")
 
 
@@ -217,13 +215,6 @@ def _residual_bound(value, scale):
     cannot beat; then the ulp floor 100 * eps * scale applies.
     """
     return max(1e-10 * (1.0 + abs(value)), 100.0 * _EPS * scale)
-
-
-def _apply(darr, off, v):
-    out = darr * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
 
 
 def min_eigenpair(diag, offdiag) -> EigenPair:
@@ -273,18 +264,20 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     # T - shift I is a nonsingular M-matrix whose Thomas factors are the
     # certified pivots: one solve from the uniform start
     half = darr[half_len:].tolist()
-    s, p = _climb(half, b)
+    s, p, rows = _climb(half, b)
     y = _solve(p, b, [1.0 / math.sqrt(n)] * (half_len + 1))
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)
-    tv = _apply(darr, b, v)
+    tv = darr * v
+    tv[:-1] += b * v[1:]
+    tv[1:] += b * v[:-1]
     lam = float(v @ tv)
     r = tv - lam * v
     res = math.sqrt(r @ r)
     if not res <= _residual_bound(lam, scale):
         raise EigenConvergenceError(f"inverse iteration missed the residual bound at {res:.3e}")
     v.setflags(write=False)
-    return EigenPair(lam, v, res, s, p)
+    return EigenPair(lam, v, res, s, p, rows)
 
 
 def form_slope(pair: EigenPair, offdiag, form) -> float:
@@ -293,14 +286,17 @@ def form_slope(pair: EigenPair, offdiag, form) -> float:
     form ``form`` = x'Bx: 2 r'(T - lam)^+ r with r = Bx - form*x (Kato,
     Perturbation Theory for Linear Operators, ch. II).  One Thomas solve
     with the pivots that certified the shift s gives (T - s)^-1 r, whose
-    part along x, the rounding of r'x over lam - s, is projected out; it
-    runs on the rows 0..W+1 of the even half, past which x, r and the
-    solution are below eps^2 (``_window``)."""
+    part along x, the rounding of r'x over lam - s, is projected out.  r,
+    from each row's neighbours, and the solve take only the rows 0..W+1 of
+    the even half, W the pair's window: past it x, r and y are below eps^2."""
     v = pair.vector
     n = v.size // 2
-    m = min(_window(n + 1, -offdiag) + 2, n + 1)
+    m = min(pair._rows + 2, n + 1)
     x = v[n:n + m]
-    r = (_apply(0.0, 0.5, v) - form * v)[n:n + m]
+    right = v[n + 1:n + m + 1]  # one short where m = N+1: row N+1 is off the grid
+    r = 0.5 * v[n - 1:n + m - 1]
+    r[:right.size] += 0.5 * right
+    r -= form * x
     y = np.array(_solve(pair._pivots, offdiag, r.tolist()))
     # the full grid's inner products, on the half: weights (1, 2, 2, ...)
     y[1:] *= 2.0

@@ -20,10 +20,11 @@ tail bound that is short at small |q|: lambda_min <= d_0 = 0, so on every
 row k with k^2 > 2|b| (b = -|q|/4 the coupling) a coefficient is at most
 |b| / (k^2 - |b|) times the one before it (Parlett's ratio bound), and
 the grid ends at the first row where the product of those factors is
-below 1e-12.  That grid is the only one: outermost coefficients that
-still reach 1e-12 raise :class:`MathieuGridError` rather than let
-truncation show, and so does a half-length above 2**20 (|q| above about
-1e21), refused before the grid is allocated.
+below 1e-12 (``eigen._support``, which cuts the kernel's climb at
+eps^2).  That grid is the only one: outermost coefficients that still
+reach 1e-12 raise :class:`MathieuGridError` rather than let truncation
+show, and so does a half-length above 2**20 (|q| above about 1e21),
+refused before the grid is allocated.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _MAX_HALF_LEN, EigenPair, min_eigenpair
+from .eigen import _MAX_HALF_LEN, EigenPair, _support, min_eigenpair
 
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
@@ -59,17 +60,9 @@ def _first_half_len(lam1: float) -> int:
     large-|q| half-length n0, or the row where the tail bound drops below
     ``_TAIL_AMP`` if that comes first.  The bound's rows start past
     sqrt(lam1) = sqrt(2|b|), which lies beyond n0 once lam1 exceeds about
-    3500, so its loop makes at most 23 steps at any |q|."""
+    3500, so it scans at most 23 rows at any |q|."""
     n0 = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
-    b = 0.5 * lam1
-    k = int(math.sqrt(lam1)) + 1  # the first row with k^2 > 2|b|
-    amp = 1.0
-    while k < n0:
-        amp *= b / (k * k - b)
-        if amp < _TAIL_AMP:
-            return k
-        k += 1
-    return n0
+    return _support(0.5 * lam1, n0, _TAIL_AMP)
 
 
 def _ground_taps(q: float) -> EigenPair:

@@ -5,8 +5,9 @@ numerics, which it takes only the ``Sequence`` container from: a dense
 cyclic-Jacobi eigensolver and a dense ground pair of the even half to
 check the tridiagonal kernel against, the yes/no Sturm test its shift
 must pass, the slope of the lag-one form from a dense eigensystem, the
-DTFT by direct summation and brute-force quadrature for the frequency
-moments the closed forms are supposed to reproduce, the
+ground state's tail from its ratio recurrence, the DTFT by direct
+summation and brute-force quadrature for the frequency moments the
+closed forms are supposed to reproduce, the
 normalized autocorrelation from one ``np.correlate`` and the linear
 frequency moments its closed forms give,
 McLachlan's large-q series for a0 and its three-term ceiling, the
@@ -180,6 +181,22 @@ def even_form_slope(diag, offdiag, eigh=jacobi_eigh):
     r = bmat @ x - (x @ bmat @ x) * x
     coef = v[:, 1:].T @ r
     return float(w[0]), 2.0 * float(np.sum(coef * coef / (w[1:] - w[0])))
+
+
+def log_amplitudes(half, offdiag, lam):
+    """log v_j - log max v over the rows of the even half, for the ground
+    state at the value ``lam``, from the backward ratio recurrence
+    r_j = v_{j+1}/v_j = |b| / (d_{j+1} - lam - |b| r_{j+1}), r_N = 0: each
+    row j >= 1 reads (d_j - lam) v_j = |b| (v_{j-1} + v_{j+1}).  It is
+    stable for the positive ground state, whose ratios are positive, and
+    resolves tails far below what a dense eigenvector does."""
+    a = abs(offdiag)
+    r, logr = 0.0, []
+    for dj in half[:0:-1]:
+        r = a / (dj - lam - a * r)
+        logr.append(math.log(r))
+    logv = np.concatenate(([0.0], np.cumsum(logr[::-1])))
+    return logv - logv.max()
 
 
 def freq_moments_quad(x: Sequence, npts: int = 1 << 16):

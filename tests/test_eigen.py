@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -10,6 +11,7 @@ from helpers import (
     even_spectrum,
     has_eigenvalue_below,
     jacobi_eigh,
+    log_amplitudes,
     tridiag_dense,
 )
 
@@ -211,9 +213,9 @@ def _climb_rows(monkeypatch, half_len, offdiag):
     step = eigen._laguerre_step
     with monkeypatch.context() as mp:
         mp.setattr(eigen, "_laguerre_step", recorded)
-        min_eigenpair(_k2(half_len), offdiag)
-    assert len(rows) == 1, rows
-    return rows.pop()
+        pair = min_eigenpair(_k2(half_len), offdiag)
+    assert rows == {pair._rows}, rows  # the pair keeps the window for form_slope
+    return pair._rows
 
 
 def test_climb_rows_are_pinned(monkeypatch):
@@ -225,11 +227,29 @@ def test_climb_rows_are_pinned(monkeypatch):
     assert _climb_rows(monkeypatch, 1000, -8.0) == 27
 
 
+def _assert_window_holds(half_len, offdiag, lam):
+    # past the pair's window W the true ground state is below eps^2 of its
+    # largest entry, by a ratio recurrence that does not use the kernel
+    diag = _k2(half_len)
+    w = min_eigenpair(diag, offdiag)._rows
+    logv = log_amplitudes(diag[half_len:].tolist(), offdiag, lam)
+    assert np.all(logv[w:] < 2.0 * math.log(_EPS)), (half_len, offdiag, w)
+
+
+def test_window_holds_the_ground_state_on_the_sample():
+    for half_len in _SAMPLE_HALVES:
+        for lam1 in _SAMPLE_LAM1:
+            _assert_window_holds(half_len, -0.5 * lam1, _dense_value_and_slope(half_len, lam1)[0])
+    # the sigma2 = 0.1 design at 2001 taps, and 2|b| = 4^2, so j0 = 5
+    for off in (-28.9, -8.0):
+        _assert_window_holds(1000, off, even_ground_pair(_k2(1000), off, eigh=np.linalg.eigh)[0])
+
+
 @pytest.mark.parametrize("half_len", _SAMPLE_HALVES)
-def test_form_slope_matches_oracles(monkeypatch, half_len):
+def test_form_slope_matches_oracles(half_len):
     # b'(lambda1) from one Thomas solve on the window rows, against the
     # dense perturbation sum, a central difference of b and the same solve
-    # on every row of the half
+    # on every row of the half, from the same pair with its window at N + 1
     diag = _k2(half_len)
     for lam1 in _SAMPLE_LAM1:
         off = -0.5 * lam1
@@ -240,9 +260,7 @@ def test_form_slope_matches_oracles(monkeypatch, half_len):
         diff = (design._ground(diag, lam1 + h)[1] - design._ground(diag, lam1 - h)[1]) / (2.0 * h)
         # the difference also carries the rounding of the two b, over 2h
         assert abs(diff - slope) <= 1e-6 * slope + 4.0 * _EPS * form / h
-        with monkeypatch.context() as mp:
-            mp.setattr(eigen, "_window", lambda n, a: n)
-            full = eigen.form_slope(pair, off, form)
+        full = eigen.form_slope(dataclasses.replace(pair, _rows=half_len + 1), off, form)
         assert abs(full - slope) <= 1e-14 * slope
 
 
@@ -312,11 +330,11 @@ def test_min_eigenvalue_concave_in_lam1():
         assert f(b) >= chord - 1e-10
 
 
-def test_tolerance_controls_bracket():
+def test_climb_shift_is_a_few_rounding_levels_below_the_minimum():
     # the climb's shift and the minimum bracket the ground value to a few
     # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({1, 0, 1}, -1),
     # whose minimum is exactly -1
-    shift, piv = _climb([0.0, 1.0], -1.0)
+    shift, piv, _ = _climb([0.0, 1.0], -1.0)
     assert min(piv) > 0.0
     assert 0.0 < -1.0 - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 2.0)
 

@@ -4,10 +4,9 @@ The diagonal k^2 on k = -N..N equals its reverse, so the ground state is
 even: the kernel solves it on the rows k = 0..N with 2b^2 as the first
 coupling product and mirrors the half.
 The folded solve must agree on all rows, to rounding, with a dense solve
-(LAPACK through ``np.linalg.eigh``, on the symmetrized even half the
-unfolded grid's ground state lives on), return a vector that equals its
-reverse bit for bit, and be what the designer and the Mathieu evaluator
-actually run.
+(LAPACK through ``np.linalg.eigh``, on the symmetrized even half, mirrored
+onto k = -N..N), return a vector that equals its reverse bit for bit, and
+be what the designer and the Mathieu evaluator actually run.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ from compactseq import design, eigen, mathieu  # noqa: E402
 
 @PROPS
 @given(k2_family)
-def test_folded_solve_matches_the_unfolded_one(case):
+def test_folded_solve_matches_a_dense_solve(case):
     diag, offdiag = case
     lam, vec = even_ground_pair(diag, offdiag, eigh=np.linalg.eigh)
     pair = eigen.min_eigenpair(diag, offdiag)

@@ -3,16 +3,16 @@
 ``eigen._climb`` steps from the Gershgorin bound to the minimum of the even
 half and returns a shift with its LDL^T pivots, which inverse iteration
 reuses as its factors.  The steps see only the rows 0..W-1 that
-``eigen._window`` keeps, where W is the row from which Parlett's ratio
-bound puts the ground state below eps^2; the pivots that certify the
-shift are taken on the full half.  Every case is the kernel's one matrix
-family, k^2 on k = -N..N with a coupling b <= 0, drawn over N and b.  The
-shift must be a certified no (every pivot positive, and
-``helpers.has_eigenvalue_below`` agrees) within a few rounding levels of
-the minimum, the ground state must be below eps^2 past W by an oracle
+``eigen._support`` keeps at eps^2, where W is the row from which
+Parlett's ratio bound puts the ground state below eps^2; the pivots that
+certify the shift are taken on the full half.  Every case is the
+kernel's one matrix family, k^2 on k = -N..N with a coupling b <= 0,
+drawn over N and b.  The shift must be a certified no (every pivot
+positive, and ``helpers.has_eigenvalue_below`` agrees) within a few
+rounding levels of the minimum, the ground state must be below eps^2 past W by an oracle
 that does not use the kernel, and ``min_eigenpair`` must agree with the
-dense Jacobi oracle.  The climb's work counts are checked in
-``test_eigen.py``, which needs no hypothesis.
+dense Jacobi oracle.  The climb's work counts, and the window on a fixed
+sample, are checked in ``test_eigen.py``, which needs no hypothesis.
 """
 
 import math
@@ -23,7 +23,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import even_ground_pair, has_eigenvalue_below  # noqa: E402
+from helpers import even_ground_pair, has_eigenvalue_below, log_amplitudes  # noqa: E402
 
 from compactseq import design, eigen  # noqa: E402
 
@@ -57,9 +57,9 @@ def _climbs(diag, offdiag):
     seen = []
 
     def record(d, b):
-        s, p = climb(d, b)
+        s, p, w = climb(d, b)
         seen.append((d, b, s, p))
-        return s, p
+        return s, p, w
 
     climb = eigen._climb
     with pytest.MonkeyPatch.context() as mp:
@@ -121,22 +121,6 @@ k2_wide = st.tuples(
 ).map(lambda nl: ((np.arange(nl[0], dtype=float) - nl[0] // 2) ** 2, -0.5 * nl[1]))
 
 
-def _log_amplitudes(half, offdiag, lam):
-    """log v_j - log max v over the rows of the even half, for the ground
-    state at the value ``lam``, from the backward ratio recurrence
-    r_j = v_{j+1}/v_j = |b| / (d_{j+1} - lam - |b| r_{j+1}), r_N = 0: each
-    row j >= 1 reads (d_j - lam) v_j = |b| (v_{j-1} + v_{j+1}).  It is
-    stable for the positive ground state, whose ratios are positive, and
-    resolves tails far below what a dense eigenvector does."""
-    a = abs(offdiag)
-    r, logr = 0.0, []
-    for dj in half[:0:-1]:
-        r = a / (dj - lam - a * r)
-        logr.append(math.log(r))
-    logv = np.concatenate(([0.0], np.cumsum(logr[::-1])))
-    return logv - logv.max()
-
-
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(k2_wide)
 @example(((np.arange(2001, dtype=float) - 1000) ** 2, -28.9))  # the sigma2 = 0.1 design
@@ -145,7 +129,7 @@ def test_window_holds_the_ground_state(case):
     # past row W the true ground state is below eps^2 of its largest entry
     diag, offdiag = case
     half = diag[diag.size // 2:].tolist()
-    w = eigen._window(len(half), abs(offdiag))
+    w = eigen._support(abs(offdiag), len(half), eigen._TAIL)
     lam, _ = even_ground_pair(diag, offdiag, eigh=np.linalg.eigh)
-    logv = _log_amplitudes(half, offdiag, lam)
+    logv = log_amplitudes(half, offdiag, lam)
     assert np.all(logv[w:] < 2.0 * math.log(eigen._EPS))
