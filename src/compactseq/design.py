@@ -140,9 +140,9 @@ def _find_root(trial, s):
     positive, the Newton point leaves the bracket, or the step is zero or
     more than half the step before last (a slope of the wrong size would
     creep).  Then it bisects, or, until f has changed sign, steps by -2f
-    going up and -f going down, which assumes f's smallest local slope
-    that way (1/2 up, 1 down where b ~ l1) and so lands on or over the
-    root; a longer Newton step counts as leaving the bracket.
+    either way, which assumes f's smallest local slope, 1/2 (f' is about
+    1, 1/2 and 2 in the three regimes of ``_logit``), and so lands on or
+    over the root; a longer Newton step counts as leaving the bracket.
     """
     lo, hi, last, before = -math.inf, math.inf, math.inf, math.inf
     for _ in range(_MAX_SOLVES):
@@ -153,7 +153,7 @@ def _find_root(trial, s):
         if hi - lo <= 4.0 * _EPS * max(1.0, abs(s)):
             return
         if math.isinf(hi - lo):
-            u = s - fs * (2.0 if fs < 0.0 else 1.0)
+            u = s - 2.0 * fs
             cap = min(before, 2.0 * abs(u - s))
         else:
             u, cap = 0.5 * (lo + hi), before

@@ -318,6 +318,25 @@ def test_newton_work_count(monkeypatch, taps):
     assert len(calls) / grid.size <= 3.0
 
 
+@pytest.mark.parametrize("above", [1e-2, 1e-8])
+def test_a_seed_above_the_root_steps_down_fast(monkeypatch, above):
+    # before f changes sign a step is -2f either way: where b -> 1 the
+    # slope of G is 1/2, so a step of -f down only halved the distance to
+    # the root (5.7 solves per design here from 1% above, up to 27)
+    import compactseq.design as design
+
+    grid = _sigma2_grid(201)
+    roots = [design_max_compact(s2, 201).lambda1 for s2 in grid]
+    inner = design._find_root
+    calls = _counting_solves(monkeypatch)
+    for s2, root in zip(grid, roots):
+        seed = math.log(root * (1.0 + above))
+        monkeypatch.setattr(design, "_find_root", lambda trial, s, seed=seed: inner(trial, seed))
+        res = design_max_compact(s2, 201)
+        assert abs(res.constraint_gap) <= 1e-10
+    assert len(calls) / len(grid) <= 4.0
+
+
 def test_curve_points_carry_the_design_status():
     # the sigma2 = 0.00316 point on 101 taps leans on the grid ends: its
     # design says increase-taps, and so must its curve point
