@@ -17,10 +17,12 @@ b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
 |b - alpha| for the ground-state primal candidate) to zero.  It takes
 safeguarded Newton steps in log(l1) on log(b / (b_sup - b)), which is
 close to linear in log(l1) for small, large and grid-limited l1 alike,
-from a seed given by the two asymptotic limits of b, with the exact slope
-b'(l1) of :func:`compactseq.eigen.form_slope`; a design takes about 3
-ground solves.  The optimal sequence is the ground state itself:
-symmetric, entrywise positive, and unit norm by construction.
+with the exact slope b'(l1) of :func:`compactseq.eigen.form_slope`.  Its
+seed is the root of b from the small- or large-q series of the Mathieu
+value a0, since lambda_min(l1) = a0(2 l1)/4, so b = -a0'(q)/2 at
+q = 2 l1; a design takes about 2.3 ground solves.  The optimal sequence
+is the ground state itself: symmetric, entrywise positive, and unit norm
+by construction.
 
 On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
 off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
@@ -43,6 +45,7 @@ import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
 from .eigen import _MAX_HALF_LEN, form_slope, min_eigenpair
+from .mathieu import _A0_LARGE_Q, _A0_SMALL_Q
 from .sequence import Sequence
 
 __all__ = [
@@ -130,6 +133,49 @@ def _logit(b, b_sup):
     return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
 
 
+def _b_series(a0_terms, m):
+    """b = -a0'(q)/2 from a series of a0 in terms e q^(n/2), as polynomial
+    coefficients in z = q^(m/2), highest power first: lambda_min(l1) =
+    a0(2 l1)/4 and b = -d lambda_min/d l1, so each term gives
+    -(n e/4) q^((n-2)/2)."""
+    coeffs = [0.0] * (1 + max((n - 2) // m for n, _ in a0_terms))
+    for n, e in a0_terms:
+        coeffs[(n - 2) // m] -= 0.25 * n * e
+    return coeffs[::-1]
+
+
+_B_SMALL_Q = _b_series(_A0_SMALL_Q, 2)  # in q = 2 l1
+_B_LARGE_Q = _b_series(_A0_LARGE_Q, -1)  # in 1/sqrt(q)
+
+
+def _series_root(coeffs, z, alpha):
+    """z where the polynomial ``coeffs`` equals alpha: 4 Newton steps from z."""
+    for _ in range(4):
+        p = dp = 0.0
+        for c in coeffs:
+            dp = dp * z + p
+            p = p * z + c
+        z += (alpha - p) / dp
+    return z
+
+
+def _seed(alpha):
+    """log(l1) to start the root search from.  Below alpha = 0.45 it is
+    the root of b from a0's small-q series; from 0.45 on, the larger of
+    b's small- and large-l1 limits, b ~ l1 and b ~ 1 - 1/(2 sqrt(2 l1)),
+    solved for alpha, and above 0.8 the root of b from McLachlan's series
+    if that is larger.  Each truncation leaves out a negative term of b,
+    so its root lies below b's; the large-l1 limit is no bound at small
+    l1 and lies above the root below alpha ~ 0.15."""
+    if alpha < 0.45:
+        return math.log(0.5 * _series_root(_B_SMALL_Q, 2.0 * alpha, alpha))
+    l1 = max(alpha, 0.125 / (1.0 - alpha) ** 2)
+    if alpha > 0.8:
+        z = _series_root(_B_LARGE_Q, 2.0 * (1.0 - alpha), alpha)
+        l1 = max(l1, 0.5 / (z * z))
+    return math.log(l1)
+
+
 def _find_root(trial, s):
     """Drive the increasing function f(s) to 0 from the seed s.
 
@@ -176,10 +222,10 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     constraint is unattainable and UnattainableSpreadError is raised.
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
-    for large lambda1.  It starts at the larger of b's small- and
-    large-lambda1 limits solved for alpha, then refines lambda1 by Newton
-    steps on the exact slope of b, inside the bracket that the signs of
-    b - alpha give (see ``_find_root``).
+    for large lambda1.  It starts from ``_seed``, a root of b from a0's
+    series, then refines lambda1 by Newton steps on the exact slope of b,
+    inside the bracket that the signs of b - alpha give (see
+    ``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
     if taps != int(taps):
@@ -221,10 +267,7 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
 
         return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1), slope
 
-    # Seed: b's small-l1 limit b ~ l1, or its large-l1 limit
-    # b ~ 1 - 1/(2 sqrt(2 l1)) (Hellmann-Feynman on the large-q asymptotics
-    # of a0), solved for b = alpha, whichever is larger.
-    _find_root(trial, math.log(max(alpha, 0.125 / (1.0 - alpha) ** 2)))
+    _find_root(trial, _seed(alpha))
     lambda1, pair, b = best
     gap = abs(b - alpha)
     # Once lambda1 is large the constraint can only be met to rounding in

@@ -45,6 +45,18 @@ from .eigen import _MAX_HALF_LEN, EigenPair, _support, min_eigenpair
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
 _TAIL_AMP = 1e-12
+# a0 as sums of terms e * q^(n/2), given as pairs (n, e): its small-q
+# series (DLMF 28.6.1) and McLachlan's large-q series at s = 1 (DLMF
+# 28.8.1).  The designer seeds its root search from them (``_a0_series``
+# keeps its own two-term arithmetic).
+_A0_SMALL_Q = (
+    (4, -1.0 / 2.0), (8, 7.0 / 128.0), (12, -29.0 / 2304.0),
+    (16, 68687.0 / 18874368.0), (20, -123707.0 / 104857600.0),
+)
+_A0_LARGE_Q = (
+    (2, -2.0), (1, 2.0), (0, -1.0 / 4.0), (-1, -4.0 / 2.0**7), (-2, -48.0 / 2.0**12),
+    (-3, -848.0 / 2.0**17), (-4, -4752.0 / 2.0**20), (-5, -126752.0 / 2.0**25),
+)
 # below this |q| the third term of a0's series, 29q^6/2304, is under
 # 2^-54 * q^2/2, i.e. under half an ulp of a0
 _SERIES_Q = (1152.0 / 29.0 * 2.0**-54) ** 0.25

@@ -58,7 +58,7 @@ def test_runtime_solves_are_folded(monkeypatch):
     monkeypatch.setattr(eigen, "_climb", record(folded, eigen._climb))
     monkeypatch.setattr(design, "min_eigenpair", record(full, design.min_eigenpair))
     monkeypatch.setattr(mathieu, "min_eigenpair", record(full, mathieu.min_eigenpair))
-    for sigma2, taps in ((1e-3, 201), (0.1, 201), (10.0, 1001)):
+    for sigma2, taps in ((1e-3, 201), (0.1, 201), (1.0, 21), (3.0, 2001), (10.0, 1001)):
         design.design_max_compact(sigma2, taps)
     design.sweep_curve([0.01, 1.0], 101)
     for q in (-2.5, 0.25, 7.25, 1e4):
