@@ -70,28 +70,28 @@ CASES = _cases()
 SEQ_OUTPUT_ARGV = ("design", "--sigma2", "0.1", "--taps", "201", "--seq-output")
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "95184d1f3a945c0f7c5746187759ffc5ddec4e9f8a7343c76037d2dcde4c56cd",
-    "design --sigma2 3e-4 --taps 201 --format csv": "5e5e9536ebd532307487d1d2729f75ef06d32fde3421bcc86c3f280888a740a8",
-    "design --sigma2 3e-4 --taps 1001 --format json": "a36358bca9b494ea19605b5f2cb4e7bdc430aaf5713ad078b3a9df351ca5b878",
-    "design --sigma2 3e-4 --taps 1001 --format csv": "68d77596a73b4a31db3d144d8b796654a151814a6f2650c0f2123b3fbb26fc86",
-    "design --sigma2 1e-3 --taps 201 --format json": "ded0f5090910eb11d6b0fece2cc7d75233611dfcdfb301d8d7a579087dfa865e",
-    "design --sigma2 1e-3 --taps 201 --format csv": "0eb03a3942050070cd9e4074669769c16e967c433fa26b64874c75be278ec2ea",
+    "design --sigma2 3e-4 --taps 201 --format json": "2746c7b51eecab4076cf11f02519880457ff0af641de64e3c9a9da5a6942ce85",
+    "design --sigma2 3e-4 --taps 201 --format csv": "2b160d475aa1637725302db414cdb32d233c0bd51d69d9a1e623df31696e0e57",
+    "design --sigma2 3e-4 --taps 1001 --format json": "04b3e3122be702473a47be457f720ff179e532f59ed9f02b0c6775cb06b6f391",
+    "design --sigma2 3e-4 --taps 1001 --format csv": "12afe7c09e49ab043e8c130a27ac07179edfb02e76da8310b68b78774b20d0a0",
+    "design --sigma2 1e-3 --taps 201 --format json": "1e923773bdc14d71a6666c6ac5e1d4d23b1d1b4a0b921f3d63f270e5ea1886c5",
+    "design --sigma2 1e-3 --taps 201 --format csv": "d6c666c40836c533b27df73f975aaa9073142cc31bb511641dc9357c8785ea66",
     "design --sigma2 1e-3 --taps 1001 --format json": "054e1a745e99f6fdab41f6d7bddb37c2c7e99a6ffc2c6c09bd4e842cca37106e",
     "design --sigma2 1e-3 --taps 1001 --format csv": "79cdd1be4e95aede97023fb6f31643788f54bdd9abc1bcada8d420b784e18094",
-    "design --sigma2 0.1 --taps 201 --format json": "451f9ab849a90c8d2e7d5b3cf4bd5bff480ed0e10b943aacb6352890ed4518b8",
-    "design --sigma2 0.1 --taps 201 --format csv": "bf2fbedbf76c82d161c0c133da53f7e3c2b4463da41977d5cd32ff3873d8e13c",
-    "design --sigma2 0.1 --taps 1001 --format json": "a0504f4bd93c1b83e1ac8aa83994a0d0f6cbe5af471a67e00e16b2d51451acde",
-    "design --sigma2 0.1 --taps 1001 --format csv": "c20bc17664838ec949544c176c8b04607f13ba1e3ca343c132c7496f665054dc",
-    "design --sigma2 10 --taps 201 --format json": "0797bdf23150c972f822944f64842ff08f85c09e47971f7c8b3b47961a9b4ebe",
-    "design --sigma2 10 --taps 201 --format csv": "fc808112cb6dbaca45bd4972b6f724b1d6cd331ec34cbdc6f130010b32dfb91b",
-    "design --sigma2 10 --taps 1001 --format json": "0e4e17c4aa83998bd17ce84b3dc88a5e2f6464a8af94293b6417a5da0e50e163",
-    "design --sigma2 10 --taps 1001 --format csv": "66f3ce671e172ca7c3ecda96c6e457da67eaf6fb5962794cf376e37498d8b764",
-    "curve --format csv": "fe584a349048224077a5e086547157784bfd5fd93032598e2bb9fb259ad3022e",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "f0d2851264f63ac3548fc8f62538ac8c5c83ce7c8587cb0f3f1eea83fa132a42",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "28d880a46135e9189fcc509f436dbe4d9a12a2bb406f5a2a25358cd3fc54c418",
-    "curve --format json": "bed17b11f9d33b6661912cdde058199eed6d86e179c47412db4416315981c96d",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "bcc73f0a0847a3b1152f7633041fc134c3abbcb4e34572498c9f8b7646759f82",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "d6a5efff4cfc8db42930bda07d69102a9662eeb518ea2436c2d411072f82585e",
+    "design --sigma2 0.1 --taps 201 --format json": "f83e9aa78d147be55427d0ce7aafbfee1264094de4002f3a02d3b0883bf64718",
+    "design --sigma2 0.1 --taps 201 --format csv": "5ccdcc59a67d8a6da7feffe93cd8a9725f77acb754b61cca70b48b8c36cb063e",
+    "design --sigma2 0.1 --taps 1001 --format json": "ee8abe2c8b689ba84a63f19f7aec7cc1be8f522cfb36f187e3db5f4b119eeecb",
+    "design --sigma2 0.1 --taps 1001 --format csv": "e3ceddf19cd12c31205a9688bccce61eda3f75ede2ef58e30c2c4f7660b2554d",
+    "design --sigma2 10 --taps 201 --format json": "60de94319ee3473db250f4781d64f3250fb00630fb4ac57b1373f2a6b354eac3",
+    "design --sigma2 10 --taps 201 --format csv": "fedba198c1717e6b7f0f0ea4bada1f86664cc0f9e46bd0dff8fdfa2eb94abbee",
+    "design --sigma2 10 --taps 1001 --format json": "dbb26ddf7406573caf7b37a9d9271f6072a386f7e68fa34f43b185a2979dcbb0",
+    "design --sigma2 10 --taps 1001 --format csv": "3655c976517cfabcc9d613d68c9aa303a132bfe91a70cfaa387a2ccbc6a32cd4",
+    "curve --format csv": "616c13daba8ccd4fde036e0b67f2a63d3323e2b695514b323f6ab1ed40aaef9f",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "0dfc1f3394fb63cb704cccacb63333cb0523c2e09db2c6b21e7d504bc7ea1324",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "7479e599e1c9f7d687f9ca1cb88a95343eb887ad4892330840501aa4ea10e9e3",
+    "curve --format json": "97aa612a9600da933e7e2f921c6ab8a08088339552555011cb154cb692bdaebf",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "66a9629075e1ea2571308e81caf739081d10bc7aa34b6bc274a6c211067028bf",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "8537420b51f9681bdc5f458d5fce5a62d7b2139fe5e2e1d95b90ed56a4420dbf",
     "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
     "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
     "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "65d18ccefcea9a24114f9e42ec6367b78986573b5879c7c18836bcb87afa522a",
@@ -106,7 +106,7 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "9daa449ce1882edd0ee36a515c4af2c2dcbe949706a651963a2be8522359438d",
+    "--seq-output": "134a14dca8f24596e2faa5d4c9d7331a70a96467d617293cf159b489020b2df0",
 }
 
 
