@@ -248,10 +248,10 @@ MCLACHLAN_Q_MIN = 4.0
 # Coefficients of the large-q series for a0, by descending half-power of q.
 _A0_SERIES = (
     -1.0 / 32.0,        # q^{-1/2}
-    -48.0 / 2.0**7,     # q^{-1}
+    -48.0 / 2.0**12,    # q^{-1}
     -848.0 / 2.0**17,   # q^{-3/2}
     -4752.0 / 2.0**20,  # q^{-2}
-    -126752.0 / 2.0**20,  # q^{-5/2}
+    -126752.0 / 2.0**25,  # q^{-5/2}
 )
 
 
@@ -259,8 +259,8 @@ def mclachlan_a0(q: float) -> float:
     """Truncated large-q series for the lowest characteristic value a0(q)
     of y'' + (a - 2 q cos(2 theta)) y = 0 (McLachlan; DLMF 28.8.1).
 
-    Only meaningful for q >= 4 (raises below); relative accuracy improves
-    like a few 1e-4 and better as q grows.
+    Only meaningful for q >= 4 (raises below); the first omitted term is
+    about 0.004 q^-3, so it is 4e-9 from a0 at q = 100 and 4e-12 at 1e3.
     """
     q = float(q)
     if q < MCLACHLAN_Q_MIN:
