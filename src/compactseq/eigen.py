@@ -38,7 +38,8 @@ and the retreat ends after a pass or two, at worst just below the last
 iterate.  There is no bisection: the shift is a certified no a few ulps
 below the minimum, and the value returned is the Rayleigh quotient.  The
 eigenvector then comes from one inverse-iteration solve at that shift on
-the full half, from the uniform start, and the pivots of the pass that
+the full half, from a uniform start scaled by a power of two to the
+shift's rounding level, and the pivots of the pass that
 certified it, in the Sturm form above, are the Thomas factors: re-formed
 as c (b / p_{i-1}) so close to the minimum, some would round to <= 0.
 With b <= 0 the shifted matrix is an M-matrix with an entrywise positive
@@ -165,9 +166,12 @@ def _climb(d, b):
     shift retreats from that point by w/16, w/8, ..., w, with w the
     rounding level of the landing, and never below the last iterate: it
     stays within a few ulps of the minimum and moves smoothly with the
-    matrix.  Every try sits eps*w lower, the same double
-    unless the shift is tiny, and w >= 4e-100 eps, so 1/(lam - s), the
-    growth of an inverse iterate, stays below about 1e131."""
+    matrix.  Every try sits eps*w lower, the same double unless the shift
+    is tiny, so lam - s, the inverse of an inverse iterate's growth, is at
+    least about eps*w >= 2^(e-103), with 2^(e-1) <= |s| + 2|b| < 2^e.
+    Where eps*w underflows (e < -971) it is at least about 2^-1074
+    instead: s is then a negative double below lam ~ -2b^2, which lies far
+    closer to 0 than 2^-1074."""
     b2 = b * b
     r = 2.0 * abs(b)
     x = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
@@ -184,7 +188,7 @@ def _climb(d, b):
             break
     if below == -math.inf:
         raise EigenConvergenceError(f"the Gershgorin bound {x!r} is not certified")
-    w = 4.0 * _EPS * max(max(abs(below), abs(x)) + r, 1e-100)
+    w = 4.0 * _EPS * (max(abs(below), abs(x)) + r)
     # a climb that ended on a yes skips m = 0, the point just refused
     for m in (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, math.inf)[step is None:]:
         s = max(below, x - m * w) - _EPS * w
@@ -232,13 +236,19 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     takes over where the first asks for more than double precision gives.
     The vector comes from one inverse-iteration solve at a certified shift
     a few ulps below the minimum, placed by a Laguerre climb whose last
-    pivot pass supplies the Thomas factors.  The climb's steps see only the
-    rows 0..W-1 of the half past which Parlett's ratio bound puts the
-    ground state below eps^2; the pivot pass that certifies the shift, the
-    solve, the vector and its residual use every row.  The pair's ``s`` is
-    that shift (0 where b = 0 or N = 0, with no solve).  Raises
-    :class:`EigenConvergenceError` if no certified shift is found or the
-    solve's residual misses the contract.
+    pivot pass supplies the Thomas factors.  Its uniform start has norm at
+    most 2^c, c = max(e - 52, -1000) with e as in ``_climb``, and the solve
+    grows it by at most 1/(lam - s), which ``_climb`` bounds by 2^(103 - e):
+    the iterate stays below 2^(c + 103 - e), that is 2^51 until the clamp
+    binds and 2^74 at e = -971, and below 2^(1074 - 1000) = 2^74 where
+    eps*w underflows.  So it stays below about 2^74 at any coupling, while
+    the clamp keeps the start normal where |b| is subnormal.  The climb's
+    steps see only the rows 0..W-1 of the half past which Parlett's ratio
+    bound puts the ground state below eps^2; the pivot pass that certifies
+    the shift, the solve, the vector and its residual use every row.  The
+    pair's ``s`` is that shift (0 where b = 0 or N = 0, with no solve).
+    Raises :class:`EigenConvergenceError` if no certified shift is found or
+    the solve's residual misses the contract.
     """
     darr = np.asarray(diag, dtype=float)
     n = darr.size
@@ -262,10 +272,12 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         return EigenPair(0.0, vec, 0.0, 0.0)
 
     # T - shift I is a nonsingular M-matrix whose Thomas factors are the
-    # certified pivots: one solve from the uniform start
+    # certified pivots: one solve from a uniform start of norm 2^c at most,
+    # which keeps the iterate below about 2^74
     half = darr[half_len:].tolist()
     s, p, rows = _climb(half, b)
-    y = _solve(p, b, [1.0 / math.sqrt(n)] * (half_len + 1))
+    c = max(math.frexp(abs(s) + 2.0 * abs(b))[1] - 52, -1000)
+    y = _solve(p, b, [math.ldexp(1.0 / math.sqrt(n), c)] * (half_len + 1))
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)
     tv = darr * v

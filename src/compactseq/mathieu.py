@@ -47,8 +47,7 @@ __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 _TAIL_AMP = 1e-12
 # a0 as sums of terms e * q^(n/2), given as pairs (n, e): its small-q
 # series (DLMF 28.6.1) and McLachlan's large-q series at s = 1 (DLMF
-# 28.8.1).  The designer seeds its root search from them (``_a0_series``
-# keeps its own two-term arithmetic).
+# 28.8.1).  The designer seeds its root search from them.
 _A0_SMALL_Q = (
     (4, -1.0 / 2.0), (8, 7.0 / 128.0), (12, -29.0 / 2304.0),
     (16, 68687.0 / 18874368.0), (20, -123707.0 / 104857600.0),
@@ -57,9 +56,6 @@ _A0_LARGE_Q = (
     (2, -2.0), (1, 2.0), (0, -1.0 / 4.0), (-1, -4.0 / 2.0**7), (-2, -48.0 / 2.0**12),
     (-3, -848.0 / 2.0**17), (-4, -4752.0 / 2.0**20), (-5, -126752.0 / 2.0**25),
 )
-# below this |q| the third term of a0's series, 29q^6/2304, is under
-# 2^-54 * q^2/2, i.e. under half an ulp of a0
-_SERIES_Q = (1152.0 / 29.0 * 2.0**-54) ** 0.25
 
 
 class MathieuGridError(RuntimeError):
@@ -93,23 +89,9 @@ def _ground_taps(q: float) -> EigenPair:
     return pair
 
 
-def _a0_series(q: float) -> float | None:
-    """a0 = -q^2/2 + 7q^4/128 (DLMF 28.6.1) for |q| below ``_SERIES_Q``,
-    where these two terms fix it to half an ulp; None for larger |q|.
-
-    Near q = 0 the solve's shift stays a rounding level below the minimum,
-    and 4*lambda_min is off by about the square of that distance: 8e-12
-    relative at q = 1e-110, and the wrong sign at q = 1e-120.
-    """
-    if not abs(q) < _SERIES_Q:
-        return None
-    return -0.5 * q * q + 7.0 * q**4 / 128.0
-
-
 def char_value_a0(q: float) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
-    a0 = _a0_series(float(q))
-    return 4.0 * _ground_taps(q).value if a0 is None else a0
+    return 4.0 * _ground_taps(q).value
 
 
 @dataclass(frozen=True)
@@ -142,10 +124,9 @@ def ce0(q: float, thetas) -> MathieuEval:
     kk = np.arange(1, n + 1)
     vals = (half[0] + 2.0 * np.cos(2.0 * np.outer(t, kk)) @ half[1:]) / math.sqrt(2.0)
     vals.setflags(write=False)
-    a0 = _a0_series(q)
     return MathieuEval(
         q=q,
-        a0=4.0 * pair.value if a0 is None else a0,
+        a0=4.0 * pair.value,
         thetas=t,
         values=vals,
         fourier_coeffs=pair.vector,

@@ -218,6 +218,8 @@ def test_dual_solve_is_robust(taps):
         pair = min_eigenpair(k * k, -0.5 * res.lambda1)
         assert (res.lambda2, res.eig_residual) == (pair.value, pair.residual)
         assert res.lambda1 >= 0.0 and res.delta_n2_opt > 0.0
+        if s2 >= 1e10:
+            assert abs(res.eta_p - eta_lower(s2)) <= 1e-9
 
 
 def test_residual_floor_bounds_long_grids():

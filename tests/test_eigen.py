@@ -134,7 +134,7 @@ def test_matches_jacobi_random():
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-20, 1e-100, 1e-300])
+@pytest.mark.parametrize("c", [1e-12, 1e-20, 1e-100, 1e-131, 1e-150, 1e-200, 1e-300])
 def test_tiny_scale_matches_jacobi(c):
     # a tiny coupling b = -c on k = -2..2: the value is -2c^2 to second
     # order in c, far below the Jacobi oracle's resolution of ||T|| ~ 4
@@ -144,6 +144,10 @@ def test_tiny_scale_matches_jacobi(c):
     pair = min_eigenpair(diag, -c)
     assert abs(pair.value - w[0]) <= 1e-13 * norm_t
     assert np.max(np.abs(pair.vector - np.abs(v[:, 0]))) <= 1e-10
+    # row 1 gives v_1 = c v_0 to first order in c; the absolute vector
+    # check above cannot tell that tap from noise a rounding level above 0
+    v0, v1 = pair.vector[2], pair.vector[3]
+    assert abs(v1 / (c * v0) - 1.0) <= 1e-14
     assert pair.residual <= 1e-3 * _residual_bound(pair.value, norm_t)
     if c * c > 0.0:  # where b^2 underflows the value is held in ||T|| only
         assert abs(pair.value + 2.0 * c * c) <= 1e-13 * 2.0 * c * c

@@ -74,9 +74,8 @@ def _assert_certified_no_near_minimum(diag, offdiag):
         assert len(d) == len(diag) // 2 + 1
         assert len(p) == len(d) and min(p) > 0.0
         assert not has_eigenvalue_below(d, b * b, s)
-        # a few rounding levels below the minimum: w = 4 eps (|s| + 2|b|),
-        # floored where the kernel keeps 1/(lam - s) finite
-        w = 4.0 * eigen._EPS * max(abs(s) + 2.0 * abs(b), 1e-100)
+        # a few rounding levels below the minimum: w = 4 eps (|s| + 2|b|)
+        w = 4.0 * eigen._EPS * (abs(s) + 2.0 * abs(b))
         assert has_eigenvalue_below(d, b * b, s + 4.0 * w)
 
 
