@@ -52,12 +52,16 @@ def _cases():
         for taps in ("201", "1001"):
             for fmt in ("json", "csv"):
                 cases.append(("design", "--sigma2", s2, "--taps", taps, "--format", fmt))
+    # the longest bench grid, and a coupling near 1e-150
+    cases.append(("design", "--sigma2", "0.1", "--taps", "2001"))
+    cases.append(("design", "--sigma2", "1e300", "--taps", "5"))
     for fmt in ("csv", "json"):
         cases.append(("curve", "--format", fmt))
         cases.append(("curve", "--grid", "1e-5:1:7:log", "--taps", "101", "--format", fmt))
         cases.append(("curve", "--grid", "1e-9:0.5:2:log", "--taps", "21", "--format", fmt))
     cases.append(("mathieu",))
     cases.append(("mathieu", "--q", "-2.5"))
+    cases.append(("mathieu", "--grid", "1e-300:1e6:7:log"))
     cases.append(("mathieu", "--q", "7.25", "--grid", "0:6.283185307179586:64:lin"))
     cases.append(("windows", "--family", "all"))
     for name in SEQ_FILES:
@@ -86,6 +90,8 @@ GOLDEN = {
     "design --sigma2 10 --taps 201 --format csv": "fedba198c1717e6b7f0f0ea4bada1f86664cc0f9e46bd0dff8fdfa2eb94abbee",
     "design --sigma2 10 --taps 1001 --format json": "dbb26ddf7406573caf7b37a9d9271f6072a386f7e68fa34f43b185a2979dcbb0",
     "design --sigma2 10 --taps 1001 --format csv": "3655c976517cfabcc9d613d68c9aa303a132bfe91a70cfaa387a2ccbc6a32cd4",
+    "design --sigma2 0.1 --taps 2001": "c16d397b7fecae05c83f8a8cab193aea80cbd47185b9b5783387816e5e44d8ae",
+    "design --sigma2 1e300 --taps 5": "46c5740bc2fb3f9889f3fc68205c7b66a6e12f83af4c268344d48ae60c442524",
     "curve --format csv": "616c13daba8ccd4fde036e0b67f2a63d3323e2b695514b323f6ab1ed40aaef9f",
     "curve --grid 1e-5:1:7:log --taps 101 --format csv": "0dfc1f3394fb63cb704cccacb63333cb0523c2e09db2c6b21e7d504bc7ea1324",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "7479e599e1c9f7d687f9ca1cb88a95343eb887ad4892330840501aa4ea10e9e3",
@@ -94,6 +100,7 @@ GOLDEN = {
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "8537420b51f9681bdc5f458d5fce5a62d7b2139fe5e2e1d95b90ed56a4420dbf",
     "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
     "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
+    "mathieu --grid 1e-300:1e6:7:log": "fe4504e6efa70895c9397288631ff076e89aeeb80ee51993f08dcd80ed81fedd",
     "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "65d18ccefcea9a24114f9e42ec6367b78986573b5879c7c18836bcb87afa522a",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
