@@ -29,27 +29,26 @@ rows lies less than |b| eps^2 above the half's, far inside the rounding
 level.  On a long grid at a small coupling that is a few dozen of a
 thousand rows; on every Mathieu grid, which ends where the same bound
 reaches 1e-12, W is the whole half.  Everything after the climb uses all
-N+1 rows.  The shift is certified by one pivot pass on the full half;
-where rounding carries a last step onto a yes, the shift retreats from
-it by fractions of that level until its pivots are all positive; each
-pivot is a chain of correctly rounded operations monotone in s, so the
+N+1 rows.  The shifted half is an M-matrix exactly when its elimination
+meets no pivot <= 0, so one pass on the full half, ``_solve``, both
+certifies the shift and solves at it: it forms the pivots in the Sturm
+form above, not re-formed as c (b / p_{i-1}), in which some would round
+to <= 0 so close to the minimum, and gives up at the first pivot <= 0.
+Where rounding carries a last step onto a yes, the shift retreats from
+it by fractions of that level until the solve goes through; each pivot
+is a chain of correctly rounded operations monotone in s, so the
 computed verdict is monotone in s (Demmel, Dhillon and Ren, ETNA 1995)
 and the retreat ends after a pass or two, at worst just below the last
 iterate.  There is no bisection: the shift is a certified no a few ulps
 below the minimum, and the value returned is the Rayleigh quotient.  The
-eigenvector then comes from one inverse-iteration solve at that shift on
-the full half, from a uniform start scaled by a power of two to the
-shift's rounding level, and the pivots of the pass that
-certified it, in the Sturm form above, are the Thomas factors: re-formed
-as c (b / p_{i-1}) so close to the minimum, some would round to <= 0.
-With b <= 0 the shifted matrix is an M-matrix with an entrywise positive
-inverse: Thomas elimination meets no cancellation and the iterate,
-started from a positive vector, stays positive in floating point, so the
-ground state needs no sign fix-up.  So close to the minimum the one solve
-lands at rounding; its residual, taken on all 2N+1 rows, is checked
-against the contract, and a miss raises.  The pair keeps the shift, its
-pivots and W, which ``form_slope`` reuses for the designer's one more
-solve.
+solve starts from a uniform vector scaled by a power of two to the
+shift's rounding level.  With b <= 0 the shifted matrix has an entrywise
+positive inverse: Thomas elimination meets no cancellation and the
+iterate, started from a positive vector, stays positive in floating
+point, so the ground state needs no sign fix-up.  So close to the
+minimum the one solve lands at rounding; its residual, taken on all
+2N+1 rows, is checked against the contract, and a miss raises.  The pair
+keeps the shift and W for the designer's one more solve, ``form_slope``.
 """
 
 from __future__ import annotations
@@ -76,40 +75,20 @@ class EigenConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue/eigenvector pair with its 2-norm residual and ``s``, the
-    solve's certified shift below every eigenvalue, whose pivots it keeps
-    with ``_rows``, the climb's window W, for ``form_slope``."""
+    solve's certified shift below every eigenvalue, kept with ``_rows``,
+    the climb's window W, for ``form_slope``."""
 
     value: float
     vector: np.ndarray
     residual: float
     s: float
-    _pivots: list = field(default_factory=list, repr=False, compare=False)
     _rows: int = field(default=0, repr=False, compare=False)
-
-
-def _pivots(d, b2, s):
-    """The LDL^T pivots of the even half ``d`` (rows k = 0..N, off-diagonal
-    b with b^2 = ``b2``) shifted by ``s``, in the Sturm form
-    d_i - s - b^2/p_{i-1}; None at the first pivot <= 0, where the half has
-    an eigenvalue at or below ``s``."""
-    piv = d[0] - s
-    if piv <= 0.0:
-        return None
-    p = [piv]
-    t = 2.0 * b2
-    for di in d[1:]:
-        piv = di - s - t / piv
-        if piv <= 0.0:
-            return None
-        p.append(piv)
-        t = b2
-    return p
 
 
 def _laguerre_step(d, b2, s):
     """Laguerre's step from ``s`` toward the minimum of the even half ``d``,
     from the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, which the pivots'
-    -p'/p and -p''/p build up; None where ``_pivots(d, b2, s)`` is."""
+    -p'/p and -p''/p build up; None at a pivot <= 0, as in ``_solve``."""
     piv = d[0] - s
     if piv <= 0.0:
         return None
@@ -156,13 +135,13 @@ def _support(a, end, tol):
 
 def _climb(d, b):
     """A certified no within a few ulps of the minimum of the even half
-    ``d`` = (0, 1, 4, ..., N^2), its pivots and the window W: the
-    inverse-iteration shift, its factors and the rows the steps saw.
+    ``d`` = (0, 1, 4, ..., N^2), its inverse iterate and the window W: the
+    shift, the ground state's half, unnormalised, and the rows the steps saw.
 
     Laguerre steps on the rows 0..W-1 that ``_support`` keeps at eps^2
     climb from the Gershgorin bound until a step is at rounding, <= 4 eps (|x| + 2|b|).
-    The point x + step they reach is the shift if its pivots on all of
-    ``d`` are positive.  Otherwise, as when a step lands on a yes, the
+    The point x + step they reach is the shift if ``_solve`` goes through
+    at it on all of ``d``.  Otherwise, as when a step lands on a yes, the
     shift retreats from that point by w/16, w/8, ..., w, with w the
     rounding level of the landing, and never below the last iterate: it
     stays within a few ulps of the minimum and moves smoothly with the
@@ -177,6 +156,7 @@ def _climb(d, b):
     x = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
     n = _support(abs(b), len(d), _TAIL)
     rows = d if n == len(d) else d[:n]
+    unit = 1.0 / math.sqrt(2 * len(d) - 1)
     below = -math.inf
     for _ in range(_MAX_CLIMB):
         step = _laguerre_step(rows, b2, x)
@@ -192,20 +172,36 @@ def _climb(d, b):
     # a climb that ended on a yes skips m = 0, the point just refused
     for m in (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, math.inf)[step is None:]:
         s = max(below, x - m * w) - _EPS * w
-        p = _pivots(d, b2, s)
-        if p is not None:
-            return s, p, n
+        c = max(math.frexp(abs(s) + r)[1] - 52, -1000)
+        y = _solve(d, b, s, [math.ldexp(unit, c)] * len(d))
+        if y is not None:
+            return s, y, n
     raise EigenConvergenceError(f"no certified shift below {x!r}")
 
 
-def _solve(p, b, y):
+def _solve(d, b, s, y):
     """Solve (H - s) z = y in place on the leading len(y) rows of the even
-    half H (off-diagonal b, 2b above row 0), whose shifted pivots are p."""
-    k = len(y)
-    for i in range(1, k):
-        y[i] -= b / p[i - 1] * y[i - 1]
-    y[k - 1] /= p[k - 1]
-    for i in range(k - 2, 0, -1):
+    half H = tridiag(``d``, b), 2b above row 0, and return it; None, y
+    spoiled, at the first pivot <= 0, where those rows have an eigenvalue
+    at or below ``s``.  The pivots d_i - s - b^2/p_{i-1}, 2b^2 on row 1,
+    certify ``s`` as in a Sturm count, and eliminate y as they go."""
+    b2 = b * b
+    piv = d[0] - s
+    if piv <= 0.0:
+        return None
+    p = [piv]
+    t = 2.0 * b2
+    z = y[0]
+    for i in range(1, len(y)):
+        z = y[i] - b / piv * z
+        piv = d[i] - s - t / piv
+        if piv <= 0.0:
+            return None
+        y[i] = z
+        p.append(piv)
+        t = b2
+    y[-1] = z / piv
+    for i in range(len(y) - 2, 0, -1):
         y[i] = (y[i] - b * y[i + 1]) / p[i]
     y[0] = (y[0] - 2.0 * b * y[1]) / p[0]
     return y
@@ -234,19 +230,19 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     is ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)``
     (``_residual_bound``): the second term, 100 ulps of the matrix norm,
     takes over where the first asks for more than double precision gives.
-    The vector comes from one inverse-iteration solve at a certified shift
-    a few ulps below the minimum, placed by a Laguerre climb whose last
-    pivot pass supplies the Thomas factors.  Its uniform start has norm at
-    most 2^c, c = max(e - 52, -1000) with e as in ``_climb``, and the solve
+    The vector comes from one inverse-iteration solve at a shift a few ulps
+    below the minimum, placed by a Laguerre climb; the solve's own pivots
+    certify the shift.  Its uniform start has norm at most 2^c,
+    c = max(e - 52, -1000) with e as in ``_climb``, and the solve
     grows it by at most 1/(lam - s), which ``_climb`` bounds by 2^(103 - e):
     the iterate stays below 2^(c + 103 - e), that is 2^51 until the clamp
     binds and 2^74 at e = -971, and below 2^(1074 - 1000) = 2^74 where
     eps*w underflows.  So it stays below about 2^74 at any coupling, while
     the clamp keeps the start normal where |b| is subnormal.  The climb's
     steps see only the rows 0..W-1 of the half past which Parlett's ratio
-    bound puts the ground state below eps^2; the pivot pass that certifies
-    the shift, the solve, the vector and its residual use every row.  The
-    pair's ``s`` is that shift (0 where b = 0 or N = 0, with no solve).
+    bound puts the ground state below eps^2; the solve that certifies the
+    shift, the vector and its residual use every row.  The pair's ``s`` is
+    that shift (0 where b = 0 or N = 0, with no solve).
     Raises :class:`EigenConvergenceError` if no certified shift is found or
     the solve's residual misses the contract.
     """
@@ -271,13 +267,10 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec.setflags(write=False)
         return EigenPair(0.0, vec, 0.0, 0.0)
 
-    # T - shift I is a nonsingular M-matrix whose Thomas factors are the
-    # certified pivots: one solve from a uniform start of norm 2^c at most,
-    # which keeps the iterate below about 2^74
-    half = darr[half_len:].tolist()
-    s, p, rows = _climb(half, b)
-    c = max(math.frexp(abs(s) + 2.0 * abs(b))[1] - 52, -1000)
-    y = _solve(p, b, [math.ldexp(1.0 / math.sqrt(n), c)] * (half_len + 1))
+    # T - shift I is a nonsingular M-matrix: the one solve that certifies
+    # the shift, from a uniform start of norm 2^c at most, keeps the iterate
+    # below about 2^74
+    s, y, rows = _climb(darr[half_len:].tolist(), b)
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)
     tv = darr * v
@@ -289,18 +282,19 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     if not res <= _residual_bound(lam, scale):
         raise EigenConvergenceError(f"inverse iteration missed the residual bound at {res:.3e}")
     v.setflags(write=False)
-    return EigenPair(lam, v, res, s, p, rows)
+    return EigenPair(lam, v, res, s, rows)
 
 
 def form_slope(pair: EigenPair, offdiag, form) -> float:
     """d(x'Bx)/d(lambda1) at the ground state x of A - lambda1*B, for the
     ``pair`` solved at ``offdiag`` = -lambda1/2 < 0 on N >= 1 and its lag-one
     form ``form`` = x'Bx: 2 r'(T - lam)^+ r with r = Bx - form*x (Kato,
-    Perturbation Theory for Linear Operators, ch. II).  One Thomas solve
-    with the pivots that certified the shift s gives (T - s)^-1 r, whose
-    part along x, the rounding of r'x over lam - s, is projected out.  r,
-    from each row's neighbours, and the solve take only the rows 0..W+1 of
-    the even half, W the pair's window: past it x, r and y are below eps^2."""
+    Perturbation Theory for Linear Operators, ch. II).  One Thomas solve at
+    the pair's certified shift s gives (T - s)^-1 r, whose part along x,
+    the rounding of r'x over lam - s, is projected out.  r, from each row's
+    neighbours, and the solve take only the rows 0..W+1 of the even half,
+    W the pair's window: past it x, r and y are below eps^2, and the
+    solve's pivots are a prefix of those that certified s."""
     v = pair.vector
     n = v.size // 2
     m = min(pair._rows + 2, n + 1)
@@ -309,7 +303,8 @@ def form_slope(pair: EigenPair, offdiag, form) -> float:
     r = 0.5 * v[n - 1:n + m - 1]
     r[:right.size] += 0.5 * right
     r -= form * x
-    y = np.array(_solve(pair._pivots, offdiag, r.tolist()))
+    d = (np.arange(m, dtype=float) ** 2).tolist()
+    y = np.array(_solve(d, offdiag, pair.s, r.tolist()))
     # the full grid's inner products, on the half: weights (1, 2, 2, ...)
     y[1:] *= 2.0
     rx = 2.0 * float(r @ x) - float(r[0] * x[0])

@@ -21,8 +21,8 @@ from compactseq.eigen import (
     EigenConvergenceError,
     EigenPair,
     _climb,
-    _pivots,
     _residual_bound,
+    _solve,
     min_eigenpair,
 )
 
@@ -106,8 +106,8 @@ def test_eigenvalue_count():
     # vector (1, 0, -1) at 1
     assert np.allclose(even_spectrum(_k2(1), -1.0), [-1.0, 2.0], atol=1e-12)
     # on k = -3..3 probe strictly between eigenvalues of the even half;
-    # the kernel's pivot pass refuses exactly the shifts the Sturm test
-    # says yes to
+    # the kernel's solve refuses exactly the shifts the Sturm test says
+    # yes to
     b = -1.0
     d = _k2(3)[3:].tolist()
     w = even_spectrum(_k2(3), b)
@@ -115,7 +115,36 @@ def test_eigenvalue_count():
     for shift in (w[0] - 1.0, w[0] - 1e-6, w[0] + 1e-6, *mid, w[-1] + 1.0):
         below = bool(np.any(w < shift))
         assert has_eigenvalue_below(d, b * b, shift) == below
-        assert (_pivots(d, b * b, shift) is None) == below
+        assert (_solve(d, b, shift, [1.0] * len(d)) is None) == below
+
+
+@pytest.mark.parametrize("half_len", (1, 2, 5, 50))
+def test_solve_certifies_and_solves_as_the_oracles_do(half_len):
+    # the one pass that certifies a shift also solves at it: just below and
+    # just above each eigenvalue of the even half (dense, on its symmetric
+    # form with couplings sqrt(2) b, b, ...) it refuses exactly where the
+    # Sturm oracle and the dense spectrum find an eigenvalue below the
+    # shift, and below the minimum it matches a dense solve of the half
+    # itself, 2b above row 0.  The shift sits 1e-3 ||T|| below the minimum,
+    # where the dense solve's own error, eps ||T|| / (lam - s), is 1e-13
+    d = [float(i * i) for i in range(half_len + 1)]
+    rhs = np.linspace(1.0, 2.0, half_len + 1)
+    for b in (-1e-3, -0.5, -28.9, -1e4):
+        off = np.full(half_len, b)
+        off[0] *= math.sqrt(2.0)
+        w = np.linalg.eigvalsh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
+        norm = half_len**2 + 2.0 * abs(b)
+        for lam in w:
+            for shift in (lam - 1e-9 * norm, lam + 1e-9 * norm):
+                below = bool(np.any(w < shift))
+                assert has_eigenvalue_below(d, b * b, shift) == below, (b, shift)
+                assert (_solve(d, b, shift, [1.0] * len(d)) is None) == below, (b, shift)
+        shift = w[0] - 1e-3 * norm
+        h = tridiag_dense(np.array(d) - shift, b)
+        h[0, 1] = 2.0 * b
+        ref = np.linalg.solve(h, rhs)
+        y = np.array(_solve(d, b, shift, rhs.tolist()))
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), b
 
 
 def test_matches_jacobi_random():
@@ -338,16 +367,18 @@ def test_climb_shift_is_a_few_rounding_levels_below_the_minimum():
     # the climb's shift and the minimum bracket the ground value to a few
     # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({1, 0, 1}, -1),
     # whose minimum is exactly -1
-    shift, piv, _ = _climb([0.0, 1.0], -1.0)
-    assert min(piv) > 0.0
+    shift, y, _ = _climb([0.0, 1.0], -1.0)
+    assert min(y) > 0.0  # the inverse iterate at the certified shift
     assert 0.0 < -1.0 - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 2.0)
 
 
 def test_climb_work_is_bounded(monkeypatch):
     # the ground solves of a sigma2 sweep at 201 taps: about 4 Laguerre
     # passes, each on the rows the ground state holds above eps^2 (about
-    # half of the 101 half rows), and 1 pivot pass on all 101
-    counts = dict.fromkeys(("solves", "passes", "rows", "pivots"), 0)
+    # half of the 101 half rows), and 1 solve on all 101 that certifies
+    # the shift; form_slope's window solves are not the climb's and are
+    # not counted
+    counts = dict.fromkeys(("solves", "passes", "rows", "pivots", "all"), 0)
 
     def counting(key, fn):
         def wrapped(d, *args):
@@ -357,12 +388,20 @@ def test_climb_work_is_bounded(monkeypatch):
             return fn(d, *args)
         return wrapped
 
-    monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
+    def climbing(d, b):
+        counts["solves"] += 1
+        before = counts["all"]
+        out = climb(d, b)
+        counts["pivots"] += counts["all"] - before
+        return out
+
+    climb = eigen._climb
+    monkeypatch.setattr(eigen, "_climb", climbing)
     monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
-    monkeypatch.setattr(eigen, "_pivots", counting("pivots", eigen._pivots))
+    monkeypatch.setattr(eigen, "_solve", counting("all", eigen._solve))
     for sigma2 in np.geomspace(3e-4, 10.0, 69):
         design.design_max_compact(float(sigma2), 201)
     assert counts["solves"] >= 69
     assert counts["passes"] <= 6 * counts["solves"]
     assert counts["rows"] <= 0.6 * 101 * counts["passes"]
-    assert counts["pivots"] <= 2 * counts["solves"]
+    assert counts["solves"] <= counts["pivots"] <= 2 * counts["solves"]

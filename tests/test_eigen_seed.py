@@ -1,14 +1,15 @@
 """The Laguerre climb that places the inverse-iteration shift.
 
 ``eigen._climb`` steps from the Gershgorin bound to the minimum of the even
-half and returns a shift with its LDL^T pivots, which inverse iteration
-reuses as its factors.  The steps see only the rows 0..W-1 that
+half and returns a shift with the inverse iterate of the one solve that
+certified it.  The steps see only the rows 0..W-1 that
 ``eigen._support`` keeps at eps^2, where W is the row from which
-Parlett's ratio bound puts the ground state below eps^2; the pivots that
-certify the shift are taken on the full half.  Every case is the
+Parlett's ratio bound puts the ground state below eps^2; the solve that
+certifies the shift runs on the full half.  Every case is the
 kernel's one matrix family, k^2 on k = -N..N with a coupling b <= 0,
-drawn over N and b.  The shift must be a certified no (every pivot
-positive, and ``helpers.has_eigenvalue_below`` agrees) within a few
+drawn over N and b.  The shift must be a certified no (the solve meets
+no pivot <= 0 and its iterate is positive, and
+``helpers.has_eigenvalue_below`` agrees) within a few
 rounding levels of the minimum, the ground state must be below eps^2 past W by an oracle
 that does not use the kernel, and ``min_eigenpair`` must agree with the
 dense Jacobi oracle.  The climb's work counts, and the window on a fixed
@@ -51,15 +52,15 @@ k2_extreme = st.tuples(
 
 
 def _climbs(diag, offdiag):
-    """The (half, b, shift, pivots) of every climb ``min_eigenpair`` makes;
-    the half is the one the climb is given, all of it, whatever window its
-    steps see."""
+    """The (half, b, shift, iterate) of every climb ``min_eigenpair``
+    makes; the half is the one the climb is given, all of it, whatever
+    window its steps see."""
     seen = []
 
     def record(d, b):
-        s, p, w = climb(d, b)
-        seen.append((d, b, s, p))
-        return s, p, w
+        s, y, w = climb(d, b)
+        seen.append((d, b, s, y))
+        return s, y, w
 
     climb = eigen._climb
     with pytest.MonkeyPatch.context() as mp:
@@ -69,10 +70,10 @@ def _climbs(diag, offdiag):
 
 
 def _assert_certified_no_near_minimum(diag, offdiag):
-    for d, b, s, p in _climbs(diag, offdiag):
+    for d, b, s, y in _climbs(diag, offdiag):
         # the shift is certified on every row of the half, not on the window
         assert len(d) == len(diag) // 2 + 1
-        assert len(p) == len(d) and min(p) > 0.0
+        assert len(y) == len(d) and min(y) > 0.0
         assert not has_eigenvalue_below(d, b * b, s)
         # a few rounding levels below the minimum: w = 4 eps (|s| + 2|b|)
         w = 4.0 * eigen._EPS * (abs(s) + 2.0 * abs(b))
