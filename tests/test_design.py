@@ -203,9 +203,10 @@ def _sigma2_grid(taps):
 @pytest.mark.parametrize("taps", [5, 21, 201, 1001])
 def test_dual_solve_is_robust(taps):
     # every grid point gives a certified design; the two hardest ones are
-    # sigma2 = 1e300 at 201 taps, where b floors near 1.7e-22 below
-    # l1 ~ 1e-20, and sigma2_min * (1 + 1e-9) at 1001 taps, where b is flat
-    # to rounding around l1 ~ 9e13 and the gap target asks for b == alpha
+    # sigma2 = 1e300 at 201 taps, solved at l1 = 1.0000000000000118e-150,
+    # a coupling of 5e-151, with b = alpha (1 + 1.2e-14), and
+    # sigma2_min * (1 + 1e-9) at 1001 taps, where b is flat to rounding
+    # around l1 ~ 9e13 and the gap target asks for b == alpha
     half = (taps - 1) // 2
     for s2 in _sigma2_grid(taps):
         res = design_max_compact(s2, taps)
