@@ -71,7 +71,13 @@ def _cases():
 
 
 CASES = _cases()
-SEQ_OUTPUT_ARGV = ("design", "--sigma2", "0.1", "--taps", "201", "--seq-output")
+# designs whose --seq-output file is pinned: the default grid, the longest
+# bench grid and a coupling near 1e-150
+SEQ_OUTPUT_CASES = [
+    ("design", "--sigma2", "0.1", "--taps", "201"),
+    ("design", "--sigma2", "0.1", "--taps", "2001"),
+    ("design", "--sigma2", "1e300", "--taps", "5"),
+]
 
 GOLDEN = {
     "design --sigma2 3e-4 --taps 201 --format json": "2746c7b51eecab4076cf11f02519880457ff0af641de64e3c9a9da5a6942ce85",
@@ -113,7 +119,9 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "--seq-output": "134a14dca8f24596e2faa5d4c9d7331a70a96467d617293cf159b489020b2df0",
+    "design --sigma2 0.1 --taps 201 --seq-output": "134a14dca8f24596e2faa5d4c9d7331a70a96467d617293cf159b489020b2df0",
+    "design --sigma2 0.1 --taps 2001 --seq-output": "297386bb185bcb80d3010b08c5f990e8d7f6e1b4baa10e2996e1b0a32be38d25",
+    "design --sigma2 1e300 --taps 5 --seq-output": "496047b643a92e3791feb996d94b3bc5b05516622d9c860502e3c359b8bf2286",
 }
 
 
@@ -147,10 +155,16 @@ def test_stdout_bytes(argv, seq_dir):
     assert _digest(_output(argv, seq_dir)) == GOLDEN[" ".join(argv)]
 
 
-def test_seq_output_bytes(tmp_path):
-    path = tmp_path / "design.seq"
-    _output(SEQ_OUTPUT_ARGV + (str(path),), tmp_path)
-    assert _digest(path.read_text()) == GOLDEN["--seq-output"]
+def _seq_output(argv, directory) -> str:
+    """The ``--seq-output`` file of one design run, written in ``directory``."""
+    path = directory / "design.seq"
+    _output(argv + ("--seq-output", str(path)), directory)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("argv", SEQ_OUTPUT_CASES, ids=" ".join)
+def test_seq_output_bytes(argv, tmp_path):
+    assert _digest(_seq_output(argv, tmp_path)) == GOLDEN[" ".join(argv) + " --seq-output"]
 
 
 def test_one_parser_serves_every_call(seq_dir):
@@ -176,6 +190,6 @@ if __name__ == "__main__":
         print("GOLDEN = {")
         for argv in CASES:
             print(f'    "{" ".join(argv)}": "{_digest(_output(argv, tmp))}",')
-        _output(SEQ_OUTPUT_ARGV + (str(tmp / "design.seq"),), tmp)
-        print(f'    "--seq-output": "{_digest((tmp / "design.seq").read_text())}",')
+        for argv in SEQ_OUTPUT_CASES:
+            print(f'    "{" ".join(argv)} --seq-output": "{_digest(_seq_output(argv, tmp))}",')
         print("}")
