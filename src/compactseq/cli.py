@@ -9,8 +9,10 @@ mathieu  ce0 samples for one q, or an a0(q) table over a q grid (CSV)
 windows  spread scan of the stock window families (CSV)
 
 Grids are given as ``start:stop:points:log`` or ``start:stop:points:lin``.
-Output goes to stdout unless ``--output`` names a file; bytes are a pure
-function of the flags, so reruns reproduce them exactly.  Exit status is
+Output goes to stdout unless ``--output`` names a file.  With the same
+numpy build on the same CPU, bytes are a pure function of the flags, so
+reruns reproduce them exactly; another CPU or build can move a last digit,
+as BLAS kernels and numpy's SIMD loops are chosen per CPU.  Exit status is
 0 on success, 1 for invalid arguments or inputs (a ``--taps`` above
 2**21 + 1, the grid cap, a ``--grid`` too large to allocate and an
 unwritable ``--output`` among them), 2 when a solve fails, the requested
@@ -37,7 +39,7 @@ from .design import (
 )
 from .eigen import EigenConvergenceError
 from .mathieu import MathieuGridError, ce0, char_value_a0
-from .sequence import Sequence, read_sequence, write_sequence
+from .sequence import _format_taps, read_sequence, write_sequence
 from .spreads import measure
 from .windows import WINDOW_NAMES, default_families, spread_scan
 
@@ -96,10 +98,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _json_value(v):
     """JSON-ready form of a value: a record becomes an object of its fields,
-    a Sequence its offset and real taps, a complex number [re, im], NaN
-    null and an infinity the string "inf" or "-inf"."""
-    if isinstance(v, Sequence):
-        return {"offset": v.offset, "taps": v.taps.real.tolist()}
+    a complex number [re, im], NaN null and an infinity the string "inf" or
+    "-inf"."""
     if is_dataclass(v):
         return {f.name: _json_value(getattr(v, f.name)) for f in fields(v)}
     if isinstance(v, complex):
@@ -107,6 +107,19 @@ def _json_value(v):
     if isinstance(v, float) and not math.isfinite(v):
         return None if math.isnan(v) else repr(v)
     return v
+
+
+def _design_json(res) -> str:
+    """The design record as one JSON line, its sequence the object
+    {"offset", "taps": real taps}, byte for byte what ``json.dumps`` prints.
+    The other fields go through one ``json.dumps`` with an empty taps list,
+    and the taps' reprs, each palindrome tap formatted once, are spliced in
+    where it stood."""
+    seq = res.sequence
+    record = {f.name: _json_value(getattr(res, f.name)) for f in fields(res)[:-1]}
+    record["sequence"] = {"offset": seq.offset, "taps": []}  # the record's last field
+    taps = ", ".join(_format_taps(seq.taps.real, repr))
+    return json.dumps(record).replace('"taps": []', f'"taps": [{taps}]', 1) + "\n"
 
 
 def _columns(records, drop) -> list:
@@ -136,7 +149,7 @@ def _run_design(args) -> str:
     if args.seq_output:
         write_sequence(res.sequence, args.seq_output)
     if args.format == "json":
-        return json.dumps(_json_value(res)) + "\n"
+        return _design_json(res)
     return _csv(
         "sigma2,alpha,lambda1,lambda2,delta_n2,eta_p,"
         "duality_gap,constraint_gap,eig_residual,tail_mass,status",

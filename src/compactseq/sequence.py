@@ -117,9 +117,26 @@ def read_sequence(path) -> Sequence:
         return parse_sequence(fh.read())
 
 
+def _format_taps(taps: np.ndarray, fmt) -> list:
+    """``[fmt(t) for t in taps.tolist()]``, formatting each tap of a
+    palindrome once.  Where ``taps`` equals its reverse bit for bit, as the
+    design kernel's vector mirrored from its even half does, the strings of
+    the taps from the centre on are formatted and joined mirrored.  Bytes
+    are compared, not values, so a signed zero is never mirrored onto its
+    opposite (-0.0 == 0.0)."""
+    if taps.tobytes() != taps[::-1].tobytes():
+        return list(map(fmt, taps.tolist()))
+    n = taps.size
+    half = list(map(fmt, taps[n // 2:].tolist()))
+    return half[::-1][: n // 2] + half
+
+
+def _tap_line(t: complex) -> str:
+    return f"{t.real + 0.0!r} {t.imag + 0.0!r}"  # + 0.0 writes -0.0 as 0.0
+
+
 def write_sequence(x: Sequence, path) -> None:
     """Write ``x`` in the ``re im`` text format, offset header first."""
-    lines = [f"# offset={x.offset}"]
-    lines += [f"{float(t.real) + 0.0!r} {float(t.imag) + 0.0!r}" for t in x.taps]
+    lines = [f"# offset={x.offset}", *_format_taps(x.taps, _tap_line)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,13 +11,16 @@ closed forms are supposed to reproduce, the
 normalized autocorrelation from one ``np.correlate`` and the linear
 frequency moments its closed forms give,
 McLachlan's large-q series for a0 and its three-term ceiling, the
-three-tap probe's closed-form spread product, and a line-by-line parser
-of the sequence text format.
+three-tap probe's closed-form spread product, a line-by-line parser
+of the sequence text format, and the per-tap writers of a design's JSON
+line and of the sequence text format.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -328,3 +331,26 @@ def parse_sequence_reference(text: str) -> Sequence:
     if not taps:
         raise ValueError("no taps found")
     return Sequence(np.array(taps), offset)
+
+
+def design_json_reference(res) -> str:
+    """A design record's JSON line from one ``json.dumps`` of its fields in
+    order, every tap formatted: NaN is null, an infinity the string "inf" or
+    "-inf", and the sequence the object {"offset", "taps": real taps}."""
+    def value(v):
+        if isinstance(v, Sequence):
+            return {"offset": v.offset, "taps": v.taps.real.tolist()}
+        if isinstance(v, float) and not math.isfinite(v):
+            return None if math.isnan(v) else repr(v)
+        return v
+
+    return json.dumps({f.name: value(getattr(res, f.name)) for f in fields(res)}) + "\n"
+
+
+def sequence_text_reference(x: Sequence) -> str:
+    """The sequence text format written one tap at a time: the offset
+    header, then one ``re im`` line per tap, each part's repr with -0.0
+    written as 0.0."""
+    lines = [f"# offset={x.offset}"]
+    lines += [f"{float(t.real) + 0.0!r} {float(t.imag) + 0.0!r}" for t in x.taps]
+    return "\n".join(lines) + "\n"

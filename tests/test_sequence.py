@@ -1,14 +1,25 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import dtft, indices, modulus, norm2, shift
+from helpers import (
+    design_json_reference,
+    dtft,
+    indices,
+    modulus,
+    norm2,
+    sequence_text_reference,
+    shift,
+)
 
-from compactseq.cli import main
+from compactseq.cli import _design_json, main
+from compactseq.design import design_max_compact
 from compactseq.sequence import (
     Sequence,
+    _format_taps,
     autocorrelation,
     parse_sequence,
     read_sequence,
@@ -133,3 +144,55 @@ def test_csv_and_json_mirror(tmp_path, capsys):
     assert obj["offset"] == back.offset == -15
     assert obj["taps"] == back.taps.real.tolist()
     assert np.all(back.taps.imag == 0)
+
+
+# taps that the palindrome-aware writers must print as the per-tap ones do:
+# palindromes of odd, even and unit length, a palindrome with one tap moved
+# by an ulp, signed-zero mirror pairs (equal as values, not as bits),
+# subnormals and values near 1e+-300, and complex palindromes with and
+# without a signed-zero imaginary mirror pair
+TAP_CASES = [
+    [3.0],
+    [2.0, 2.0],
+    [1.0, 2.0],
+    [1.0, 2.0, 1.0],
+    [1.0, 2.0, 2.0, 1.0],
+    [0.5, 1.0, 3.0, 1.0, 0.5],
+    [0.5, 1.0, 3.0, 1.0, math.nextafter(0.5, 1.0)],
+    [-0.0, 1.0, 0.0],
+    [0.0, -1.0, -0.0, -1.0, 0.0],
+    [5e-324, 1e-300, 1e300, 1e-300, 5e-324],
+    [2.2250738585072014e-308, -1.7976931348623157e308, 2.2250738585072014e-308],
+    [-5e-324, 1e-310, -5e-324, 1e300],
+    [1 + 2j, 3 - 1j, 1 + 2j],
+    [1j, 2 - 1e-300j, 2 - 1e-300j, 1j],
+    [1 + 0j, 2.0, complex(1.0, -0.0)],
+]
+
+
+@pytest.mark.parametrize("taps", TAP_CASES, ids=repr)
+def test_mirrored_writers_match_the_per_tap_ones(taps, tmp_path):
+    x = Sequence(taps, offset=-2)
+    res = replace(design_max_compact(0.5, taps=31), sequence=x)
+    assert _design_json(res) == design_json_reference(res)
+    path = tmp_path / "x.seq"
+    write_sequence(x, path)
+    assert path.read_bytes().decode("utf-8") == sequence_text_reference(x)
+
+
+def test_palindrome_taps_are_formatted_once(tmp_path):
+    # a design's vector is its even half mirrored: 16 of its 31 taps are
+    # formatted, and its JSON and sequence file still read as the per-tap
+    # writers print them; a signed-zero mirror pair formats every tap
+    res = design_max_compact(0.5, taps=31)
+    seen = []
+    assert _format_taps(res.sequence.taps.real, lambda t: seen.append(t) or repr(t))
+    assert len(seen) == 16
+    assert _design_json(res) == design_json_reference(res)
+    path = tmp_path / "design.seq"
+    write_sequence(res.sequence, path)
+    assert path.read_text() == sequence_text_reference(res.sequence)
+    seen.clear()
+    assert _format_taps(np.array([-0.0, 1.0, 0.0]), lambda t: seen.append(t) or repr(t)) == [
+        "-0.0", "1.0", "0.0"]
+    assert len(seen) == 3
