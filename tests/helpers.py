@@ -116,10 +116,16 @@ def jacobi_eigh(matrix, sweeps: int = 100, tol: float = 1e-14):
 
 def even_spectrum(diag, offdiag) -> np.ndarray:
     """Eigenvalues, ascending, of the dense tridiag(diag, offdiag) whose
-    eigenvectors equal their reverse: the spectrum of the even half that
-    ``eigen`` solves on the diagonal k^2 with offdiag != 0."""
-    w, v = jacobi_eigh(tridiag_dense(diag, offdiag))
-    return w[np.max(np.abs(v - v[::-1]), axis=0) <= 1e-8]
+    eigenvectors equal their reverse, for an odd palindromic ``diag``: the
+    spectrum of the even half that ``eigen`` solves, from a dense solve of
+    its symmetric form, rows k = 0..N with couplings sqrt(2) b, b, ...  An
+    even/odd pair, however nearly degenerate, cannot mix there as it can in
+    a dense solve of the full matrix."""
+    d = np.asarray(diag, dtype=float)
+    half = d[d.size // 2:]
+    off = np.full(half.size - 1, float(offdiag))
+    off[:1] *= math.sqrt(2.0)
+    return jacobi_eigh(np.diag(half) + np.diag(off, 1) + np.diag(off, -1))[0]
 
 
 def has_eigenvalue_below(d, b2, shift):

@@ -118,6 +118,21 @@ def test_eigenvalue_count():
         assert (_solve(d, b, shift, [1.0] * len(d)) is None) == below
 
 
+def test_even_spectrum_keeps_nearly_degenerate_pairs():
+    # on k = -2..2 at b = -1e-3 the even and odd eigenvalues near 4 differ
+    # by the order of b^4; the oracle still returns all three of the even
+    # half's, which with the odd half's two, tridiag(1, 4; b), make up the
+    # full spectrum
+    d = _k2(2)
+    for b in (-1e-3, -1.0):
+        w = even_spectrum(d, b)
+        assert w.size == 3
+        odd = np.linalg.eigvalsh(tridiag_dense(d[3:], b))
+        full = np.linalg.eigvalsh(tridiag_dense(d, b))
+        assert np.allclose(np.sort(np.concatenate((w, odd))), full, rtol=0, atol=1e-12)
+    assert even_spectrum(d, -1e-3)[2] == pytest.approx(4.00000033, abs=1e-8)
+
+
 @pytest.mark.parametrize("half_len", (1, 2, 5, 50))
 def test_solve_certifies_and_solves_as_the_oracles_do(half_len):
     # the one pass that certifies a shift also solves at it: just below and
