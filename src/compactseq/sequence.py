@@ -6,14 +6,14 @@ index of its first tap.  Tap ``i`` of the block sits at time index
 design routines in this package operate on this type.
 
 The on-disk text format is one tap per line: two floats ``re im``, or
-one float ``re`` for a real tap, and the two forms may be mixed.  Blank
-lines are skipped, and lines starting with ``#`` are comments, allowed
-anywhere.  A comment ``# offset=<int>``, with no space around the ``=``,
-sets the offset (the last one wins; none means offset 0).  A line with
-three or more fields, a field that ``float`` cannot read, a tap that is
-not finite, or a file without a nonzero tap is refused with
-``ValueError``.  ``write_sequence`` writes the ``# offset=`` header
-first and then ``re im`` lines.
+one float ``re`` for a real tap; in a file with both, ``re`` reads as
+``re 0``.  Blank lines are skipped, and lines starting with ``#`` are
+comments, allowed anywhere.  A comment ``# offset=<int>``, with no space
+around the ``=``, sets the offset (the last one wins; none means offset
+0).  A line with three or more fields, a field that ``float`` cannot
+read, a tap that is not finite, or a file without a nonzero tap is
+refused with ``ValueError``.  ``write_sequence`` writes the ``# offset=``
+header first and then ``re im`` lines.
 """
 
 from __future__ import annotations
@@ -47,11 +47,15 @@ class Sequence:
             raise ValueError("taps must be finite")
         if not taps.any():
             raise ValueError("sequence must have at least one nonzero tap")
-        if self.offset != int(self.offset):
+        try:
+            offset = int(self.offset)
+        except (OverflowError, ValueError):  # an infinite or NaN offset
+            offset = None
+        if offset != self.offset:
             raise ValueError("offset must be an integer")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     def __len__(self) -> int:
         return self.taps.size
@@ -79,8 +83,9 @@ def parse_sequence(text: str) -> Sequence:
     """Parse the sequence text format (see the module docstring).
 
     Every line is split once; the few ``#`` lines are read for the offset
-    and dropped, and all remaining tokens are converted by one ``float``
-    map, so each tap is bit for bit ``complex(float(re), float(im))``.
+    and dropped, a mixed file's one-column lines get the token ``"0"``, so
+    it reads as pairs, and all tokens are converted by one ``float`` map:
+    each tap is bit for bit ``complex(float(re), float(im))``.
     """
     lines = text.splitlines()
     rows = list(map(str.split, lines))
@@ -97,19 +102,14 @@ def parse_sequence(text: str) -> Sequence:
     count = sum(widths)
     if not count:
         raise ValueError("no taps found")
+    ones = widths.count(1)
+    if 0 < ones < count:  # mixed: a one-column line is the pair (re, 0)
+        for row in rows:
+            if len(row) == 1:
+                row.append("0")
+        count += ones
     vals = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64, count=count)
-    if not widths.count(1):
-        return Sequence(vals.view(np.complex128), offset)
-    if not widths.count(2):
-        return Sequence(vals, offset)
-    # mixed columns: a one-column line is the tap (re, 0.0)
-    n = np.array(widths)
-    n = n[n > 0]
-    end = np.cumsum(n)
-    pairs = np.zeros((n.size, 2))
-    pairs[:, 0] = vals[end - n]
-    pairs[n == 2, 1] = vals[end[n == 2] - 1]
-    return Sequence(pairs.view(np.complex128).reshape(-1), offset)
+    return Sequence(vals if ones == count else vals.view(np.complex128), offset)
 
 
 def read_sequence(path) -> Sequence:

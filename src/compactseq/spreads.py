@@ -146,30 +146,28 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
     all but the linear ones.
 
     The measures are scale-invariant, so the taps are first scaled by an
-    exact power of two: up to max|x_k| in [0.5, 1) when it is smaller, and
-    down only as far as max|x_k| < 2^256 when it is larger, so ||x||^2
-    neither underflows nor overflows at any tap scale and no nonzero tap
-    near the subnormal floor is flushed to 0.  The weight vector and the
-    autocorrelation vector rho are then computed once each: rho from one
-    correlation of the taps, or one transform pair on long sequences
-    (``_rho``), divided by r_0 componentwise, tau from the
-    lag-one sum.  Taps far below the largest one can still have squares
-    (or a |tau|^2) below the normal range; eta_p is then formed from
-    unsquared ratios, so it stays accurate even where delta_n2 rounds to
-    0 and delta_wp2 to infinity.  An offset that puts mu_n beyond the
-    float range raises ValueError.  With ``linear=False`` neither rho nor
-    the lag sums are formed, and mu_wl, delta_wl2 and eta_l are None; the
-    other fields do not depend on ``linear``.
+    exact power of two: up to p in [0.5, 1), p the largest real or
+    imaginary part, when it is smaller, and down only as far as p < 2^256
+    when it is larger.  So ||x||^2 neither underflows nor overflows at any
+    tap scale, a modulus beyond the float range included, and no nonzero
+    tap near the subnormal floor is flushed to 0.  |x_k|, the weights and
+    rho are then computed once each: rho from one correlation of the
+    taps, or one transform pair on long sequences (``_rho``), divided by
+    r_0 componentwise, tau from the lag-one sum.  Taps far below the
+    largest one can still have squares (or a |tau|^2) below the normal
+    range; eta_p is then formed from unsquared ratios, so it stays
+    accurate even where delta_n2 rounds to 0 and delta_wp2 to infinity.
+    An offset that puts mu_n beyond the float range raises ValueError.
+    With ``linear=False`` neither rho nor the lag sums are formed, and
+    mu_wl, delta_wl2 and eta_l are None; the other fields do not depend
+    on ``linear``.
     """
     real = not x.taps.imag.any()
-    a = np.abs(x.taps.real if real else x.taps)
-    e = math.frexp(float(a.max()))[1]
+    parts = x.taps.real if real else x.taps.view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
     e -= min(max(e, 0), _MAX_EXPONENT)
     x = _scaled(x, e)
-    if e:
-        # |re| scales exactly; a complex modulus is taken again, as hypot
-        # rounds differently near the subnormal range
-        a = np.ldexp(a, -e) if real else np.abs(x.taps)
+    a = np.abs(x.taps.real if real else x.taps)
     a2 = a**2
     r0 = float(a2.sum())
     c = len(x) // 2  # moments about the middle tap: no offset costs dk its digits

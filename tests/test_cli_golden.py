@@ -11,9 +11,13 @@ meant to move printed digits is checked first against
 1e-9 relative, ``test_mathieu_values.py`` and ``test_spread_values.py``,
 which pin the mathieu and analyze values to 1e-13 relative.
 
-The digests were recorded with numpy 2.4 on x86-64 Linux.  Float results
-can differ in the last digit on another platform or numpy build; after
-checking such a difference, print fresh digests with
+The digests were recorded with numpy 2.4 on x86-64 Linux, under
+OpenBLAS's SkylakeX kernel.  Float results can differ in the last digit
+on another platform or numpy build, and on the same one under another
+OpenBLAS kernel (``OPENBLAS_CORETYPE=Haswell``, ``Zen`` or ``Prescott``
+moves most digests, ROADMAP item 18), while the value tests named above
+pass under each.  After checking such a difference, print fresh digests
+with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """

@@ -11,6 +11,7 @@ from helpers import (
     indices,
     modulus,
     norm2,
+    parse_sequence_reference,
     sequence_text_reference,
     shift,
 )
@@ -38,6 +39,9 @@ def test_construction_validation():
         Sequence(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         Sequence(np.array([1.0, np.inf]))
+    for offset in (1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            Sequence([1.0], offset=offset)
     s = Sequence([1, 2], offset=-3)
     assert s.taps.dtype == np.complex128
     assert list(indices(s)) == [-3, -2]
@@ -123,6 +127,24 @@ def test_parse_header_optional():
         parse_sequence("1 2 3 4\n")
     with pytest.raises(ValueError):
         parse_sequence("# offset=0\n")
+
+
+MIXED_TEXTS = [
+    "1 2\n# a note\n\n3\n  \n4 -5\n",  # comment and blank lines between taps
+    "-0.0\n1 2\n",  # a one-column -0.0, on the first line
+    "1 2\n3 4\n7\n",  # a one-column last line
+    "1 2\n5\n3 4\n",  # a lone one-column line among pairs
+    "# offset=-3\n2\n-0.0 -0.0\n1e-310\n# offset=4\n-1e300 0\n",
+]
+
+
+@pytest.mark.parametrize("text", MIXED_TEXTS, ids=repr)
+def test_mixed_columns_read_as_the_reference_does(text):
+    # a file mixing ``re`` and ``re im`` lines is read as pairs, a one-column
+    # line as (re, 0); taps are compared as integers, so -0.0 is told from 0.0
+    got, want = parse_sequence(text), parse_sequence_reference(text)
+    assert got.offset == want.offset
+    assert np.array_equal(got.taps.view(np.int64), want.taps.view(np.int64))
 
 
 def test_text_format_shape(tmp_path):

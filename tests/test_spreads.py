@@ -98,6 +98,32 @@ def test_eta_p_with_underflowing_squares(eps):
     assert measure(Sequence([1.0, eps])).eta_p == pytest.approx(exact, rel=1e-12)
 
 
+# every part finite, but the first two moduli (2.4e308, 1.56e308) past or
+# near the float range
+BIG = np.array([1.7e308 + 1.7e308j, 1.0e308 - 1.2e308j, 3e307])
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_modulus_past_the_float_range_scales_like_any_tap(linear):
+    # the power of two comes from the largest part, so these taps measure
+    # as the same taps times 2^-600 do, with no overflow warning
+    small = np.ldexp(BIG.real, -600) + 1j * np.ldexp(BIG.imag, -600)
+    rep = measure(Sequence(BIG), linear=linear)
+    assert rep == measure(Sequence(small), linear=linear)
+    assert math.isfinite(rep.eta_p)
+
+
+def test_analyze_past_the_modulus_range_prints_strict_json(tmp_path, capsys):
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    path = tmp_path / "big.seq"
+    path.write_text("1.7e308 1.7e308\n1.0e308 -1.2e308\n3e307 0\n")
+    assert main(["analyze", "--input", str(path)]) == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert math.isfinite(obj["eta_p"])
+
+
 def test_autocorrelation_taken_once_per_lag(monkeypatch):
     # rho comes from one correlation, so the lag-one sum for tau is the only
     # autocorrelation call, at every length

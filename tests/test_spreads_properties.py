@@ -55,6 +55,26 @@ def test_power_of_two_scale_is_exact(x, k):
 
 
 @PROPS
+@given(
+    sequences(),
+    st.integers(0, 11),
+    st.floats(0.71, 1.0, exclude_max=True),
+    st.sampled_from((1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)),
+)
+def test_power_of_two_scale_past_the_modulus_range(x, j, f, signs):
+    # tap j becomes f 2^e (±1 ± 1j), 2^e just above every part, and all taps
+    # are scaled by 2^(1024 - e): every part stays below 2^1024, while tap
+    # j's modulus f sqrt(2) 2^1024 is past the float range
+    taps = x.taps.copy()
+    e = math.frexp(float(np.abs(taps.view(float)).max()))[1]
+    taps[j % taps.size] = math.ldexp(f, e) * signs
+    k = 1024 - e
+    big = np.ldexp(taps.real, k) + 1j * np.ldexp(taps.imag, k)
+    assert np.isfinite(big).all() and not np.isfinite(np.abs(big)).all()
+    assert measure(Sequence(big, x.offset)) == measure(Sequence(taps, x.offset))
+
+
+@PROPS
 @given(sequences(), st.floats(1e-3, 1e3), st.floats(0.0, 2 * math.pi))
 def test_complex_scale_invariance(x, mag, phase):
     rep = measure(x)
