@@ -18,11 +18,11 @@ b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
 safeguarded Newton steps in log(l1) on log(b / (b_sup - b)), which is
 close to linear in log(l1) for small, large and grid-limited l1 alike,
 with the exact slope b'(l1) of :func:`compactseq.eigen.form_slope`.  Its
-seed is the root of b from the small- or large-q series of the Mathieu
-value a0, since lambda_min(l1) = a0(2 l1)/4, so b = -a0'(q)/2 at
-q = 2 l1; a design takes about 2.3 ground solves.  The optimal sequence
-is the ground state itself: symmetric, entrywise positive, and unit norm
-by construction.
+seed is a root of a rational (Pade) b, or above alpha = 0.8 of b from the
+large-q series of the Mathieu value a0 (lambda_min(l1) = a0(2 l1)/4, so
+b = -a0'(q)/2 at q = 2 l1); a design takes about 1.6 ground solves.  The
+optimal sequence is the ground state itself: symmetric, entrywise
+positive, and unit norm by construction.
 
 On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
 off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
@@ -45,7 +45,7 @@ import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
 from .eigen import _MAX_HALF_LEN, form_slope, min_eigenpair
-from .mathieu import _A0_LARGE_Q, _A0_SMALL_Q
+from .mathieu import _A0_LARGE_Q, _B_PADE_P, _B_PADE_Q
 from .sequence import Sequence
 
 __all__ = [
@@ -133,47 +133,38 @@ def _logit(b, b_sup):
     return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
 
 
-def _b_series(a0_terms, m):
-    """b = -a0'(q)/2 from a series of a0 in terms e q^(n/2), as polynomial
-    coefficients in z = q^(m/2), highest power first: lambda_min(l1) =
-    a0(2 l1)/4 and b = -d lambda_min/d l1, so each term gives
-    -(n e/4) q^((n-2)/2)."""
-    coeffs = [0.0] * (1 + max((n - 2) // m for n, _ in a0_terms))
-    for n, e in a0_terms:
-        coeffs[(n - 2) // m] -= 0.25 * n * e
-    return coeffs[::-1]
-
-
-_B_SMALL_Q = _b_series(_A0_SMALL_Q, 2)  # in q = 2 l1
-_B_LARGE_Q = _b_series(_A0_LARGE_Q, -1)  # in 1/sqrt(q)
-
-
-def _series_root(coeffs, z, alpha):
-    """z where the polynomial ``coeffs`` equals alpha: 4 Newton steps from z."""
-    for _ in range(4):
-        p = dp = 0.0
-        for c in coeffs:
-            dp = dp * z + p
-            p = p * z + c
-        z += (alpha - p) / dp
-    return z
+_B_LARGE_Q = [-0.25 * n * e for n, e in sorted(_A0_LARGE_Q)]  # in z = 1/sqrt(q)
 
 
 def _seed(alpha):
-    """log(l1) to start the root search from.  Below alpha = 0.45 it is
-    the root of b from a0's small-q series; from 0.45 on, the larger of
-    b's small- and large-l1 limits, b ~ l1 and b ~ 1 - 1/(2 sqrt(2 l1)),
-    solved for alpha, and above 0.8 the root of b from McLachlan's series
-    if that is larger.  Each truncation leaves out a negative term of b,
-    so its root lies below b's; the large-l1 limit is no bound at small
-    l1 and lies above the root below alpha ~ 0.15."""
-    if alpha < 0.45:
-        return math.log(0.5 * _series_root(_B_SMALL_Q, 2.0 * alpha, alpha))
-    l1 = max(alpha, 0.125 / (1.0 - alpha) ** 2)
+    """log(l1) to start the root search from, where b = -a0'(q)/2 at q = 2 l1
+    is alpha.  Up to alpha = 0.8 b is the rational one: Newton steps from q =
+    2 alpha, at or below its root as b <= l1, climb monotonically and stop at
+    rounding (3-11 steps, 16 at most), within 2e-10 of b's root up to alpha =
+    0.7 and at most 2e-5 below it beyond.  Above 0.8 it is the largest root
+    of b ~ l1, b ~ 1 - 1/(2 sqrt(2 l1)) and McLachlan's b (terms -(n e/4)
+    z^(2-n) from e q^(n/2)): each leaves out negative terms of b."""
     if alpha > 0.8:
-        z = _series_root(_B_LARGE_Q, 2.0 * (1.0 - alpha), alpha)
-        l1 = max(l1, 0.5 / (z * z))
-    return math.log(l1)
+        z = 2.0 * (1.0 - alpha)
+        for _ in range(4):
+            p = dp = 0.0
+            for c in _B_LARGE_Q:
+                dp = dp * z + p
+                p = p * z + c
+            z += (alpha - p) / dp
+        return math.log(max(alpha, 0.125 / (1.0 - alpha) ** 2, 0.5 / (z * z)))
+    q = 2.0 * alpha
+    for _ in range(16):
+        x = q * q
+        p = dp = r = dr = 0.0
+        for cp, cr in zip(_B_PADE_P, _B_PADE_Q):
+            dp, dr = dp * x + p, dr * x + r
+            p, r = p * x + cp, r * x + cr
+        step = (alpha - q * p / r) / (p / r + 2.0 * x * (dp * r - p * dr) / (r * r))
+        q += step
+        if step <= 4.0 * _EPS * q:
+            break
+    return math.log(0.5 * q)
 
 
 def _find_root(trial, s):
@@ -222,9 +213,9 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     constraint is unattainable and UnattainableSpreadError is raised.
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
-    for large lambda1.  It starts from ``_seed``, a root of b from a0's
-    series, then refines lambda1 by Newton steps on the exact slope of b,
-    inside the bracket that the signs of b - alpha give (see
+    for large lambda1.  It starts from ``_seed``, a root of a rational b
+    or of a0's series, then refines lambda1 by Newton steps on the exact
+    slope of b, inside the bracket that the signs of b - alpha give (see
     ``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)

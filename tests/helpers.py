@@ -10,7 +10,8 @@ summation and brute-force quadrature for the frequency moments the
 closed forms are supposed to reproduce, the
 normalized autocorrelation from one ``np.correlate`` and the linear
 frequency moments its closed forms give,
-McLachlan's large-q series for a0 and its three-term ceiling, the
+McLachlan's large-q series for a0 and its three-term ceiling, a0's
+small-q series and Pade approximants in exact rational arithmetic, the
 three-tap probe's closed-form spread product, a line-by-line parser
 of the sequence text format, and the per-tap writers of a design's JSON
 line and of the sequence text format.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -287,6 +289,54 @@ def a0_upper_bound(q: float) -> float:
     """Three-term ceiling -2q + 2 sqrt(q) - 1/4 for a0(q), q > 0."""
     q = float(q)
     return -2.0 * q + 2.0 * math.sqrt(q) - 0.25
+
+
+def a0_small_q_series(terms: int) -> list[Fraction]:
+    """The first ``terms`` coefficients c_j of a0(q) = sum c_j q^(2j),
+    j >= 1, exactly, order by order in q from the recurrence of DLMF 28.4.5
+    for the cosine coefficients A_2m of ce0 (A_0 = 1):
+
+        a A_0 = q A_2,  (a - 4) A_2 = q (2 A_0 + A_4),
+        (a - 4m^2) A_2m = q (A_2m-2 + A_2m+2),  m >= 2.
+
+    A_2m starts at q^m, so the q^n coefficient of A_2m follows from those
+    of lower order, and the q^n coefficient of a is the q^(n-1) one of A_2.
+    """
+    top = 2 * terms
+    a = [Fraction(0)] * (top + 1)
+    coef = {(0, 0): Fraction(1)}  # (m, n): the q^n coefficient of A_2m
+
+    def at(m, n):
+        return coef.get((m, n), Fraction(0))
+
+    for n in range(1, top + 1):
+        a[n] = at(1, n - 1)
+        for m in range(1, n + 1):
+            s = sum((a[k] * at(m, n - k) for k in range(1, n - m + 1)), Fraction(0))
+            s -= (2 if m == 1 else 1) * at(m - 1, n - 1) + at(m + 1, n - 1)
+            coef[(m, n)] = s / (4 * m * m)
+    return a[2::2]
+
+
+def pade(series, m: int, n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Numerator and denominator of the [m/n] Pade approximant of the power
+    series ``series`` (m + n + 1 exact terms, lowest power first), lowest
+    power first, with the denominator's constant term 1: the series times
+    the denominator agrees with the numerator through the power m + n."""
+    # the powers m+1 .. m+n of series * den vanish: solve for den[1..n]
+    rows = [[series[k - j] if k >= j else Fraction(0) for j in range(1, n + 1)] + [-series[k]]
+            for k in range(m + 1, m + n + 1)]
+    for i in range(n):  # Gauss-Jordan, exact
+        piv = next(r for r in range(i, n) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        for r in range(n):
+            if r != i and rows[r][i] != 0:
+                f = rows[r][i] / rows[i][i]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
+    den = [Fraction(1)] + [rows[i][n] / rows[i][i] for i in range(n)]
+    num = [sum((den[j] * series[k - j] for j in range(min(k, n) + 1)), Fraction(0))
+           for k in range(m + 1)]
+    return num, den
 
 
 def three_tap_eta_p(eps: float) -> float:

@@ -58,12 +58,14 @@ def test_runtime_solves_are_folded(monkeypatch):
     monkeypatch.setattr(eigen, "_climb", record(folded, eigen._climb))
     monkeypatch.setattr(design, "min_eigenpair", record(full, design.min_eigenpair))
     monkeypatch.setattr(mathieu, "min_eigenpair", record(full, mathieu.min_eigenpair))
-    for sigma2, taps in ((1e-3, 201), (0.1, 201), (1.0, 21), (3.0, 2001), (10.0, 1001)):
-        design.design_max_compact(sigma2, taps)
-    design.sweep_curve([0.01, 1.0], 101)
-    for q in (-2.5, 0.25, 7.25, 1e4):
-        mathieu.char_value_a0(q)
-    mathieu.ce0(-2.5, np.linspace(0.0, np.pi, 9))
-    assert len(full) >= 20
+    calls = [(design.design_max_compact, sigma2, taps) for sigma2, taps in
+             ((1e-3, 201), (0.1, 201), (1.0, 21), (3.0, 2001), (10.0, 1001))]
+    calls.append((design.sweep_curve, [0.01, 1.0], 101))
+    calls += [(mathieu.char_value_a0, q) for q in (-2.5, 0.25, 7.25, 1e4)]
+    calls.append((mathieu.ce0, -2.5, np.linspace(0.0, np.pi, 9)))
+    for fn, *args in calls:  # at least one solve a design or a q, however many
+        before = len(full)
+        fn(*args)
+        assert len(full) - before >= (len(args[0]) if fn is design.sweep_curve else 1), fn
     assert len(folded) == len(full)
     assert all(f <= n // 2 + 1 for f, n in zip(folded, full))
