@@ -96,17 +96,17 @@ GOLDEN = {
     "design --sigma2 0.1 --taps 201 --format csv": "5ccdcc59a67d8a6da7feffe93cd8a9725f77acb754b61cca70b48b8c36cb063e",
     "design --sigma2 0.1 --taps 1001 --format json": "ee8abe2c8b689ba84a63f19f7aec7cc1be8f522cfb36f187e3db5f4b119eeecb",
     "design --sigma2 0.1 --taps 1001 --format csv": "e3ceddf19cd12c31205a9688bccce61eda3f75ede2ef58e30c2c4f7660b2554d",
-    "design --sigma2 10 --taps 201 --format json": "60de94319ee3473db250f4781d64f3250fb00630fb4ac57b1373f2a6b354eac3",
-    "design --sigma2 10 --taps 201 --format csv": "fedba198c1717e6b7f0f0ea4bada1f86664cc0f9e46bd0dff8fdfa2eb94abbee",
-    "design --sigma2 10 --taps 1001 --format json": "dbb26ddf7406573caf7b37a9d9271f6072a386f7e68fa34f43b185a2979dcbb0",
-    "design --sigma2 10 --taps 1001 --format csv": "3655c976517cfabcc9d613d68c9aa303a132bfe91a70cfaa387a2ccbc6a32cd4",
+    "design --sigma2 10 --taps 201 --format json": "9b60486b2f5e2d1f77c8f237b432d889fa9567b5f24635c98f2672b2c94332da",
+    "design --sigma2 10 --taps 201 --format csv": "b675f307188183afbf011c5f8e6a624c9e6f51e90b304a96b8206c57cacdca52",
+    "design --sigma2 10 --taps 1001 --format json": "b4a8c55917bd93e327183ff8c8299f0fd35921170790f1710897951ec1125ef7",
+    "design --sigma2 10 --taps 1001 --format csv": "1956a81f341b11956efb29a5228f43a347c58213ee52afb87b945bc59ebd99af",
     "design --sigma2 0.1 --taps 2001": "c16d397b7fecae05c83f8a8cab193aea80cbd47185b9b5783387816e5e44d8ae",
     "design --sigma2 1e300 --taps 5": "46c5740bc2fb3f9889f3fc68205c7b66a6e12f83af4c268344d48ae60c442524",
-    "curve --format csv": "616c13daba8ccd4fde036e0b67f2a63d3323e2b695514b323f6ab1ed40aaef9f",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "0dfc1f3394fb63cb704cccacb63333cb0523c2e09db2c6b21e7d504bc7ea1324",
+    "curve --format csv": "e82cc55e6a27488a0a05fdf1f0181af642fd90ba83dad70d3e7c1c172be81ee9",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "541b98967c25383d2afaba673a78697ba6bf4a714b608c3a8f2e1a1501107685",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "7479e599e1c9f7d687f9ca1cb88a95343eb887ad4892330840501aa4ea10e9e3",
-    "curve --format json": "97aa612a9600da933e7e2f921c6ab8a08088339552555011cb154cb692bdaebf",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "66a9629075e1ea2571308e81caf739081d10bc7aa34b6bc274a6c211067028bf",
+    "curve --format json": "3f5b8c293c3cb23c58d0d29ecaec2c0265d57458885df284046ac0e31c8e243c",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "351fded60c8e491bec2a2a6f2aaad961009159f53144ff178d0bc6b7da821c29",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "8537420b51f9681bdc5f458d5fce5a62d7b2139fe5e2e1d95b90ed56a4420dbf",
     "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
     "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
