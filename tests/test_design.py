@@ -317,9 +317,7 @@ def test_a_wrong_slope_falls_back_to_bisection(monkeypatch, factor):
 @pytest.mark.parametrize("taps", [201, 2001])
 def test_newton_work_count(monkeypatch, taps):
     # Newton on the exact slope from the rational seed: at most 1.5 ground
-    # solves per design on average (1.36 at 201 taps, 1.28 at 2001; 2.12
-    # and 2.04 from a0's small- and large-q series, 2.8 from the
-    # first-order seed)
+    # solves per design on average (1.36 at 201 taps, 1.28 at 2001)
     calls = _counting_solves(monkeypatch)
     grid = np.geomspace(1e-3, 10.0, 25)
     for s2 in grid:
