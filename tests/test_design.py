@@ -335,10 +335,11 @@ def _pade_b(q):
 
 
 def test_series_b_agrees_with_the_kernel():
-    # b = -a0'(q)/2 at q = 2 l1 from the rational b lies above the kernel's
-    # b to rounding, so its root lies at or below b's, and by at most
-    # 1.2e-14 for q <= 2.5, 1.8e-12 at q = 3, 1.3e-9 at 4 and 3e-6 at 6.4,
-    # where alpha = 0.8 (measured; under 4.1e-6 (q/6.4)^16 beyond rounding).
+    # the rational b = q P(q^2)/Q(q^2) at q = 2 l1 is never below the
+    # kernel's b beyond rounding, so its root lies at or below b's; it is
+    # above by at most 1.2e-14 for q <= 2.5, 1.8e-12 at q = 3, 1.3e-9 at 4
+    # and 3e-6 at 6.4, where alpha = 0.8 (measured; under 4.1e-6 (q/6.4)^16
+    # beyond rounding).
     # From McLachlan's series it lies above by about its first omitted
     # term, 0.006 q^-4 at large q (measured).  Below q ~ 50 that series'
     # later terms dominate, up to 1.1 q^-4 at q = 6.25 (alpha = 0.8), and
@@ -377,7 +378,8 @@ def test_the_pade_coefficients_are_exact():
 def test_the_seed_is_the_root_up_to_alpha_077():
     # up to alpha = 0.77 the rational seed is within 1e-6 of the lambda1
     # at which a 401-tap design stops (4e-7 at 0.77, 2e-10 up to 0.7)
-    alphas = np.concatenate([np.geomspace(1e-6, 0.2, 8, endpoint=False), np.linspace(0.2, 0.77, 12)])
+    alphas = np.concatenate([np.geomspace(1e-6, 0.2, 8, endpoint=False),
+                             np.linspace(0.2, 0.77, 12)])
     for alpha in alphas.tolist():
         res = design_max_compact(1.0 / alpha**2 - 1.0, 401)
         assert abs(math.exp(_seed(alpha)) / res.lambda1 - 1.0) <= 1e-6, alpha
