@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import _MAX_HALF_LEN, form_slope, min_eigenpair
-from .mathieu import _A0_LARGE_Q, _B_PADE_P, _B_PADE_Q
+from .eigen import _A0_LARGE_Q, _MAX_HALF_LEN, _k2_grid, form_slope, min_eigenpair
+from .mathieu import _B_PADE_P, _B_PADE_Q
 from .sequence import Sequence
 
 __all__ = [
@@ -236,8 +236,7 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
             f"taps too few for sigma2 = {sigma2:.6g}"
         )
 
-    k = np.arange(-half, half + 1, dtype=float)
-    k2 = k * k
+    k2 = _k2_grid(half)
 
     def gap_target(l1):
         return min(_CONSTRAINT_TOL, 1e-9 / max(1.0, l1))

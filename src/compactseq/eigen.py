@@ -19,9 +19,14 @@ which has as many negative pivots as the half has eigenvalues below the
 shift s: s is a certified no, below every eigenvalue, when all its
 pivots are positive (a zero pivot counts as negative).  The pivots'
 derivatives in s give the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, and
-Laguerre's step from them climbs from the Gershgorin bound -2|b| to the
-minimum cubically without passing it (Li and Zeng, SIAM J. Sci. Comput.
-1994): about 4 passes reach the rounding level 4 eps (|s| + 2|b|).
+Laguerre's step from them climbs from any point below the minimum to it
+cubically without passing it (Li and Zeng, SIAM J. Sci. Comput. 1994).
+The climb starts from a rational lower estimate of a0(q)/4 at q = 4|b|:
+the half's symmetric form is a leading block of the infinite even
+operator, whose minimum that is, so by Cauchy interlacing it lies below
+the half's minimum on every grid.  About 2 passes then reach the rounding
+level 4 eps (|s| + 2|b|), where the Gershgorin bound -2|b| took about 4;
+a start that is a yes falls back to Gershgorin.
 The climb sees only the rows 0..W-1 of the half (``_support`` at eps^2):
 from row W on, Parlett's ratio bound, with lam_min <= d_0 = 0, puts the
 ground state below eps^2 of its largest entry, so the minimum on those
@@ -53,6 +58,7 @@ keeps the shift and W for the designer's one more solve, ``form_slope``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +71,33 @@ _MAX_CLIMB = 30
 _MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
+_TINY = float(np.finfo(float).tiny)
+# The Mathieu value a0(q) that starts the climb: up to q = 8 the [14/14]
+# Pade approximant of a0/q^2 in q^2, exact from DLMF 28.4.5, as pairs
+# (P_j, Q_j) of a0 = q^2 P(q^2)/Q(q^2), highest power first (every P_j < 0
+# and Q_j > 0, so neither sum cancels); above, McLachlan's large-q series
+# at s = 1 (DLMF 28.8.1), terms e q^(n/2) as (n, e).
+_A0_PADE = (
+    (-4.382754104315206e-14, 1.082313291769662e-12),
+    (-3.7828914530027274e-11, 3.589922214890107e-10),
+    (-5.557357282007488e-09, 3.478445929536613e-08),
+    (-3.2270892362386737e-07, 1.5597199676314548e-06),
+    (-9.777372888336451e-06, 3.935322132050246e-05),
+    (-0.00017721890776857598, 0.000620764385044625),
+    (-0.002077367455807461, 0.0065169169807787735),
+    (-0.016497221852859997, 0.047287475903003105),
+    (-0.09112359483764124, 0.2421855699131475),
+    (-0.3539023391977498, 0.8819251882530682),
+    (-0.9627546760329107, 2.269278277625584),
+    (-1.7956288798633229, 4.031316500979246),
+    (-2.186758736032115, 4.702859364836588),
+    (-1.5659548034672843, 3.2412846069345687),
+    (-0.5, 1.0),
+)
+_A0_LARGE_Q = (
+    (2, -2.0), (1, 2.0), (0, -1.0 / 4.0), (-1, -4.0 / 2.0**7), (-2, -48.0 / 2.0**12),
+    (-3, -848.0 / 2.0**17), (-4, -4752.0 / 2.0**20), (-5, -126752.0 / 2.0**25),
+)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -83,6 +116,19 @@ class EigenPair:
     residual: float
     s: float
     _rows: int = field(default=0, repr=False, compare=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _k2_grid(half_len):
+    """The read-only diagonal k^2 on k = -N..N, N = ``half_len``: the one
+    grid the designer, the Mathieu evaluator and ``min_eigenpair``'s check
+    share.  The last 8 are kept, so a run of solves on one grid builds it
+    once and the kernel recognises it by identity instead of comparing it
+    entry by entry."""
+    k = np.arange(-half_len, half_len + 1, dtype=float)
+    grid = k * k
+    grid.setflags(write=False)
+    return grid
 
 
 def _laguerre_step(d, b2, s):
@@ -109,6 +155,42 @@ def _laguerre_step(d, b2, s):
     n = len(d)
     den = s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1)))
     return n / den if den > 0.0 else 0.0
+
+
+def _start(b):
+    """Where the climb at the coupling ``b`` starts: a lower estimate of the
+    minimum of every even half, or -inf where its margin is not normal.
+
+    A half is similar to its symmetric form, couplings sqrt(2) b, b, ...,
+    a leading block of the infinite even operator, whose minimum is
+    a0(q)/4 at q = 4|b| (``mathieu``), so by Cauchy interlacing no half's
+    minimum lies below a0/4.  The estimate is a0/4 from ``_A0_PADE`` up to
+    q = 8, within 2.2 ulps of a0 up to q = 2.2 and below it beyond (2.8e-5
+    relative at q = 7.7), or from McLachlan's series above, which lies
+    above a0 by 0.35 q^-3 at q = 8, falling to 0.004 q^-3 from q ~ 50 on
+    (measured against a 40-digit a0).  The margin subtracted is 32 eps
+    (|a0/4| + 2|b|), eight rounding levels of the climb, and above q = 8
+    also 0.125 q^-3, McLachlan's error bound 0.5 q^-3 over 4.  It is normal
+    from |b| = 2^-976 (about 1.6e-294) on.  Below, 1/(lam_j - x) would
+    overflow in the first Laguerre step, which then returns 0: the climb
+    would stop at the start, and the shift a margin below the minimum
+    would spoil the tap v_1 ~ |b| v_0 by about margin/|b| = 64 eps
+    (1.4e-14 at |b| = 1e-300).  The climb starts from Gershgorin there."""
+    q = 4.0 * abs(b)
+    if q <= 8.0:
+        x = q * q
+        p = r = 0.0
+        for cp, cr in _A0_PADE:
+            p, r = p * x + cp, r * x + cr
+        est, err = 0.25 * x * p / r, 0.0
+    else:
+        z = 1.0 / math.sqrt(q)
+        p = 0.0
+        for _, e in sorted(_A0_LARGE_Q):  # e z^(-n): in z, highest power first
+            p = p * z + e
+        est, err = 0.25 * p / (z * z), 0.125 * z**6
+    margin = err + 32.0 * _EPS * (abs(est) + 0.5 * q)
+    return est - margin if margin >= _TINY else -math.inf
 
 
 def _support(a, end, tol):
@@ -139,21 +221,28 @@ def _climb(d, b):
     shift, the ground state's half, unnormalised, and the rows the steps saw.
 
     Laguerre steps on the rows 0..W-1 that ``_support`` keeps at eps^2
-    climb from the Gershgorin bound until a step is at rounding, <= 4 eps (|x| + 2|b|).
-    The point x + step they reach is the shift if ``_solve`` goes through
-    at it on all of ``d``.  Otherwise, as when a step lands on a yes, the
-    shift retreats from that point by w/16, w/8, ..., w, with w the
-    rounding level of the landing, and never below the last iterate: it
-    stays within a few ulps of the minimum and moves smoothly with the
-    matrix.  Every try sits eps*w lower, the same double unless the shift
-    is tiny, so lam - s, the inverse of an inverse iterate's growth, is at
-    least about eps*w >= 2^(e-103), with 2^(e-1) <= |s| + 2|b| < 2^e.
-    Where eps*w underflows (e < -971) it is at least about 2^-1074
-    instead: s is then a negative double below lam ~ -2b^2, which lies far
-    closer to 0 than 2^-1074."""
+    climb from ``_start``, a0(4|b|)/4 less its margin, which interlacing
+    puts below the minimum, or from the Gershgorin bound if that is higher,
+    until a step is at rounding, <= 4 eps (|x| + 2|b|): about 2 passes, the
+    first across the margin and the second at rounding.  If the first pass
+    finds a pivot <= 0, the start is a yes and the climb restarts from the
+    Gershgorin bound; so correctness never rests on the margin, as a start
+    below the minimum climbs to it monotonically and ``_solve`` certifies
+    the shift either way.  The point x + step the steps reach is the shift
+    if ``_solve`` goes through at it on all of ``d``.  Otherwise, as when a
+    step lands on a yes, the shift retreats from that point by w/16, w/8,
+    ..., w, with w the rounding level of the landing, and never below the
+    last iterate: it stays within a few ulps of the minimum and moves
+    smoothly with the matrix.  Every try sits eps*w lower, the same double
+    unless the shift is tiny, so lam - s, the inverse of an inverse
+    iterate's growth, is at least about eps*w >= 2^(e-103), with
+    2^(e-1) <= |s| + 2|b| < 2^e.  Where eps*w underflows (e < -971) it is
+    at least about 2^-1074 instead: s is then a negative double below
+    lam ~ -2b^2, which lies far closer to 0 than 2^-1074."""
     b2 = b * b
     r = 2.0 * abs(b)
-    x = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
+    floor = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
+    x = max(floor, _start(b))
     n = _support(abs(b), len(d), _TAIL)
     rows = d if n == len(d) else d[:n]
     unit = 1.0 / math.sqrt(2 * len(d) - 1)
@@ -161,6 +250,9 @@ def _climb(d, b):
     for _ in range(_MAX_CLIMB):
         step = _laguerre_step(rows, b2, x)
         if step is None:
+            if below == -math.inf and x > floor:
+                x = floor  # the start is a yes: climb from Gershgorin
+                continue
             break  # rounding carried x onto a yes
         below = x
         x += step
@@ -249,8 +341,8 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     darr = np.asarray(diag, dtype=float)
     n = darr.size
     half_len = n // 2
-    grid = np.arange(-half_len, half_len + 1, dtype=float)
-    if not np.array_equal(darr, grid * grid):
+    grid = _k2_grid(half_len)
+    if darr is not grid and not np.array_equal(darr, grid):
         raise ValueError(f"diag must be k^2 on a grid k = -N..N, got {n} entries")
     b = float(offdiag)
     if b > 0.0:
@@ -303,7 +395,7 @@ def form_slope(pair: EigenPair, offdiag, form) -> float:
     r = 0.5 * v[n - 1:n + m - 1]
     r[:right.size] += 0.5 * right
     r -= form * x
-    d = (np.arange(m, dtype=float) ** 2).tolist()
+    d = _k2_grid(n)[n:n + m].tolist()
     y = np.array(_solve(d, offdiag, pair.s, r.tolist()))
     # the full grid's inner products, on the half: weights (1, 2, 2, ...)
     y[1:] *= 2.0

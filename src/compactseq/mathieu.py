@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _MAX_HALF_LEN, EigenPair, _support, min_eigenpair
+from .eigen import _MAX_HALF_LEN, EigenPair, _k2_grid, _support, min_eigenpair
 
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
@@ -48,7 +48,8 @@ _TAIL_AMP = 1e-12
 # The designer seeds its root search from b = -a0'(q)/2: up to q ~ 6 from
 # the [14/14] Pade approximant of b/q in q^2, exact from DLMF 28.4.5, as
 # b = q P(q^2)/Q(q^2) (highest power first, all of Q positive); above, from
-# McLachlan's large-q a0 at s = 1 (DLMF 28.8.1), terms e q^(n/2) as (n, e).
+# McLachlan's large-q a0, ``eigen._A0_LARGE_Q``.  Each ground solve starts
+# its climb from a0 itself, by the kernel's own table (``eigen._start``).
 _B_PADE_P = (
     4.5162801786547814e-14, 3.9274733180564095e-11, 5.745560167428043e-09,
     3.3191580979899703e-07, 1.0008768594541483e-05, 0.00018066984447029873,
@@ -60,10 +61,6 @@ _B_PADE_Q = (
     5.924283456818704e-05, 0.0008898952867795592, 0.008915733523715299, 0.061862495026783336,
     0.3035229785147452, 1.0606533207879816, 2.6230794461988136, 4.4852697371354315,
     5.043297085321698, 3.3545508651058573, 1.0,
-)
-_A0_LARGE_Q = (
-    (2, -2.0), (1, 2.0), (0, -1.0 / 4.0), (-1, -4.0 / 2.0**7), (-2, -48.0 / 2.0**12),
-    (-3, -848.0 / 2.0**17), (-4, -4752.0 / 2.0**20), (-5, -126752.0 / 2.0**25),
 )
 
 
@@ -91,8 +88,7 @@ def _ground_taps(q: float) -> EigenPair:
     n = _first_half_len(lam1)
     if n > _MAX_HALF_LEN:
         raise MathieuGridError(f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}")
-    k = np.arange(-n, n + 1, dtype=float)
-    pair = min_eigenpair(k * k, -0.5 * lam1)
+    pair = min_eigenpair(_k2_grid(n), -0.5 * lam1)
     if pair.vector[0] >= _TAIL_AMP:  # positive and palindromic
         raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
     return pair
@@ -122,7 +118,13 @@ class MathieuEval:
 
 
 def ce0(q: float, thetas) -> MathieuEval:
-    """Sample the lowest even eigenfunction ce0(q; t) at the given angles."""
+    """Sample the lowest even eigenfunction ce0(q; t) at the given angles.
+
+    ce0 has period pi, so each angle is reduced by the double nearest pi
+    into [0, pi) (``np.remainder``, exact for t >= 0) before 2kt is formed,
+    which then stays finite for any finite t.  That double is 1.2e-16 below
+    pi, so a reduced angle carries a phase error of about |t| * 4e-17 rad;
+    ``thetas`` in the result keeps the angles as given."""
     q = float(q)
     pair = _ground_taps(q)
     n = pair.vector.size // 2
@@ -131,7 +133,8 @@ def ce0(q: float, thetas) -> MathieuEval:
     if q > 0.0:
         half[1::2] = -half[1::2]
     kk = np.arange(1, n + 1)
-    vals = (half[0] + 2.0 * np.cos(2.0 * np.outer(t, kk)) @ half[1:]) / math.sqrt(2.0)
+    phase = 2.0 * np.outer(np.remainder(t, math.pi), kk)
+    vals = (half[0] + 2.0 * np.cos(phase) @ half[1:]) / math.sqrt(2.0)
     vals.setflags(write=False)
     return MathieuEval(
         q=q,

@@ -11,7 +11,8 @@ closed forms are supposed to reproduce, the
 normalized autocorrelation from one ``np.correlate`` and the linear
 frequency moments its closed forms give,
 McLachlan's large-q series for a0 and its three-term ceiling, a0's
-small-q series and Pade approximants in exact rational arithmetic, the
+small-q series and Pade approximants in exact rational arithmetic, a0 to
+40 digits in decimal arithmetic, the
 three-tap probe's closed-form spread product, a line-by-line parser
 of the sequence text format, and the per-tap writers of a design's JSON
 line and of the sequence text format.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +318,47 @@ def a0_small_q_series(terms: int) -> list[Fraction]:
             s -= (2 if m == 1 else 1) * at(m - 1, n - 1) + at(m + 1, n - 1)
             coef[(m, n)] = s / (4 * m * m)
     return a[2::2]
+
+
+def a0_reference(q: float) -> Decimal:
+    """a0(q) to 40 digits, by Newton's method in 60-digit decimal arithmetic
+    on the characteristic equation that the recurrence of DLMF 28.4.5 gives
+    as a continued fraction,
+
+        F(a) = a - 2q^2 / D_1 = 0,  D_m = a - 4m^2 - q^2 / D_(m+1),
+
+    truncated at D_M = a - 4M^2, where M is a few rows past the one at
+    which Parlett's ratio bound puts the cosine coefficients below 1e-50.
+    F rises between its poles, the smallest of which lies above a0, and
+    F' = 1 + 2q^2 D_1' / D_1^2 with D_m' = 1 + q^2 D_(m+1)' / D_(m+1)^2.
+    Newton starts from LAPACK's smallest eigenvalue of the same rows in
+    double precision, 4m^2 on the diagonal with couplings sqrt(2) q, q, ...
+    """
+    q = abs(float(q))
+    if q == 0.0:
+        return Decimal(0)
+    m, amp = math.isqrt(int(q / 2.0)) + 1, 1.0  # rows k with k^2 > q/2 = 2|b|
+    while amp > 1e-50:
+        amp *= (q / 4.0) / (m * m - q / 4.0)
+        m += 1
+    top = m + 4
+    off = np.full(top, -q)
+    off[0] *= math.sqrt(2.0)
+    diag = 4.0 * np.arange(top + 1, dtype=float) ** 2
+    a = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q2 = Decimal(q) ** 2
+        x = Decimal(a)
+        for _ in range(20):
+            d, dp = x - 4 * top * top, Decimal(1)
+            for j in range(top - 1, 0, -1):
+                d, dp = x - 4 * j * j - q2 / d, 1 + q2 * dp / (d * d)
+            step = (x - 2 * q2 / d) / (1 + 2 * q2 * dp / (d * d))
+            x -= step
+            if abs(step) <= Decimal("1e-45") * (abs(x) + Decimal(q)):
+                return +x
+    raise ArithmeticError(f"Newton's method for a0({q!r}) did not converge")
 
 
 def pade(series, m: int, n: int) -> tuple[list[Fraction], list[Fraction]]:

@@ -1,8 +1,8 @@
 """The Laguerre climb that places the inverse-iteration shift.
 
-``eigen._climb`` steps from the Gershgorin bound to the minimum of the even
-half and returns a shift with the inverse iterate of the one solve that
-certified it.  The steps see only the rows 0..W-1 that
+``eigen._climb`` steps from a rational lower estimate of a0(4|b|)/4 (or
+the Gershgorin bound) to the minimum of the even half and returns a shift
+with the inverse iterate of the one solve that certified it.  The steps see only the rows 0..W-1 that
 ``eigen._support`` keeps at eps^2, where W is the row from which
 Parlett's ratio bound puts the ground state below eps^2; the solve that
 certifies the shift runs on the full half.  Every case is the

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_ce0_normalization():
         y = ce0(q, t).values
         integral = float(np.sum(y * y)) * (2 * np.pi / t.size)
         assert integral == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_ce0_reduces_the_angle_by_its_period(capsys):
+    # 2kt at t = 1e308 overflowed and printed nan with exit 0; the angle is
+    # now reduced by pi first, so t = 10 and t - 3pi agree to the reduction's
+    # phase error, about |t| * 4e-17
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (-3.0, 3.0, 7.25):
+            y = ce0(q, [1e308, -1e308, 10.0, 10.0 - 3.0 * math.pi]).values
+            assert np.all(np.isfinite(y)), q
+            assert abs(y[2] - y[3]) <= 1e-13, q
+        assert main(["mathieu", "--q", "3", "--grid", "0:1e308:2:lin"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and out.splitlines()[-1].startswith("1e+308,")
 
 
 def test_ce0_reflection_identity():
