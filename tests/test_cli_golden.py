@@ -101,17 +101,17 @@ GOLDEN = {
     "design --sigma2 10 --taps 1001 --format json": "b4a8c55917bd93e327183ff8c8299f0fd35921170790f1710897951ec1125ef7",
     "design --sigma2 10 --taps 1001 --format csv": "1956a81f341b11956efb29a5228f43a347c58213ee52afb87b945bc59ebd99af",
     "design --sigma2 0.1 --taps 2001": "c16d397b7fecae05c83f8a8cab193aea80cbd47185b9b5783387816e5e44d8ae",
-    "design --sigma2 1e300 --taps 5": "46c5740bc2fb3f9889f3fc68205c7b66a6e12f83af4c268344d48ae60c442524",
+    "design --sigma2 1e300 --taps 5": "3d8e4ee5e747461072a9b17e843195f558b300db5d63a41b71f54fff7a9ed862",
     "curve --format csv": "e82cc55e6a27488a0a05fdf1f0181af642fd90ba83dad70d3e7c1c172be81ee9",
     "curve --grid 1e-5:1:7:log --taps 101 --format csv": "541b98967c25383d2afaba673a78697ba6bf4a714b608c3a8f2e1a1501107685",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "7479e599e1c9f7d687f9ca1cb88a95343eb887ad4892330840501aa4ea10e9e3",
     "curve --format json": "3f5b8c293c3cb23c58d0d29ecaec2c0265d57458885df284046ac0e31c8e243c",
     "curve --grid 1e-5:1:7:log --taps 101 --format json": "351fded60c8e491bec2a2a6f2aaad961009159f53144ff178d0bc6b7da821c29",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "8537420b51f9681bdc5f458d5fce5a62d7b2139fe5e2e1d95b90ed56a4420dbf",
-    "mathieu": "fbf12d2aacaecd8690ea39b4c70420646ae187a84e6e6d061f832bc22df87a9c",
+    "mathieu": "97b2eeec6141ce63cce6f16c5a86542d9103a0b5ae7c83d1028a368184696000",
     "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
     "mathieu --grid 1e-300:1e6:7:log": "fe4504e6efa70895c9397288631ff076e89aeeb80ee51993f08dcd80ed81fedd",
-    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "65d18ccefcea9a24114f9e42ec6367b78986573b5879c7c18836bcb87afa522a",
+    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "6e6f5a21653240f93a172240bbe7ad3cdd50d4d4375296e7c934f0404c4892e3",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
     "analyze --input ex1.seq --format csv": "7d7b33eaf9b837a1c04ce2e0090dca196e83c0690ac6bb6b4bcf1d2c4c5be421",
@@ -125,7 +125,7 @@ GOLDEN = {
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
     "design --sigma2 0.1 --taps 201 --seq-output": "134a14dca8f24596e2faa5d4c9d7331a70a96467d617293cf159b489020b2df0",
     "design --sigma2 0.1 --taps 2001 --seq-output": "297386bb185bcb80d3010b08c5f990e8d7f6e1b4baa10e2996e1b0a32be38d25",
-    "design --sigma2 1e300 --taps 5 --seq-output": "496047b643a92e3791feb996d94b3bc5b05516622d9c860502e3c359b8bf2286",
+    "design --sigma2 1e300 --taps 5 --seq-output": "4fbc5eb50f29f8ebdd848d1c7fde424d781f3b6be479d39610a05900bbab210d",
 }
 
 
