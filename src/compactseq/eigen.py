@@ -118,11 +118,11 @@ class EigenPair:
     _rows: int = field(default=0, repr=False, compare=False)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _k2_grid(half_len):
     """The read-only diagonal k^2 on k = -N..N, N = ``half_len``: the one
     grid the designer, the Mathieu evaluator and ``min_eigenpair``'s check
-    share.  The last 8 are kept, so a run of solves on one grid builds it
+    share.  The last one is kept, so a run of solves on one grid builds it
     once and the kernel recognises it by identity instead of comparing it
     entry by entry."""
     k = np.arange(-half_len, half_len + 1, dtype=float)
