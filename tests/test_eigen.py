@@ -102,7 +102,7 @@ def test_norm_bound_is_exact():
 
 
 def test_the_k2_grid_is_shared_and_read_only():
-    # one read-only array per half-length, which the kernel accepts by
+    # the last grid built is kept, read-only, and the kernel accepts it by
     # identity, with the same pair as from a copy it checks entry by entry
     grid = eigen._k2_grid(30)
     assert grid is eigen._k2_grid(30) and not grid.flags.writeable

@@ -19,7 +19,7 @@ from helpers import a0_reference, a0_small_q_series, even_ground_pair, has_eigen
 from compactseq import eigen, mathieu
 from compactseq.eigen import _EPS, min_eigenpair
 
-# 400 q of both signs over the Mathieu table's range and beyond
+# 400 q of both signs, |q| in [1e-2, 1e4]
 _QS = np.geomspace(1e-2, 1e4, 200)
 _QS = np.concatenate((_QS, -_QS)).tolist()
 
