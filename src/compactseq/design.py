@@ -18,9 +18,9 @@ b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
 safeguarded Newton steps in log(l1) on log(b / (b_sup - b)), which is
 close to linear in log(l1) for small, large and grid-limited l1 alike,
 with the exact slope b'(l1) of :func:`compactseq.eigen.form_slope`.  Its
-seed is a root of a rational (Pade) b, or above alpha = 0.8 of b from the
-large-q series of the Mathieu value a0 (lambda_min(l1) = a0(2 l1)/4, so
-b = -a0'(q)/2 at q = 2 l1); a design takes about 1.6 ground solves.  The
+seed is the root of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4)
+from the kernel's a0, so a design takes one ground solve up to alpha ~ 0.999
+and about 1.35 over a sweep to the grid's reach.  The
 optimal sequence is the ground state itself: symmetric, entrywise
 positive, and unit norm by construction.
 
@@ -39,13 +39,16 @@ check the pencil against dense oracles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import _A0_LARGE_Q, _MAX_HALF_LEN, _k2_grid, form_slope, min_eigenpair
-from .mathieu import _B_PADE_P, _B_PADE_Q
+from .eigen import (
+    _A0_BREAKS, _A0_PADE, _A0_SERIES, _MAX_HALF_LEN, _Q_PADE, _k2_grid, form_slope,
+    min_eigenpair,
+)
 from .sequence import Sequence
 
 __all__ = [
@@ -133,36 +136,56 @@ def _logit(b, b_sup):
     return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
 
 
-_B_LARGE_Q = [-0.25 * n * e for n, e in sorted(_A0_LARGE_Q)]  # in z = 1/sqrt(q)
+def _horner(coeffs, x):
+    """p(x), p'(x) and p''(x)/2 of the polynomial ``coeffs``, highest power
+    first."""
+    p = dp = ddp = 0.0
+    for c in coeffs:
+        ddp = ddp * x + dp
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp, ddp
+
+
+_PADE_N = tuple(p for p, _ in _A0_PADE) + (0.0,)  # a0 = N(x)/Q(x), x = q^2, N = x P(x)
+_PADE_Q = tuple(r for _, r in _A0_PADE)
+
+
+def _b_less(q, alpha):
+    """b - alpha and its q-derivative for b = -a0'(q)/2 from eigen's a0:
+    the Pade's up to q = (16/11)^2, and above 1 - b = z (h - z h')/4 from
+    ``_A0_SERIES``, z = q^-1/2, taken 1e-13 of itself low, its error bound."""
+    if q <= _Q_PADE:
+        x = q * q
+        u, u1, u2 = _horner(_PADE_N, x)
+        r, r1, r2 = _horner(_PADE_Q, x)
+        d1 = (u1 * r - u * r1) / (r * r)  # (N/Q)', so b = -q (N/Q)'
+        d2 = (2.0 * (u2 * r - u * r2) / r - 2.0 * r1 * d1) / r
+        return -q * d1 - alpha, -d1 - 2.0 * x * d2
+    z = 1.0 / math.sqrt(q)
+    i = bisect_left(_A0_BREAKS, z, 1) - 1
+    lo, hi = _A0_BREAKS[i:i + 2]
+    k = 2.0 / (hi - lo)
+    h, h1, h2 = _horner(_A0_SERIES[i], k * (z - lo) - 1.0)
+    g = h - k * z * h1
+    return (1.0 - alpha) - 0.25 * z * g * (1.0 - 1e-13), 0.125 * z**3 * (g - 2 * (k * z)**2 * h2)
 
 
 def _seed(alpha):
-    """log(l1) to start the root search from, where b = -a0'(q)/2 at q = 2 l1
-    is alpha.  Up to alpha = 0.8 b is the rational one: Newton steps from q =
-    2 alpha, at or below its root as b <= l1, climb monotonically and stop at
-    rounding (3-11 steps, 16 at most), within 2e-10 of b's root up to alpha =
-    0.7 and at most 2e-5 below it beyond.  Above 0.8 it is the largest root
-    of b ~ l1, b ~ 1 - 1/(2 sqrt(2 l1)) and McLachlan's b (terms -(n e/4)
-    z^(2-n) from e q^(n/2)): each leaves out negative terms of b."""
-    if alpha > 0.8:
-        z = 2.0 * (1.0 - alpha)
-        for _ in range(4):
-            p = dp = 0.0
-            for c in _B_LARGE_Q:
-                dp = dp * z + p
-                p = p * z + c
-            z += (alpha - p) / dp
-        return math.log(max(alpha, 0.125 / (1.0 - alpha) ** 2, 0.5 / (z * z)))
-    q = 2.0 * alpha
+    """log(l1) where b = alpha at q = 2 l1, by ``_b_less``, at or below the
+    root: b is concave and rising in q, so Newton steps land below the root
+    after the first and then climb.  They start from the root's small- and
+    large-q series, 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
+    (DLMF 28.6.1, 28.8.1), and stop after a step below 1e-8 q: the error
+    left, |b''/(2b')| step^2 <= step^2/q here, is below rounding."""
+    q = 2.0 * alpha * (1.0 + 0.875 * alpha * alpha)
+    if alpha >= 0.68:
+        q = 0.25 / (1.0 - alpha) ** 2 + 0.03125
     for _ in range(16):
-        x = q * q
-        p = dp = r = dr = 0.0
-        for cp, cr in zip(_B_PADE_P, _B_PADE_Q):
-            dp, dr = dp * x + p, dr * x + r
-            p, r = p * x + cp, r * x + cr
-        step = (alpha - q * p / r) / (p / r + 2.0 * x * (dp * r - p * dr) / (r * r))
+        f, df = _b_less(q, alpha)
+        step = -f / df
         q += step
-        if step <= 4.0 * _EPS * q:
+        if abs(step) <= 1e-8 * q:
             break
     return math.log(0.5 * q)
 
@@ -213,10 +236,9 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     constraint is unattainable and UnattainableSpreadError is raised.
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
-    for large lambda1.  It starts from ``_seed``, a root of a rational b
-    or of a0's series, then refines lambda1 by Newton steps on the exact
-    slope of b, inside the bracket that the signs of b - alpha give (see
-    ``_find_root``).
+    for large lambda1.  It starts from ``_seed``, the root of b on the
+    whole line, then refines lambda1 by Newton steps on the exact slope of
+    b, inside the bracket that the signs of b - alpha give (``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
     if taps != int(taps):

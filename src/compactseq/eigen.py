@@ -16,50 +16,32 @@ shifted LDL^T recurrence of the half
     p_i = d_i - s - b^2 / p_{i-1},
 
 which has as many negative pivots as the half has eigenvalues below the
-shift s: s is a certified no, below every eigenvalue, when all its
-pivots are positive (a zero pivot counts as negative).  The pivots'
-derivatives in s give the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, and
-Laguerre's step from them climbs from any point below the minimum to it
-cubically without passing it (Li and Zeng, SIAM J. Sci. Comput. 1994).
-The climb starts from a rational lower estimate of a0(q)/4 at q = 4|b|:
-the half's symmetric form is a leading block of the infinite even
-operator, whose minimum that is, so by Cauchy interlacing it lies below
-the half's minimum on every grid.  About 2 passes then reach the rounding
-level 4 eps (|s| + 2|b|), where the Gershgorin bound -2|b| took about 4;
-a start that is a yes falls back to Gershgorin.
-The climb sees only the rows 0..W-1 of the half (``_support`` at eps^2):
-from row W on, Parlett's ratio bound, with lam_min <= d_0 = 0, puts the
-ground state below eps^2 of its largest entry, so the minimum on those
-rows lies less than |b| eps^2 above the half's, far inside the rounding
-level.  On a long grid at a small coupling that is a few dozen of a
-thousand rows; on every Mathieu grid, which ends where the same bound
-reaches 1e-12, W is the whole half.  Everything after the climb uses all
-N+1 rows.  The shifted half is an M-matrix exactly when its elimination
-meets no pivot <= 0, so one pass on the full half, ``_solve``, both
-certifies the shift and solves at it: it forms the pivots in the Sturm
-form above, not re-formed as c (b / p_{i-1}), in which some would round
-to <= 0 so close to the minimum, and gives up at the first pivot <= 0.
-Where rounding carries a last step onto a yes, the shift retreats from
-it by fractions of that level until the solve goes through; each pivot
-is a chain of correctly rounded operations monotone in s, so the
-computed verdict is monotone in s (Demmel, Dhillon and Ren, ETNA 1995)
-and the retreat ends after a pass or two, at worst just below the last
-iterate.  There is no bisection: the shift is a certified no a few ulps
-below the minimum, and the value returned is the Rayleigh quotient.  The
-solve starts from a uniform vector scaled by a power of two to the
-shift's rounding level.  With b <= 0 the shifted matrix has an entrywise
-positive inverse: Thomas elimination meets no cancellation and the
-iterate, started from a positive vector, stays positive in floating
-point, so the ground state needs no sign fix-up.  So close to the
-minimum the one solve lands at rounding; its residual, taken on all
-2N+1 rows, is checked against the contract, and a miss raises.  The pair
-keeps the shift and W for the designer's one more solve, ``form_slope``.
+shift s: s is a certified no when all its pivots are positive (a zero
+pivot counts as negative).  The pivots' derivatives in s give the sums of
+1/(lam_j - s) and 1/(lam_j - s)^2, from which Laguerre's step climbs from
+below the minimum to it cubically without passing it (Li and Zeng, SIAM
+J. Sci. Comput. 1994).  The climb starts from a0(q)/4, q = 4|b|, less a
+margin (``_start``); one step lands it at rounding (``_climb``).  It sees
+only the rows 0..W-1 past which the ground state is below eps^2
+(``_support``).  One pass on all N+1 rows, ``_solve``, both certifies the
+shift, as the shifted half is an M-matrix exactly when its elimination
+meets no pivot <= 0, and solves at it.  Each pivot is a chain of
+correctly rounded operations monotone in s, so the computed verdict is
+monotone in s (Demmel, Dhillon and Ren, ETNA 1995), and a landing that
+rounding carries onto a yes retreats by a fraction of the rounding level.
+There is no bisection, and the value returned is the Rayleigh quotient.
+With b <= 0 the shifted matrix has an entrywise positive inverse, so the
+iterate, started from a positive vector, stays positive and needs no sign
+fix-up; its residual, on all 2N+1 rows, is checked against the contract.
+The pair keeps the shift and W for the designer's one more solve,
+``form_slope``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +54,15 @@ _MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
 _TINY = float(np.finfo(float).tiny)
-# The Mathieu value a0(q) that starts the climb: up to q = 8 the [14/14]
-# Pade approximant of a0/q^2 in q^2, exact from DLMF 28.4.5, as pairs
-# (P_j, Q_j) of a0 = q^2 P(q^2)/Q(q^2), highest power first (every P_j < 0
-# and Q_j > 0, so neither sum cancels); above, McLachlan's large-q series
-# at s = 1 (DLMF 28.8.1), terms e q^(n/2) as (n, e).
+# a0(q), 4 times the minimum of the infinite even operator: up to
+# q = (16/11)^2 the [14/14] Pade approximant of a0/q^2 in q^2, exact from
+# DLMF 28.4.5, as pairs (P_j, Q_j) of a0 = q^2 P(q^2)/Q(q^2), highest power
+# first (every P_j < 0, Q_j > 0), within 2.2 ulps.  Above, h = (a0 + 2q) z,
+# z = q^-1/2, which tends to 2 (DLMF 28.8.1): on each piece [lo, hi] of z
+# the Chebyshev interpolant at 33 Lobatto nodes of the 40-digit a0, cut
+# where the rest of its coefficients sum below 2e-16, in powers of
+# t = 2 (z - lo)/(hi - lo) - 1, highest first.  h is within 1e-15, and
+# 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.
 _A0_PADE = (
     (-4.382754104315206e-14, 1.082313291769662e-12),
     (-3.7828914530027274e-11, 3.589922214890107e-10),
@@ -94,9 +80,29 @@ _A0_PADE = (
     (-1.5659548034672843, 3.2412846069345687),
     (-0.5, 1.0),
 )
-_A0_LARGE_Q = (
-    (2, -2.0), (1, 2.0), (0, -1.0 / 4.0), (-1, -4.0 / 2.0**7), (-2, -48.0 / 2.0**12),
-    (-3, -848.0 / 2.0**17), (-4, -4752.0 / 2.0**20), (-5, -126752.0 / 2.0**25),
+_A0_BREAKS = (0.0, 0.125, 0.25, 0.4375, 0.6875)  # piece i: z in [B_i, B_i+1]
+_Q_PADE = _A0_BREAKS[-1] ** -2
+_A0_SERIES = (
+    (-1.1660106496985916e-12, -1.5386103588967074e-12, 2.003634720965816e-12,
+     2.7395932230867537e-12, -1.7629906749225295e-12, -3.9726883595229115e-12,
+     -2.3423598579548862e-11, -3.513858142744898e-10, -6.017297391818705e-09,
+     -1.2425274900216693e-07, -3.304155331977913e-06, -0.00013129261037256887,
+     -0.015878141637485396, 1.9842499653828154),
+    (-4.6628544490717125e-12, -4.273995869116785e-12, 6.969628515714e-11, 1.0118961356490348e-11,
+     -7.338577399522433e-10, 5.0210675140172194e-11, 7.592447136348816e-09, 7.100392388750071e-09,
+     -6.689531752259518e-08, -2.8330573943130877e-07, -5.888538257668618e-07,
+     -9.477813728801258e-07, -5.227114121187324e-06, -0.0001550185080521442,
+     -0.016447606552017005, 1.9519398562781303),
+    (2.1497112661445613e-11, -1.1896181553143745e-10, 1.1727853528922677e-10,
+     1.2900541724129112e-09, -6.6148721644731144e-09, 6.1791519468445135e-09,
+     7.725876568103033e-08, -3.4653273473426887e-07, -4.1545973540806864e-07,
+     6.6973001295194575e-06, 5.2816954837818084e-06, -0.00010514659528432827,
+     -0.00042294867337032107, -0.001104407166858158, -0.026520357137089796, 1.9095949582002159),
+    (-4.7976763030188445e-11, 2.1080466117277082e-10, -1.76939150582539e-10,
+     -4.1786022733535174e-10, 3.454816677747774e-09, -8.625405356974553e-08,
+     5.437056566540231e-07, 6.386407442455411e-07, -1.846714013794096e-05, 2.9622506117588224e-05,
+     0.00037396371933117687, -0.0007760392632336116, -0.009099735958396332, -0.05510971497183828,
+     1.8343415066579964),
 )
 
 
@@ -120,11 +126,10 @@ class EigenPair:
 
 @functools.lru_cache(maxsize=1)
 def _k2_grid(half_len):
-    """The read-only diagonal k^2 on k = -N..N, N = ``half_len``: the one
-    grid the designer, the Mathieu evaluator and ``min_eigenpair``'s check
-    share.  The last one is kept, so a run of solves on one grid builds it
-    once and the kernel recognises it by identity instead of comparing it
-    entry by entry."""
+    """The read-only diagonal k^2 on k = -N..N, N = ``half_len``, that the
+    designer, the Mathieu evaluator and ``min_eigenpair``'s check share: the
+    last one is kept, so a run of solves on one grid builds it once and the
+    kernel recognises it by identity, not entry by entry."""
     k = np.arange(-half_len, half_len + 1, dtype=float)
     grid = k * k
     grid.setflags(write=False)
@@ -133,13 +138,15 @@ def _k2_grid(half_len):
 
 def _laguerre_step(d, b2, s):
     """Laguerre's step from ``s`` toward the minimum of the even half ``d``,
-    from the sums of 1/(lam_j - s) and 1/(lam_j - s)^2, which the pivots'
-    -p'/p and -p''/p build up; None at a pivot <= 0, as in ``_solve``."""
-    piv = d[0] - s
+    from the sums of 1/(lam_j - s) and its square, which the pivots' -p'/p
+    and -p''/p build up, times p_0 = d_0 - s and its square, so that none
+    overflows near a tiny minimum (every pivot is at least lam_1 - s, by
+    interlacing); None at a pivot <= 0, as in ``_solve``."""
+    p0 = piv = d[0] - s
     if piv <= 0.0:
         return None
-    g, h = 1.0 / piv, 0.0
-    s1, s2 = g, g * g
+    g = s1 = s2 = 1.0
+    h = 0.0
     c2 = 2.0 * b2
     for di in d[1:]:
         t = c2 / piv
@@ -149,47 +156,41 @@ def _laguerre_step(d, b2, s):
             return None
         tp = t / piv
         h = tp * (h + 2.0 * g * g)
-        g = 1.0 / piv + tp * g
+        g = p0 / piv + tp * g
         s1 += g
         s2 += g * g + h
     n = len(d)
-    den = s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1)))
-    return n / den if den > 0.0 else 0.0
+    return p0 * (n / (s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1)))))
 
 
 def _start(b):
     """Where the climb at the coupling ``b`` starts: a lower estimate of the
     minimum of every even half, or -inf where its margin is not normal.
 
-    A half is similar to its symmetric form, couplings sqrt(2) b, b, ...,
-    a leading block of the infinite even operator, whose minimum is
-    a0(q)/4 at q = 4|b| (``mathieu``), so by Cauchy interlacing no half's
-    minimum lies below a0/4.  The estimate is a0/4 from ``_A0_PADE`` up to
-    q = 8, within 2.2 ulps of a0 up to q = 2.2 and below it beyond (2.8e-5
-    relative at q = 7.7), or from McLachlan's series above, which lies
-    above a0 by 0.35 q^-3 at q = 8, falling to 0.004 q^-3 from q ~ 50 on
-    (measured against a 40-digit a0).  The margin subtracted is 32 eps
-    (|a0/4| + 2|b|), eight rounding levels of the climb, and above q = 8
-    also 0.125 q^-3, McLachlan's error bound 0.5 q^-3 over 4.  It is normal
-    from |b| = 2^-976 (about 1.6e-294) on.  Below, 1/(lam_j - x) would
-    overflow in the first Laguerre step, which then returns 0: the climb
-    would stop at the start, and the shift a margin below the minimum
-    would spoil the tap v_1 ~ |b| v_0 by about margin/|b| = 64 eps
-    (1.4e-14 at |b| = 1e-300).  The climb starts from Gershgorin there."""
+    A half's symmetric form, couplings sqrt(2) b, b, ..., is a leading
+    block of the infinite even operator, whose minimum is a0(q)/4 at
+    q = 4|b| (``mathieu``), so by Cauchy interlacing no half's minimum lies
+    below it.  The estimate, from ``_A0_PADE`` or ``_A0_SERIES``, is within
+    2.2 ulps or 0.25e-15 sqrt(q) of a0/4; the margin, 32 eps (|a0/4| + 2|b|),
+    eight rounding levels of the climb, covers both.  Below |b| = 2^-976
+    (about 1.6e-294) it would lose bits to underflow: Gershgorin starts."""
     q = 4.0 * abs(b)
-    if q <= 8.0:
+    if q <= _Q_PADE:
         x = q * q
         p = r = 0.0
         for cp, cr in _A0_PADE:
             p, r = p * x + cp, r * x + cr
-        est, err = 0.25 * x * p / r, 0.0
+        est = 0.25 * x * p / r
     else:
         z = 1.0 / math.sqrt(q)
-        p = 0.0
-        for _, e in sorted(_A0_LARGE_Q):  # e z^(-n): in z, highest power first
-            p = p * z + e
-        est, err = 0.25 * p / (z * z), 0.125 * z**6
-    margin = err + 32.0 * _EPS * (abs(est) + 0.5 * q)
+        i = bisect_left(_A0_BREAKS, z, 1) - 1
+        lo, hi = _A0_BREAKS[i:i + 2]
+        t = 2.0 * (z - lo) / (hi - lo) - 1.0
+        h = 0.0
+        for c in _A0_SERIES[i]:
+            h = h * t + c
+        est = 0.25 * (h * z - 2.0) / (z * z)
+    margin = 32.0 * _EPS * (abs(est) + 0.5 * q)
     return est - margin if margin >= _TINY else -math.inf
 
 
@@ -220,31 +221,39 @@ def _climb(d, b):
     ``d`` = (0, 1, 4, ..., N^2), its inverse iterate and the window W: the
     shift, the ground state's half, unnormalised, and the rows the steps saw.
 
-    Laguerre steps on the rows 0..W-1 that ``_support`` keeps at eps^2
-    climb from ``_start``, a0(4|b|)/4 less its margin, which interlacing
-    puts below the minimum, or from the Gershgorin bound if that is higher,
-    until a step is at rounding, <= 4 eps (|x| + 2|b|): about 2 passes, the
-    first across the margin and the second at rounding.  If the first pass
-    finds a pivot <= 0, the start is a yes and the climb restarts from the
-    Gershgorin bound; so correctness never rests on the margin, as a start
-    below the minimum climbs to it monotonically and ``_solve`` certifies
-    the shift either way.  The point x + step the steps reach is the shift
-    if ``_solve`` goes through at it on all of ``d``.  Otherwise, as when a
-    step lands on a yes, the shift retreats from that point by w/16, w/8,
-    ..., w, with w the rounding level of the landing, and never below the
-    last iterate: it stays within a few ulps of the minimum and moves
-    smoothly with the matrix.  Every try sits eps*w lower, the same double
-    unless the shift is tiny, so lam - s, the inverse of an inverse
-    iterate's growth, is at least about eps*w >= 2^(e-103), with
-    2^(e-1) <= |s| + 2|b| < 2^e.  Where eps*w underflows (e < -971) it is
-    at least about 2^-1074 instead: s is then a negative double below
-    lam ~ -2b^2, which lies far closer to 0 than 2^-1074."""
+    Laguerre steps on the n = W rows that ``_support`` keeps climb from
+    x_0, ``_start`` or the Gershgorin bound if higher, both at or below
+    mu_1 = a0(q)/4, q = 4|b|; a start that is a yes restarts from
+    Gershgorin, so correctness never rests on the margin.  The first step L
+    lands if 4 (n-1) L <= g and 2 (n-1) L^3/g^2 <= eps (|x| + 2|b|), a
+    quarter of the rounding level; later steps go on until one is at
+    rounding.  Proof: let lam_1 < lam_2 <= ... be the window's eigenvalues
+    and delta = lam_1 - x_0.  Interlacing puts lam_j, j >= 2, at or above
+    the operator's second level mu_2, and mu_2 - mu_1 = (a2 - a0)/4 >= g =
+    max(1, sqrt(q)) (measured: 1 at q = 0, rising to 2 sqrt(q)).  With
+    u = 1/delta, A and B the sums of 1/(lam_j - x_0) and its square over
+    j >= 2, so A <= (n-1)/g and B <= (n-1)/g^2, P = (n-1) u - A and
+    E = n ((n-1) B - A^2) >= 0, Laguerre's step has 1/L - u =
+    (sqrt(P^2 + E) - P)/n <= (n-1) B/(2P), so the error delta - L <=
+    delta^2 (1/L - u) is at most (n-1) delta k^2/(2 (1 - k)), k = delta/g:
+    Li and Zeng's delta^3 B/2 with room; 1/L <= u + A gives delta <= 4L/3,
+    k <= 1/3 and the bound 2 (n-1) L^3/g^2.  So a start eight rounding
+    levels low lands unless n sqrt(q) passes about 1e13.
+
+    The shift is tried at w/4, w/2 and w below the point x reached, w =
+    4 eps (|x| + 2|b|), and at the last iterate; ``_solve`` on all of ``d``
+    refuses a try that rounding has carried onto a yes.  Every try sits
+    eps*w lower, so lam - s, the inverse of an inverse iterate's growth, is
+    at least about eps*w >= 2^(e-103), with 2^(e-1) <= |s| + 2|b| < 2^e, or
+    2^-1074 where eps*w underflows (e < -971): s is then a negative double
+    below lam ~ -2b^2, which lies far closer to 0."""
     b2 = b * b
     r = 2.0 * abs(b)
     floor = -r - 8.0 * _EPS * r  # the Gershgorin bound, a rounding level lower
     x = max(floor, _start(b))
     n = _support(abs(b), len(d), _TAIL)
     rows = d if n == len(d) else d[:n]
+    gap = max(1.0, 2.0 * math.sqrt(abs(b)))  # g = max(1, sqrt(q))
     unit = 1.0 / math.sqrt(2 * len(d) - 1)
     below = -math.inf
     for _ in range(_MAX_CLIMB):
@@ -254,15 +263,18 @@ def _climb(d, b):
                 x = floor  # the start is a yes: climb from Gershgorin
                 continue
             break  # rounding carried x onto a yes
+        first = below == -math.inf
         below = x
         x += step
         if step <= 4.0 * _EPS * (abs(below) + r):
             break
+        if first and 4 * (n - 1) * step <= gap and (
+                2 * (n - 1) * step**3 <= gap * gap * _EPS * (abs(x) + r)):
+            break  # landed
     if below == -math.inf:
         raise EigenConvergenceError(f"the Gershgorin bound {x!r} is not certified")
     w = 4.0 * _EPS * (max(abs(below), abs(x)) + r)
-    # a climb that ended on a yes skips m = 0, the point just refused
-    for m in (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, math.inf)[step is None:]:
+    for m in (0.25, 0.5, 1.0, math.inf):
         s = max(below, x - m * w) - _EPS * w
         c = max(math.frexp(abs(s) + r)[1] - 52, -1000)
         y = _solve(d, b, s, [math.ldexp(unit, c)] * len(d))
@@ -300,12 +312,9 @@ def _solve(d, b, s, y):
 
 
 def _residual_bound(value, scale):
-    """Residual norm an eigenpair of value ``value`` must meet.
-
-    The contract is 1e-10 * (1 + |value|) unless the matrix norm ``scale``
-    makes that tighter than 100 ulps of ||T||, which double precision
-    cannot beat; then the ulp floor 100 * eps * scale applies.
-    """
+    """The residual norm an eigenpair of value ``value`` must meet:
+    1e-10 * (1 + |value|), or 100 * eps * ``scale``, 100 ulps of ||T||, where
+    that is looser, as double precision cannot beat it."""
     return max(1e-10 * (1.0 + abs(value)), 100.0 * _EPS * scale)
 
 
@@ -316,27 +325,16 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     ``offdiag`` must be <= 0 with ||T|| = N^2 + 2|offdiag| finite and below
     2^256; anything else raises ``ValueError``.  The ground state is then
     even (the unique positive vector of a matrix that commutes with the
-    reversal), so it is solved on the rows k = 0..N alone and mirrored: the
-    returned vector is entrywise nonnegative with no sign fix-up and equals
-    its reverse bit for bit.  The residual contract, checked on all rows,
-    is ``max(1e-10 * (1 + |value|), 100 * eps * ||T||)``
-    (``_residual_bound``): the second term, 100 ulps of the matrix norm,
-    takes over where the first asks for more than double precision gives.
-    The vector comes from one inverse-iteration solve at a shift a few ulps
-    below the minimum, placed by a Laguerre climb; the solve's own pivots
-    certify the shift.  Its uniform start has norm at most 2^c,
-    c = max(e - 52, -1000) with e as in ``_climb``, and the solve
-    grows it by at most 1/(lam - s), which ``_climb`` bounds by 2^(103 - e):
-    the iterate stays below 2^(c + 103 - e), that is 2^51 until the clamp
-    binds and 2^74 at e = -971, and below 2^(1074 - 1000) = 2^74 where
-    eps*w underflows.  So it stays below about 2^74 at any coupling, while
-    the clamp keeps the start normal where |b| is subnormal.  The climb's
-    steps see only the rows 0..W-1 of the half past which Parlett's ratio
-    bound puts the ground state below eps^2; the solve that certifies the
-    shift, the vector and its residual use every row.  The pair's ``s`` is
-    that shift (0 where b = 0 or N = 0, with no solve).
-    Raises :class:`EigenConvergenceError` if no certified shift is found or
-    the solve's residual misses the contract.
+    reversal): it is solved on the rows k = 0..N and mirrored, entrywise
+    nonnegative and equal to its reverse bit for bit.  It comes from one
+    inverse-iteration solve at the shift ``_climb`` certifies, from a
+    uniform start of norm at most 2^c, c = max(e - 52, -1000) with e as in
+    ``_climb``, grown by at most 1/(lam - s) <= 2^(103 - e), or 2^1074 where
+    eps*w underflows: below about 2^74 at any coupling, and the clamp keeps
+    the start normal where |b| is subnormal.  Its residual, on all rows,
+    must meet max(1e-10 (1 + |value|), 100 eps ||T||) (``_residual_bound``),
+    or :class:`EigenConvergenceError` is raised, as where no certified
+    shift is found.  The pair's ``s`` is the shift (0 where b = 0 or N = 0).
     """
     darr = np.asarray(diag, dtype=float)
     n = darr.size
@@ -359,9 +357,6 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec.setflags(write=False)
         return EigenPair(0.0, vec, 0.0, 0.0)
 
-    # T - shift I is a nonsingular M-matrix: the one solve that certifies
-    # the shift, from a uniform start of norm 2^c at most, keeps the iterate
-    # below about 2^74
     s, y, rows = _climb(darr[half_len:].tolist(), b)
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)

@@ -45,23 +45,6 @@ from .eigen import _MAX_HALF_LEN, EigenPair, _k2_grid, _support, min_eigenpair
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
 _TAIL_AMP = 1e-12
-# The designer seeds its root search from b = -a0'(q)/2: up to q ~ 6 from
-# the [14/14] Pade approximant of b/q in q^2, exact from DLMF 28.4.5, as
-# b = q P(q^2)/Q(q^2) (highest power first, all of Q positive); above, from
-# McLachlan's large-q a0, ``eigen._A0_LARGE_Q``.  Each ground solve starts
-# its climb from a0 itself, by the kernel's own table (``eigen._start``).
-_B_PADE_P = (
-    4.5162801786547814e-14, 3.9274733180564095e-11, 5.745560167428043e-09,
-    3.3191580979899703e-07, 1.0008768594541483e-05, 0.00018066984447029873,
-    0.0021103883255568566, 0.016709007689589717, 0.09205369371427105, 0.3567075678904118,
-    0.9684680548869624, 1.8031368154185803, 2.1925049584565626, 1.5679004325529287, 0.5,
-)
-_B_PADE_Q = (
-    2.0512757255961307e-12, 6.366471566872816e-10, 5.819723644871496e-08, 2.47175299692182e-06,
-    5.924283456818704e-05, 0.0008898952867795592, 0.008915733523715299, 0.061862495026783336,
-    0.3035229785147452, 1.0606533207879816, 2.6230794461988136, 4.4852697371354315,
-    5.043297085321698, 3.3545508651058573, 1.0,
-)
 
 
 class MathieuGridError(RuntimeError):

@@ -320,7 +320,7 @@ def a0_small_q_series(terms: int) -> list[Fraction]:
     return a[2::2]
 
 
-def a0_reference(q: float) -> Decimal:
+def a0_reference(q) -> Decimal:
     """a0(q) to 40 digits, by Newton's method in 60-digit decimal arithmetic
     on the characteristic equation that the recurrence of DLMF 28.4.5 gives
     as a continued fraction,
@@ -332,9 +332,14 @@ def a0_reference(q: float) -> Decimal:
     F rises between its poles, the smallest of which lies above a0, and
     F' = 1 + 2q^2 D_1' / D_1^2 with D_m' = 1 + q^2 D_(m+1)' / D_(m+1)^2.
     Newton starts from LAPACK's smallest eigenvalue of the same rows in
-    double precision, 4m^2 on the diagonal with couplings sqrt(2) q, q, ...
+    double precision, 4m^2 on the diagonal with couplings sqrt(2) q, q, ...,
+    or above q = 1e4, where those rows grow past a hundred, from
+    ``mclachlan_a0``, which is closer still there.  A ``Decimal`` q is
+    used exactly, so that a table can be built at nodes that are not
+    doubles; a float is read as the exact value it holds.
     """
-    q = abs(float(q))
+    qd = abs(Decimal(q))
+    q = float(qd)
     if q == 0.0:
         return Decimal(0)
     m, amp = math.isqrt(int(q / 2.0)) + 1, 1.0  # rows k with k^2 > q/2 = 2|b|
@@ -342,13 +347,16 @@ def a0_reference(q: float) -> Decimal:
         amp *= (q / 4.0) / (m * m - q / 4.0)
         m += 1
     top = m + 4
-    off = np.full(top, -q)
-    off[0] *= math.sqrt(2.0)
-    diag = 4.0 * np.arange(top + 1, dtype=float) ** 2
-    a = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0])
+    if q > 1e4:
+        a = mclachlan_a0(q)
+    else:
+        off = np.full(top, -q)
+        off[0] *= math.sqrt(2.0)
+        diag = 4.0 * np.arange(top + 1, dtype=float) ** 2
+        a = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0])
     with localcontext() as ctx:
         ctx.prec = 60
-        q2 = Decimal(q) ** 2
+        q2 = qd * qd
         x = Decimal(a)
         for _ in range(20):
             d, dp = x - 4 * top * top, Decimal(1)
@@ -356,7 +364,7 @@ def a0_reference(q: float) -> Decimal:
                 d, dp = x - 4 * j * j - q2 / d, 1 + q2 * dp / (d * d)
             step = (x - 2 * q2 / d) / (1 + 2 * q2 * dp / (d * d))
             x -= step
-            if abs(step) <= Decimal("1e-45") * (abs(x) + Decimal(q)):
+            if abs(step) <= Decimal("1e-45") * (abs(x) + qd):
                 return +x
     raise ArithmeticError(f"Newton's method for a0({q!r}) did not converge")
 

@@ -1,17 +1,15 @@
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import a0_small_q_series, jacobi_eigh, pade, tridiag_dense
+from helpers import jacobi_eigh, tridiag_dense
 
 from compactseq.design import (
     CurvePoint,
     DesignResult,
     UnattainableSpreadError,
-    _B_LARGE_Q,
     _ground,
     _seed,
     design_max_compact,
@@ -20,7 +18,6 @@ from compactseq.design import (
 from compactseq.bounds import eta_lower, eta_upper
 from compactseq.cli import main
 from compactseq.eigen import _residual_bound, min_eigenpair
-from compactseq.mathieu import _B_PADE_P, _B_PADE_Q
 from compactseq.spreads import measure
 
 
@@ -329,52 +326,6 @@ _EPS = np.finfo(float).eps
 _K2_LINE = np.arange(-300.0, 301.0) ** 2  # long enough to be the whole line here
 
 
-def _pade_b(q):
-    x = q * q
-    return q * np.polyval(_B_PADE_P, x) / np.polyval(_B_PADE_Q, x)
-
-
-def test_series_b_agrees_with_the_kernel():
-    # the rational b = q P(q^2)/Q(q^2) at q = 2 l1 is never below the
-    # kernel's b beyond rounding, so its root lies at or below b's; it is
-    # above by at most 1.2e-14 for q <= 2.5, 1.8e-12 at q = 3, 1.3e-9 at 4
-    # and 3e-6 at 6.4, where alpha = 0.8 (measured; under 4.1e-6 (q/6.4)^16
-    # beyond rounding).
-    # From McLachlan's series it lies above by about its first omitted
-    # term, 0.006 q^-4 at large q (measured).  Below q ~ 50 that series'
-    # later terms dominate, up to 1.1 q^-4 at q = 6.25 (alpha = 0.8), and
-    # only the sign is checked there
-    for q in np.linspace(0.05, 6.4, 28):
-        b = _ground(_K2_LINE, 0.5 * q)[1]
-        excess = _pade_b(q) - b
-        assert -4.0 * _EPS * b <= excess <= 5e-6 * (q / 6.4) ** 16 + 4.0 * _EPS * b, q
-        if q <= 2.5:
-            assert excess <= 1.2e-14, q
-    for h in np.geomspace(2.5, 40.0, 12):
-        b = _ground(_K2_LINE, 0.5 * h * h)[1]
-        excess = np.polyval(_B_LARGE_Q, 1.0 / h) - b
-        assert excess >= -4.0 * _EPS, h
-        if h >= 7.0:
-            assert excess <= 0.01 * h**-8 + 4.0 * _EPS, h
-
-
-def test_the_pade_coefficients_are_exact():
-    # a0's small-q series from DLMF 28.4.5 in exact arithmetic: its first
-    # five terms are DLMF 28.6.1's, and the [14/14] Pade approximant of
-    # b/q = -a0'(q)/(2q) in q^2 rounds to the checked-in floats, bit for
-    # bit.  Every denominator coefficient is positive, so Q >= 1 on
-    # q^2 >= 0 and the rational b has no pole there
-    a0 = a0_small_q_series(30)
-    assert a0[:5] == [Fraction(-1, 2), Fraction(7, 128), Fraction(-29, 2304),
-                      Fraction(68687, 18874368), Fraction(-123707, 104857600)]
-    b_over_q = [-j * c for j, c in enumerate(a0, start=1)]
-    num, den = pade(b_over_q, 14, 14)
-    assert den[0] == 1 and all(c > 0 for c in den)
-    assert len(_B_PADE_P) == len(_B_PADE_Q) == 15
-    for exact, checked_in in ((num, _B_PADE_P), (den, _B_PADE_Q)):
-        assert [float(c).hex() for c in exact[::-1]] == [c.hex() for c in checked_in]
-
-
 def test_the_seed_is_the_root_up_to_alpha_077():
     # up to alpha = 0.77 the rational seed is within 1e-6 of the lambda1
     # at which a 401-tap design stops (4e-7 at 0.77, 2e-10 up to 0.7)
@@ -399,6 +350,28 @@ def test_the_seed_lies_below_the_root_and_above_the_limits():
         assert s >= math.log(alpha), alpha
         if alpha >= 0.2:
             assert s >= math.log(max(alpha, 0.125 / (1.0 - alpha) ** 2)), alpha
+
+
+def test_the_seed_is_the_root_on_the_line_up_to_alpha_099():
+    # the seed, b's root from the kernel's a0, is within 1e-9 of the
+    # lambda1 at which a 2001-tap design stops (8e-15 at most, measured)
+    alphas = np.concatenate([np.geomspace(1e-6, 0.2, 8, endpoint=False),
+                             np.linspace(0.2, 0.99, 24)])
+    for alpha in alphas.tolist():
+        res = design_max_compact(1.0 / alpha**2 - 1.0, 2001)
+        assert abs(math.exp(_seed(alpha)) / res.lambda1 - 1.0) <= 1e-9, alpha
+
+
+def test_one_ground_solve_per_design_up_to_alpha_099(monkeypatch):
+    # the seed passes the stopping test at once on 201 taps (up to about
+    # alpha = 0.999, past which the grid's reach moves the root)
+    calls = _counting_solves(monkeypatch)
+    alphas = np.concatenate([np.geomspace(1e-6, 0.2, 8, endpoint=False),
+                             np.linspace(0.2, 0.99, 40)])
+    for alpha in alphas.tolist():
+        calls.clear()
+        design_max_compact(1.0 / alpha**2 - 1.0, 201)
+        assert len(calls) == 1, alpha
 
 
 @pytest.mark.parametrize("above", [1e-2, 1e-8])

@@ -388,6 +388,15 @@ def test_min_eigenvalue_concave_in_lam1():
         assert f(b) >= chord - 1e-10
 
 
+def test_laguerre_step_does_not_overflow_near_a_tiny_minimum():
+    # 2e-300 below the minimum 0 of diag(0, 1, 4): the squared sums of
+    # 1/(lam_j - s) would overflow, and the step then passed the minimum
+    # (it returned 6e-300); scaled by the first pivot it lands on it
+    assert eigen._laguerre_step([0.0, 1.0, 4.0], 0.0, -2e-300) <= 2e-300
+    # and where 1/(lam_1 - s) itself would overflow, it still steps
+    assert eigen._laguerre_step([0.0, 1.0, 4.0], 0.0, -1e-320) == 1e-320
+
+
 def test_climb_shift_is_a_few_rounding_levels_below_the_minimum():
     # the climb's shift and the minimum bracket the ground value to a few
     # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({1, 0, 1}, -1),

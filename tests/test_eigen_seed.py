@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from helpers import even_ground_pair, has_eigenvalue_below, log_amplitudes  # noqa: E402
 
@@ -133,3 +133,31 @@ def test_window_holds_the_ground_state(case):
     lam, _ = even_ground_pair(diag, offdiag, eigh=np.linalg.eigh)
     logv = log_amplitudes(half, offdiag, lam)
     assert np.all(logv[w:] < 2.0 * math.log(eigen._EPS))
+
+
+def _smallest_yes(d, b2, lo):
+    """The smallest double at which the even half ``d`` has an eigenvalue
+    at or below, by bisection on the Sturm test from the no ``lo``."""
+    hi = 0.0  # d_0 = 0: a yes
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if has_eigenvalue_below(d, b2, mid) else (mid, hi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.floats(-320.0, 2.0), st.floats(-323.0, 2.0))
+@example(3, -400.0, math.log10(2e-300))  # b = 0, 2e-300 below the minimum 0
+def test_a_laguerre_step_never_passes_the_minimum(n, log_b, log_below):
+    # short halves at couplings down to 1e-320, where b^2 underflows, from
+    # a point below the smallest yes, down to 1e-323 below it: the step
+    # lands at or below that yes to within a few rounding levels
+    d = [float(i * i) for i in range(n)]
+    b = 10.0**log_b
+    yes = _smallest_yes(d, b * b, -2.5 * b - 5e-324)
+    x = yes - 10.0**log_below
+    assume(x < yes)
+    step = eigen._laguerre_step(d, b * b, x)
+    assert step is not None and math.isfinite(step)
+    assert x + step <= yes + 16.0 * n * eigen._EPS * (abs(yes) + abs(x) + 2.0 * b)

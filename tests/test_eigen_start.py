@@ -1,11 +1,12 @@
-"""The rational start of the kernel's Laguerre climb.
+"""The start of the kernel's Laguerre climb.
 
 ``eigen._start`` estimates a0(q)/4 at q = 4|b|, the minimum of the
-infinite even operator, from a [14/14] Pade approximant up to q = 8 and
-McLachlan's series above, and subtracts a margin.  Interlacing puts every
-grid's minimum at or above a0/4, so the start lies below it, and the
-climb from there takes about 2 Laguerre passes where the Gershgorin bound
-took about 4.  A start that is a yes falls back to Gershgorin.
+infinite even operator, from a [14/14] Pade approximant up to
+q = (16/11)^2 and from the Chebyshev table ``eigen._A0_SERIES`` above
+(checked in ``test_a0_table.py``), and subtracts a margin.  Interlacing
+puts every grid's minimum at or above a0/4, so the start lies below it,
+and the climb lands from there in one Laguerre pass, where the Gershgorin
+bound took about 4.  A start that is a yes falls back to Gershgorin.
 """
 
 import math
@@ -70,6 +71,29 @@ def test_the_climb_takes_about_two_passes(monkeypatch):
         mathieu.char_value_a0(q)
     assert counts["solves"] == len(_QS)
     assert counts["passes"] <= 2.3 * counts["solves"]
+
+
+def test_one_pass_lands_and_one_solve_certifies(monkeypatch):
+    # the first step from the start lands, and the shift a quarter rounding
+    # level below it goes through: 1.00 Laguerre pass and 1.00 certifying
+    # solve per solve on these grids (2.02 and 1.157 when every climb took
+    # a confirming pass and the shift was tried at the landing first)
+    counts = {"solves": 0, "passes": 0, "certify": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
+    monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
+    monkeypatch.setattr(eigen, "_solve", counting("certify", eigen._solve))
+    for q in _QS:
+        mathieu.char_value_a0(q)
+    assert counts["solves"] == len(_QS)
+    assert counts["passes"] <= 1.05 * counts["solves"]
+    assert counts["certify"] <= 1.01 * counts["solves"]
 
 
 def test_a_start_above_the_minimum_falls_back_to_gershgorin(monkeypatch):
