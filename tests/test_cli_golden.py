@@ -84,34 +84,34 @@ SEQ_OUTPUT_CASES = [
 ]
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "2746c7b51eecab4076cf11f02519880457ff0af641de64e3c9a9da5a6942ce85",
-    "design --sigma2 3e-4 --taps 201 --format csv": "2b160d475aa1637725302db414cdb32d233c0bd51d69d9a1e623df31696e0e57",
-    "design --sigma2 3e-4 --taps 1001 --format json": "04b3e3122be702473a47be457f720ff179e532f59ed9f02b0c6775cb06b6f391",
-    "design --sigma2 3e-4 --taps 1001 --format csv": "12afe7c09e49ab043e8c130a27ac07179edfb02e76da8310b68b78774b20d0a0",
-    "design --sigma2 1e-3 --taps 201 --format json": "1e923773bdc14d71a6666c6ac5e1d4d23b1d1b4a0b921f3d63f270e5ea1886c5",
-    "design --sigma2 1e-3 --taps 201 --format csv": "d6c666c40836c533b27df73f975aaa9073142cc31bb511641dc9357c8785ea66",
-    "design --sigma2 1e-3 --taps 1001 --format json": "054e1a745e99f6fdab41f6d7bddb37c2c7e99a6ffc2c6c09bd4e842cca37106e",
-    "design --sigma2 1e-3 --taps 1001 --format csv": "79cdd1be4e95aede97023fb6f31643788f54bdd9abc1bcada8d420b784e18094",
-    "design --sigma2 0.1 --taps 201 --format json": "f83e9aa78d147be55427d0ce7aafbfee1264094de4002f3a02d3b0883bf64718",
-    "design --sigma2 0.1 --taps 201 --format csv": "5ccdcc59a67d8a6da7feffe93cd8a9725f77acb754b61cca70b48b8c36cb063e",
-    "design --sigma2 0.1 --taps 1001 --format json": "ee8abe2c8b689ba84a63f19f7aec7cc1be8f522cfb36f187e3db5f4b119eeecb",
-    "design --sigma2 0.1 --taps 1001 --format csv": "e3ceddf19cd12c31205a9688bccce61eda3f75ede2ef58e30c2c4f7660b2554d",
-    "design --sigma2 10 --taps 201 --format json": "9b60486b2f5e2d1f77c8f237b432d889fa9567b5f24635c98f2672b2c94332da",
-    "design --sigma2 10 --taps 201 --format csv": "b675f307188183afbf011c5f8e6a624c9e6f51e90b304a96b8206c57cacdca52",
-    "design --sigma2 10 --taps 1001 --format json": "b4a8c55917bd93e327183ff8c8299f0fd35921170790f1710897951ec1125ef7",
-    "design --sigma2 10 --taps 1001 --format csv": "1956a81f341b11956efb29a5228f43a347c58213ee52afb87b945bc59ebd99af",
-    "design --sigma2 0.1 --taps 2001": "c16d397b7fecae05c83f8a8cab193aea80cbd47185b9b5783387816e5e44d8ae",
-    "design --sigma2 1e300 --taps 5": "3d8e4ee5e747461072a9b17e843195f558b300db5d63a41b71f54fff7a9ed862",
-    "curve --format csv": "e82cc55e6a27488a0a05fdf1f0181af642fd90ba83dad70d3e7c1c172be81ee9",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "541b98967c25383d2afaba673a78697ba6bf4a714b608c3a8f2e1a1501107685",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "7479e599e1c9f7d687f9ca1cb88a95343eb887ad4892330840501aa4ea10e9e3",
-    "curve --format json": "3f5b8c293c3cb23c58d0d29ecaec2c0265d57458885df284046ac0e31c8e243c",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "351fded60c8e491bec2a2a6f2aaad961009159f53144ff178d0bc6b7da821c29",
-    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "8537420b51f9681bdc5f458d5fce5a62d7b2139fe5e2e1d95b90ed56a4420dbf",
-    "mathieu": "97b2eeec6141ce63cce6f16c5a86542d9103a0b5ae7c83d1028a368184696000",
-    "mathieu --q -2.5": "1951ee356276d7b56dc77fdb6a3b1012e08ec5ce06b46deddd403a217e656650",
-    "mathieu --grid 1e-300:1e6:7:log": "fe4504e6efa70895c9397288631ff076e89aeeb80ee51993f08dcd80ed81fedd",
-    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "6e6f5a21653240f93a172240bbe7ad3cdd50d4d4375296e7c934f0404c4892e3",
+    "design --sigma2 3e-4 --taps 201 --format json": "cf61ba0ff6bec2dee0014dc6764b2570f39cbea56c6545cd8ce9778929050b8c",
+    "design --sigma2 3e-4 --taps 201 --format csv": "a6bf290ce73c1cf95c396a719fe9d63397b8b5ace56e613488e5e1aa52956009",
+    "design --sigma2 3e-4 --taps 1001 --format json": "39fc22dfe4b22b5d3ce9c9c197f4f3593107275c1797036e7dddf1496ae23c6b",
+    "design --sigma2 3e-4 --taps 1001 --format csv": "d72447d028c685c07b2647a337dda2b807a884129a97d7622d8847465f758e55",
+    "design --sigma2 1e-3 --taps 201 --format json": "4ed2e1b12613790e4f5af713d05482bffa86c8a0f82d15cbc94e005568f6b1b0",
+    "design --sigma2 1e-3 --taps 201 --format csv": "45b79b6b687587a99b97ee5c499210bbc537261a37cd531b53e48aacad175cff",
+    "design --sigma2 1e-3 --taps 1001 --format json": "7c262e3a13b5f6e0707b856143434b0e02cc665d0470bd33440a657eae1dbb9f",
+    "design --sigma2 1e-3 --taps 1001 --format csv": "1ae75a5cff6c60c0247c6ea9e51292c6b243c7618fba19ad6b954e9a6759a158",
+    "design --sigma2 0.1 --taps 201 --format json": "ee5c9b5d1dc6e48ae259b60a84b4059cd6503322d28be2fcf57a8c7b79df16c7",
+    "design --sigma2 0.1 --taps 201 --format csv": "1cb5d9ad494db4acda0a2207509f107ce346752d365d4e04b5831489c1d0075c",
+    "design --sigma2 0.1 --taps 1001 --format json": "690ffe80fa279ec0f9c9c0a60d42c5e364ad100c03d3b1586eace98e84cf82ba",
+    "design --sigma2 0.1 --taps 1001 --format csv": "a99edf5ef08234b54bd0755b098187ea0df1186017a7e3038e9b6f66e35c2a1d",
+    "design --sigma2 10 --taps 201 --format json": "18d508e3d83df11407446ccd20931715c48ac6dd6d3be70f9e59661c1e48de14",
+    "design --sigma2 10 --taps 201 --format csv": "75f3956e9a3a8a6daa87d9b8fcc9fadbe2fa11a7cc810a81b2112c9422d9f17f",
+    "design --sigma2 10 --taps 1001 --format json": "27a1f1278a9c76b581b34561dd5934d193999498d45d629aebab70fdd0ee634f",
+    "design --sigma2 10 --taps 1001 --format csv": "25e52a9655c4c8dc60a1a9bbf7c6547e027f697c6ecd47ae9f7fd159cc430f54",
+    "design --sigma2 0.1 --taps 2001": "07bd63e865ffcbce38f8c1078d864747be5af9cfb48068f2436eccffa35491a7",
+    "design --sigma2 1e300 --taps 5": "76e866e2d19d0a14fddb57ace13e1337b37ec490b35f8b89fb106fcc253e7dce",
+    "curve --format csv": "6f1337c7ab88955599c06e2bab1e9c9ef50f8ed912fda8c4b0d1dab32204644c",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "ce8063e248fab2763e930e826bb7ead7101414dfb334a04104021e2a9fa5460c",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "56449e3c6f980cd690a083638040434cfeefb160a6c30f08d661fbd538f9faff",
+    "curve --format json": "d37dd2d37fedc0155a4eadafe6182c3e984c115fe52fc92a82d62db86b5d37ec",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "7a5528960fbf8921b60a5f2e90596c3d8e5d011287786d398c72b240d8ade368",
+    "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "67555d6667d00bea6d957673b19041b3625481b01a1be76ebb43e4d74d5acc47",
+    "mathieu": "f3397ec212e92c303c662422c27e6c79fdf1d23df346205cca331fb6e4bc5ab4",
+    "mathieu --q -2.5": "e8166e86a506a9f66afb19d1b25caabf4eebef18afd2831b603aea1088cc6ef9",
+    "mathieu --grid 1e-300:1e6:7:log": "fe1e6e1764c7ba87f2f1c98e29e3050f3c400c80dd16448bbb3a722ea6835635",
+    "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "2f14b0cf748f38439536ddddb7ccc031929cb2abb0b55cf83b49f8bbb697dd80",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",
     "analyze --input ex1.seq --format csv": "7d7b33eaf9b837a1c04ce2e0090dca196e83c0690ac6bb6b4bcf1d2c4c5be421",
@@ -123,9 +123,9 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "design --sigma2 0.1 --taps 201 --seq-output": "134a14dca8f24596e2faa5d4c9d7331a70a96467d617293cf159b489020b2df0",
-    "design --sigma2 0.1 --taps 2001 --seq-output": "297386bb185bcb80d3010b08c5f990e8d7f6e1b4baa10e2996e1b0a32be38d25",
-    "design --sigma2 1e300 --taps 5 --seq-output": "4fbc5eb50f29f8ebdd848d1c7fde424d781f3b6be479d39610a05900bbab210d",
+    "design --sigma2 0.1 --taps 201 --seq-output": "b52ff11617a4a62d40a0c5d63d860c9fb7631c5f9f83d7349f292ad4d41ed9f6",
+    "design --sigma2 0.1 --taps 2001 --seq-output": "ca0177b6e4f4e24e03d63f2698d09f91a40159aafd1687bf172aa2a9f0f8232e",
+    "design --sigma2 1e300 --taps 5 --seq-output": "befe43790d4f5e84707496e43011df3c916e4d28e6270d19f8736ed7fe3059ac",
 }
 
 
