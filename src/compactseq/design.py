@@ -173,10 +173,10 @@ def _b_less(q, alpha):
 
 def _seed(alpha):
     """log(l1) where b = alpha at q = 2 l1, by ``_b_less``, at or below the
-    root: b is concave and rising in q, so Newton steps land below the root
-    after the first and then climb.  They start from the root's small- and
-    large-q series, 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
-    (DLMF 28.6.1, 28.8.1), and stop after a step below 1e-8 q: the error
+    root to rounding: b is concave and rising in q, so Newton steps land
+    below the root after the first and climb, from the root's small- and
+    large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
+    (DLMF 28.6.1, 28.8.1), until a step is below 1e-8 q, as the error then
     left, |b''/(2b')| step^2 <= step^2/q here, is below rounding."""
     q = 2.0 * alpha * (1.0 + 0.875 * alpha * alpha)
     if alpha >= 0.68:
