@@ -230,7 +230,7 @@ def _climb(d, b):
     rounding.  Proof: let lam_1 < lam_2 <= ... be the window's eigenvalues
     and delta = lam_1 - x_0.  Interlacing puts lam_j, j >= 2, at or above
     the operator's second level mu_2, and mu_2 - mu_1 = (a2 - a0)/4 >= g =
-    max(1, sqrt(q)) (measured: 1 at q = 0, rising to 2 sqrt(q)).  With
+    max(1, sqrt(q)) (measured: 1 at q = 0, to 2 sqrt(q) - 3/4 at large q).  With
     u = 1/delta, A and B the sums of 1/(lam_j - x_0) and its square over
     j >= 2, so A <= (n-1)/g and B <= (n-1)/g^2, P = (n-1) u - A and
     E = n ((n-1) B - A^2) >= 0, Laguerre's step has 1/L - u =

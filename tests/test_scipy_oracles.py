@@ -2,11 +2,13 @@
 scipy is not a runtime dependency; these tests skip where it is not
 installed."""
 
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("scipy")
-from scipy.linalg import eigh_tridiagonal  # noqa: E402
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal  # noqa: E402
 from scipy.special import mathieu_a, mathieu_cem  # noqa: E402
 
 from compactseq.eigen import min_eigenpair  # noqa: E402
@@ -29,6 +31,19 @@ def test_ce0_matches_scipy_mathieu_cem(q, grid):
     thetas = _parse_grid(grid)
     want = mathieu_cem(0, q, np.degrees(thetas))[0]
     assert ce0(q, thetas).values.tolist() == pytest.approx(want.tolist(), rel=1e-13, abs=0.0)
+
+
+def test_the_even_gap_holds_past_the_dense_check():
+    # (a2 - a0)/4 >= max(1, sqrt(q)), on which eigen._climb's one-step
+    # landing rests, from q = 1e5, where test_a0_table.py's dense check
+    # ends, to 1e11: it tends to 2 sqrt(q) - 3/4 (DLMF 28.8.1)
+    for q in np.geomspace(1e5, 1e11, 13).tolist():
+        rows = int(math.sqrt(q / 2.0) + 10.0 * q**0.25) + 40
+        off = np.full(rows - 1, -q)
+        off[0] *= math.sqrt(2.0)
+        diag = 4.0 * np.arange(rows, dtype=float) ** 2
+        a0, a2 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+        assert (a2 - a0) / 4.0 >= math.sqrt(q), q
 
 
 @pytest.mark.parametrize("n", [3, 41, 201, 999])
