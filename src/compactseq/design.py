@@ -19,7 +19,7 @@ safeguarded Newton steps in log(l1) on log(b / (b_sup - b)), which is
 close to linear in log(l1) for small, large and grid-limited l1 alike,
 with the exact slope b'(l1) of :func:`compactseq.eigen.form_slope`.  Its
 seed is the root of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4)
-from the kernel's a0, so a design takes one ground solve up to alpha ~ 0.999
+from ``eigen._a0``, so a design takes one ground solve up to alpha ~ 0.999
 and about 1.35 over a sweep to the grid's reach.  The
 optimal sequence is the ground state itself: symmetric, entrywise
 positive, and unit norm by construction.
@@ -39,17 +39,13 @@ check the pencil against dense oracles.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import (
-    _A0_BREAKS, _A0_PADE, _A0_SERIES, _MAX_HALF_LEN, _Q_PADE, _k2_grid, form_slope,
-    min_eigenpair,
-)
-from .sequence import Sequence
+from .eigen import _MAX_HALF_LEN, _a0, _k2_grid, form_slope, min_eigenpair
+from .sequence import Sequence, _whole
 
 __all__ = [
     "UnattainableSpreadError",
@@ -136,48 +132,21 @@ def _logit(b, b_sup):
     return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
 
 
-def _horner(coeffs, x):
-    """p(x), p'(x) and p''(x)/2 of the polynomial ``coeffs``, highest power
-    first."""
-    p = dp = ddp = 0.0
-    for c in coeffs:
-        ddp = ddp * x + dp
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp, ddp
-
-
-_PADE_N = tuple(p for p, _ in _A0_PADE) + (0.0,)  # a0 = N(x)/Q(x), x = q^2, N = x P(x)
-_PADE_Q = tuple(r for _, r in _A0_PADE)
-
-
 def _b_less(q, alpha):
-    """b - alpha and its q-derivative for b = -a0'(q)/2 from eigen's a0:
-    the Pade's up to q = (16/11)^2, and above 1 - b = z (h - z h')/4 from
-    ``_A0_SERIES``, z = q^-1/2, taken 1e-13 of itself low, its error bound."""
-    if q <= _Q_PADE:
-        x = q * q
-        u, u1, u2 = _horner(_PADE_N, x)
-        r, r1, r2 = _horner(_PADE_Q, x)
-        d1 = (u1 * r - u * r1) / (r * r)  # (N/Q)', so b = -q (N/Q)'
-        d2 = (2.0 * (u2 * r - u * r2) / r - 2.0 * r1 * d1) / r
-        return -q * d1 - alpha, -d1 - 2.0 * x * d2
-    z = 1.0 / math.sqrt(q)
-    i = bisect_left(_A0_BREAKS, z, 1) - 1
-    lo, hi = _A0_BREAKS[i:i + 2]
-    k = 2.0 / (hi - lo)
-    h, h1, h2 = _horner(_A0_SERIES[i], k * (z - lo) - 1.0)
-    g = h - k * z * h1
-    return (1.0 - alpha) - 0.25 * z * g * (1.0 - 1e-13), 0.125 * z**3 * (g - 2 * (k * z)**2 * h2)
+    """b - alpha and b'(q) for b = -a0'(q)/2 from ``eigen._a0``: where
+    b >= 1/2 as (1 - alpha) - (1 - b), which keeps the bits of 1 - b near 1
+    and, for alpha >= 1/2, rounds as b - alpha (both differences exact)."""
+    _, b, omb, db = _a0(q)
+    return (b - alpha if b < 0.5 else (1.0 - alpha) - omb), db
 
 
 def _seed(alpha):
-    """log(l1) where b = alpha at q = 2 l1, by ``_b_less``, at or below the
-    root to rounding: b is concave and rising in q, so Newton steps land
-    below the root after the first and climb, from the root's small- and
-    large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
+    """log(l1) where b = alpha at q = 2 l1, from ``eigen._a0`` by ``_b_less``,
+    at or below the root to rounding: b is concave and rising in q, so Newton
+    steps land below the root after the first and climb, from the root's small-
+    and large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
     (DLMF 28.6.1, 28.8.1), until a step is below 1e-8 q, as the error then
-    left, |b''/(2b')| step^2 <= step^2/q here, is below rounding."""
+    left, |b''/(2b')| step^2 <= step^2/q, is below rounding."""
     q = 2.0 * alpha * (1.0 + 0.875 * alpha * alpha)
     if alpha >= 0.68:
         q = 0.25 / (1.0 - alpha) ** 2 + 0.03125
@@ -241,9 +210,7 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     b, inside the bracket that the signs of b - alpha give (``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
-    if taps != int(taps):
-        raise ValueError("taps must be an integer")
-    taps = int(taps)
+    taps = _whole(taps, "taps")
     if taps < 5 or taps % 2 == 0:
         raise ValueError("taps must be odd and >= 5")
     if taps > 2 * _MAX_HALF_LEN + 1:

@@ -62,7 +62,8 @@ _TINY = float(np.finfo(float).tiny)
 # the Chebyshev interpolant at 33 Lobatto nodes of the 40-digit a0, cut
 # where the rest of its coefficients sum below 2e-16, in powers of
 # t = 2 (z - lo)/(hi - lo) - 1, highest first.  h is within 1e-15, and
-# 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.
+# 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.  ``_a0`` is
+# the one reader, for the climb's start and the designer's seed.
 _A0_PADE = (
     (-4.382754104315206e-14, 1.082313291769662e-12),
     (-3.7828914530027274e-11, 3.589922214890107e-10),
@@ -163,6 +164,36 @@ def _laguerre_step(d, b2, s):
     return p0 * (n / (s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1)))))
 
 
+def _a0(q):
+    """a0(q), b = -a0'(q)/2, 1 - b and b'(q) for q >= 0 from the table, its
+    one reader: up to q = (16/11)^2 the Pade's a0 = N/Q, N = x P(x),
+    x = q^2, and above it h's series in t = k (z - lo) - 1, k = 2/(hi - lo),
+    with a0 = (h z - 2)/z^2, 1 - b = z (h - z h')/4 taken 1e-13 of itself
+    low, its error bound, and b = 1 - (1 - b)."""
+    if q <= _Q_PADE:
+        x = q * q
+        p = p1 = p2 = r = r1 = r2 = 0.0  # P, Q, their x-derivatives, half the second
+        for cp, cr in _A0_PADE:
+            p2, p1, p = p2 * x + p1, p1 * x + p, p * x + cp
+            r2, r1, r = r2 * x + r1, r1 * x + r, r * x + cr
+        u2, u1, u = p2 * x + p1, p1 * x + p, p * x
+        d1 = (u1 * r - u * r1) / (r * r)  # (N/Q)', so b = -q (N/Q)'
+        d2 = (2.0 * (u2 * r - u * r2) / r - 2.0 * r1 * d1) / r
+        b = -q * d1
+        return u / r, b, 1.0 - b, -d1 - 2.0 * x * d2
+    z = 1.0 / math.sqrt(q)
+    i = bisect_left(_A0_BREAKS, z, 1) - 1
+    lo, hi = _A0_BREAKS[i:i + 2]
+    k = 2.0 / (hi - lo)
+    t = k * (z - lo) - 1.0
+    h = h1 = h2 = 0.0  # h, dh/dt and half of d2h/dt2
+    for c in _A0_SERIES[i]:
+        h2, h1, h = h2 * t + h1, h1 * t + h, h * t + c
+    g = h - k * z * h1
+    omb = 0.25 * z * g * (1.0 - 1e-13)
+    return (h * z - 2.0) / (z * z), 1.0 - omb, omb, 0.125 * z**3 * (g - 2 * (k * z)**2 * h2)
+
+
 def _start(b):
     """Where the climb at the coupling ``b`` starts: a lower estimate of the
     minimum of every even half, or -inf where its margin is not normal.
@@ -170,26 +201,12 @@ def _start(b):
     A half's symmetric form, couplings sqrt(2) b, b, ..., is a leading
     block of the infinite even operator, whose minimum is a0(q)/4 at
     q = 4|b| (``mathieu``), so by Cauchy interlacing no half's minimum lies
-    below it.  The estimate, from ``_A0_PADE`` or ``_A0_SERIES``, is within
-    2.2 ulps or 0.25e-15 sqrt(q) of a0/4; the margin, 32 eps (|a0/4| + 2|b|),
-    eight rounding levels of the climb, covers both.  Below |b| = 2^-976
-    (about 1.6e-294) it would lose bits to underflow: Gershgorin starts."""
+    below it.  The estimate, from ``_a0``, is within 2.2 ulps or
+    0.25e-15 sqrt(q) of a0/4; the margin, 32 eps (|a0/4| + 2|b|), eight
+    rounding levels of the climb, covers both.  Below |b| = 2^-976 (about
+    1.6e-294) it would lose bits to underflow: Gershgorin starts."""
     q = 4.0 * abs(b)
-    if q <= _Q_PADE:
-        x = q * q
-        p = r = 0.0
-        for cp, cr in _A0_PADE:
-            p, r = p * x + cp, r * x + cr
-        est = 0.25 * x * p / r
-    else:
-        z = 1.0 / math.sqrt(q)
-        i = bisect_left(_A0_BREAKS, z, 1) - 1
-        lo, hi = _A0_BREAKS[i:i + 2]
-        t = 2.0 * (z - lo) / (hi - lo) - 1.0
-        h = 0.0
-        for c in _A0_SERIES[i]:
-            h = h * t + c
-        est = 0.25 * (h * z - 2.0) / (z * z)
+    est = 0.25 * _a0(q)[0]
     margin = 32.0 * _EPS * (abs(est) + 0.5 * q)
     return est - margin if margin >= _TINY else -math.inf
 

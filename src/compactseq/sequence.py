@@ -32,6 +32,17 @@ __all__ = [
 ]
 
 
+def _whole(x, name):
+    """``x`` as an int; ``ValueError`` where it is not a whole number."""
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        n = None
+    if n != x:
+        raise ValueError(f"{name} must be an integer")
+    return n
+
+
 @dataclass(frozen=True)
 class Sequence:
     """Immutable finite complex sequence with an integer start index."""
@@ -47,12 +58,7 @@ class Sequence:
             raise ValueError("taps must be finite")
         if not taps.any():
             raise ValueError("sequence must have at least one nonzero tap")
-        try:
-            offset = int(self.offset)
-        except (OverflowError, ValueError):  # an infinite or NaN offset
-            offset = None
-        if offset != self.offset:
-            raise ValueError("offset must be an integer")
+        offset = _whole(self.offset, "offset")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "offset", offset)

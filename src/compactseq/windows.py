@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sequence import Sequence
+from .sequence import Sequence, _whole
 from .spreads import measure
 
 __all__ = [
@@ -40,9 +40,7 @@ def _unit(taps: np.ndarray, offset: int) -> Sequence:
 
 
 def _check_taps(taps: int) -> int:
-    if taps != int(taps):
-        raise ValueError("taps must be an integer")
-    taps = int(taps)
+    taps = _whole(taps, "taps")
     if taps < 3:
         raise ValueError("taps must be >= 3")
     if taps % 2 == 0:

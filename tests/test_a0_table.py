@@ -7,9 +7,9 @@ rest of its coefficients sum below 2e-16 and written in powers of the
 piece's t = 2 (z - lo)/(hi - lo) - 1.  These tests rebuild every
 coefficient in decimal arithmetic and compare the doubles bit for bit,
 check the stated error bounds of a0, b = -a0'/2 and the climb's start
-against the oracle at 200 q up to 1e7 (designs reach q = 2 lambda1 ~ 1.1e7),
-and check the spectral gap (a2 - a0)/4 >= max(1, sqrt(q)) on which
-``eigen._climb``'s one-step landing rests.
+against the oracle at 200 q up to 1e7 (designs reach q = 2 lambda1 ~ 1.1e7)
+and of b'(q) at 90, and check the spectral gap (a2 - a0)/4 >= max(1, sqrt(q))
+on which ``eigen._climb``'s one-step landing rests.
 """
 
 import math
@@ -87,11 +87,11 @@ def _powers(c):
 
 
 def _h(q):
-    """h at q from the table, as ``eigen._start`` evaluates it."""
+    """h at q from the table, as ``eigen._a0`` evaluates it."""
     z = 1.0 / math.sqrt(q)
     i = int(np.searchsorted(_A0_BREAKS[1:], z))
     lo, hi = _A0_BREAKS[i:i + 2]
-    t = 2.0 * (z - lo) / (hi - lo) - 1.0
+    t = 2.0 / (hi - lo) * (z - lo) - 1.0
     h = 0.0
     for c in _A0_SERIES[i]:
         h = h * t + c
@@ -139,6 +139,22 @@ def test_the_table_meets_its_error_bounds():
             lam = ref / 4
             gap = lam - Decimal(eigen._start(-0.25 * q))
             assert 0 <= gap <= Decimal(34 * _EPS * (abs(float(lam)) + 0.5 * q)), q
+
+
+def test_the_slope_of_b_meets_its_error_bound():
+    # b'(q) = -a0''/2 against the 40-digit a0's central second difference
+    # at step 1e-9 q in 60 digits: within 1e-12 of itself up to
+    # q = (16/11)^2 and 1e-10 above (measured: 2.5e-13 and 2.9e-11, both
+    # next to the switch), on both sides of the switch
+    for q in np.geomspace(0.02, 1e7, 88).tolist() + [_Q_PADE, math.nextafter(_Q_PADE, 3.0)]:
+        with localcontext() as ctx:
+            ctx.prec = 60
+            qd = Decimal(q)
+            dq = qd * Decimal("1e-9")
+            curv = a0_reference(qd + dq) - 2 * a0_reference(qd) + a0_reference(qd - dq)
+            curv /= dq * dq
+            err = abs(Decimal(eigen._a0(q)[3]) / (-curv / 2) - 1)
+        assert err <= Decimal("1e-12" if q <= _Q_PADE else "1e-10"), q
 
 
 def test_the_second_even_level_lies_a_gap_above_the_first():

@@ -136,8 +136,11 @@ def test_unattainable_and_bad_args():
         design_max_compact(0.1, taps=10)
     with pytest.raises(ValueError):
         design_max_compact(0.1, taps=3)
-    with pytest.raises(ValueError, match="integer"):
-        design_max_compact(0.1, taps=201.9)
+    for taps in (201.9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            design_max_compact(0.1, taps=taps)
+        with pytest.raises(ValueError, match="integer"):
+            sweep_curve([0.1], taps=taps)
 
 
 def test_short_grid_warns_via_status():

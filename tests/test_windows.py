@@ -51,8 +51,11 @@ def test_window_errors():
         standard_windows("hann", 8)  # even length has no center tap
     with pytest.raises(ValueError):
         standard_windows("hann", 1)
-    with pytest.raises(ValueError, match="integer"):
-        standard_windows("hann", 9.7)
+    for taps in (9.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            standard_windows("hann", taps)
+        with pytest.raises(ValueError, match="integer"):
+            sampled_gaussian(1.0, taps)
 
 
 def test_sampled_gaussian():
