@@ -92,6 +92,8 @@ def _parse_grid(text: str) -> np.ndarray:
             raise _CliError("log grid endpoints must be positive")
         return np.geomspace(start, stop, points)
     if kind == "lin":
+        if not math.isfinite(stop - start):  # linspace would step by inf
+            raise _CliError(f"lin grid span stop - start must be finite, got {text!r}")
         return np.linspace(start, stop, points)
     raise _CliError(f"grid kind must be log or lin, got {kind!r}")
 

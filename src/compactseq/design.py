@@ -132,16 +132,8 @@ def _logit(b, b_sup):
     return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
 
 
-def _b_less(q, alpha):
-    """b - alpha and b'(q) for b = -a0'(q)/2 from ``eigen._a0``: where
-    b >= 1/2 as (1 - alpha) - (1 - b), which keeps the bits of 1 - b near 1
-    and, for alpha >= 1/2, rounds as b - alpha (both differences exact)."""
-    _, b, omb, db = _a0(q)
-    return (b - alpha if b < 0.5 else (1.0 - alpha) - omb), db
-
-
 def _seed(alpha):
-    """log(l1) where b = alpha at q = 2 l1, from ``eigen._a0`` by ``_b_less``,
+    """log(l1) where b = alpha at q = 2 l1, b = -a0'(q)/2 from ``eigen._a0``,
     at or below the root to rounding: b is concave and rising in q, so Newton
     steps land below the root after the first and climb, from the root's small-
     and large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
@@ -151,8 +143,10 @@ def _seed(alpha):
     if alpha >= 0.68:
         q = 0.25 / (1.0 - alpha) ** 2 + 0.03125
     for _ in range(16):
-        f, df = _b_less(q, alpha)
-        step = -f / df
+        _, b, omb, db = _a0(q)
+        # where b >= 1/2, (1 - alpha) - (1 - b) keeps the bits of 1 - b near 1
+        # and, for alpha >= 1/2, rounds as b - alpha (both differences exact)
+        step = -(b - alpha if b < 0.5 else (1.0 - alpha) - omb) / db
         q += step
         if abs(step) <= 1e-8 * q:
             break

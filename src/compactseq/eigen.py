@@ -53,7 +53,6 @@ _MAX_CLIMB = 30
 _MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
-_TINY = float(np.finfo(float).tiny)
 # a0(q), 4 times the minimum of the infinite even operator: up to
 # q = (16/11)^2 the [14/14] Pade approximant of a0/q^2 in q^2, exact from
 # DLMF 28.4.5, as pairs (P_j, Q_j) of a0 = q^2 P(q^2)/Q(q^2), highest power
@@ -195,20 +194,20 @@ def _a0(q):
 
 
 def _start(b):
-    """Where the climb at the coupling ``b`` starts: a lower estimate of the
-    minimum of every even half, or -inf where its margin is not normal.
+    """The climb's start at the coupling ``b``: below every even half's minimum.
 
     A half's symmetric form, couplings sqrt(2) b, b, ..., is a leading
     block of the infinite even operator, whose minimum is a0(q)/4 at
     q = 4|b| (``mathieu``), so by Cauchy interlacing no half's minimum lies
     below it.  The estimate, from ``_a0``, is within 2.2 ulps or
     0.25e-15 sqrt(q) of a0/4; the margin, 32 eps (|a0/4| + 2|b|), eight
-    rounding levels of the climb, covers both.  Below |b| = 2^-976 (about
-    1.6e-294) it would lose bits to underflow: Gershgorin starts."""
+    rounding levels of the climb, covers both.  Below |b| = 2^-976, 2b^2 is
+    0 and the margin subnormal: every pivot at -margin, below the minimum
+    ~ -2b^2, is positive, a no.  Below 2^-1029 it rounds to 0, and the yes
+    at a0/4 = -0.0 (p_0 = 0) sends ``_climb`` to the Gershgorin bound."""
     q = 4.0 * abs(b)
     est = 0.25 * _a0(q)[0]
-    margin = 32.0 * _EPS * (abs(est) + 0.5 * q)
-    return est - margin if margin >= _TINY else -math.inf
+    return est - 32.0 * _EPS * (abs(est) + 0.5 * q)
 
 
 def _support(a, end, tol):

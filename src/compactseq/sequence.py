@@ -71,9 +71,9 @@ def autocorrelation(x: Sequence, m: int) -> complex:
     """Deterministic autocorrelation r_m = sum_k x_k conj(x_{k+m}).
 
     Satisfies r_{-m} = conj(r_m) and r_0 = ||x||^2.  Lags at or beyond the
-    support length are exactly zero.
+    support length are exactly zero; a lag that is not whole is refused.
     """
-    m = int(m)
+    m = _whole(m, "m")
     if m < 0:
         return complex(np.conj(autocorrelation(x, -m)))
     t = x.taps

@@ -20,7 +20,7 @@ import numpy as np
 
 from helpers import a0_reference
 
-from compactseq import design, eigen
+from compactseq import eigen
 from compactseq.eigen import _A0_BREAKS, _A0_SERIES, _EPS, _Q_PADE
 
 _NODES = 32
@@ -130,11 +130,11 @@ def test_the_table_meets_its_error_bounds():
             if q > _Q_PADE:
                 h_ref = (ref + 2 * Decimal(q)) / Decimal(q).sqrt()
                 assert abs(Decimal(_h(q)) - h_ref) <= Decimal("1e-15"), q
-                low = -Decimal(design._b_less(q, 1.0)[0])  # (1 - b)(1 - 1e-13)
+                low = Decimal(eigen._a0(q)[2])  # (1 - b)(1 - 1e-13)
                 assert abs(low / (1 - Decimal(1e-13)) / (1 - b_ref) - 1) <= Decimal("1e-13"), q
                 assert low <= 1 - b_ref, q
             else:
-                b = Decimal(design._b_less(q, 0.0)[0])
+                b = Decimal(eigen._a0(q)[1])
                 assert abs(b / b_ref - 1) <= Decimal("2e-15"), q
             lam = ref / 4
             gap = lam - Decimal(eigen._start(-0.25 * q))

@@ -61,6 +61,12 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+    # a lin grid whose span stop - start overflows is refused, not sampled
+    # at nan, nor its nan handed on as a q the user never gave
+    for argv in (("mathieu", "--q", "1"), ("mathieu",)):
+        code, out, err = run(capsys, *argv, "--grid", "-1e308:1e308:3:lin")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("compactseq: error: lin grid span")
     # the solver tolerances are constants, not flags
     for argv in (("design", "--sigma2", "0.1"), ("curve",)):
         code, out, err = run(capsys, *argv, "--tol", "1e-10")

@@ -117,9 +117,17 @@ def test_a_start_above_the_minimum_falls_back_to_gershgorin(monkeypatch):
                 assert lam - pair.s <= w, (half_len, lam1, start)
 
 
-def test_no_start_where_the_margin_is_subnormal():
-    # below |b| = 2^-976 the margin 64 eps |b| is subnormal and the climb
-    # starts from Gershgorin; from there on the start is used
-    edge = 2.0**-976
-    assert eigen._start(-0.5 * edge) == eigen._start(-1e-300) == -math.inf
-    assert -2.0 * edge < eigen._start(-edge) < 0.0
+def test_the_start_holds_at_every_coupling():
+    # below |b| = 2^-976 the margin 64 eps |b| is subnormal but positive and
+    # the start -margin a certified no, below the pair's shift; below 2^-1029
+    # it rounds to 0, the start a0/4 = -0.0 is a yes and Gershgorin starts
+    for b in (2.0**-1074, 2.0**-1040, 2.0**-1028, 2.0**-1000, 1e-300, 2.0**-976, 2.0**-970):
+        start = eigen._start(-b)
+        assert math.isfinite(start) and start <= 0.0, b
+        for half_len in (1, 5, 40):
+            pair = min_eigenpair(eigen._k2_grid(half_len), -b)
+            assert pair.value == 0.0 and pair.vector[half_len] == 1.0, (b, half_len)
+            if start < 0.0:
+                assert start <= pair.s, (b, half_len)
+                # the climb from the start gives the first tap |b| to rounding
+                assert abs(pair.vector[half_len + 1] - b) <= 1e-13 * b, (b, half_len)

@@ -102,6 +102,10 @@ def test_autocorrelation():
         )
     # autocorrelation ignores the offset
     assert autocorrelation(shift(s, 4), 1) == pytest.approx(autocorrelation(s, 1))
+    # a lag that is not a whole number is refused, not truncated
+    for m in (1.5, "1", math.inf, math.nan):
+        with pytest.raises(ValueError):
+            autocorrelation(EX1, m)
 
 
 def test_text_round_trip(tmp_path):
