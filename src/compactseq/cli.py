@@ -66,8 +66,8 @@ def _join_negative_values(argv) -> list:
     -12 and -1.5."""
     out = []
     for tok in argv:
-        numeric = out and len(out[-1]) > 2 and any(f.startswith(out[-1]) for f in _NUMERIC_FLAGS)
-        if numeric and tok.startswith("-") and not tok.startswith("--"):
+        if (tok.startswith("-") and not tok.startswith("--") and out and len(out[-1]) > 2
+                and any(f.startswith(out[-1]) for f in _NUMERIC_FLAGS)):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -232,13 +232,21 @@ def _build_parser() -> _Parser:
 
     for sp in sub.choices.values():
         sp.add_argument("--output", help="write here instead of stdout")
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line ``argv``, the arguments without the program name
+    (default ``sys.argv[1:]``), and return its exit status: 0 on success, 1
+    for invalid arguments or inputs, 2 for a solver failure (see the module
+    docstring).  A known command is parsed by its own parser alone; the
+    top-level parser serves help and a missing or unknown command."""
     parser = _build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         text = args.run(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

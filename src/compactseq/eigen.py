@@ -203,11 +203,12 @@ def _start(b):
     0.25e-15 sqrt(q) of a0/4; the margin, 32 eps (|a0/4| + 2|b|), eight
     rounding levels of the climb, covers both.  Below |b| = 2^-976, 2b^2 is
     0 and the margin subnormal: every pivot at -margin, below the minimum
-    ~ -2b^2, is positive, a no.  Below 2^-1029 it rounds to 0, and the yes
-    at a0/4 = -0.0 (p_0 = 0) sends ``_climb`` to the Gershgorin bound."""
+    ~ -2b^2, is positive, a no.  Below 2^-1029, where the margin would round
+    to 0 and the start a0/4 = -0.0 be a yes (p_0 = 0), it is held at the
+    smallest subnormal, so the start -2^-1074 stays a no."""
     q = 4.0 * abs(b)
     est = 0.25 * _a0(q)[0]
-    return est - 32.0 * _EPS * (abs(est) + 0.5 * q)
+    return est - max(32.0 * _EPS * (abs(est) + 0.5 * q), 5e-324)
 
 
 def _support(a, end, tol):

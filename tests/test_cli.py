@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -281,6 +282,72 @@ def test_windows_scan(capsys):
     assert set(choices) == {"all"} | {f.name for f in default_families()}
     code, out, err = run(capsys, "windows", "--family", "kaiser")
     assert (code, out) == (1, "") and "invalid choice" in err
+
+
+# help, missing and unknown commands, "--", negative values after a prefix,
+# repeated flags, extra positionals, --tol, missing and bad values, an
+# unwritable --output and runs that succeed; "{out}" is a missing directory
+_PARSE_CASES = [
+    ["-h"], ["--help"], ["-h", "design"], ["design", "-h"], ["analyze", "-h"],
+    ["curve", "-h"], ["mathieu", "-h"], ["windows", "-h"], ["design", "--h"],
+    ["design", "--sigma2", "0.5", "-h"], [], ["nope"], ["DESIGN"], ["des"],
+    ["--", "design", "--sigma2", "0.5", "--taps", "5"], ["--", "mathieu"],
+    ["design", "--", "--sigma2", "0.5"], ["design", "--sigma2", "0.5", "--taps", "5", "--"],
+    ["design", "--sig", "-1e-3"], ["design", "--sig=-1e-3"], ["design", "--s", "-1"],
+    ["design", "--sigma2", "0.5", "--t", "-5"],
+    ["design", "--sigma2", "0.5", "--sigma2", "0.3", "--taps", "5"],
+    ["mathieu", "--q", "1", "--q", "2", "--grid", "0:1:3:lin"],
+    ["design", "--sigma2", "0.5", "--taps", "5", "extra"], ["windows", "three_tap"],
+    ["design", "--sigma2", "0.1", "--tol", "1e-10"], ["curve", "--tol", "1e-10"],
+    ["design", "--sigma2"], ["mathieu", "--q"], ["analyze"],
+    ["design", "--sigma2", "abc"], ["design", "--sigma2", "0.5", "--taps", "x"],
+    ["design", "--sigma2", "0.5", "--format", "xml"], ["windows", "--family", "kaiser"],
+    ["windows", "--family", "three_tap", "--output", "{out}"],
+    ["curve", "--grid", "0.01:1:2:log", "--taps", "5"],
+    ["mathieu", "--q", "-1e-3", "--grid", "0:1:3:lin"], ["windows", "--family", "three_tap"],
+]
+
+
+def test_each_call_is_parsed_once(capsys, monkeypatch, tmp_path):
+    # a known command goes straight to its own parser: one parse per call
+    seq = tmp_path / "one.seq"
+    seq.write_text("1\n")
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in (["design", "--sigma2", "0.5", "--taps", "5"], ["analyze", "--input", str(seq)],
+                 ["curve", "--grid", "0.1:1:2:log", "--taps", "5"],
+                 ["mathieu", "--q", "1", "--grid", "0:1:3:lin"],
+                 ["windows", "--family", "three_tap"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ["compactseq " + argv[0]], argv
+
+
+def test_dispatch_matches_the_top_level_parse(capsys, monkeypatch, tmp_path):
+    # exit status (or help's SystemExit code), stdout and stderr are those of
+    # a parse through the top-level parser alone, which main does when no
+    # command is known to it
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    out = str(tmp_path / "missing" / "scan.csv")
+    cases = [[tok.format(out=out) for tok in argv] for argv in _PARSE_CASES]
+    direct = [outcome(argv) for argv in cases]
+    monkeypatch.setattr(_build_parser(), "commands", {})
+    for argv, got in zip(cases, direct):
+        assert got == outcome(argv), argv
+    assert {0, 1, ("exit", 0)} <= {code for code, _, _ in direct}
 
 
 def test_unwritable_output(capsys, tmp_path):

@@ -119,15 +119,16 @@ def test_a_start_above_the_minimum_falls_back_to_gershgorin(monkeypatch):
 
 def test_the_start_holds_at_every_coupling():
     # below |b| = 2^-976 the margin 64 eps |b| is subnormal but positive and
-    # the start -margin a certified no, below the pair's shift; below 2^-1029
-    # it rounds to 0, the start a0/4 = -0.0 is a yes and Gershgorin starts
+    # the start -margin a certified no, below the pair's shift; below 2^-1029,
+    # where the margin would round to 0, it is held at 2^-1074, so the start
+    # stays a no and the climb from it gives the first tap |b|, to rounding
+    # or to one subnormal spacing
     for b in (2.0**-1074, 2.0**-1040, 2.0**-1028, 2.0**-1000, 1e-300, 2.0**-976, 2.0**-970):
         start = eigen._start(-b)
-        assert math.isfinite(start) and start <= 0.0, b
+        assert math.isfinite(start) and start < 0.0, b
         for half_len in (1, 5, 40):
             pair = min_eigenpair(eigen._k2_grid(half_len), -b)
             assert pair.value == 0.0 and pair.vector[half_len] == 1.0, (b, half_len)
-            if start < 0.0:
-                assert start <= pair.s, (b, half_len)
-                # the climb from the start gives the first tap |b| to rounding
-                assert abs(pair.vector[half_len + 1] - b) <= 1e-13 * b, (b, half_len)
+            assert start <= pair.s, (b, half_len)
+            tap = pair.vector[half_len + 1]
+            assert abs(tap - b) <= max(1e-13 * b, 2.0**-1074), (b, half_len)
