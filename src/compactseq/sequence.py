@@ -8,16 +8,28 @@ design routines in this package operate on this type.
 The on-disk text format is one tap per line: two floats ``re im``, or
 one float ``re`` for a real tap; in a file with both, ``re`` reads as
 ``re 0``.  Blank lines are skipped, and lines starting with ``#`` are
-comments, allowed anywhere.  A comment ``# offset=<int>``, with no space
-around the ``=``, sets the offset (the last one wins; none means offset
-0).  A line with three or more fields, a field that ``float`` cannot
-read, a tap that is not finite, or a file without a nonzero tap is
-refused with ``ValueError``.  ``write_sequence`` writes the ``# offset=``
-header first and then ``re im`` lines.
+comments, allowed anywhere.  A comment whose text after the ``#`` starts
+with ``offset=`` sets the offset to the rest of it, read by ``int``: no
+space may come before the ``=``, but ``# offset= 5`` sets 5 (the last
+one wins; none means offset 0).  A line with three or more fields, a
+field that ``float`` cannot read, a tap that is not finite, or a file
+without a nonzero tap is refused with ``ValueError``.  ``read_sequence``
+reads UTF-8 and skips a byte-order mark.  ``write_sequence`` writes the
+``# offset=`` header first and then ``re im`` lines.
+
+Two readers parse the text.  An ASCII text whose tap lines all have one
+field or all have two, with ``\\n`` line breaks and every ``#`` first on
+its line, is cut into lines at ``\\n`` and read by ``np.loadtxt``, which
+splits and converts the fields in C.  Every other text is split line by
+line in Python and converted by ``float``; that reader refuses every bad
+tap line.  The taps agree bit for bit, because numpy's reader converts
+each field with ``PyOS_string_to_double``, the routine ``float`` calls on
+a string.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -85,21 +97,82 @@ def autocorrelation(x: Sequence, m: int) -> complex:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _offset(comment: str, offset: int) -> int:
+    """The offset after the comment line ``comment``: ``# offset=<int>``
+    sets it, anything else leaves ``offset``."""
+    body = comment.strip()[1:].strip()
+    if body.startswith("offset="):
+        return int(body[len("offset="):])
+    return offset
+
+
+_NONSPACE = re.compile(r"\S")
+
+
+def _loadtxt_offset(text: str):
+    """The offset of ``text`` if ``np.loadtxt`` reads it as the format
+    does, else None.
+
+    It may when ``text`` is ASCII, breaks lines only at ``\\n`` (``loadtxt``
+    reads ``\\v``, ``\\f`` and ``\\x1c``-``\\x1e`` as spaces and trips on a
+    lone ``\\r``, where ``str.splitlines`` breaks at each), puts every
+    ``#`` first on its line (``loadtxt`` drops a ``#`` after a field with
+    the rest of the line, where the format refuses the line) and has a tap
+    line (``loadtxt`` warns on empty input).  A bad ``# offset=`` raises
+    the ``ValueError`` the Python reader would.
+    """
+    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
+        return None
+    offset, start, data = 0, 0, False
+    i = text.find("#")
+    while i >= 0:
+        line = text.rfind("\n", 0, i) + 1
+        if _NONSPACE.search(text, line, i):
+            return None
+        data = data or _NONSPACE.search(text, start, line) is not None
+        start = text.find("\n", i)
+        if start < 0:
+            start = len(text)
+        offset = _offset(text[line:start], offset)
+        i = text.find("#", start)
+    if data or _NONSPACE.search(text, start):
+        return offset
+    return None
+
+
 def parse_sequence(text: str) -> Sequence:
     """Parse the sequence text format (see the module docstring).
 
-    Every line is split once; the few ``#`` lines are read for the offset
-    and dropped, a mixed file's one-column lines get the token ``"0"``, so
-    it reads as pairs, and all tokens are converted by one ``float`` map:
-    each tap is bit for bit ``complex(float(re), float(im))``.
+    Two readers share the work.  A text that ``_loadtxt_offset`` passes,
+    whose tap lines all have one field or all have two, is cut at its
+    ``\\n`` and read by ``np.loadtxt``, which splits and converts the
+    fields in C.  Every other text (a mixed file, three or more fields, a
+    field only ``float`` reads, such as ``1_0``) is split once in Python:
+    the few ``#`` lines are read for the offset and dropped, a mixed
+    file's one-column lines get the token ``"0"``, so it reads as pairs,
+    and all tokens are converted by one ``float`` map.  Every refusal but
+    a bad ``# offset=`` (``_offset`` raises it for both) comes from this
+    reader.  Either way each tap is bit for bit
+    ``complex(float(re), float(im))``: ``loadtxt`` converts each field
+    with ``PyOS_string_to_double``, the routine ``float`` calls on a
+    string.
     """
+    offset = _loadtxt_offset(text)
+    if offset is not None:
+        try:
+            vals = np.loadtxt(text.split("\n"), comments="#", ndmin=2)
+        except ValueError:  # a mixed file, or a field loadtxt cannot read
+            pass
+        else:
+            if vals.shape[1] == 1:
+                return Sequence(vals[:, 0], offset)
+            if vals.shape[1] == 2:
+                return Sequence(vals.view(np.complex128)[:, 0], offset)
     lines = text.splitlines()
     rows = list(map(str.split, lines))
     offset = 0
     for i in [i for i, row in enumerate(rows) if row and row[0][0] == "#"]:
-        body = lines[i].strip()[1:].strip()
-        if body.startswith("offset="):
-            offset = int(body[len("offset="):])
+        offset = _offset(lines[i], offset)
         rows[i] = []
     widths = list(map(len, rows))
     if max(widths, default=0) > 2:
@@ -119,7 +192,8 @@ def parse_sequence(text: str) -> Sequence:
 
 
 def read_sequence(path) -> Sequence:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a sequence text file; a UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_sequence(fh.read())
 
 

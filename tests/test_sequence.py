@@ -133,6 +133,36 @@ def test_parse_header_optional():
         parse_sequence("# offset=0\n")
 
 
+def test_read_skips_a_byte_order_mark(tmp_path):
+    # Notepad and PowerShell start a UTF-8 file with U+FEFF
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeff# offset=3\n1 2\n", encoding="utf-8")
+    s = read_sequence(path)
+    assert s.offset == 3
+    assert s.taps.tolist() == [1 + 2j]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_uniform_file_is_read_by_loadtxt(monkeypatch, width):
+    # a broken check in front of numpy's reader would show only in timings
+    import compactseq.sequence as sequence
+
+    calls = []
+    loadtxt = sequence.np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(sequence.np, "loadtxt", spy)
+    row = " ".join(["-1.25"] * width)
+    text = "# offset=-7\n" + "".join(f"{row}\n" for _ in range(500))
+    s = parse_sequence(text)
+    assert len(calls) == 1
+    assert s.offset == -7
+    assert s.taps.tolist() == [complex(-1.25, -1.25 if width == 2 else 0.0)] * 500
+
+
 MIXED_TEXTS = [
     "1 2\n# a note\n\n3\n  \n4 -5\n",  # comment and blank lines between taps
     "-0.0\n1 2\n",  # a one-column -0.0, on the first line
