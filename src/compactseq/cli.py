@@ -137,13 +137,13 @@ def _columns(records, drop) -> list:
 
 
 def _csv(header: str, columns) -> str:
-    """CSV text: ``header``, then one row per index into the columns.  Strings
-    are written as is, other columns as floats (None is nan) with repr."""
-    cells = [
-        col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist())
-        for col in columns
-    ]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    """CSV text: ``header``, then one row per index into the columns, all cells
+    and separators in one join: strings as is, other cells as floats (None is nan) with repr."""
+    cells = (["", ","] * (len(columns) - 1) + ["", "\n"]) * len(columns[0])  # cells, separators
+    for j, col in enumerate(columns):
+        cells[2 * j::2 * len(columns)] = (
+            col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist()))
+    return header + "\n" + "".join(cells)
 
 
 def _run_design(args) -> str:
@@ -193,46 +193,57 @@ def _run_windows(args) -> str:
     return _csv("family,param,delta_wp2,delta_n2,eta_p", _columns(points, drop=("error",)))
 
 
+_COMMANDS = {  # each command's help line
+    "design": "maximally compact sequence for one sigma2",
+    "analyze": "spread report for a sequence file",
+    "curve": "optimal curve over a sigma2 grid",
+    "mathieu": "ce0 samples for one q, or an a0 table",
+    "windows": "spread scan of the stock window families",
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of the command ``name``, built on its first call."""
+    p = _Parser(prog=f"compactseq {name}")
+    if name == "design":
+        p.add_argument("--sigma2", type=float, required=True,
+                       help="target periodic frequency spread (> 0)")
+        p.add_argument("--taps", type=int, default=201, help="odd grid length (default 201)")
+        p.add_argument("--seq-output", help="also write the sequence file here")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(run=_run_design)
+    elif name == "analyze":
+        p.add_argument("--input", required=True, help="sequence file ('re im' lines)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(run=_run_analyze)
+    elif name == "curve":
+        p.add_argument("--grid", default="0.01:10:25:log",
+                       help="sigma2 grid start:stop:points:log|lin")
+        p.add_argument("--taps", type=int, default=201)
+        p.add_argument("--format", choices=("json", "csv"), default="csv")
+        p.set_defaults(run=_run_curve)
+    elif name == "mathieu":
+        p.add_argument("--q", type=float, help="evaluate ce0 at this q")
+        p.add_argument("--grid",
+                       help="theta grid with --q (default 0:pi:257:lin), "
+                            "else q grid (default 0.25:100:40:log)")
+        p.set_defaults(run=_run_mathieu)
+    else:
+        p.add_argument("--family", default="all",
+                       choices=("all", "gaussian", "three_tap") + WINDOW_NAMES)
+        p.set_defaults(run=_run_windows)
+    p.add_argument("--output", help="write here instead of stdout")
+    return p
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="compactseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="maximally compact sequence for one sigma2")
-    p.add_argument("--sigma2", type=float, required=True,
-                   help="target periodic frequency spread (> 0)")
-    p.add_argument("--taps", type=int, default=201, help="odd grid length (default 201)")
-    p.add_argument("--seq-output", help="also write the sequence file here")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(run=_run_design)
-
-    p = sub.add_parser("analyze", help="spread report for a sequence file")
-    p.add_argument("--input", required=True, help="sequence file ('re im' lines)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(run=_run_analyze)
-
-    p = sub.add_parser("curve", help="optimal curve over a sigma2 grid")
-    p.add_argument("--grid", default="0.01:10:25:log",
-                   help="sigma2 grid start:stop:points:log|lin")
-    p.add_argument("--taps", type=int, default=201)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(run=_run_curve)
-
-    p = sub.add_parser("mathieu", help="ce0 samples for one q, or an a0 table")
-    p.add_argument("--q", type=float, help="evaluate ce0 at this q")
-    p.add_argument("--grid",
-                   help="theta grid with --q (default 0:pi:257:lin), "
-                        "else q grid (default 0.25:100:40:log)")
-    p.set_defaults(run=_run_mathieu)
-
-    p = sub.add_parser("windows", help="spread scan of the stock window families")
-    p.add_argument("--family", default="all",
-                   choices=("all", "gaussian", "three_tap") + WINDOW_NAMES)
-    p.set_defaults(run=_run_windows)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--output", help="write here instead of stdout")
-    parser.commands = sub.choices  # each command's own parser, by name
+    for name, text in _COMMANDS.items():
+        sub.add_parser(name, help=text)
+        sub.choices[name] = _command_parser(name)  # the one main parses with
     return parser
 
 
@@ -242,11 +253,10 @@ def main(argv=None) -> int:
     for invalid arguments or inputs, 2 for a solver failure (see the module
     docstring).  A known command is parsed by its own parser alone; the
     top-level parser serves help and a missing or unknown command."""
-    parser = _build_parser()
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    command = parser.commands.get(argv[0]) if argv else None
+    command = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else None
     try:
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _build_parser().parse_args(argv)
         text = args.run(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -89,8 +89,8 @@ class DesignResult:
     was too short for the requested spread and status says "increase-taps".
     Only that comparison carries meaning.  Below it, the edge taps and
     tail_mass are the rounding noise of inverse iteration, not the ground
-    state: at sigma2 = 0.1 on 201 taps the edge tap reads 1.7e-19 and
-    tail_mass 5.8e-38, where the true edge amplitude is about 1e-177 (and
+    state: at sigma2 = 0.1 on 201 taps the edge tap reads 7.9e-19 and
+    tail_mass 1.2e-36, where the true edge amplitude is about 1e-177 (and
     below the smallest subnormal from sigma2 ~ 0.9 on).
     """
 

@@ -61,8 +61,8 @@ _TAIL = _EPS * _EPS
 # the Chebyshev interpolant at 33 Lobatto nodes of the 40-digit a0, cut
 # where the rest of its coefficients sum below 2e-16, in powers of
 # t = 2 (z - lo)/(hi - lo) - 1, highest first.  h is within 1e-15, and
-# 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.  ``_a0`` is
-# the one reader, for the climb's start and the designer's seed.
+# 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.  ``_a0``
+# reads it for the designer's seed and ``_start``, value only, for the climb.
 _A0_PADE = (
     (-4.382754104315206e-14, 1.082313291769662e-12),
     (-3.7828914530027274e-11, 3.589922214890107e-10),
@@ -163,12 +163,20 @@ def _laguerre_step(d, b2, s):
     return p0 * (n / (s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1)))))
 
 
+def _piece(q):
+    """z = q^-1/2, k, t and the series piece's coefficients at q > (16/11)^2."""
+    z = 1.0 / math.sqrt(q)
+    i = bisect_left(_A0_BREAKS, z, 1) - 1
+    lo, hi = _A0_BREAKS[i:i + 2]
+    k = 2.0 / (hi - lo)
+    return z, k, k * (z - lo) - 1.0, _A0_SERIES[i]
+
+
 def _a0(q):
-    """a0(q), b = -a0'(q)/2, 1 - b and b'(q) for q >= 0 from the table, its
-    one reader: up to q = (16/11)^2 the Pade's a0 = N/Q, N = x P(x),
-    x = q^2, and above it h's series in t = k (z - lo) - 1, k = 2/(hi - lo),
-    with a0 = (h z - 2)/z^2, 1 - b = z (h - z h')/4 taken 1e-13 of itself
-    low, its error bound, and b = 1 - (1 - b)."""
+    """a0(q), b = -a0'(q)/2, 1 - b and b'(q) for q >= 0: up to (16/11)^2 the
+    Pade's a0 = N/Q, N = x P(x), x = q^2, and above it h's series in
+    t = k (z - lo) - 1, k = 2/(hi - lo), with a0 = (h z - 2)/z^2,
+    1 - b = z (h - z h')/4 taken 1e-13 of itself low and b = 1 - (1 - b)."""
     if q <= _Q_PADE:
         x = q * q
         p = p1 = p2 = r = r1 = r2 = 0.0  # P, Q, their x-derivatives, half the second
@@ -180,13 +188,9 @@ def _a0(q):
         d2 = (2.0 * (u2 * r - u * r2) / r - 2.0 * r1 * d1) / r
         b = -q * d1
         return u / r, b, 1.0 - b, -d1 - 2.0 * x * d2
-    z = 1.0 / math.sqrt(q)
-    i = bisect_left(_A0_BREAKS, z, 1) - 1
-    lo, hi = _A0_BREAKS[i:i + 2]
-    k = 2.0 / (hi - lo)
-    t = k * (z - lo) - 1.0
+    z, k, t, series = _piece(q)
     h = h1 = h2 = 0.0  # h, dh/dt and half of d2h/dt2
-    for c in _A0_SERIES[i]:
+    for c in series:
         h2, h1, h = h2 * t + h1, h1 * t + h, h * t + c
     g = h - k * z * h1
     omb = 0.25 * z * g * (1.0 - 1e-13)
@@ -199,15 +203,26 @@ def _start(b):
     A half's symmetric form, couplings sqrt(2) b, b, ..., is a leading
     block of the infinite even operator, whose minimum is a0(q)/4 at
     q = 4|b| (``mathieu``), so by Cauchy interlacing no half's minimum lies
-    below it.  The estimate, from ``_a0``, is within 2.2 ulps or
-    0.25e-15 sqrt(q) of a0/4; the margin, 32 eps (|a0/4| + 2|b|), eight
-    rounding levels of the climb, covers both.  Below |b| = 2^-976, 2b^2 is
-    0 and the margin subnormal: every pivot at -margin, below the minimum
-    ~ -2b^2, is positive, a no.  Below 2^-1029, where the margin would round
-    to 0 and the start a0/4 = -0.0 be a yes (p_0 = 0), it is held at the
-    smallest subnormal, so the start -2^-1074 stays a no."""
+    below it.  The estimate, ``_a0``'s bit for bit from its recurrences for
+    P, Q and h alone, is within 2.2 ulps or 0.25e-15 sqrt(q) of a0/4; the
+    margin, 32 eps (|a0/4| + 2|b|), eight rounding levels of the climb,
+    covers both.  Below |b| = 2^-976, 2b^2 is 0 and the margin subnormal:
+    every pivot at -margin, below the minimum ~ -2b^2, is positive, a no.
+    Below 2^-1029, where the margin would round to 0 and the start
+    a0/4 = -0.0 be a yes (p_0 = 0), it is held at the smallest subnormal,
+    so the start -2^-1074 stays a no."""
     q = 4.0 * abs(b)
-    est = 0.25 * _a0(q)[0]
+    if q <= _Q_PADE:
+        x, p, r = q * q, 0.0, 0.0
+        for cp, cr in _A0_PADE:
+            p, r = p * x + cp, r * x + cr
+        est = 0.25 * (p * x / r)
+    else:
+        z, _, t, series = _piece(q)
+        h = 0.0
+        for c in series:
+            h = h * t + c
+        est = 0.25 * ((h * z - 2.0) / (z * z))
     return est - max(32.0 * _EPS * (abs(est) + 0.5 * q), 5e-324)
 
 
@@ -377,12 +392,12 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     s, y, rows = _climb(darr[half_len:].tolist(), b)
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)
-    tv = darr * v
-    tv[:-1] += b * v[1:]
-    tv[1:] += b * v[:-1]
+    tv, bv = darr * v, b * v
+    tv[:-1] += bv[1:]
+    tv[1:] += bv[:-1]
     lam = float(v @ tv)
-    r = tv - lam * v
-    res = math.sqrt(r @ r)
+    tv -= np.multiply(lam, v, out=bv)  # now the residual
+    res = math.sqrt(tv @ tv)
     if not res <= _residual_bound(lam, scale):
         raise EigenConvergenceError(f"inverse iteration missed the residual bound at {res:.3e}")
     v.setflags(write=False)

@@ -115,9 +115,9 @@ def ce0(q: float, thetas) -> MathieuEval:
     half = pair.vector[n:].copy()  # c_k = tap at +k, k = 0..n
     if q > 0.0:
         half[1::2] = -half[1::2]
-    kk = np.arange(1, n + 1)
-    phase = 2.0 * np.outer(np.remainder(t, math.pi), kk)
-    vals = (half[0] + 2.0 * np.cos(phase) @ half[1:]) / math.sqrt(2.0)
+    # t * 2k rounds as 2 (t k) save where t k is subnormal (cos 1.0), cos * 2c as 2 cos * c
+    phase = np.outer(np.remainder(t, math.pi), np.arange(2.0, 2 * n + 1, 2.0))
+    vals = (half[0] + np.cos(phase) @ (2.0 * half[1:])) / math.sqrt(2.0)
     vals.setflags(write=False)
     return MathieuEval(
         q=q,

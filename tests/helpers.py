@@ -14,8 +14,8 @@ McLachlan's large-q series for a0 and its three-term ceiling, a0's
 small-q series and Pade approximants in exact rational arithmetic, a0 to
 40 digits in decimal arithmetic, the
 three-tap probe's closed-form spread product, a line-by-line parser
-of the sequence text format, and the per-tap writers of a design's JSON
-line and of the sequence text format.
+of the sequence text format, the per-tap writers of a design's JSON
+line and of the sequence text format, and a row-by-row CSV writer.
 """
 
 from __future__ import annotations
@@ -461,3 +461,14 @@ def sequence_text_reference(x: Sequence) -> str:
     lines = [f"# offset={x.offset}"]
     lines += [f"{float(t.real) + 0.0!r} {float(t.imag) + 0.0!r}" for t in x.taps]
     return "\n".join(lines) + "\n"
+
+
+def csv_reference(header: str, columns) -> str:
+    """CSV text joined row by row: ``header``, then each row's cells joined
+    by commas, strings as is and other cells as floats (None is nan) with
+    repr."""
+    cells = [
+        col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist())
+        for col in columns
+    ]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"

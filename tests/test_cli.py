@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from compactseq import mathieu
-from compactseq.cli import _build_parser, main
+from helpers import csv_reference
+
+from compactseq import cli, mathieu
+from compactseq.cli import _build_parser, _csv, main
 from compactseq.eigen import EigenPair
 from compactseq.windows import default_families
 
@@ -329,10 +331,36 @@ def test_each_call_is_parsed_once(capsys, monkeypatch, tmp_path):
         assert calls == ["compactseq " + argv[0]], argv
 
 
+def test_a_known_command_never_builds_the_top_level_parser(capsys, monkeypatch, tmp_path):
+    # each command's parser is built alone, on its first call; the tree of
+    # all five is built only for help and a missing or unknown command
+    seq = tmp_path / "one.seq"
+    seq.write_text("1\n")
+    built = []
+    build = cli._build_parser
+
+    def spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    for argv in (["design", "--sigma2", "0.5", "--taps", "5"], ["analyze", "--input", str(seq)],
+                 ["curve", "--grid", "0.1:1:2:log", "--taps", "5"],
+                 ["mathieu", "--q", "1", "--grid", "0:1:3:lin"],
+                 ["windows", "--family", "three_tap"], ["design", "--sigma2", "abc"],
+                 ["mathieu", "-h"]):
+        try:
+            run(capsys, *argv)
+        except SystemExit:
+            capsys.readouterr()
+    assert built == []
+    assert run(capsys, "nope")[0] == 1 and built == [1]
+
+
 def test_dispatch_matches_the_top_level_parse(capsys, monkeypatch, tmp_path):
     # exit status (or help's SystemExit code), stdout and stderr are those of
     # a parse through the top-level parser alone, which main does when no
-    # command is known to it
+    # command parser is found for argv[0]
     def outcome(argv):
         try:
             code = main(argv)
@@ -344,10 +372,35 @@ def test_dispatch_matches_the_top_level_parse(capsys, monkeypatch, tmp_path):
     out = str(tmp_path / "missing" / "scan.csv")
     cases = [[tok.format(out=out) for tok in argv] for argv in _PARSE_CASES]
     direct = [outcome(argv) for argv in cases]
-    monkeypatch.setattr(_build_parser(), "commands", {})
+    monkeypatch.setattr(cli, "_command_parser", lambda name: None)
     for argv, got in zip(cases, direct):
         assert got == outcome(argv), argv
     assert {0, 1, ("exit", 0)} <= {code for code, _, _ in direct}
+
+
+_CSV_CELLS = [0.0, -0.0, 1.0, -2.5, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308,
+              1e-310, 1.7976931348623157e308, 0.1, 1 / 3, None]
+
+
+def test_csv_matches_the_rows_joined_one_by_one():
+    # string, None, NaN, +-inf, -0.0 and subnormal cells, 1 to 6 columns
+    # and 1 to 2000 rows, in lists and in numpy arrays
+    rng = np.random.default_rng(7)
+    for ncols in range(1, 7):
+        for nrows in (1, 2, 3, 17, 2000):
+            columns = []
+            for j in range(ncols):
+                picks = rng.integers(len(_CSV_CELLS), size=nrows)
+                col = [_CSV_CELLS[i] for i in picks]
+                if j % 3 == 2:
+                    col = [f"s{i}" for i in picks]
+                    if j == 5:
+                        col = np.array(col)
+                elif j % 3 == 1:
+                    col = np.array([math.nan if c is None else c for c in col])
+                columns.append(col)
+            header = ",".join(f"c{j}" for j in range(ncols))
+            assert _csv(header, columns) == csv_reference(header, columns), (ncols, nrows)
 
 
 def test_unwritable_output(capsys, tmp_path):

@@ -37,6 +37,23 @@ def test_the_pade_floats_are_exact():
     assert exact == [(p.hex(), r.hex()) for p, r in eigen._A0_PADE]
 
 
+def test_the_start_reads_the_table_value_as_a0_does():
+    # _start runs _a0's Horner recurrences without the derivatives: the
+    # same a0 bits less the same margin, on 100,000 log-spaced |b| from the
+    # smallest subnormal to 1e21, at each piece edge of the series, on both
+    # sides of the switch from the Pade and where |b| is exactly a0's q / 4
+    def reference(b):
+        q = 4.0 * abs(b)
+        est = 0.25 * eigen._a0(q)[0]
+        return est - max(32.0 * _EPS * (abs(est) + 0.5 * q), 5e-324)
+
+    qs = [z**-2 for z in eigen._A0_BREAKS[1:]] + [eigen._Q_PADE]
+    qs += [math.nextafter(q, d) for q in qs for d in (0.0, math.inf)]
+    bs = np.geomspace(5e-324, 1e21, 100_000).tolist() + [0.25 * q for q in qs]
+    for b in bs + [-b for b in bs]:
+        assert eigen._start(b).hex() == reference(b).hex(), b
+
+
 def test_the_start_lies_below_a0_and_close_to_it():
     # against the 40-digit a0: the start is at or below a0/4, the minimum of
     # the infinite even operator, and within 2e-5 (|a0/4| + 2|b|) of it

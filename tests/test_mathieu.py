@@ -83,6 +83,25 @@ def test_ce0_reduces_the_angle_by_its_period(capsys):
     assert "nan" not in out and out.splitlines()[-1].startswith("1e+308,")
 
 
+def test_ce0_folds_its_factors_of_two_exactly():
+    # the 2 of 2kt folded into the index vector and the 2 of 2 cos(2kt) into
+    # the taps give the bits of the unfolded form, also where t k rounds to a
+    # subnormal (t = 1e-310, and the CI grid's 5e-301) and where the angle
+    # is reduced from far out (t = 1e6, pi 2^40)
+    thetas = np.concatenate(([5e-324, 1e-310, 1e6, math.pi * 2.0**40],
+                             np.linspace(0.0, 1e-300, 3), np.linspace(0.0, math.pi, 257)))
+    for q in (7.25, -7.25, 1e4, -1e4):
+        pair = mathieu._ground_taps(q)
+        n = pair.vector.size // 2
+        half = pair.vector[n:].copy()
+        if q > 0.0:
+            half[1::2] = -half[1::2]
+        phase = 2.0 * np.outer(np.remainder(thetas, math.pi), np.arange(1, n + 1))
+        want = (half[0] + 2.0 * np.cos(phase) @ half[1:]) / math.sqrt(2.0)
+        got = ce0(q, thetas).values
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], q
+
+
 def test_ce0_reflection_identity():
     t = np.linspace(0.0, np.pi, 301)
     for q in (0.4, 3.0, 18.0):
