@@ -29,6 +29,7 @@ a string.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -63,12 +64,15 @@ class Sequence:
     offset: int = 0
 
     def __post_init__(self):
-        taps = np.atleast_1d(np.asarray(self.taps, dtype=np.complex128))
+        # a contiguous complex128 array is kept as it is, not copied
+        taps = np.ascontiguousarray(self.taps, dtype=np.complex128)
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a nonempty 1-d array")
-        if not np.isfinite(taps).all():
+        # the largest |part| is NaN or infinite exactly when a part is
+        peak = float(np.maximum.reduce(np.abs(taps.view(np.float64))))
+        if not math.isfinite(peak):
             raise ValueError("taps must be finite")
-        if not taps.any():
+        if not peak:
             raise ValueError("sequence must have at least one nonzero tap")
         offset = _whole(self.offset, "offset")
         taps.setflags(write=False)
@@ -91,7 +95,7 @@ def autocorrelation(x: Sequence, m: int) -> complex:
     t = x.taps
     if m >= t.size:
         return 0j
-    return complex(np.sum(t[: t.size - m] * np.conj(t[m:])))
+    return complex(np.add.reduce(t[: t.size - m] * np.conj(t[m:])))
 
 
 # ---------------------------------------------------------------------------

@@ -150,28 +150,31 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
     imaginary part, when it is smaller, and down only as far as p < 2^256
     when it is larger.  So ||x||^2 neither underflows nor overflows at any
     tap scale, a modulus beyond the float range included, and no nonzero
-    tap near the subnormal floor is flushed to 0.  |x_k|, the weights and
-    rho are then computed once each: rho from one correlation of the
-    taps, or one transform pair on long sequences (``_rho``), divided by
-    r_0 componentwise, tau from the lag-one sum.  Taps far below the
-    largest one can still have squares (or a |tau|^2) below the normal
-    range; eta_p is then formed from unsquared ratios, so it stays
+    tap near the subnormal floor is flushed to 0.  |x_k|^2, the weights
+    and rho are then computed once each: |x_k|^2 of real taps as the
+    squares of their real parts, with no modulus, rho from one
+    correlation of the taps, or one transform pair on long sequences
+    (``_rho``), divided by r_0 componentwise, tau from the complex
+    lag-one sum, whose grouping a real sum would not keep.  Taps far
+    below the largest one can still have squares (or a |tau|^2) below the
+    normal range; eta_p is then formed from unsquared ratios, so it stays
     accurate even where delta_n2 rounds to 0 and delta_wp2 to infinity.
     An offset that puts mu_n beyond the float range raises ValueError.
     With ``linear=False`` neither rho nor the lag sums are formed, and
     mu_wl, delta_wl2 and eta_l are None; the other fields do not depend
     on ``linear``.
     """
-    real = not x.taps.imag.any()
+    real = not np.count_nonzero(x.taps.imag)
     parts = x.taps.real if real else x.taps.view(np.float64)
-    e = math.frexp(float(np.abs(parts).max()))[1]
+    e = math.frexp(float(np.maximum.reduce(np.abs(parts))))[1]
     e -= min(max(e, 0), _MAX_EXPONENT)
     x = _scaled(x, e)
-    a = np.abs(x.taps.real if real else x.taps)
-    a2 = a**2
-    r0 = float(a2.sum())
-    c = len(x) // 2  # moments about the middle tap: no offset costs dk its digits
-    k = np.arange(-c, len(x) - c, dtype=float)
+    s = x.taps.real if real else x.taps
+    a2 = np.square(s) if real else np.abs(s) ** 2  # |x_k|^2
+    r0 = float(np.add.reduce(a2))
+    n = a2.size
+    c = n // 2  # moments about the middle tap: no offset costs dk its digits
+    k = np.arange(-c, n - c, dtype=float)
     w = a2 / r0
     mean = float(w @ k)
     try:
@@ -186,17 +189,15 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
     t2 = t * t
     # a |tau| too small to square is an infinite spread, not a 1/0
     dwp2 = (1.0 - t2) / t2 if t2 else math.inf
-    if np.count_nonzero(x.taps) <= 1:
-        eta_p = None
-    elif t == 0.0:
-        eta_p = math.inf
-    elif t2 < _TINY or dn2 < len(x) ** 3 * _TINY:
+    if t == 0.0:  # as it is with a single nonzero tap, where eta_p is 0 * inf
+        eta_p = None if np.count_nonzero(s) <= 1 else math.inf
+    elif t2 < _TINY or dn2 < n**3 * _TINY:
         # Weights below the normal range cost dn2 at most len^3 * 2^-1074,
         # under an ulp when dn2 >= len^3 * tiny.  Otherwise, or when |tau|^2
         # is below the normal range, form dn2 * (1 - t2)/t2 from unsquared
         # ratios; a product beyond the float range is inf.
         with np.errstate(over="ignore"):
-            z = a * dk / (math.sqrt(r0) * t)
+            z = np.abs(s) * dk / (math.sqrt(r0) * t)
             eta_p = float(z @ z) * (1.0 - t2)
     else:
         eta_p = dn2 * dwp2
@@ -204,7 +205,7 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
     mu_wl = dwl2 = eta_l = None
     if linear:
         rho = _rho(x, r0, real)
-        m = np.arange(1, len(x))
+        m = np.arange(1, n)
         # the terms (-1)^m rho_m / m and (-1)^m rho_m / m^2: odd lags negated
         im = rho.imag / m
         im[::2] *= -1.0
@@ -213,14 +214,5 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
         mu_wl = float(2.0 * im.sum())
         dwl2 = float(math.pi**2 / 3.0 + 4.0 * re.sum() - mu_wl * mu_wl)
         eta_l = dn2 * dwl2
-    return SpreadReport(
-        mu_n=mu_n,
-        delta_n2=dn2,
-        tau=tau,
-        delta_wp2=dwp2,
-        mu_wl=mu_wl,
-        delta_wl2=dwl2,
-        eta_p=eta_p,
-        eta_l=eta_l,
-        mu_wp=1.0 - tau,
-    )
+    # positional, in field order: keywords cost a frozen dataclass more
+    return SpreadReport(mu_n, dn2, tau, dwp2, mu_wl, dwl2, eta_p, eta_l, 1.0 - tau)

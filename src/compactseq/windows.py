@@ -35,8 +35,8 @@ _COSINE_SUMS = {"rectangular": (1.0,), "hann": (0.5, 0.5), "hamming": (0.54, 0.4
                 "blackman": (0.42, 0.5, 0.08)}
 
 
-def _unit(taps: np.ndarray, offset: int) -> Sequence:
-    return Sequence(taps / np.linalg.norm(taps), offset)
+def _unit(w: np.ndarray, offset: int) -> Sequence:
+    return Sequence(w / math.sqrt(w @ w), offset)  # the bits of np.linalg.norm
 
 
 def _check_taps(taps: int) -> int:
@@ -71,20 +71,37 @@ def standard_windows(name: str, taps: int) -> Sequence:
     return _unit(w, -(taps // 2))
 
 
-def sampled_gaussian(width: float, taps: int) -> Sequence:
-    """Samples of exp(-k^2 / (2 width^2)) on k = -N..N, unit energy."""
+def _width(width: float) -> float:
     width = float(width)
+    if not math.isfinite(width):
+        raise ValueError(f"width must be finite, not {width!r}")
+    return width
+
+
+def sampled_gaussian(width: float, taps: int) -> Sequence:
+    """Samples of exp(-k^2 / (2 width^2)) on k = -N..N, unit energy.
+
+    Below width 0.025 every sample but k = 0 rounds to 0 (exp(-800) is
+    below the subnormal range), so the window is the one-tap delta; it is
+    built as such, before 2 width^2 underflows or k^2 / (2 width^2)
+    overflows.
+    """
+    width = _width(width)
     if width <= 0.0:
         raise ValueError("width must be positive")
     taps = _check_taps(taps)
     half = taps // 2
+    if width < 0.025:
+        w = np.zeros(taps)
+        w[half] = 1.0
+        return _unit(w, -half)
     k = np.arange(-half, half + 1, dtype=float)
     return _unit(np.exp(-(k * k) / (2.0 * width * width)), -half)
 
 
 def gaussian_auto_taps(width: float) -> int:
     """Tap count that buries the Gaussian's truncation below 1e-12."""
-    return 2 * (int(math.ceil(8.0 * max(float(width), 0.5))) + 4) + 1
+    return 2 * (int(math.ceil(8.0 * max(_width(width), 0.5))) + 4) + 1
 
 
 def three_tap(eps: float) -> Sequence:

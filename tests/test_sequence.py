@@ -26,6 +26,7 @@ from compactseq.sequence import (
     read_sequence,
     write_sequence,
 )
+from compactseq.spreads import measure
 
 EX1 = Sequence(np.array([1.0, 7.0, 2.0]))
 
@@ -46,6 +47,27 @@ def test_construction_validation():
     assert s.taps.dtype == np.complex128
     assert list(indices(s)) == [-3, -2]
     assert len(s) == 2
+
+
+def test_construction_from_complex_arrays():
+    # a contiguous complex128 array is kept, not copied; any other is copied
+    c = np.array([1 + 2j, 3 - 1j, 0.5j, 2.0, -1 + 0j, 4j])
+    s = Sequence(c, offset=2)
+    assert s.taps is c and not c.flags.writeable
+    view = np.array([1 + 2j, 3 - 1j, 0.5j, -0.0, -1 + 0j, 4j])[::2]
+    s = Sequence(view)
+    assert s.taps.tobytes() == np.array(view).tobytes()
+    assert s.taps.flags.c_contiguous and not s.taps.flags.writeable
+    # measure views the taps as float pairs, which a strided array refused
+    assert repr(measure(s)) == repr(measure(Sequence(view.copy())))
+    with pytest.raises(ValueError, match="taps must be a nonempty 1-d array"):
+        Sequence(np.ones((2, 3), dtype=complex))
+    for bad in (math.nan, math.inf, -math.inf):  # only an imaginary part
+        with pytest.raises(ValueError, match="taps must be finite"):
+            Sequence(np.array([1.0 + 0j, complex(2.0, bad)]))
+    for zeros in (np.zeros(3, dtype=complex), np.array([-0.0 - 0.0j, 0j])):
+        with pytest.raises(ValueError, match="at least one nonzero tap"):
+            Sequence(zeros)
 
 
 def test_taps_are_frozen():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from compactseq.cli import main
 from compactseq.spreads import measure
 from compactseq.windows import (
     WINDOW_NAMES,
+    ScanPoint,
     WindowFamily,
     default_families,
+    gaussian_auto_taps,
     sampled_gaussian,
     spread_scan,
     standard_windows,
@@ -78,6 +81,24 @@ def test_sampled_gaussian():
         sampled_gaussian(1.0, 20)
 
 
+def test_sampled_gaussian_extreme_widths():
+    # warnings are errors here: no width may print numpy's overflow warning
+    delta = np.zeros(9)
+    delta[4] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for width in (0.025 * (1 - 2**-52), 1e-100, 1e-155, 1e-162, 1e-300, 5e-324):
+            s = sampled_gaussian(width, 9)
+            assert s.offset == -4 and s.taps.real.tobytes() == delta.tobytes()
+        # every tap of a width too wide to resolve is 1 before the norm
+        assert np.all(sampled_gaussian(1e300, 9).taps == 1 / 3)
+        for width in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"width must be finite, not {width!r}"):
+                sampled_gaussian(width, 9)
+            with pytest.raises(ValueError, match=f"width must be finite, not {width!r}"):
+                gaussian_auto_taps(width)
+
+
 def test_three_tap_limits():
     with pytest.raises(ValueError):
         three_tap(0.0)
@@ -141,6 +162,16 @@ def test_scan_measure_matches_the_full_measure():
                 assert repr(getattr(short, fld)) == repr(getattr(full, fld)), (fam.name, p, fld)
             for fld in LINEAR:
                 assert getattr(short, fld) is None, (fam.name, p, fld)
+
+
+def test_scan_points_are_the_measure_of_each_window():
+    # repr prints every bit: the scan adds no arithmetic of its own
+    for fam in default_families():
+        points = {pt.param: pt for pt in spread_scan(fam)}
+        for p in fam.params:
+            rep = measure(fam.builder(p), linear=False)
+            want = ScanPoint(fam.name, float(p), rep.delta_wp2, rep.delta_n2, rep.eta_p)
+            assert repr(points[float(p)]) == repr(want), (fam.name, p)
 
 
 def test_windows_scan_forms_no_rho(monkeypatch, capsys):
