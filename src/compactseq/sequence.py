@@ -56,6 +56,19 @@ def _whole(x, name):
     return n
 
 
+def _peak(parts: np.ndarray) -> float:
+    """The largest |part| of the float tap parts ``parts``, if valid taps."""
+    if parts.ndim != 1 or parts.size == 0:
+        raise ValueError("taps must be a nonempty 1-d array")
+    # the largest |part| is NaN or infinite exactly when a part is
+    peak = float(np.maximum.reduce(np.abs(parts)))
+    if not math.isfinite(peak):
+        raise ValueError("taps must be finite")
+    if not peak:
+        raise ValueError("sequence must have at least one nonzero tap")
+    return peak
+
+
 @dataclass(frozen=True)
 class Sequence:
     """Immutable finite complex sequence with an integer start index."""
@@ -66,14 +79,7 @@ class Sequence:
     def __post_init__(self):
         # a contiguous complex128 array is kept as it is, not copied
         taps = np.ascontiguousarray(self.taps, dtype=np.complex128)
-        if taps.ndim != 1 or taps.size == 0:
-            raise ValueError("taps must be a nonempty 1-d array")
-        # the largest |part| is NaN or infinite exactly when a part is
-        peak = float(np.maximum.reduce(np.abs(taps.view(np.float64))))
-        if not math.isfinite(peak):
-            raise ValueError("taps must be finite")
-        if not peak:
-            raise ValueError("sequence must have at least one nonzero tap")
+        _peak(taps.view(np.float64))
         offset = _whole(self.offset, "offset")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
@@ -83,16 +89,17 @@ class Sequence:
         return self.taps.size
 
 
-def autocorrelation(x: Sequence, m: int) -> complex:
+def autocorrelation(x: Sequence | np.ndarray, m: int) -> complex:
     """Deterministic autocorrelation r_m = sum_k x_k conj(x_{k+m}).
 
     Satisfies r_{-m} = conj(r_m) and r_0 = ||x||^2.  Lags at or beyond the
     support length are exactly zero; a lag that is not whole is refused.
+    ``x`` may be a 1-d tap array, summed as complex, as its Sequence is.
     """
     m = _whole(m, "m")
     if m < 0:
         return complex(np.conj(autocorrelation(x, -m)))
-    t = x.taps
+    t = x.taps if isinstance(x, Sequence) else np.asarray(x, dtype=np.complex128)
     if m >= t.size:
         return 0j
     return complex(np.add.reduce(t[: t.size - m] * np.conj(t[m:])))

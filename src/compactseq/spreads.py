@@ -1,7 +1,8 @@
 """Time and frequency spread measures for finite sequences.
 
-``measure`` evaluates every measure of a sequence in one pass and returns
-them as a ``SpreadReport``.  Everything comes from two vectors:
+``measure`` evaluates every measure of a sequence, given as a ``Sequence``
+or as a float64 array of real taps at k = 0..len-1, in one pass and
+returns them as a ``SpreadReport``.  Everything comes from two vectors:
 
 * the tap-energy weights w_k = |x_k|^2 / ||x||^2, whose mean and variance
   are the time center mu_n and the time spread delta_n2, and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence import Sequence, autocorrelation
+from .sequence import Sequence, _peak, autocorrelation
 
 __all__ = ["SpreadReport", "measure"]
 
@@ -64,28 +65,11 @@ _FFT_REAL = 416
 _FFT_COMPLEX = 224
 
 
-def _scaled(x: Sequence, e: int) -> Sequence:
-    """``x`` with its taps times 2^-e, ``x`` itself when e = 0.
-
-    The taps are scaled as float pairs and the result is not validated
-    again: measure's power of two keeps every tap finite and the largest
-    one nonzero.  Signed zeros keep their sign, which no measure shows:
-    each reads a tap through |x_k| or through a sum that starts at +0.
-    """
-    if not e:
-        return x
-    taps = np.ldexp(x.taps.view(np.float64), -e).view(np.complex128)
-    taps.setflags(write=False)
-    y = object.__new__(Sequence)
-    object.__setattr__(y, "taps", taps)
-    object.__setattr__(y, "offset", x.offset)
-    return y
-
-
-def _rho(x: Sequence, r0: float, real: bool) -> np.ndarray:
+def _rho(t: np.ndarray, r0: float, real: bool) -> np.ndarray:
     """Normalized autocorrelation taps rho_m = r_m / r_0 for m = 1..len-1.
 
-    Below ``_FFT_REAL`` real taps or ``_FFT_COMPLEX`` complex taps one
+    ``t`` holds the taps, float64 where they are real (``real``).  Below
+    ``_FFT_REAL`` real taps or ``_FFT_COMPLEX`` complex taps one
     correlation gives every lag: numpy's ``correlate(t, t)`` at lag m is
     sum_k x_{k+m} conj(x_k) = conj(r_m), hence the sign of the imaginary
     part.  From those lengths on (timed in CHANGES.md), the lags come from
@@ -97,23 +81,20 @@ def _rho(x: Sequence, r0: float, real: bool) -> np.ndarray:
     no flip and L joins r_0 in the divisor.  Each lag is then off by about
     eps r_0 log L instead of eps r_0; with one nonzero tap every r_m is
     exactly 0, so rho is returned as 0 without a transform.  Real taps
-    (``real``) give a real rho.  The division is taken componentwise,
-    which keeps a zero imaginary part exactly zero.
+    give a real rho.  The division is taken componentwise, which keeps a
+    zero imaginary part exactly zero.
     """
-    n = len(x)
+    n = t.size
     if n < (_FFT_REAL if real else _FFT_COMPLEX):
-        if real:
-            t = x.taps.real
-            return np.correlate(t, t, "full")[n:] / r0
-        r = np.correlate(x.taps, x.taps, "full")[n:]
-        return r.real / r0 - 1j * (r.imag / r0)
-    if np.count_nonzero(x.taps) <= 1:
+        r = np.correlate(t, t, "full")[n:]
+        return r / r0 if real else r.real / r0 - 1j * (r.imag / r0)
+    if np.count_nonzero(t) <= 1:
         return np.zeros(n - 1)
     size = 1 << (2 * n - 2).bit_length()
     if real:
-        f = np.fft.rfft(x.taps.real, size)
+        f = np.fft.rfft(t, size)
         return np.fft.irfft(f.real**2 + f.imag**2, size)[1:n] / r0
-    f = np.fft.fft(x.taps, size)
+    f = np.fft.fft(t, size)
     r = np.fft.rfft(f.real**2 + f.imag**2)[1:n]
     r0 *= size
     return r.real / r0 + 1j * (r.imag / r0)
@@ -141,35 +122,40 @@ class SpreadReport:
     mu_wp: complex
 
 
-def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
+def measure(x: Sequence | np.ndarray, *, linear: bool = True) -> SpreadReport:
     """Evaluate every spread measure of ``x``, or with ``linear=False``
     all but the linear ones.
 
-    The measures are scale-invariant, so the taps are first scaled by an
-    exact power of two: up to p in [0.5, 1), p the largest real or
-    imaginary part, when it is smaller, and down only as far as p < 2^256
-    when it is larger.  So ||x||^2 neither underflows nor overflows at any
-    tap scale, a modulus beyond the float range included, and no nonzero
-    tap near the subnormal floor is flushed to 0.  |x_k|^2, the weights
-    and rho are then computed once each: |x_k|^2 of real taps as the
-    squares of their real parts, with no modulus, rho from one
-    correlation of the taps, or one transform pair on long sequences
-    (``_rho``), divided by r_0 componentwise, tau from the complex
-    lag-one sum, whose grouping a real sum would not keep.  Taps far
-    below the largest one can still have squares (or a |tau|^2) below the
-    normal range; eta_p is then formed from unsquared ratios, so it stays
-    accurate even where delta_n2 rounds to 0 and delta_wp2 to infinity.
-    An offset that puts mu_n beyond the float range raises ValueError.
-    With ``linear=False`` neither rho nor the lag sums are formed, and
-    mu_wl, delta_wl2 and eta_l are None; the other fields do not depend
-    on ``linear``.
+    ``x`` is a ``Sequence`` or a 1-d float64 array of real taps at
+    k = 0..len-1, measured as its ``Sequence`` is, bit for bit, and refused
+    with the ``ValueError`` that ``Sequence`` raises.  The measures are
+    scale-invariant, so the taps are first scaled by an exact power of
+    two: up to p in [0.5, 1), p the largest real or imaginary part, when it
+    is smaller, and down only as far as p < 2^256 when it is larger.  So
+    ||x||^2 neither underflows nor overflows at any tap scale, a modulus
+    beyond the float range included, and no nonzero tap near the subnormal
+    floor is flushed to 0.  |x_k|^2, the weights and rho are then computed
+    once each: |x_k|^2 of real taps as the squares of their real parts,
+    with no modulus, rho from one correlation of the taps, or one transform
+    pair on long sequences (``_rho``), divided by r_0 componentwise, tau
+    from the complex lag-one sum of ``autocorrelation``, whose grouping a
+    real sum would not keep.  Taps far below the largest one can still
+    have squares (or a |tau|^2) below the normal range; eta_p is then
+    formed from unsquared ratios, so it stays accurate even where delta_n2
+    rounds to 0 and delta_wp2 to infinity.  An offset that puts mu_n
+    beyond the float range raises ValueError.  With ``linear=False``
+    neither rho nor the lag sums are formed, and mu_wl, delta_wl2 and
+    eta_l are None; the other fields do not depend on ``linear``.
     """
-    real = not np.count_nonzero(x.taps.imag)
-    parts = x.taps.real if real else x.taps.view(np.float64)
-    e = math.frexp(float(np.maximum.reduce(np.abs(parts))))[1]
+    if isinstance(x, Sequence):
+        offset, real = x.offset, not np.count_nonzero(x.taps.imag)
+        parts = x.taps.real if real else x.taps.view(np.float64)
+    else:
+        parts, offset, real = x, 0, True
+    e = math.frexp(_peak(parts))[1]
     e -= min(max(e, 0), _MAX_EXPONENT)
-    x = _scaled(x, e)
-    s = x.taps.real if real else x.taps
+    s = np.ldexp(parts, -e, dtype=np.float64)  # a copy, its signed zeros kept
+    s = s if real else s.view(np.complex128)
     a2 = np.square(s) if real else np.abs(s) ** 2  # |x_k|^2
     r0 = float(np.add.reduce(a2))
     n = a2.size
@@ -178,13 +164,13 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
     w = a2 / r0
     mean = float(w @ k)
     try:
-        mu_n = (x.offset + c) + mean
+        mu_n = (offset + c) + mean
     except OverflowError:
         raise ValueError("offset puts the time center beyond the float range") from None
     dk = k - mean
     dn2 = float(w @ dk**2)
 
-    tau = autocorrelation(x, 1) / r0
+    tau = autocorrelation(s, 1) / r0
     t = abs(tau)
     t2 = t * t
     # a |tau| too small to square is an infinite spread, not a 1/0
@@ -204,7 +190,7 @@ def measure(x: Sequence, *, linear: bool = True) -> SpreadReport:
 
     mu_wl = dwl2 = eta_l = None
     if linear:
-        rho = _rho(x, r0, real)
+        rho = _rho(s, r0, real)
         m = np.arange(1, n)
         # the terms (-1)^m rho_m / m and (-1)^m rho_m / m^2: odd lags negated
         im = rho.imag / m

@@ -2,20 +2,23 @@
 
 Every generator returns a unit-energy :class:`~compactseq.sequence.Sequence`
 centered at index 0 (odd tap counts only, so the center is an integer and
-the time mean sits exactly on the grid).  ``spread_scan`` sweeps a family
-across its parameter grid and records (delta_wp2, delta_n2, eta_p) per
-point, which is the comparison data set for judging windows against the
-designed optimum at matched frequency spread.
+the time mean sits exactly on the grid; at most 2^21 + 1, the designer's
+cap).  ``spread_scan`` sweeps a family across its parameter grid and
+records (delta_wp2, delta_n2, eta_p) per point, which is the comparison
+data set for judging windows against the designed optimum at matched
+frequency spread.  The stock families scan each generator's float taps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .eigen import _MAX_HALF_LEN
 from .sequence import Sequence, _whole
 from .spreads import measure
 
@@ -35,8 +38,15 @@ _COSINE_SUMS = {"rectangular": (1.0,), "hann": (0.5, 0.5), "hamming": (0.54, 0.4
                 "blackman": (0.42, 0.5, 0.08)}
 
 
-def _unit(w: np.ndarray, offset: int) -> Sequence:
-    return Sequence(w / math.sqrt(w @ w), offset)  # the bits of np.linalg.norm
+def _generator(taps_of):
+    """The generator that returns the float64 taps ``taps_of`` forms as a
+    ``Sequence`` centered at index 0; ``taps_of`` stays as its ``taps``."""
+    @functools.wraps(taps_of)
+    def generator(*args):
+        taps = taps_of(*args)
+        return Sequence(taps, -(taps.size // 2))
+    generator.taps = taps_of
+    return generator
 
 
 def _check_taps(taps: int) -> int:
@@ -45,10 +55,13 @@ def _check_taps(taps: int) -> int:
         raise ValueError("taps must be >= 3")
     if taps % 2 == 0:
         raise ValueError("taps must be odd so the window centers on the grid")
+    if taps > 2 * _MAX_HALF_LEN + 1:
+        raise ValueError(f"taps must be at most {2 * _MAX_HALF_LEN + 1}")
     return taps
 
 
-def standard_windows(name: str, taps: int) -> Sequence:
+@_generator
+def standard_windows(name: str, taps: int):
     """One of the classical windows, unit energy, centered at index 0.
 
     ``taps`` is the full length M.  triangular is Bartlett's, zero at both
@@ -68,17 +81,20 @@ def standard_windows(name: str, taps: int) -> Sequence:
             w += (-1) ** j * a * np.cos(2.0 * math.pi * j * n / m)
     else:
         raise ValueError(f"unknown window {name!r}; expected one of {WINDOW_NAMES}")
-    return _unit(w, -(taps // 2))
+    return w / math.sqrt(w @ w)  # the bits of np.linalg.norm
 
 
 def _width(width: float) -> float:
     width = float(width)
     if not math.isfinite(width):
         raise ValueError(f"width must be finite, not {width!r}")
+    if width <= 0.0:
+        raise ValueError("width must be positive")
     return width
 
 
-def sampled_gaussian(width: float, taps: int) -> Sequence:
+@_generator
+def sampled_gaussian(width: float, taps: int):
     """Samples of exp(-k^2 / (2 width^2)) on k = -N..N, unit energy.
 
     Below width 0.025 every sample but k = 0 rounds to 0 (exp(-800) is
@@ -87,16 +103,15 @@ def sampled_gaussian(width: float, taps: int) -> Sequence:
     overflows.
     """
     width = _width(width)
-    if width <= 0.0:
-        raise ValueError("width must be positive")
     taps = _check_taps(taps)
     half = taps // 2
     if width < 0.025:
         w = np.zeros(taps)
         w[half] = 1.0
-        return _unit(w, -half)
+        return w
     k = np.arange(-half, half + 1, dtype=float)
-    return _unit(np.exp(-(k * k) / (2.0 * width * width)), -half)
+    w = np.exp(-(k * k) / (2.0 * width * width))
+    return w / math.sqrt(w @ w)
 
 
 def gaussian_auto_taps(width: float) -> int:
@@ -104,23 +119,24 @@ def gaussian_auto_taps(width: float) -> int:
     return 2 * (int(math.ceil(8.0 * max(_width(width), 0.5))) + 4) + 1
 
 
-def three_tap(eps: float) -> Sequence:
+@_generator
+def three_tap(eps: float):
     """The three-tap probe (eps, sqrt(1 - 2 eps^2), eps) at k = -1, 0, 1,
     for 0 < eps < 1/sqrt(2)."""
     eps = float(eps)
     if not 0.0 < eps < 1.0 / math.sqrt(2.0):
         raise ValueError("eps must lie in (0, 1/sqrt(2))")
     mid = math.sqrt(1.0 - 2.0 * eps * eps)
-    return Sequence(np.array([eps, mid, eps]), -1)
+    return np.array([eps, mid, eps])
 
 
 @dataclass(frozen=True)
 class WindowFamily:
-    """A named one-parameter family of unit-energy windows."""
+    """A named one-parameter family of unit-energy windows, as ``measure`` reads them."""
 
     name: str
     params: tuple
-    builder: Callable[[float], Sequence]
+    builder: Callable[[float], Sequence | np.ndarray]
 
 
 def default_families() -> list[WindowFamily]:
@@ -129,7 +145,7 @@ def default_families() -> list[WindowFamily]:
     three-tap probe over its parameter range."""
     length_grid = tuple(range(5, 402, 4))
     fams = [
-        WindowFamily(name, length_grid, lambda t, _n=name: standard_windows(_n, int(t)))
+        WindowFamily(name, length_grid, lambda t, _n=name: standard_windows.taps(_n, int(t)))
         for name in WINDOW_NAMES
     ]
     widths = tuple(float(w) for w in np.geomspace(0.3, 50.0, 25))
@@ -137,11 +153,11 @@ def default_families() -> list[WindowFamily]:
         WindowFamily(
             "gaussian",
             widths,
-            lambda w: sampled_gaussian(w, gaussian_auto_taps(w)),
+            lambda w: sampled_gaussian.taps(w, gaussian_auto_taps(w)),
         )
     )
     eps_grid = tuple(float(e) for e in np.linspace(0.05, 0.65, 13))
-    fams.append(WindowFamily("three_tap", eps_grid, three_tap))
+    fams.append(WindowFamily("three_tap", eps_grid, three_tap.taps))
     return fams
 
 

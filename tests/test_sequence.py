@@ -130,6 +130,19 @@ def test_autocorrelation():
             autocorrelation(EX1, m)
 
 
+def test_autocorrelation_reads_a_real_array_as_its_sequence():
+    # an array's lags are summed as complex, in the grouping of its
+    # Sequence's sum, which a real sum does not keep: the same bits (repr
+    # tells -0.0 from 0.0), at lengths on both sides of numpy's pairwise
+    # blocks and with taps of either sign
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 40), 129, 201, 401]:
+        a = rng.normal(size=n)
+        x = Sequence(a)
+        for m in {1, 2, -1, n - 1, n}:
+            assert repr(autocorrelation(a, m)) == repr(autocorrelation(x, m)), (n, m)
+
+
 def test_text_round_trip(tmp_path):
     s = Sequence([1.25 - 3j, 0.0, 7.5], offset=-2)
     path = tmp_path / "seq.txt"

@@ -146,15 +146,15 @@ def test_autocorrelation_taken_once_per_lag(monkeypatch):
 
 @pytest.fixture
 def rho_calls(monkeypatch):
-    """(rescaled x, r0, rho) of every ``_rho`` call that ``measure`` makes."""
+    """(rescaled taps, r0, rho) of every ``_rho`` call that ``measure`` makes."""
     import compactseq.spreads as spreads
 
     calls = []
     inner = spreads._rho
 
-    def recording(x, r0, real):
-        rho = inner(x, r0, real)
-        calls.append((x, r0, rho))
+    def recording(t, r0, real):
+        rho = inner(t, r0, real)
+        calls.append((t, r0, rho))
         return rho
 
     monkeypatch.setattr(spreads, "_rho", recording)
@@ -183,20 +183,44 @@ def _rho_oracle_cases():
 
 def test_rho_equals_the_per_lag_sums(rho_calls):
     # the one correlation against rho_m = r_m / r_0 taken lag by lag, on the
-    # rescaled taps measure passes in; |rho_m| <= 1, so 1e-13 absolute
+    # rescaled tap array measure passes in, float64 where the taps are real;
+    # |rho_m| <= 1, so 1e-13 absolute.  Real taps are measured from a
+    # Sequence and from the array itself, with the same bits (repr tells
+    # -0.0 from 0.0)
     for taps in _rho_oracle_cases():
-        rho_calls.clear()
-        measure(Sequence(taps))
-        (x, r0, rho), = rho_calls
-        want = np.array(
-            [autocorrelation(x, m) / r0 for m in range(1, len(x))], dtype=complex
-        )
-        assert rho.shape == want.shape
-        assert np.max(np.abs(rho - want), initial=0.0) <= 1e-13, len(x)
-        if not np.any(x.taps.imag):
-            assert not np.any(rho.imag)
-        if not np.any(x.taps[1::2]):
-            assert not np.any(rho[::2])
+        real = not np.any(np.imag(taps))
+        reports = []
+        for x in (Sequence(taps), taps) if real else (Sequence(taps),):
+            rho_calls.clear()
+            reports.append(repr(measure(x)))
+            (t, r0, rho), = rho_calls
+            assert t.dtype == (np.float64 if real else np.complex128)
+            want = np.array(
+                [autocorrelation(t, m) / r0 for m in range(1, t.size)], dtype=complex
+            )
+            assert rho.shape == want.shape
+            assert np.max(np.abs(rho - want), initial=0.0) <= 1e-13, t.size
+            if real:
+                assert not np.any(rho.imag)
+            if not np.any(t[1::2]):
+                assert not np.any(rho[::2])
+        assert len(set(reports)) == 1, taps.size
+
+
+@pytest.mark.parametrize(
+    "taps, error",
+    [
+        (np.zeros(0), "taps must be a nonempty 1-d array"),
+        (np.ones((2, 3)), "taps must be a nonempty 1-d array"),
+        (np.array([1.0, math.nan]), "taps must be finite"),
+        (np.array([-math.inf, 1.0]), "taps must be finite"),
+        (np.array([0.0, -0.0]), "sequence must have at least one nonzero tap"),
+    ],
+)
+def test_arrays_are_refused_as_sequences_are(taps, error):
+    for build in (Sequence, measure):
+        with pytest.raises(ValueError, match=error):
+            build(taps)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.01, 1e-310, 1e300])

@@ -1,8 +1,9 @@
 """Property tests for ``measure``: scale, shift and modulus invariants and
 the 1/4 floor of eta_p, on generated sequences of up to 12 taps and, for
 the linear spread, of lengths on both sides of the lengths from which
-rho comes from transforms; and that ``linear=False`` leaves every other
-field bit for bit as it was."""
+rho comes from transforms; that ``linear=False`` leaves every other
+field bit for bit as it was; and that a real float64 tap array measures as
+its ``Sequence``, bit for bit."""
 
 import math
 
@@ -205,3 +206,40 @@ def test_measure_without_the_linear_spreads(x):
     for fld in ("mu_n", "delta_n2", "tau", "delta_wp2", "eta_p", "mu_wp"):
         assert repr(getattr(short, fld)) == repr(getattr(full, fld))
     assert (short.mu_wl, short.delta_wl2, short.eta_l) == (None, None, None)
+
+
+@st.composite
+def real_arrays(draw):
+    """Real normal taps as ``any_sequences`` draws them, plain, with every
+    other tap zero (tau = 0) or with one nonzero tap, at 2^k for |k| <= 1000,
+    1e-300 or 1e160, as a float64 array."""
+    n = draw(
+        st.one_of(
+            st.integers(1, 12),
+            st.integers(_FFT_COMPLEX - 8, _FFT_COMPLEX + 8),
+            st.integers(_FFT_REAL - 8, _FFT_REAL + 8),
+        )
+    )
+    taps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    shape = draw(st.sampled_from(("plain", "zero_tau", "one_tap")))
+    if shape == "zero_tau":
+        taps[1::2] = 0.0
+    elif shape == "one_tap":
+        keep = draw(st.integers(0, n - 1))
+        taps[:keep] = 0.0
+        taps[keep + 1:] = 0.0
+    scale = draw(st.one_of(st.integers(-1000, 1000).map(lambda k: math.ldexp(1.0, k)),
+                           st.sampled_from((1e-300, 1e160))))
+    return scale * taps
+
+
+@PROPS
+@given(real_arrays(), st.integers(-50, 50), st.booleans())
+def test_real_array_measures_as_its_sequence(a, offset, linear):
+    # the array's taps sit at k = 0..len-1, so only mu_n sees the offset;
+    # repr tells -0.0 from 0.0 and prints every bit of a float or complex
+    got = measure(a, linear=linear)
+    want = measure(Sequence(a, offset), linear=linear)
+    for fld in ("delta_n2", "tau", "delta_wp2", "mu_wl", "delta_wl2", "eta_p", "eta_l", "mu_wp"):
+        assert repr(getattr(got, fld)) == repr(getattr(want, fld)), fld
+    assert repr(got.mu_n) == repr(measure(Sequence(a), linear=linear).mu_n)

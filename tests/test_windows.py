@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from helpers import norm2, three_tap_eta_p
 
 from compactseq.cli import main
+from compactseq.sequence import Sequence
 from compactseq.spreads import measure
 from compactseq.windows import (
     WINDOW_NAMES,
@@ -147,17 +149,32 @@ def test_default_families_and_csv(capsys):
     assert spreads == sorted(spreads)  # sorted by spread
 
 
-# the fields measure forms whether or not it forms the linear spreads
-SHARED = ("mu_n", "delta_n2", "tau", "delta_wp2", "eta_p", "mu_wp")
+def _public(name, p):
+    """The stock window of family ``name`` at ``p``, from its public
+    generator: a Sequence, which the scan itself never builds."""
+    if name == "gaussian":
+        return sampled_gaussian(p, gaussian_auto_taps(p))
+    if name == "three_tap":
+        return three_tap(p)
+    return standard_windows(name, int(p))
+
+
+# the fields measure forms whether or not it forms the linear spreads,
+# all but mu_n, the one field the offset moves
+SHARED = ("delta_n2", "tau", "delta_wp2", "eta_p", "mu_wp")
 LINEAR = ("mu_wl", "delta_wl2", "eta_l")
 
 
 def test_scan_measure_matches_the_full_measure():
-    # repr tells -0.0 from 0.0 and prints every bit of a float or complex
+    # the scan measures each stock window's float taps without the linear
+    # spreads: the same bits as the full measure of the public Sequence
+    # (repr tells -0.0 from 0.0 and prints every bit of a float or complex)
     for fam in default_families():
         for p in fam.params:
-            x = fam.builder(p)
-            full, short = measure(x), measure(x, linear=False)
+            taps, x = fam.builder(p), _public(fam.name, p)
+            assert taps.tobytes() == x.taps.real.tobytes(), (fam.name, p)
+            assert x.offset == -(taps.size // 2)
+            full, short = measure(x), measure(taps, linear=False)
             for fld in SHARED:
                 assert repr(getattr(short, fld)) == repr(getattr(full, fld)), (fam.name, p, fld)
             for fld in LINEAR:
@@ -165,13 +182,52 @@ def test_scan_measure_matches_the_full_measure():
 
 
 def test_scan_points_are_the_measure_of_each_window():
-    # repr prints every bit: the scan adds no arithmetic of its own
+    # repr prints every bit: the scan adds no arithmetic of its own, and its
+    # float taps measure as the public Sequence does
     for fam in default_families():
         points = {pt.param: pt for pt in spread_scan(fam)}
         for p in fam.params:
-            rep = measure(fam.builder(p), linear=False)
+            rep = measure(_public(fam.name, p), linear=False)
             want = ScanPoint(fam.name, float(p), rep.delta_wp2, rep.delta_n2, rep.eta_p)
             assert repr(points[float(p)]) == repr(want), (fam.name, p)
+
+
+def test_stock_scan_builds_no_sequence(monkeypatch, capsys):
+    # the stock windows reach measure as float arrays: not one Sequence
+    calls = []
+    inner = Sequence.__post_init__
+
+    def counting(self):
+        calls.append(np.size(self.taps))
+        inner(self)
+
+    monkeypatch.setattr(Sequence, "__post_init__", counting)
+    assert main(["windows", "--family", "all"]) == 0
+    assert capsys.readouterr().out.count("\n") == 539
+    assert calls == []
+    # the spy sees a public generator's Sequence
+    three_tap(0.3)
+    assert calls == [3]
+
+
+def test_window_tap_counts_have_a_ceiling():
+    # more taps than the designer's grid cap 2^21 + 1 are refused before any
+    # array is made: tracemalloc sees numpy's buffers
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="taps must be at most 2097153"):
+            sampled_gaussian(1e20, gaussian_auto_taps(1e20))
+        with pytest.raises(ValueError, match="taps must be at most 2097153"):
+            standard_windows("hann", 2**21 + 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the width that sampled_gaussian refuses, gaussian_auto_taps refuses
+    for width in (0.0, -0.0, -5e-324, -1.0):
+        for call in (gaussian_auto_taps, lambda w: sampled_gaussian(w, 9)):
+            with pytest.raises(ValueError, match="width must be positive"):
+                call(width)
 
 
 def test_windows_scan_forms_no_rho(monkeypatch, capsys):
@@ -180,9 +236,9 @@ def test_windows_scan_forms_no_rho(monkeypatch, capsys):
     calls = []
     inner = spreads._rho
 
-    def counting(x, r0, real):
-        calls.append(len(x))
-        return inner(x, r0, real)
+    def counting(t, r0, real):
+        calls.append(t.size)
+        return inner(t, r0, real)
 
     monkeypatch.setattr(spreads, "_rho", counting)
     assert main(["windows", "--family", "all"]) == 0
