@@ -34,7 +34,8 @@ With b <= 0 the shifted matrix has an entrywise positive inverse, so the
 iterate, started from a positive vector, stays positive and needs no sign
 fix-up; its residual, on all 2N+1 rows, is checked against the contract.
 The pair keeps the shift and W for the designer's one more solve,
-``form_slope``.
+``form_slope``.  The Mathieu a0 tables solve nothing: two pivot passes
+certify the table's a0/4 itself (``_ground_value``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ _TAIL = _EPS * _EPS
 # where the rest of its coefficients sum below 2e-16, in powers of
 # t = 2 (z - lo)/(hi - lo) - 1, highest first.  h is within 1e-15, and
 # 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.  ``_a0``
-# reads it for the designer's seed and ``_start``, value only, for the climb.
+# reads it for the designer's seed and ``_estimate``, value only, for the
+# climb's start and the Mathieu a0.
 _A0_PADE = (
     (-4.382754104315206e-14, 1.082313291769662e-12),
     (-3.7828914530027274e-11, 3.589922214890107e-10),
@@ -197,33 +199,78 @@ def _a0(q):
     return (h * z - 2.0) / (z * z), 1.0 - omb, omb, 0.125 * z**3 * (g - 2 * (k * z)**2 * h2)
 
 
-def _start(b):
-    """The climb's start at the coupling ``b``: below every even half's minimum.
-
-    A half's symmetric form, couplings sqrt(2) b, b, ..., is a leading
-    block of the infinite even operator, whose minimum is a0(q)/4 at
-    q = 4|b| (``mathieu``), so by Cauchy interlacing no half's minimum lies
-    below it.  The estimate, ``_a0``'s bit for bit from its recurrences for
-    P, Q and h alone, is within 2.2 ulps or 0.25e-15 sqrt(q) of a0/4; the
-    margin, 32 eps (|a0/4| + 2|b|), eight rounding levels of the climb,
-    covers both.  Below |b| = 2^-976, 2b^2 is 0 and the margin subnormal:
-    every pivot at -margin, below the minimum ~ -2b^2, is positive, a no.
-    Below 2^-1029, where the margin would round to 0 and the start
-    a0/4 = -0.0 be a yes (p_0 = 0), it is held at the smallest subnormal,
-    so the start -2^-1074 stays a no."""
+def _estimate(b):
+    """a0(q)/4 at q = 4|b|, ``_a0``'s bit for bit from its recurrences for
+    P, Q and h alone: within 2.2 ulps or 0.25e-15 sqrt(q) of a0/4."""
     q = 4.0 * abs(b)
     if q <= _Q_PADE:
         x, p, r = q * q, 0.0, 0.0
         for cp, cr in _A0_PADE:
             p, r = p * x + cp, r * x + cr
-        est = 0.25 * (p * x / r)
-    else:
-        z, _, t, series = _piece(q)
-        h = 0.0
-        for c in series:
-            h = h * t + c
-        est = 0.25 * ((h * z - 2.0) / (z * z))
-    return est - max(32.0 * _EPS * (abs(est) + 0.5 * q), 5e-324)
+        return 0.25 * (p * x / r)
+    z, _, t, series = _piece(q)
+    h = 0.0
+    for c in series:
+        h = h * t + c
+    return 0.25 * ((h * z - 2.0) / (z * z))
+
+
+def _start(b):
+    """The climb's start at the coupling ``b``: below every even half's minimum.
+
+    A half's symmetric form, couplings sqrt(2) b, b, ..., is a leading
+    block of the infinite even operator, whose minimum is a0(q)/4 at
+    q = 4|b|, so by Cauchy interlacing no half's minimum lies below it.  The
+    margin below ``_estimate``, 32 eps (|a0/4| + 2|b|), covers the table's
+    error.  Below |b| = 2^-976 it is subnormal, but every pivot at it,
+    below the minimum ~ -2b^2, is positive; below 2^-1029, where it would
+    round to 0 and the start a0/4 = -0.0 be a yes (p_0 = 0), it is held at
+    2^-1074."""
+    est = _estimate(b)
+    return est - max(32.0 * _EPS * (abs(est) + 2.0 * abs(b)), 5e-324)
+
+
+def _ground_value(b, n):
+    """(est, m): ``_estimate``'s a0(q)/4, q = 4|b|, and the half-width of
+    the enclosure est -+ m of lam_min(H), H the infinite even operator,
+    that two pivot passes certify: m = max(8 eps (|est| + 2|b|), 2^-1074),
+    else 4m or 16m.  None if the yes fails at 16m (rows 0..``n`` miss the
+    ground state), :class:`EigenConvergenceError` if the no does.
+
+    The no at s = est - 3m/4 ends at the first row J >= 1 where
+    fl(J^2 - s) > 2|b|, so J^2 - s > 2|b| as 2|b| is a double, and
+    p_J > |b| (1 + 4 eps): if the exact P_J > |b|, every later
+    P_i = i^2 - s - b^2/P_i-1 > |b|, and lam_min(H) >= s.  The yes at
+    est + 3m/4 ends at the first p_i <= 0 on rows 0..n, so
+    lam_min(H) <= lam_min(H_n) <= s.  Each p_i is P_i (1 + a_i)(1 + e_i),
+    the rounding of its two differences, P_i exact for couplings off by
+    1.3 eps (Demmel, Dhillon and Ren): the signs agree,
+    P_J >= p_J/(1 + eps/2)^2 > |b|, and H moves by < 3.2 eps |b|, below
+    m/4 less the shifts' rounding.  Below |b| = 2^-490, where b^2/p may be
+    subnormal, est is within 3b^2 of 0 and the shifts >= 12 eps |b| from
+    it: the yes ends at p_0 = -s < 0 and the no at p_1 = 1 - s - 2b^2/p_0,
+    within 2^-430 of 1 - s, as in exact arithmetic."""
+    est, r = _estimate(b), 2.0 * abs(b)
+    b2, clear = b * b, 0.5 * r * (1.0 + 4.0 * _EPS)
+    m = max(8.0 * _EPS * (abs(est) + r), 5e-324)
+    for m in (m, 4.0 * m, 16.0 * m):
+        s = est - 0.75 * m
+        p, t, i = -s, 2.0 * b2, 0
+        while p > 0.0 and not (p > clear and i and i * i - s > r):
+            i += 1
+            p, t = i * i - s - t / p, b2
+        if p <= 0.0:
+            continue
+        s = est + 0.75 * m
+        p, t, i = -s, 2.0 * b2, 0
+        while p > 0.0 and i < n:
+            i += 1
+            p, t = i * i - s - t / p, b2
+        if p <= 0.0:
+            return est, m
+    if p > 0.0:
+        return None
+    raise EigenConvergenceError(f"no certified lower bound below {est!r}")
 
 
 def _support(a, end, tol):

@@ -10,9 +10,9 @@ with A = diag(k^2) and B the constant lag-one form, and the coefficients
 are the (entrywise positive) ground-state taps.  a0 is even in q, and
 the two signs of q are related by the quarter-period reflection
 ce0(q; t) = ce0(-q; pi/2 - t), which is how positive q is evaluated
-here.  Each point is one ground solve of the kernel
-:func:`compactseq.eigen.min_eigenpair`: a0 is 4 times its Rayleigh
-quotient and the coefficients are its unit, positive, palindromic vector.
+here.  a0 is the kernel's table value, certified with no solve; ce0's
+coefficients are the unit, positive, palindromic vector of one ground
+solve of :func:`compactseq.eigen.min_eigenpair`.
 
 The first grid is the shorter of two half-lengths.  One grows as
 |q|^(1/4), the width of the ground state at large |q|.  The other is a
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _MAX_HALF_LEN, EigenPair, _k2_grid, _support, min_eigenpair
+from .eigen import _MAX_HALF_LEN, EigenPair, _ground_value, _k2_grid, _support, min_eigenpair
 
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
@@ -62,24 +62,38 @@ def _first_half_len(lam1: float) -> int:
     return _support(0.5 * lam1, n0, _TAIL_AMP)
 
 
-def _ground_taps(q: float) -> EigenPair:
-    """Ground eigenpair for |q| on the grid ``_first_half_len`` sizes,
-    checked for tails below ``_TAIL_AMP``."""
+def _grid(q: float) -> tuple[float, int]:
+    """The coupling b = -|q|/4 and the half-length ``_first_half_len`` gives."""
     lam1 = 0.5 * abs(float(q))
     if not math.isfinite(lam1):
         raise ValueError(f"q must be finite, got {float(q)!r}")
     n = _first_half_len(lam1)
     if n > _MAX_HALF_LEN:
         raise MathieuGridError(f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}")
-    pair = min_eigenpair(_k2_grid(n), -0.5 * lam1)
+    return -0.5 * lam1, n
+
+
+def _ground_taps(q: float) -> EigenPair:
+    """Ground eigenpair for |q| on the grid ``_grid`` sizes, checked for
+    tails below ``_TAIL_AMP``."""
+    b, n = _grid(q)
+    pair = min_eigenpair(_k2_grid(n), b)
     if pair.vector[0] >= _TAIL_AMP:  # positive and palindromic
         raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
     return pair
 
 
 def char_value_a0(q: float) -> float:
-    """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B)."""
-    return 4.0 * _ground_taps(q).value
+    """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B): the
+    kernel table's, which two pivot passes certify within 8 eps
+    (|a0| + 2|q|) of the infinite operator's (``eigen._ground_value``),
+    -0.0 where it underflows, 0.0 at q = 0; rows 0..N that do not certify
+    it raise :class:`MathieuGridError`."""
+    b, n = _grid(q)
+    enclosure = _ground_value(b, n)
+    if enclosure is None:
+        raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
+    return 4.0 * enclosure[0] if q else 0.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +104,8 @@ class MathieuEval:
     norm, read-only like ``values``) on k = -N..N,
     N = ``len(fourier_coeffs) // 2``; tap N+k is the coefficient of
     cos(2kt) up to the overall 1/sqrt(2) scale and, for q > 0, the
-    reflection sign (-1)^k.
+    reflection sign (-1)^k.  ``a0`` is ``char_value_a0(q)``, not the
+    solve's Rayleigh quotient.
     """
 
     q: float
@@ -121,7 +136,7 @@ def ce0(q: float, thetas) -> MathieuEval:
     vals.setflags(write=False)
     return MathieuEval(
         q=q,
-        a0=4.0 * pair.value,
+        a0=char_value_a0(q),
         thetas=t,
         values=vals,
         fourier_coeffs=pair.vector,

@@ -128,7 +128,8 @@ def measure(x: Sequence | np.ndarray, *, linear: bool = True) -> SpreadReport:
 
     ``x`` is a ``Sequence`` or a 1-d float64 array of real taps at
     k = 0..len-1, measured as its ``Sequence`` is, bit for bit, and refused
-    with the ``ValueError`` that ``Sequence`` raises.  The measures are
+    with the ``ValueError`` that ``Sequence`` raises, or one naming its
+    dtype if that is not float64.  The measures are
     scale-invariant, so the taps are first scaled by an exact power of
     two: up to p in [0.5, 1), p the largest real or imaginary part, when it
     is smaller, and down only as far as p < 2^256 when it is larger.  So
@@ -150,6 +151,9 @@ def measure(x: Sequence | np.ndarray, *, linear: bool = True) -> SpreadReport:
     if isinstance(x, Sequence):
         offset, real = x.offset, not np.count_nonzero(x.taps.imag)
         parts = x.taps.real if real else x.taps.view(np.float64)
+    elif x.dtype != np.float64:
+        wrap = "; wrap complex taps in a Sequence" if x.dtype.kind == "c" else ""
+        raise ValueError(f"a tap array must be float64, not {x.dtype}{wrap}")
     else:
         parts, offset, real = x, 0, True
     e = math.frexp(_peak(parts))[1]

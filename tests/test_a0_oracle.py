@@ -12,6 +12,7 @@ import numpy as np
 
 from helpers import a0_reference, a0_small_q_series
 
+from compactseq import eigen, mathieu
 from compactseq.mathieu import char_value_a0
 
 _EPS = np.finfo(float).eps
@@ -38,3 +39,17 @@ def test_a0_matches_the_reference():
         for signed in (q, -q):
             a0 = char_value_a0(signed)
             assert abs(Decimal(a0) - ref) <= Decimal(8.0 * _EPS * (abs(a0) + 2.0 * q)), signed
+
+
+def test_the_certified_enclosure_holds_the_reference():
+    # at 100 q of both signs the two pivot passes certify the table's
+    # a0/4 to within m = 8 eps (|a0/4| + 2|b|), b = -|q|/4, at the first
+    # width, and the 40-digit a0/4 lies inside
+    for q in np.geomspace(1e-2, 1e4, 50).tolist():
+        ref = a0_reference(q) / 4
+        for signed in (q, -q):
+            b, n = mathieu._grid(signed)
+            est, m = eigen._ground_value(b, n)
+            assert m <= 8.0 * _EPS * (abs(est) + 2.0 * abs(b)), signed
+            assert Decimal(est) - Decimal(m) <= ref <= Decimal(est) + Decimal(m), signed
+            assert char_value_a0(signed) == 4.0 * est

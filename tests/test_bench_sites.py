@@ -7,7 +7,7 @@ drop its layer from the per-layer metrics.  ``bench/spans.py`` sizes each
 ``eigen.min_eigenpair`` span by ``len(args[0])``, the 2N + 1 rows of the
 diagonal, so a kernel entry called another way would fail only in the
 traced bench.  This reads ``bench/spans.py`` without changing it, checks
-each ``(module, attribute)`` in ``SITES``, and runs one design and one a0
+each ``(module, attribute)`` in ``SITES``, and runs one design and one ce0
 under its ``Tracer``.
 """
 
@@ -43,7 +43,7 @@ def test_traced_solves_record_their_rows():
         tracer.item = 0
         design.design_max_compact(0.02, 31)
         tracer.item = 1
-        mathieu.char_value_a0(7.25)
+        mathieu.ce0(7.25, [0.0])
     finally:
         tracer.uninstall()
     assert not tracer.missing

@@ -108,9 +108,9 @@ GOLDEN = {
     "curve --format json": "d37dd2d37fedc0155a4eadafe6182c3e984c115fe52fc92a82d62db86b5d37ec",
     "curve --grid 1e-5:1:7:log --taps 101 --format json": "7a5528960fbf8921b60a5f2e90596c3d8e5d011287786d398c72b240d8ade368",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "67555d6667d00bea6d957673b19041b3625481b01a1be76ebb43e4d74d5acc47",
-    "mathieu": "f3397ec212e92c303c662422c27e6c79fdf1d23df346205cca331fb6e4bc5ab4",
-    "mathieu --q -2.5": "e8166e86a506a9f66afb19d1b25caabf4eebef18afd2831b603aea1088cc6ef9",
-    "mathieu --grid 1e-300:1e6:7:log": "fe1e6e1764c7ba87f2f1c98e29e3050f3c400c80dd16448bbb3a722ea6835635",
+    "mathieu": "686a1132cfe26801f1522651033fb9f6cee0b884b9e01dcc15930513d3078c25",
+    "mathieu --q -2.5": "cde709cebda965156629f2ab88cd21ff0e19400157bd2461198fdee7e61792e8",
+    "mathieu --grid 1e-300:1e6:7:log": "1f34c9c08da67426d9993955ae9917a914f974b39ef30cdce03fb727fa4117fa",
     "mathieu --q 7.25 --grid 0:6.283185307179586:64:lin": "2f14b0cf748f38439536ddddb7ccc031929cb2abb0b55cf83b49f8bbb697dd80",
     "windows --family all": "89e01c21d9fd004556e67cad38cf240e11c35b5a04f803cf3e9d0bd917755965",
     "analyze --input ex1.seq --format json": "105c9806a8cc708d94df9cbdc60f144f2f13fcd8af6d9e5b7e895835edceb470",

@@ -85,7 +85,7 @@ def test_the_climb_takes_about_two_passes(monkeypatch):
     monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
     monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
     for q in _QS:
-        mathieu.char_value_a0(q)
+        mathieu._ground_taps(q)
     assert counts["solves"] == len(_QS)
     assert counts["passes"] <= 2.3 * counts["solves"]
 
@@ -107,7 +107,7 @@ def test_one_pass_lands_and_one_solve_certifies(monkeypatch):
     monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
     monkeypatch.setattr(eigen, "_solve", counting("certify", eigen._solve))
     for q in _QS:
-        mathieu.char_value_a0(q)
+        mathieu._ground_taps(q)
     assert counts["solves"] == len(_QS)
     assert counts["passes"] <= 1.05 * counts["solves"]
     assert counts["certify"] <= 1.01 * counts["solves"]

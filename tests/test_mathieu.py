@@ -6,9 +6,9 @@ import pytest
 
 from helpers import tridiag_dense
 
-from compactseq import mathieu
+from compactseq import eigen, mathieu
 from compactseq.cli import main
-from compactseq.eigen import min_eigenpair
+from compactseq.eigen import EigenConvergenceError, min_eigenpair
 from compactseq.mathieu import MathieuGridError, ce0, char_value_a0
 
 
@@ -189,3 +189,48 @@ def test_unresolved_tails_raise(monkeypatch, capsys):
         char_value_a0(100.0)
     assert main(["mathieu", "--q", "100"]) == 2
     assert "compactseq: solver failure:" in capsys.readouterr().err
+
+
+def test_an_a0_table_solves_nothing(monkeypatch, capsys):
+    # every printed a0 is the table's, certified by two pivot passes; the
+    # ce0 samples still take one ground solve
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return min_eigenpair(*args)
+
+    monkeypatch.setattr(mathieu, "min_eigenpair", counting)
+    for argv in (["mathieu"], ["mathieu", "--grid", "1e-300:1e6:7:log"],
+                 ["mathieu", "--grid", "-1e4:-1e-2:9:lin"]):
+        assert main(argv) == 0
+    assert calls == []
+    assert main(["mathieu", "--q", "-2.5"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_the_sign_of_a_zero_a0(capsys):
+    # q = 0 prints 0.0; where a0 ~ -q^2/2 underflows, the table's -0.0,
+    # also at q = 2^-1074, whose coupling -q/4 rounds to -0.0
+    assert main(["mathieu", "--grid", "0:1e-300:2:lin"]) == 0
+    assert capsys.readouterr().out == "q,a0\n0.0,0.0\n1e-300,-0.0\n"
+    for q, a0 in (("0", "0.0"), ("1e-300", "-0.0"), ("-1e-300", "-0.0"), ("5e-324", "-0.0")):
+        assert main(["mathieu", "--q", q, "--grid", "0:1:2:lin"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"# q={float(q)!r} a0={a0}"
+
+
+def test_a_table_value_off_the_minimum_is_refused(monkeypatch):
+    # the passes test the table's value rather than trust it: moved 32 m
+    # above a0/4 it fails the no at every width, 32 m below it the yes
+    b, n = mathieu._grid(7.25)
+    est, m = eigen._ground_value(b, n)
+    for moved, error in ((32.0 * m, EigenConvergenceError), (-32.0 * m, MathieuGridError)):
+        monkeypatch.setattr(eigen, "_estimate", lambda b, off=est + moved: off)
+        with pytest.raises(error):
+            char_value_a0(7.25)
+    # 8 m off, it is still certified, at the widest margin, whose
+    # enclosure holds the true value
+    monkeypatch.setattr(eigen, "_estimate", lambda b: est + 8.0 * m)
+    off, wide = eigen._ground_value(b, n)
+    assert off - wide <= est <= off + wide and wide > 8.0 * m

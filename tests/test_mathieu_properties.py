@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from helpers import tridiag_dense  # noqa: E402
 
-from compactseq import mathieu  # noqa: E402
+from compactseq import eigen, mathieu  # noqa: E402
 from compactseq.eigen import min_eigenpair  # noqa: E402
 
 PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -42,3 +42,14 @@ def test_first_grid_resolves_the_tails(log10_q, sign):
     assert abs(ev.a0 - want) <= 1e-12 * max(1.0, abs(want))
     assert solve.call_count == 1
     assert n <= _large_q_half_len(q)
+
+
+@PROPS
+@given(st.floats(-300.0, 6.0), st.sampled_from((-1.0, 1.0)))
+def test_the_table_and_the_ce0_header_print_one_a0(log10_q, sign):
+    # bit for bit, the sign of a zero included: both are 4 times the
+    # kernel table's a0/4, not a solve's Rayleigh quotient
+    q = sign * 10.0**log10_q
+    a0 = mathieu.char_value_a0(q)
+    assert mathieu.ce0(q, [0.0]).a0.hex() == a0.hex()
+    assert a0.hex() == (4.0 * eigen._estimate(-0.25 * abs(q))).hex()

@@ -440,3 +440,14 @@ def test_report_json_encoding(tmp_path, capsys):
     assert obj["eta_p"] == "inf"
     obj = report(Sequence([1.0]))
     assert obj["eta_p"] is None
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.int64, np.float32, np.float16])
+def test_tap_arrays_must_be_float64(dtype):
+    # a complex array once died in np.ldexp's TypeError, and an integer or
+    # narrower float array was measured silently as float64
+    taps = np.array([1.0, 7.0, 2.0]).astype(dtype)
+    with pytest.raises(ValueError, match=f"must be float64, not {np.dtype(dtype)}") as info:
+        measure(taps)
+    assert ("wrap complex taps in a Sequence" in str(info.value)) == (taps.dtype.kind == "c")
+    assert measure(Sequence(taps)) == measure(EX1)
