@@ -15,12 +15,12 @@ ground state of A - l1*B, and b is nondecreasing in l1 with b(0) = 0 and
 supremum lambda_max(B) = cos(pi/(2N+2)).  The optimizer therefore solves
 b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
 |b - alpha| for the ground-state primal candidate) to zero.  It takes
-safeguarded Newton steps in log(l1) on log(b / (b_sup - b)), which is
-close to linear in log(l1) for small, large and grid-limited l1 alike,
-with the exact slope b'(l1) of :func:`compactseq.eigen.form_slope`.  Its
-seed is the root of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4)
-from ``eigen._a0``, so a design takes one ground solve up to alpha ~ 0.999
-and about 1.35 over a sweep to the grid's reach.  The
+safeguarded secant steps in log(l1) on log(b / (b_sup - b)), which is
+close to linear in log(l1) for small, large and grid-limited l1 alike;
+the first step takes its slope from the line's b.  Its seed is the root
+of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4) from
+``eigen._a0``, so a design takes one ground solve up to alpha ~ 0.999
+and about 1.46 over a sweep to the grid's reach.  The
 optimal sequence is the ground state itself: symmetric, entrywise
 positive, and unit norm by construction.
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import _MAX_HALF_LEN, _a0, _k2_grid, form_slope, min_eigenpair
+from .eigen import _MAX_HALF_LEN, _a0, _k2_grid, min_eigenpair
 from .sequence import Sequence, _whole
 
 __all__ = [
@@ -133,7 +133,8 @@ def _logit(b, b_sup):
 
 
 def _seed(alpha):
-    """log(l1) where b = alpha at q = 2 l1, b = -a0'(q)/2 from ``eigen._a0``,
+    """(log(l1), q b'(q)) where b = alpha at q = 2 l1, b = -a0'(q)/2 from
+    ``eigen._a0``: the seed and the slope of b in log(l1) there.  The seed is
     at or below the root to rounding: b is concave and rising in q, so Newton
     steps land below the root after the first and climb, from the root's small-
     and large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
@@ -150,28 +151,32 @@ def _seed(alpha):
         q += step
         if abs(step) <= 1e-8 * q:
             break
-    return math.log(0.5 * q)
+    return math.log(0.5 * q), q * db
 
 
-def _find_root(trial, s):
+def _find_root(trial, s, slope):
     """Drive the increasing function f(s) to 0 from the seed s.
 
-    ``trial(s)`` returns f(s), whether the stopping test holds there, and a
-    callable for f'(s).  The search ends at the first trial that passes, at
-    an exact zero, once the bracket from f's signs is down to rounding in
-    s, or after 100 trials.  Each step is Newton's unless f' is not
-    positive, the Newton point leaves the bracket, or the step is zero or
-    more than half the step before last (a slope of the wrong size would
-    creep).  Then it bisects, or, until f has changed sign, steps by -2f
-    either way, which assumes f's smallest local slope, 1/2 (f' is about
-    1, 1/2 and 2 in the three regimes of ``_logit``), and so lands on or
-    over the root; a longer Newton step counts as leaving the bracket.
+    ``trial(s)`` returns f(s) and whether the stopping test holds there;
+    ``slope`` is an estimate of f' at the seed.  The search ends at the
+    first trial that passes, at an exact zero, once the bracket from f's
+    signs is down to rounding in s, or after 100 trials.  The first step is
+    Newton's on ``slope``, each later one the secant's through the last two
+    trials, unless that slope is not positive, the point leaves the
+    bracket, or the step is zero or more than half the step before last (a
+    slope of the wrong size would creep).  Then it bisects, or, until f has
+    changed sign, steps by -2f either way, which assumes f's smallest local
+    slope, 1/2 (f' is about 1, 1/2 and 2 in the three regimes of
+    ``_logit``), and so lands on or over the root; a longer step counts as
+    leaving the bracket.
     """
     lo, hi, last, before = -math.inf, math.inf, math.inf, math.inf
     for _ in range(_MAX_SOLVES):
-        fs, done, slope = trial(s)
+        fs, done = trial(s)
         if done or fs == 0.0:
             return
+        if 0.0 < last < math.inf:  # the trial before lies at another s
+            slope = (fs - f0) / (s - s0)
         lo, hi = (s, hi) if fs < 0.0 else (lo, s)
         if hi - lo <= 4.0 * _EPS * max(1.0, abs(s)):
             return
@@ -180,12 +185,11 @@ def _find_root(trial, s):
             cap = min(before, 2.0 * abs(u - s))
         else:
             u, cap = 0.5 * (lo + hi), before
-        g = slope()
-        t = s - fs / g if g > 0.0 else u
+        t = s - fs / slope if slope > 0.0 else u
         if not (lo < t < hi and 0.0 < abs(t - s) <= 0.5 * cap):
             t = u
         before, last = last, abs(t - s)
-        s = t
+        s0, f0, s = s, fs, t
 
 
 def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
@@ -200,8 +204,9 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
     for large lambda1.  It starts from ``_seed``, the root of b on the
-    whole line, then refines lambda1 by Newton steps on the exact slope of
-    b, inside the bracket that the signs of b - alpha give (``_find_root``).
+    whole line, then refines lambda1 by secant steps, the first on the
+    line's slope, inside the bracket that the signs of b - alpha give
+    (``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
     taps = _whole(taps, "taps")
@@ -233,14 +238,10 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
         pair, b = _ground(k2, l1)
         if best is None or abs(b - alpha) < abs(best[2] - alpha):
             best = (l1, pair, b)
+        return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1)
 
-        def slope():  # G'(s) = l1 b'(l1) (1/b + 1/(b_sup - b)), floored as _logit is
-            db = l1 * form_slope(pair, -0.5 * l1, b)
-            return db / max(b, _TINY) + db / max(b_sup - b, _TINY)
-
-        return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1), slope
-
-    _find_root(trial, _seed(alpha))
+    s, db = _seed(alpha)  # G'(s) = l1 b'(l1) (1/b + 1/(b_sup - b)) on the line at b = alpha
+    _find_root(trial, s, db / alpha + db / (b_sup - alpha))
     lambda1, pair, b = best
     gap = abs(b - alpha)
     # Once lambda1 is large the constraint can only be met to rounding in

@@ -33,9 +33,9 @@ There is no bisection, and the value returned is the Rayleigh quotient.
 With b <= 0 the shifted matrix has an entrywise positive inverse, so the
 iterate, started from a positive vector, stays positive and needs no sign
 fix-up; its residual, on all 2N+1 rows, is checked against the contract.
-The pair keeps the shift and W for the designer's one more solve,
-``form_slope``.  The Mathieu a0 tables solve nothing: two pivot passes
-certify the table's a0/4 itself (``_ground_value``).
+The pair keeps the shift as its certificate.  The Mathieu a0 tables solve
+nothing: two pivot passes certify the table's a0/4 itself
+(``_ground_value``).
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair", "form_slope"]
+__all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 
 _MAX_CLIMB = 30
 # the longest half N a caller builds a grid k = -N..N for
@@ -116,14 +116,12 @@ class EigenConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue/eigenvector pair with its 2-norm residual and ``s``, the
-    solve's certified shift below every eigenvalue, kept with ``_rows``,
-    the climb's window W, for ``form_slope``."""
+    solve's certified shift below every eigenvalue."""
 
     value: float
     vector: np.ndarray
     residual: float
     s: float
-    _rows: int = field(default=0, repr=False, compare=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -297,8 +295,8 @@ def _support(a, end, tol):
 
 def _climb(d, b):
     """A certified no within a few ulps of the minimum of the even half
-    ``d`` = (0, 1, 4, ..., N^2), its inverse iterate and the window W: the
-    shift, the ground state's half, unnormalised, and the rows the steps saw.
+    ``d`` = (0, 1, 4, ..., N^2) and its inverse iterate: the shift and the
+    ground state's half, unnormalised.
 
     Laguerre steps on the n = W rows that ``_support`` keeps climb from
     x_0, ``_start`` or the Gershgorin bound if higher, both at or below
@@ -358,7 +356,7 @@ def _climb(d, b):
         c = max(math.frexp(abs(s) + r)[1] - 52, -1000)
         y = _solve(d, b, s, [math.ldexp(unit, c)] * len(d))
         if y is not None:
-            return s, y, n
+            return s, y
     raise EigenConvergenceError(f"no certified shift below {x!r}")
 
 
@@ -436,7 +434,7 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         vec.setflags(write=False)
         return EigenPair(0.0, vec, 0.0, 0.0)
 
-    s, y, rows = _climb(darr[half_len:].tolist(), b)
+    s, y = _climb(darr[half_len:].tolist(), b)
     v = np.array(y[:0:-1] + y)
     v /= math.sqrt(v @ v)
     tv, bv = darr * v, b * v
@@ -448,30 +446,4 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     if not res <= _residual_bound(lam, scale):
         raise EigenConvergenceError(f"inverse iteration missed the residual bound at {res:.3e}")
     v.setflags(write=False)
-    return EigenPair(lam, v, res, s, rows)
-
-
-def form_slope(pair: EigenPair, offdiag, form) -> float:
-    """d(x'Bx)/d(lambda1) at the ground state x of A - lambda1*B, for the
-    ``pair`` solved at ``offdiag`` = -lambda1/2 < 0 on N >= 1 and its lag-one
-    form ``form`` = x'Bx: 2 r'(T - lam)^+ r with r = Bx - form*x (Kato,
-    Perturbation Theory for Linear Operators, ch. II).  One Thomas solve at
-    the pair's certified shift s gives (T - s)^-1 r, whose part along x,
-    the rounding of r'x over lam - s, is projected out.  r, from each row's
-    neighbours, and the solve take only the rows 0..W+1 of the even half,
-    W the pair's window: past it x, r and y are below eps^2, and the
-    solve's pivots are a prefix of those that certified s."""
-    v = pair.vector
-    n = v.size // 2
-    m = min(pair._rows + 2, n + 1)
-    x = v[n:n + m]
-    right = v[n + 1:n + m + 1]  # one short where m = N+1: row N+1 is off the grid
-    r = 0.5 * v[n - 1:n + m - 1]
-    r[:right.size] += 0.5 * right
-    r -= form * x
-    d = _k2_grid(n)[n:n + m].tolist()
-    y = np.array(_solve(d, offdiag, pair.s, r.tolist()))
-    # the full grid's inner products, on the half: weights (1, 2, 2, ...)
-    y[1:] *= 2.0
-    rx = 2.0 * float(r @ x) - float(r[0] * x[0])
-    return 2.0 * (float(r @ y) - float(x @ y) * rx)  # y less its part along x
+    return EigenPair(lam, v, res, s)

@@ -4,9 +4,8 @@ Everything here is deliberately independent of the package's own
 numerics, which it takes only the ``Sequence`` container from: a dense
 cyclic-Jacobi eigensolver and a dense ground pair of the even half to
 check the tridiagonal kernel against, the yes/no Sturm test its shift
-must pass, the slope of the lag-one form from a dense eigensystem, the
-ground state's tail from its ratio recurrence, the DTFT by direct
-summation and brute-force quadrature for the frequency moments the
+must pass, the ground state's tail from its ratio recurrence, the DTFT
+by direct summation and brute-force quadrature for the frequency moments the
 closed forms are supposed to reproduce, the
 normalized autocorrelation from one ``np.correlate`` and the linear
 frequency moments its closed forms give,
@@ -170,30 +169,6 @@ def even_ground_pair(diag, offdiag, eigh=jacobi_eigh):
     x[0] *= math.sqrt(2.0)
     x = np.concatenate((x[:0:-1], x))
     return math.ldexp(float(w[0]), -e), x / np.linalg.norm(x)
-
-
-def even_form_slope(diag, offdiag, eigh=jacobi_eigh):
-    """(value, slope) of the ground state x of T = tridiag(diag, offdiag),
-    for an odd palindromic ``diag`` and offdiag < 0, where the slope is
-    2 r'(T - value)^+ r with r = Bx - (x'Bx) x and B = tridiag(0, 1/2):
-    the derivative of x'Bx along T = A - lambda1*B, offdiag = -lambda1/2,
-    by second-order perturbation theory.  From every eigenpair of the even
-    half, solved densely in the symmetric coordinates of
-    ``even_ground_pair`` (T's couplings sqrt(2) b, b, ..., B's sqrt(2)/2,
-    1/2, ...) and scaled for ``eigh`` the same way."""
-    d = np.asarray(diag, dtype=float)
-    half = d[d.size // 2:]
-    e = -math.frexp(float(np.max(np.abs(d))) + 2.0 * abs(offdiag))[1]
-    c = np.ones(half.size - 1)
-    c[0] = math.sqrt(2.0)
-    off = math.ldexp(offdiag, e) * c
-    w, v = eigh(np.diag(np.ldexp(half, e)) + np.diag(off, 1) + np.diag(off, -1))
-    w = np.ldexp(w, -e)
-    bmat = np.diag(0.5 * c, 1) + np.diag(0.5 * c, -1)
-    x = v[:, 0]
-    r = bmat @ x - (x @ bmat @ x) * x
-    coef = v[:, 1:].T @ r
-    return float(w[0]), 2.0 * float(np.sum(coef * coef / (w[1:] - w[0])))
 
 
 def log_amplitudes(half, offdiag, lam):

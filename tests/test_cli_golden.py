@@ -84,12 +84,12 @@ SEQ_OUTPUT_CASES = [
 ]
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "cf61ba0ff6bec2dee0014dc6764b2570f39cbea56c6545cd8ce9778929050b8c",
-    "design --sigma2 3e-4 --taps 201 --format csv": "a6bf290ce73c1cf95c396a719fe9d63397b8b5ace56e613488e5e1aa52956009",
+    "design --sigma2 3e-4 --taps 201 --format json": "7b76ea457e411cb7a3a0a51d90945af3e6234dae48fd913b63dd9b1924fd06e7",
+    "design --sigma2 3e-4 --taps 201 --format csv": "81c40e2338903f8f2ef88e03cde6317f59c0492c9de0c10e8f8a786514ad12e7",
     "design --sigma2 3e-4 --taps 1001 --format json": "39fc22dfe4b22b5d3ce9c9c197f4f3593107275c1797036e7dddf1496ae23c6b",
     "design --sigma2 3e-4 --taps 1001 --format csv": "d72447d028c685c07b2647a337dda2b807a884129a97d7622d8847465f758e55",
-    "design --sigma2 1e-3 --taps 201 --format json": "4ed2e1b12613790e4f5af713d05482bffa86c8a0f82d15cbc94e005568f6b1b0",
-    "design --sigma2 1e-3 --taps 201 --format csv": "45b79b6b687587a99b97ee5c499210bbc537261a37cd531b53e48aacad175cff",
+    "design --sigma2 1e-3 --taps 201 --format json": "0bb17a77f08d197d83a7c8951e8ae71591c1bf68120d002066e9246af1b4c18c",
+    "design --sigma2 1e-3 --taps 201 --format csv": "35c5ef350437d2eff323092dd58fd550219bcac576a8de1bcc6ac935ae2d7a70",
     "design --sigma2 1e-3 --taps 1001 --format json": "7c262e3a13b5f6e0707b856143434b0e02cc665d0470bd33440a657eae1dbb9f",
     "design --sigma2 1e-3 --taps 1001 --format csv": "1ae75a5cff6c60c0247c6ea9e51292c6b243c7618fba19ad6b954e9a6759a158",
     "design --sigma2 0.1 --taps 201 --format json": "ee5c9b5d1dc6e48ae259b60a84b4059cd6503322d28be2fcf57a8c7b79df16c7",
@@ -103,10 +103,10 @@ GOLDEN = {
     "design --sigma2 0.1 --taps 2001": "07bd63e865ffcbce38f8c1078d864747be5af9cfb48068f2436eccffa35491a7",
     "design --sigma2 1e300 --taps 5": "76e866e2d19d0a14fddb57ace13e1337b37ec490b35f8b89fb106fcc253e7dce",
     "curve --format csv": "6f1337c7ab88955599c06e2bab1e9c9ef50f8ed912fda8c4b0d1dab32204644c",
-    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "ce8063e248fab2763e930e826bb7ead7101414dfb334a04104021e2a9fa5460c",
+    "curve --grid 1e-5:1:7:log --taps 101 --format csv": "4faab8d97f2c0ddf8c74f7c82172cacc01e60083b22f23ae7d19be14a7013e41",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "56449e3c6f980cd690a083638040434cfeefb160a6c30f08d661fbd538f9faff",
     "curve --format json": "d37dd2d37fedc0155a4eadafe6182c3e984c115fe52fc92a82d62db86b5d37ec",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "7a5528960fbf8921b60a5f2e90596c3d8e5d011287786d398c72b240d8ade368",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "16c33bde894cce2e77fdd1cd90df4b4261ff58623c35a5536b7e22ba3970211b",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "67555d6667d00bea6d957673b19041b3625481b01a1be76ebb43e4d74d5acc47",
     "mathieu": "686a1132cfe26801f1522651033fb9f6cee0b884b9e01dcc15930513d3078c25",
     "mathieu --q -2.5": "cde709cebda965156629f2ab88cd21ff0e19400157bd2461198fdee7e61792e8",

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    even_form_slope,
     even_ground_pair,
     even_spectrum,
     has_eigenvalue_below,
@@ -237,7 +235,7 @@ def test_fixed_sweep_matches_jacobi(half_len):
         assert np.array_equal(pair.vector, pair.vector[::-1]) and np.all(pair.vector >= 0.0)
 
 
-# the fixed k^2 sample of the slope and shift tests; the dense oracle is
+# the fixed k^2 sample of the window and shift tests; the dense oracle is
 # the Python Jacobi solver on the short grids and LAPACK's past them, where
 # Jacobi's rotations take seconds
 _SAMPLE_HALVES = (2, 10, 100, 1000)
@@ -245,9 +243,9 @@ _SAMPLE_LAM1 = (1e-6, 1e-2, 1.0, 1e2, 1e6)
 
 
 @functools.cache
-def _dense_value_and_slope(half_len, lam1):
+def _dense_value(half_len, lam1):
     eigh = jacobi_eigh if half_len <= 10 else np.linalg.eigh
-    return even_form_slope(_k2(half_len), -0.5 * lam1, eigh)
+    return even_ground_pair(_k2(half_len), -0.5 * lam1, eigh)[0]
 
 
 # the rows of the half the climb's Laguerre steps see, at each lam1 of
@@ -271,9 +269,10 @@ def _climb_rows(monkeypatch, half_len, offdiag):
     step = eigen._laguerre_step
     with monkeypatch.context() as mp:
         mp.setattr(eigen, "_laguerre_step", recorded)
-        pair = min_eigenpair(_k2(half_len), offdiag)
-    assert rows == {pair._rows}, rows  # the pair keeps the window for form_slope
-    return pair._rows
+        min_eigenpair(_k2(half_len), offdiag)
+    # every step sees the one window that _support keeps at eps^2
+    assert rows == {eigen._support(abs(offdiag), half_len + 1, _EPS * _EPS)}, rows
+    return rows.pop()
 
 
 def test_climb_rows_are_pinned(monkeypatch):
@@ -286,10 +285,10 @@ def test_climb_rows_are_pinned(monkeypatch):
 
 
 def _assert_window_holds(half_len, offdiag, lam):
-    # past the pair's window W the true ground state is below eps^2 of its
+    # past the climb's window W the true ground state is below eps^2 of its
     # largest entry, by a ratio recurrence that does not use the kernel
     diag = _k2(half_len)
-    w = min_eigenpair(diag, offdiag)._rows
+    w = eigen._support(abs(offdiag), half_len + 1, _EPS * _EPS)
     logv = log_amplitudes(diag[half_len:].tolist(), offdiag, lam)
     assert np.all(logv[w:] < 2.0 * math.log(_EPS)), (half_len, offdiag, w)
 
@@ -297,29 +296,10 @@ def _assert_window_holds(half_len, offdiag, lam):
 def test_window_holds_the_ground_state_on_the_sample():
     for half_len in _SAMPLE_HALVES:
         for lam1 in _SAMPLE_LAM1:
-            _assert_window_holds(half_len, -0.5 * lam1, _dense_value_and_slope(half_len, lam1)[0])
+            _assert_window_holds(half_len, -0.5 * lam1, _dense_value(half_len, lam1))
     # the sigma2 = 0.1 design at 2001 taps, and 2|b| = 4^2, so j0 = 5
     for off in (-28.9, -8.0):
         _assert_window_holds(1000, off, even_ground_pair(_k2(1000), off, eigh=np.linalg.eigh)[0])
-
-
-@pytest.mark.parametrize("half_len", _SAMPLE_HALVES)
-def test_form_slope_matches_oracles(half_len):
-    # b'(lambda1) from one Thomas solve on the window rows, against the
-    # dense perturbation sum, a central difference of b and the same solve
-    # on every row of the half, from the same pair with its window at N + 1
-    diag = _k2(half_len)
-    for lam1 in _SAMPLE_LAM1:
-        off = -0.5 * lam1
-        pair, form = design._ground(diag, lam1)
-        slope = eigen.form_slope(pair, off, form)
-        assert abs(slope - _dense_value_and_slope(half_len, lam1)[1]) <= 1e-8 * slope
-        h = 1e-5 * lam1
-        diff = (design._ground(diag, lam1 + h)[1] - design._ground(diag, lam1 - h)[1]) / (2.0 * h)
-        # the difference also carries the rounding of the two b, over 2h
-        assert abs(diff - slope) <= 1e-6 * slope + 4.0 * _EPS * form / h
-        full = eigen.form_slope(dataclasses.replace(pair, _rows=half_len + 1), off, form)
-        assert abs(full - slope) <= 1e-14 * slope
 
 
 @pytest.mark.parametrize("half_len", _SAMPLE_HALVES)
@@ -333,7 +313,7 @@ def test_certified_shift_bounds_the_minimum(half_len):
     for lam1 in _SAMPLE_LAM1:
         off = -0.5 * lam1
         pair = min_eigenpair(diag, off)
-        lam = _dense_value_and_slope(half_len, lam1)[0]
+        lam = _dense_value(half_len, lam1)
         w = 4.0 * _EPS * (abs(lam) + 2.0 * abs(off))
         assert not has_eigenvalue_below(half, off * off, pair.s)
         assert abs(lam - pair.s) <= w, (lam1, (lam - pair.s) / w)
@@ -401,7 +381,7 @@ def test_climb_shift_is_a_few_rounding_levels_below_the_minimum():
     # the climb's shift and the minimum bracket the ground value to a few
     # rounding levels 4 eps (|s| + 2|b|); the half of tridiag({1, 0, 1}, -1),
     # whose minimum is exactly -1
-    shift, y, _ = _climb([0.0, 1.0], -1.0)
+    shift, y = _climb([0.0, 1.0], -1.0)
     assert min(y) > 0.0  # the inverse iterate at the certified shift
     assert 0.0 < -1.0 - shift <= 4.0 * 4.0 * _EPS * (abs(shift) + 2.0)
 
@@ -412,8 +392,7 @@ def test_climb_work_is_bounded(monkeypatch):
     # bound), each on exactly the rows that _support keeps at eps^2 for
     # the solve's coupling (about half of the 101 half rows; their average
     # over the sweep moves with the mix of small and large lambda1), and 1
-    # solve on all 101 that certifies the shift; form_slope's window solves
-    # are not the climb's and are not counted
+    # solve on all 101 that certifies the shift
     counts = dict.fromkeys(("solves", "passes", "pivots", "all"), 0)
     window = []
 
