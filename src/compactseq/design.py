@@ -17,7 +17,9 @@ b(l1) = alpha, which simultaneously drives the duality gap (= l1 *
 |b - alpha| for the ground-state primal candidate) to zero.  It takes
 safeguarded secant steps in log(l1) on log(b / (b_sup - b)), which is
 close to linear in log(l1) for small, large and grid-limited l1 alike;
-the first step takes its slope from the line's b.  Its seed is the root
+the first step takes its slope from the line's b, at most 2, the slope
+once the grid is too short: near b_sup the line's slope is far too
+steep, and a step on it would creep.  Its seed is the root
 of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4) from
 ``eigen._a0``, so a design takes one ground solve up to alpha ~ 0.999
 and about 1.46 over a sweep to the grid's reach.  The
@@ -160,35 +162,38 @@ def _find_root(trial, s, slope):
     ``trial(s)`` returns f(s) and whether the stopping test holds there;
     ``slope`` is an estimate of f' at the seed.  The search ends at the
     first trial that passes, at an exact zero, once the bracket from f's
-    signs is down to rounding in s, or after 100 trials.  The first step is
-    Newton's on ``slope``, each later one the secant's through the last two
-    trials, unless that slope is not positive, the point leaves the
-    bracket, or the step is zero or more than half the step before last (a
-    slope of the wrong size would creep).  Then it bisects, or, until f has
+    signs is down to rounding in s, or after 100 trials.  Every step follows
+    one rule: the first is Newton's on ``slope``, each later one the
+    secant's through the last two trials, unless that slope is not positive
+    or the point leaves the bracket.  Then it bisects, or, until f has
     changed sign, steps by -2f either way, which assumes f's smallest local
     slope, 1/2 (f' is about 1, 1/2 and 2 in the three regimes of
-    ``_logit``), and so lands on or over the root; a longer step counts as
-    leaving the bracket.
+    ``_logit``), and so lands on or over the root; until then a longer step
+    counts as leaving the bracket.
+
+    The secant's s - s0 is never 0: s0 is an end of the bracket, and s lies
+    strictly inside it.  A secant point must; the midpoint of a bracket
+    wider than 4 ulps does; and so does s0 - 2 f0, since every trial that
+    fails the designer's stopping test has |f| of hundreds of ulps of s or
+    more.  There |f| >= 4 |b - alpha|, as _logit' >= 4/b_sup, and
+    |b - alpha| exceeds the gap target, or, past l1 ~ 1e7, where the target
+    is below rounding, is an ulp of alpha or more while _logit' grows as
+    sqrt(l1).
     """
-    lo, hi, last, before = -math.inf, math.inf, math.inf, math.inf
-    for _ in range(_MAX_SOLVES):
+    lo, hi = -math.inf, math.inf
+    for i in range(_MAX_SOLVES):
         fs, done = trial(s)
         if done or fs == 0.0:
             return
-        if 0.0 < last < math.inf:  # the trial before lies at another s
+        if i:  # s != s0, as above
             slope = (fs - f0) / (s - s0)
         lo, hi = (s, hi) if fs < 0.0 else (lo, s)
         if hi - lo <= 4.0 * _EPS * max(1.0, abs(s)):
             return
-        if math.isinf(hi - lo):
-            u = s - 2.0 * fs
-            cap = min(before, 2.0 * abs(u - s))
-        else:
-            u, cap = 0.5 * (lo + hi), before
+        u = s - 2.0 * fs if math.isinf(hi - lo) else 0.5 * (lo + hi)
         t = s - fs / slope if slope > 0.0 else u
-        if not (lo < t < hi and 0.0 < abs(t - s) <= 0.5 * cap):
+        if not lo < t < hi or (math.isinf(hi - lo) and abs(t - s) > abs(u - s)):
             t = u
-        before, last = last, abs(t - s)
         s0, f0, s = s, fs, t
 
 
@@ -205,8 +210,8 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
     for large lambda1.  It starts from ``_seed``, the root of b on the
     whole line, then refines lambda1 by secant steps, the first on the
-    line's slope, inside the bracket that the signs of b - alpha give
-    (``_find_root``).
+    line's slope capped at 2, inside the bracket that the signs of
+    b - alpha give (``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
     taps = _whole(taps, "taps")
@@ -240,8 +245,10 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
             best = (l1, pair, b)
         return _logit(b, b_sup) - g_alpha, abs(b - alpha) <= gap_target(l1)
 
-    s, db = _seed(alpha)  # G'(s) = l1 b'(l1) (1/b + 1/(b_sup - b)) on the line at b = alpha
-    _find_root(trial, s, db / alpha + db / (b_sup - alpha))
+    # G'(s) = l1 b'(l1) (1/b + 1/(b_sup - b)) on the line at b = alpha, at
+    # most 2, its slope where the grid is too short (``_logit``)
+    s, db = _seed(alpha)
+    _find_root(trial, s, min(db / alpha + db / (b_sup - alpha), 2.0))
     lambda1, pair, b = best
     gap = abs(b - alpha)
     # Once lambda1 is large the constraint can only be met to rounding in

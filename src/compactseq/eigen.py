@@ -301,21 +301,29 @@ def _climb(d, b):
     Laguerre steps on the n = W rows that ``_support`` keeps climb from
     x_0, ``_start`` or the Gershgorin bound if higher, both at or below
     mu_1 = a0(q)/4, q = 4|b|; a start that is a yes restarts from
-    Gershgorin, so correctness never rests on the margin.  The first step L
-    lands if 4 (n-1) L <= g and 2 (n-1) L^3/g^2 <= eps (|x| + 2|b|), a
-    quarter of the rounding level; later steps go on until one is at
-    rounding.  Proof: let lam_1 < lam_2 <= ... be the window's eigenvalues
-    and delta = lam_1 - x_0.  Interlacing puts lam_j, j >= 2, at or above
-    the operator's second level mu_2, and mu_2 - mu_1 = (a2 - a0)/4 >= g =
-    max(1, sqrt(q)) (measured: 1 at q = 0, to 2 sqrt(q) - 3/4 at large q).  With
-    u = 1/delta, A and B the sums of 1/(lam_j - x_0) and its square over
-    j >= 2, so A <= (n-1)/g and B <= (n-1)/g^2, P = (n-1) u - A and
+    Gershgorin, which becomes x_0, so correctness never rests on the
+    margin.  Every step L from a point x lands if 4 (n-1) L <= g and
+    2 (n-1) L^3/g^2 <= eps (|x + L| + 2|b|), a quarter of the rounding
+    level, where g = G - (x - x_0), G = max(1, sqrt(q)).  A step at
+    rounding ends the climb too: where the grid lifts the window's minimum
+    more than G above x_0, as at 5 and 21 taps near b_sup, g falls below 0
+    and no step lands.
+
+    Proof: let lam_1 < lam_2 <= ... be the window's eigenvalues and
+    delta = lam_1 - x.  Interlacing puts lam_j, j >= 2, at or above the
+    operator's second level mu_2, and mu_2 - mu_1 = (a2 - a0)/4 >= G
+    (measured: 1 at q = 0, to 2 sqrt(q) - 3/4 at large q), so
+    lam_j - x >= mu_1 + G - x >= g, as x_0 <= mu_1.  With u = 1/delta, A
+    and B the sums of 1/(lam_j - x) and its square over j >= 2, so
+    A <= (n-1)/g and B <= (n-1)/g^2, P = (n-1) u - A and
     E = n ((n-1) B - A^2) >= 0, Laguerre's step has 1/L - u =
     (sqrt(P^2 + E) - P)/n <= (n-1) B/(2P), so the error delta - L <=
     delta^2 (1/L - u) is at most (n-1) delta k^2/(2 (1 - k)), k = delta/g:
     Li and Zeng's delta^3 B/2 with room; 1/L <= u + A gives delta <= 4L/3,
     k <= 1/3 and the bound 2 (n-1) L^3/g^2.  So a start eight rounding
-    levels low lands unless n sqrt(q) passes about 1e13.
+    levels low lands on its first step unless n sqrt(q) passes about 1e13,
+    and a climb from Gershgorin, about G/2 below mu_1, keeps g near G/2 or
+    more up to mu_1.
 
     The shift is tried at w/4, w/2 and w below the point x reached, w =
     4 eps (|x| + 2|b|), and at the last iterate; ``_solve`` on all of ``d``
@@ -330,23 +338,22 @@ def _climb(d, b):
     x = max(floor, _start(b))
     n = _support(abs(b), len(d), _TAIL)
     rows = d if n == len(d) else d[:n]
-    gap = max(1.0, 2.0 * math.sqrt(abs(b)))  # g = max(1, sqrt(q))
+    gap = max(1.0, 2.0 * math.sqrt(abs(b)))  # G = max(1, sqrt(q))
     unit = 1.0 / math.sqrt(2 * len(d) - 1)
-    below = -math.inf
+    below, x0 = -math.inf, x
     for _ in range(_MAX_CLIMB):
         step = _laguerre_step(rows, b2, x)
         if step is None:
             if below == -math.inf and x > floor:
-                x = floor  # the start is a yes: climb from Gershgorin
+                x = x0 = floor  # the start is a yes: climb from Gershgorin
                 continue
             break  # rounding carried x onto a yes
-        first = below == -math.inf
         below = x
         x += step
         if step <= 4.0 * _EPS * (abs(below) + r):
             break
-        if first and 4 * (n - 1) * step <= gap and (
-                2 * (n - 1) * step**3 <= gap * gap * _EPS * (abs(x) + r)):
+        g = gap - (below - x0)
+        if 4 * (n - 1) * step <= g and 2 * (n - 1) * step**3 <= g * g * _EPS * (abs(x) + r):
             break  # landed
     if below == -math.inf:
         raise EigenConvergenceError(f"the Gershgorin bound {x!r} is not certified")

@@ -60,6 +60,12 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "curve", "--grid", "0:2:3:log")
     assert code == 1
+    # a point count that is not a whole number or below 1, and an unknown
+    # grid kind, each give one error line
+    for grid in ("1:2:x:log", "1:2:0:log", "1:2:3:cubic"):
+        code, out, err = run(capsys, "curve", "--grid", grid)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("compactseq: error:")
     code, _, err = run(capsys, "analyze", "--input", "/nonexistent/file.seq")
     assert code == 1
     code, _, err = run(capsys, "nonsense")

@@ -84,8 +84,8 @@ SEQ_OUTPUT_CASES = [
 ]
 
 GOLDEN = {
-    "design --sigma2 3e-4 --taps 201 --format json": "7b76ea457e411cb7a3a0a51d90945af3e6234dae48fd913b63dd9b1924fd06e7",
-    "design --sigma2 3e-4 --taps 201 --format csv": "81c40e2338903f8f2ef88e03cde6317f59c0492c9de0c10e8f8a786514ad12e7",
+    "design --sigma2 3e-4 --taps 201 --format json": "32ab42fbe20776c00195a7e5b6d30e3450142d2ae5e6a9d7b8391e3515d94987",
+    "design --sigma2 3e-4 --taps 201 --format csv": "0e917b661eca3e4716ff3936b2b7907e2cfd3c2810b4cb557df31dafa4f89d6b",
     "design --sigma2 3e-4 --taps 1001 --format json": "39fc22dfe4b22b5d3ce9c9c197f4f3593107275c1797036e7dddf1496ae23c6b",
     "design --sigma2 3e-4 --taps 1001 --format csv": "d72447d028c685c07b2647a337dda2b807a884129a97d7622d8847465f758e55",
     "design --sigma2 1e-3 --taps 201 --format json": "0bb17a77f08d197d83a7c8951e8ae71591c1bf68120d002066e9246af1b4c18c",

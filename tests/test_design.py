@@ -8,6 +8,7 @@ from helpers import jacobi_eigh, tridiag_dense
 
 from compactseq.design import (
     CurvePoint,
+    DesignConvergenceError,
     DesignResult,
     UnattainableSpreadError,
     _ground,
@@ -237,7 +238,7 @@ def test_residual_floor_bounds_long_grids():
 @pytest.mark.parametrize("taps", [5, 21, 201, 1001])
 def test_dual_solve_work_count(monkeypatch, taps):
     # the seeded root search needs a few ground-state solves per design,
-    # even next to the unattainable limit (doubling and bisection: up to 71)
+    # even next to the unattainable limit (8 at most here)
     import compactseq.design as design
 
     calls = []
@@ -261,9 +262,9 @@ def test_root_search_narrows_a_jump_to_rounding(jump):
     # f jumps from -1 to +1e-9 and the stopping test never passes, as where
     # b(l1) is flat to rounding.  Whatever the first slope, a secant through
     # two trials on one side of the jump has slope 0 and bisects, and one
-    # across it sends the search creeping from the +1e-9 end, where a step
-    # that does not halve the one before it bisects too: either way the
-    # bracket narrows to rounding in s (in at most 73 trials here)
+    # across it creeps from the +1e-9 end onto that side again, whence the
+    # next secant bisects: either way the bracket narrows to rounding in s
+    # (in at most 79 trials here)
     from compactseq.design import _find_root
 
     for slope in (0.0, math.nan, 1.0, 1e9):
@@ -297,7 +298,7 @@ def test_a_wrong_slope_falls_back_to_bisection(monkeypatch, factor):
     # a first slope 1e3 times too large creeps, 1e-3 times leaves the
     # bracket, 0 and NaN give no step: through the bisection and secant
     # steps each design still ends inside the certificates it publishes,
-    # with the same status, within 20 ground solves (15 at most here)
+    # with the same status, within 20 ground solves (12 at most here)
     import compactseq.design as design
 
     grid = _sigma2_grid(201)
@@ -315,6 +316,54 @@ def test_a_wrong_slope_falls_back_to_bisection(monkeypatch, factor):
         assert abs(res.constraint_gap) <= 1e-10
         assert res.duality_gap <= 2e-8 + 1e-15 * norm_t
         assert res.eig_residual <= _residual_bound(res.lambda2, norm_t)
+
+
+def test_work_near_b_sup_is_bounded(monkeypatch):
+    # 300 alpha per grid on 5, 21, 201 and 2001 taps, 250 of them at
+    # 1 - alpha/b_sup from 5e-2 to 1e-6, where the line's slope is far too
+    # steep.  With one rule for every root-search step, the first slope
+    # capped at 2, and the landing test after every Laguerre step: 4,317
+    # ground solves, at most 11 per design, 9,929 Laguerre passes, at most 4
+    # per climb (5,145, 14 and 14,634 with a cap at half the step before
+    # last and a landing on the first step only).  Without the climb's
+    # rounding stop, 169 climbs on 5 and 21 taps, where the grid lifts the
+    # minimum more than the gap above the start, run to _MAX_CLIMB.  The
+    # trials read only exactly rounded sums and the pure-Python kernel, so
+    # the counts hold under every BLAS kernel; the statuses, ok up to a
+    # pinned alpha and increase-taps above it, have tail masses 1% or more
+    # from the threshold.
+    import compactseq.design as design
+    import compactseq.eigen as eigen
+
+    calls = _counting_solves(monkeypatch)
+    passes, climbs = [0], []
+    step, climb = eigen._laguerre_step, eigen._climb
+
+    def counting_step(*args):
+        passes[0] += 1
+        return step(*args)
+
+    def counting_climb(d, b):
+        before = passes[0]
+        out = climb(d, b)
+        climbs.append(passes[0] - before)
+        return out
+
+    monkeypatch.setattr(eigen, "_laguerre_step", counting_step)
+    monkeypatch.setattr(eigen, "_climb", counting_climb)
+    worst = 0
+    for taps, ok in ((5, 18), (21, 51), (201, 167), (2001, 298)):
+        b_sup = math.cos(math.pi / (taps + 1))
+        alphas = np.concatenate([b_sup * np.geomspace(1e-3, 0.95, 50),
+                                 b_sup * (1.0 - np.geomspace(5e-2, 1e-6, 250))])
+        statuses = []
+        for alpha in alphas.tolist():
+            before = len(calls)
+            statuses.append(design.design_max_compact(1.0 / alpha**2 - 1.0, taps).status)
+            worst = max(worst, len(calls) - before)
+        assert statuses == ["ok"] * ok + ["increase-taps"] * (300 - ok), taps
+    assert len(calls) <= 4400 and worst <= 11
+    assert passes[0] <= 10500 and max(climbs) <= 4
 
 
 @pytest.mark.parametrize("taps", [201, 2001])
@@ -384,7 +433,7 @@ def test_one_ground_solve_per_design_up_to_alpha_099(monkeypatch):
 def test_a_seed_above_the_root_steps_down_fast(monkeypatch, above):
     # before f changes sign a step is -2f either way: where b -> 1 the
     # slope of G is 1/2, so a step of -f down only halved the distance to
-    # the root (3.9 solves per design here from 1% above, up to 9)
+    # the root (3.2 solves per design here from 1% above, up to 8)
     import compactseq.design as design
 
     grid = _sigma2_grid(201)
@@ -398,6 +447,20 @@ def test_a_seed_above_the_root_steps_down_fast(monkeypatch, above):
         res = design_max_compact(s2, 201)
         assert abs(res.constraint_gap) <= 1e-10
     assert len(calls) / len(grid) <= 4.0
+
+
+def test_a_search_that_misses_the_root_raises(monkeypatch, capsys):
+    # one trial, far from the root: the best design misses its gap target,
+    # so the designer raises, and the CLI reports a solver failure
+    import compactseq.design as design
+
+    monkeypatch.setattr(design, "_find_root", lambda trial, s, slope: trial(s + 1.0))
+    with pytest.raises(DesignConvergenceError, match="constraint gap"):
+        design_max_compact(0.1, 201)
+    code = main(["design", "--sigma2", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("compactseq: solver failure: constraint gap") and err.count("\n") == 1
 
 
 def test_curve_points_carry_the_design_status():

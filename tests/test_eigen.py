@@ -387,8 +387,8 @@ def test_climb_shift_is_a_few_rounding_levels_below_the_minimum():
 
 
 def test_climb_work_is_bounded(monkeypatch):
-    # the ground solves of a sigma2 sweep at 201 taps: about 2 Laguerre
-    # passes from the rational start (2.15; 4.0 from the Gershgorin
+    # the ground solves of a sigma2 sweep at 201 taps: about 1.3 Laguerre
+    # passes from the rational start (1.26; 3.03 from the Gershgorin
     # bound), each on exactly the rows that _support keeps at eps^2 for
     # the solve's coupling (about half of the 101 half rows; their average
     # over the sweep moves with the mix of small and large lambda1), and 1
