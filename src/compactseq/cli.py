@@ -51,13 +51,9 @@ _SOLVER_ERRORS = (
 _NUMERIC_FLAGS = ("--sigma2", "--taps", "--q", "--grid")
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad flags, not argparse's 2
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _join_negative_values(argv) -> list:
@@ -77,25 +73,25 @@ def _join_negative_values(argv) -> list:
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 4:
-        raise _CliError(f"grid must be start:stop:points:log|lin, got {text!r}")
+        raise ValueError(f"grid must be start:stop:points:log|lin, got {text!r}")
     try:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _CliError(f"bad grid {text!r}: {exc}") from None
+        raise ValueError(f"bad grid {text!r}: {exc}") from None
     kind = parts[3]
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise _CliError(f"grid endpoints must be finite, got {text!r}")
+        raise ValueError(f"grid endpoints must be finite, got {text!r}")
     if points < 1:
-        raise _CliError("grid needs at least one point")
+        raise ValueError("grid needs at least one point")
     if kind == "log":
         if start <= 0 or stop <= 0:
-            raise _CliError("log grid endpoints must be positive")
+            raise ValueError("log grid endpoints must be positive")
         return np.geomspace(start, stop, points)
     if kind == "lin":
         if not math.isfinite(stop - start):  # linspace would step by inf
-            raise _CliError(f"lin grid span stop - start must be finite, got {text!r}")
+            raise ValueError(f"lin grid span stop - start must be finite, got {text!r}")
         return np.linspace(start, stop, points)
-    raise _CliError(f"grid kind must be log or lin, got {kind!r}")
+    raise ValueError(f"grid kind must be log or lin, got {kind!r}")
 
 
 def _json_value(v):
@@ -263,7 +259,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (_CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"compactseq: error: {exc}", file=sys.stderr)
         return 1
     except _SOLVER_ERRORS as exc:

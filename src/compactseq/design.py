@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import _MAX_HALF_LEN, _a0, _k2_grid, min_eigenpair
-from .sequence import Sequence, _whole
+from .eigen import _EPS, _a0, _k2_grid, min_eigenpair
+from .sequence import Sequence, _check_taps
 
 __all__ = [
     "UnattainableSpreadError",
@@ -62,7 +62,6 @@ __all__ = [
 TAIL_MASS_WARN = 1e-10
 _CONSTRAINT_TOL = 1e-10
 _MAX_SOLVES = 100
-_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
@@ -200,9 +199,10 @@ def _find_root(trial, s, slope):
 def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     """Minimal-time-spread sequence with periodic frequency spread sigma2.
 
-    ``taps`` (odd, >= 5 and <= 2**21 + 1, the grid cap the Mathieu
-    evaluator shares) fixes the grid k = -(taps-1)/2 .. (taps-1)/2; a
-    larger count is refused before the grid is built.  It must be large
+    ``taps`` (odd, >= 5 and <= 2**21 + 1, the grid cap that windows and
+    the Mathieu evaluator share: ``sequence._check_taps``) fixes the grid
+    k = -(taps-1)/2 .. (taps-1)/2; a larger count is refused before the
+    grid is built.  It must be large
     enough that alpha = 1/sqrt(1+sigma2) stays below the
     largest eigenvalue cos(pi/(taps+1)) of the lag-one form, otherwise the
     constraint is unattainable and UnattainableSpreadError is raised.
@@ -214,11 +214,7 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     b - alpha give (``_find_root``).
     """
     sigma2 = _check_sigma2(sigma2)
-    taps = _whole(taps, "taps")
-    if taps < 5 or taps % 2 == 0:
-        raise ValueError("taps must be odd and >= 5")
-    if taps > 2 * _MAX_HALF_LEN + 1:
-        raise ValueError(f"taps must be at most {2 * _MAX_HALF_LEN + 1}")
+    taps = _check_taps(taps, 5)
 
     half = (taps - 1) // 2
     alpha = 1.0 / math.sqrt(1.0 + sigma2)
@@ -297,9 +293,11 @@ class CurvePoint:
 def sweep_curve(sigma2_grid, taps: int = 201) -> list[CurvePoint]:
     """Run the designer across a sigma2 grid; failures mark their point.
 
-    Points are produced in grid order.  A point whose design raises keeps
-    the bounds but gets NaN optimal values and the error message, so one
-    infeasible sample never aborts a sweep.
+    Points are produced in grid order.  A point whose design raises
+    :class:`UnattainableSpreadError` or :class:`DesignConvergenceError`
+    keeps the bounds but gets NaN optimal values and the error message, so
+    one infeasible sample never aborts a sweep; any other error, such as a
+    bad sigma2 or tap count, propagates.
     """
     points = []
     for s2 in sigma2_grid:

@@ -50,8 +50,6 @@ import numpy as np
 __all__ = ["EigenPair", "EigenConvergenceError", "min_eigenpair"]
 
 _MAX_CLIMB = 30
-# the longest half N a caller builds a grid k = -N..N for
-_MAX_HALF_LEN = 2**20
 _EPS = float(np.finfo(float).eps)
 _TAIL = _EPS * _EPS
 # a0(q), 4 times the minimum of the infinite even operator: up to
@@ -279,12 +277,8 @@ def _support(a, end, tol):
     lam_min <= d_0 = 0, so from the first row j0 with j0^2 > 2a the ratio
     v_i / v_{i-1} is at most a / (i^2 - a) < 1 (Parlett, The Symmetric
     Eigenvalue Problem, ch. 7); i is the first row where the product of
-    those factors from j0 is below ``tol``.  None is below
-    a / ((end - 1)^2 - a): where end - j0 of them cannot reach ``tol``, as
-    at eps^2 on every Mathieu grid, no row is scanned."""
+    those factors from j0 is below ``tol``."""
     j = math.isqrt(int(2.0 * a)) + 1  # j0; k^2 rises, so no row after it dips back
-    if j >= end or (a / ((end - 1) ** 2 - a)) ** (end - j) >= tol:
-        return end
     amp = 1.0
     for i in range(j, end):
         amp *= a / (i * i - a)

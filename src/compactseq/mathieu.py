@@ -14,7 +14,7 @@ here.  a0 is the kernel's table value, certified with no solve; ce0's
 coefficients are the unit, positive, palindromic vector of one ground
 solve of :func:`compactseq.eigen.min_eigenpair`.
 
-The first grid is the shorter of two half-lengths.  One grows as
+The grid's half-length is the shorter of two.  One grows as
 |q|^(1/4), the width of the ground state at large |q|.  The other is a
 tail bound that is short at small |q|: lambda_min <= d_0 = 0, so on every
 row k with k^2 > 2|b| (b = -|q|/4 the coupling) a coefficient is at most
@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _MAX_HALF_LEN, EigenPair, _ground_value, _k2_grid, _support, min_eigenpair
+from .eigen import EigenPair, _ground_value, _k2_grid, _support, min_eigenpair
+from .sequence import _MAX_HALF_LEN
 
 __all__ = ["MathieuEval", "MathieuGridError", "char_value_a0", "ce0"]
 
@@ -53,7 +54,7 @@ class MathieuGridError(RuntimeError):
 
 
 def _first_half_len(lam1: float) -> int:
-    """The first grid's half-length for the pencil A - lam1*B: the
+    """The grid's half-length for the pencil A - lam1*B: the
     large-|q| half-length n0, or the row where the tail bound drops below
     ``_TAIL_AMP`` if that comes first.  The bound's rows start past
     sqrt(lam1) = sqrt(2|b|), which lies beyond n0 once lam1 exceeds about
@@ -122,11 +123,14 @@ def ce0(q: float, thetas) -> MathieuEval:
     into [0, pi) (``np.remainder``, exact for t >= 0) before 2kt is formed,
     which then stays finite for any finite t.  That double is 1.2e-16 below
     pi, so a reduced angle carries a phase error of about |t| * 4e-17 rad;
-    ``thetas`` in the result keeps the angles as given."""
+    ``thetas`` in the result keeps the angles as given, a scalar as one
+    sample; an array of more than one dimension raises ``ValueError``."""
     q = float(q)
+    t = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if t.ndim > 1:
+        raise ValueError(f"thetas must be a scalar or 1-d, got shape {t.shape}")
     pair = _ground_taps(q)
     n = pair.vector.size // 2
-    t = np.atleast_1d(np.asarray(thetas, dtype=float))
     half = pair.vector[n:].copy()  # c_k = tap at +k, k = 0..n
     if q > 0.0:
         half[1::2] = -half[1::2]

@@ -44,6 +44,10 @@ __all__ = [
     "parse_sequence",
 ]
 
+# the longest half N of a grid k = -N..N that a design, window or Mathieu
+# evaluation builds
+_MAX_HALF_LEN = 2**20
+
 
 def _whole(x, name):
     """``x`` as an int; ``ValueError`` where it is not a whole number."""
@@ -54,6 +58,18 @@ def _whole(x, name):
     if n != x:
         raise ValueError(f"{name} must be an integer")
     return n
+
+
+def _check_taps(taps, least: int) -> int:
+    """``taps`` as an int if it is a whole, odd count (a grid k = -N..N)
+    from ``least`` to 2 ``_MAX_HALF_LEN`` + 1 = 2^21 + 1, else
+    ``ValueError``: the one tap-count check of designs and windows."""
+    taps = _whole(taps, "taps")
+    if taps < least or taps % 2 == 0:
+        raise ValueError(f"taps must be odd and >= {least}")
+    if taps > 2 * _MAX_HALF_LEN + 1:
+        raise ValueError(f"taps must be at most {2 * _MAX_HALF_LEN + 1}")
+    return taps
 
 
 def _peak(parts: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 """Classical FIR window families and their spread scan.
 
 Every generator returns a unit-energy :class:`~compactseq.sequence.Sequence`
-centered at index 0 (odd tap counts only, so the center is an integer and
-the time mean sits exactly on the grid; at most 2^21 + 1, the designer's
-cap).  ``spread_scan`` sweeps a family across its parameter grid and
-records (delta_wp2, delta_n2, eta_p) per point, which is the comparison
-data set for judging windows against the designed optimum at matched
-frequency spread.  The stock families scan each generator's float taps.
+centered at index 0 (odd tap counts from 3 to 2^21 + 1, so the center is
+an integer and the time mean sits exactly on the grid: the designer's rule,
+``sequence._check_taps``).  ``spread_scan`` sweeps a family across its
+parameter grid and records (delta_wp2, delta_n2, eta_p) per point, which
+is the comparison data set for judging windows against the designed
+optimum at matched frequency spread.  The stock families scan each
+generator's float taps.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eigen import _MAX_HALF_LEN
-from .sequence import Sequence, _whole
+from .sequence import Sequence, _check_taps
 from .spreads import measure
 
 __all__ = [
@@ -49,17 +49,6 @@ def _generator(taps_of):
     return generator
 
 
-def _check_taps(taps: int) -> int:
-    taps = _whole(taps, "taps")
-    if taps < 3:
-        raise ValueError("taps must be >= 3")
-    if taps % 2 == 0:
-        raise ValueError("taps must be odd so the window centers on the grid")
-    if taps > 2 * _MAX_HALF_LEN + 1:
-        raise ValueError(f"taps must be at most {2 * _MAX_HALF_LEN + 1}")
-    return taps
-
-
 @_generator
 def standard_windows(name: str, taps: int):
     """One of the classical windows, unit energy, centered at index 0.
@@ -69,7 +58,7 @@ def standard_windows(name: str, taps: int):
     (0.42/0.50/0.08) are the generalized-cosine sums (Harris, Proc. IEEE
     66(1), 1978) w[n] = sum_j (-1)^j a_j cos(2 pi j n / (M - 1)).
     """
-    taps = _check_taps(taps)
+    taps = _check_taps(taps, 3)
     n = np.arange(taps, dtype=float)
     m = taps - 1
     if name == "triangular":
@@ -103,7 +92,7 @@ def sampled_gaussian(width: float, taps: int):
     overflows.
     """
     width = _width(width)
-    taps = _check_taps(taps)
+    taps = _check_taps(taps, 3)
     half = taps // 2
     if width < 0.025:
         w = np.zeros(taps)

@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from compactseq import design, eigen
+from compactseq.cli import main
 from compactseq.eigen import (
     _EPS,
     EigenConvergenceError,
@@ -334,6 +335,23 @@ def test_a_missed_residual_raises(monkeypatch):
     k = np.arange(-20, 21, dtype=float)
     with pytest.raises(EigenConvergenceError, match="residual"):
         min_eigenpair(k * k, -2.0)
+
+
+def test_climb_refusals_raise(monkeypatch, capsys):
+    # no input reaches these: every climb has found a certified start and a
+    # certified shift, but both refusals stay, and the CLI reports them as
+    # solver failures
+    k = np.arange(-20, 21, dtype=float)
+    for name, text in (("_laguerre_step", "the Gershgorin bound .* is not certified"),
+                       ("_solve", "no certified shift below")):
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen, name, lambda *args: None)
+            with pytest.raises(EigenConvergenceError, match=text):
+                min_eigenpair(k * k, -2.0)
+            code = main(["design", "--sigma2", "0.1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("compactseq: solver failure: ") and err.count("\n") == 1, err
 
 
 def test_ground_state_signs():

@@ -181,6 +181,18 @@ def test_non_finite_q_rejected():
             ce0(q, [0.0])
 
 
+def test_ce0_takes_a_scalar_or_1d_angles():
+    # every value lines up with its angle: a scalar is one sample, and an
+    # array of more dimensions, which the outer product would flatten, is
+    # refused
+    one = ce0(1.0, 0.3)
+    assert one.thetas.shape == one.values.shape == (1,)
+    assert one.values[0] == pytest.approx(ce0(1.0, [0.1, 0.3]).values[1], rel=1e-15)
+    for thetas in ([[0.1, 0.2], [0.3, 0.4]], np.zeros((1, 3)), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match="thetas must be a scalar or 1-d"):
+            ce0(1.0, thetas)
+
+
 def test_unresolved_tails_raise(monkeypatch, capsys):
     # no q reaches this: the grid is solved once, and tails that still
     # reach 1e-12 on it are refused

@@ -63,6 +63,17 @@ def test_window_errors():
             sampled_gaussian(1.0, taps)
 
 
+def test_window_tap_counts_follow_the_one_rule():
+    # an even count and a count below 3 get the designer's message, with
+    # the windows' least count in it
+    for taps in (8, 1, -1, 0, 2):
+        with pytest.raises(ValueError, match=r"^taps must be odd and >= 3$"):
+            standard_windows("hann", taps)
+        with pytest.raises(ValueError, match=r"^taps must be odd and >= 3$"):
+            sampled_gaussian(1.0, taps)
+    assert len(standard_windows("hann", 3)) == len(sampled_gaussian(1.0, 3)) == 3
+
+
 def test_sampled_gaussian():
     s = sampled_gaussian(2.0, 21)
     assert norm2(s) == pytest.approx(1.0, rel=1e-12)
