@@ -32,6 +32,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from .design import (
+    _DEFAULT_TAPS,
     DesignConvergenceError,
     UnattainableSpreadError,
     design_max_compact,
@@ -205,7 +206,8 @@ def _command_parser(name: str) -> _Parser:
     if name == "design":
         p.add_argument("--sigma2", type=float, required=True,
                        help="target periodic frequency spread (> 0)")
-        p.add_argument("--taps", type=int, default=201, help="odd grid length (default 201)")
+        p.add_argument("--taps", type=int, default=_DEFAULT_TAPS,
+                       help="odd grid length (default %(default)s)")
         p.add_argument("--seq-output", help="also write the sequence file here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(run=_run_design)
@@ -216,7 +218,7 @@ def _command_parser(name: str) -> _Parser:
     elif name == "curve":
         p.add_argument("--grid", default="0.01:10:25:log",
                        help="sigma2 grid start:stop:points:log|lin")
-        p.add_argument("--taps", type=int, default=201)
+        p.add_argument("--taps", type=int, default=_DEFAULT_TAPS)
         p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.set_defaults(run=_run_curve)
     elif name == "mathieu":
@@ -266,7 +268,3 @@ def main(argv=None) -> int:
         print(f"compactseq: solver failure: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,9 +19,9 @@ safeguarded secant steps in log(l1) on log(b / (b_sup - b)), which is
 close to linear in log(l1) for small, large and grid-limited l1 alike;
 the first step takes its slope from the line's b, at most 2, the slope
 once the grid is too short: near b_sup the line's slope is far too
-steep, and a step on it would creep.  Its seed is the root
-of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4) from
-``eigen._a0``, so a design takes one ground solve up to alpha ~ 0.999
+steep, and a step on it would creep.  Its seed, ``eigen._seed``, is the
+root of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4) on
+eigen's a0 table, so a design takes one ground solve up to alpha ~ 0.999
 and about 1.46 over a sweep to the grid's reach.  The
 optimal sequence is the ground state itself: symmetric, entrywise
 positive, and unit norm by construction.
@@ -43,11 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import _check_sigma2, eta_lower, eta_upper
-from .eigen import _EPS, _a0, _k2_grid, min_eigenpair
-from .sequence import Sequence, _check_taps
+from .eigen import _EPS, _k2_grid, _seed, min_eigenpair
+from .sequence import _TINY, Sequence, _check_taps
 
 __all__ = [
     "UnattainableSpreadError",
@@ -62,7 +60,7 @@ __all__ = [
 TAIL_MASS_WARN = 1e-10
 _CONSTRAINT_TOL = 1e-10
 _MAX_SOLVES = 100
-_TINY = np.finfo(float).tiny
+_DEFAULT_TAPS = 201
 
 
 class UnattainableSpreadError(RuntimeError):
@@ -133,28 +131,6 @@ def _logit(b, b_sup):
     return math.log(max(b, _TINY)) - math.log(max(b_sup - b, _TINY))
 
 
-def _seed(alpha):
-    """(log(l1), q b'(q)) where b = alpha at q = 2 l1, b = -a0'(q)/2 from
-    ``eigen._a0``: the seed and the slope of b in log(l1) there.  The seed is
-    at or below the root to rounding: b is concave and rising in q, so Newton
-    steps land below the root after the first and climb, from the root's small-
-    and large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
-    (DLMF 28.6.1, 28.8.1), until a step is below 1e-8 q, as the error then
-    left, |b''/(2b')| step^2 <= step^2/q, is below rounding."""
-    q = 2.0 * alpha * (1.0 + 0.875 * alpha * alpha)
-    if alpha >= 0.68:
-        q = 0.25 / (1.0 - alpha) ** 2 + 0.03125
-    for _ in range(16):
-        _, b, omb, db = _a0(q)
-        # where b >= 1/2, (1 - alpha) - (1 - b) keeps the bits of 1 - b near 1
-        # and, for alpha >= 1/2, rounds as b - alpha (both differences exact)
-        step = -(b - alpha if b < 0.5 else (1.0 - alpha) - omb) / db
-        q += step
-        if abs(step) <= 1e-8 * q:
-            break
-    return math.log(0.5 * q), q * db
-
-
 def _find_root(trial, s, slope):
     """Drive the increasing function f(s) to 0 from the seed s.
 
@@ -196,7 +172,7 @@ def _find_root(trial, s, slope):
         s0, f0, s = s, fs, t
 
 
-def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
+def design_max_compact(sigma2: float, taps: int = _DEFAULT_TAPS) -> DesignResult:
     """Minimal-time-spread sequence with periodic frequency spread sigma2.
 
     ``taps`` (odd, >= 5 and <= 2**21 + 1, the grid cap that windows and
@@ -208,7 +184,7 @@ def design_max_compact(sigma2: float, taps: int = 201) -> DesignResult:
     constraint is unattainable and UnattainableSpreadError is raised.
     |x'Bx - alpha| at the solution is at most 1e-10; the search aims for
     1e-9/lambda1 once lambda1 > 1 to keep the duality gap near 1e-9 even
-    for large lambda1.  It starts from ``_seed``, the root of b on the
+    for large lambda1.  It starts from ``eigen._seed``, the root of b on the
     whole line, then refines lambda1 by secant steps, the first on the
     line's slope capped at 2, inside the bracket that the signs of
     b - alpha give (``_find_root``).
@@ -290,7 +266,7 @@ class CurvePoint:
     error: str | None = None
 
 
-def sweep_curve(sigma2_grid, taps: int = 201) -> list[CurvePoint]:
+def sweep_curve(sigma2_grid, taps: int = _DEFAULT_TAPS) -> list[CurvePoint]:
     """Run the designer across a sigma2 grid; failures mark their point.
 
     Points are produced in grid order.  A point whose design raises

@@ -36,6 +36,10 @@ fix-up; its residual, on all 2N+1 rows, is checked against the contract.
 The pair keeps the shift as its certificate.  The Mathieu a0 tables solve
 nothing: two pivot passes certify the table's a0/4 itself
 (``_ground_value``).
+
+This module alone reads the a0 table: ``_estimate`` for the climb's start
+and ``_a0`` for ``_seed``, its one runtime caller, the root of
+b = -a0'(q)/2 = alpha on the whole line that the designer starts from.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ _TAIL = _EPS * _EPS
 # where the rest of its coefficients sum below 2e-16, in powers of
 # t = 2 (z - lo)/(hi - lo) - 1, highest first.  h is within 1e-15, and
 # 1 - b = z (h - z h')/4, b = -a0'/2, within 1e-13 of itself.  ``_a0``
-# reads it for the designer's seed and ``_estimate``, value only, for the
-# climb's start and the Mathieu a0.
+# reads it for ``_seed``, its one runtime caller, and ``_estimate``, value
+# only, for the climb's start and the Mathieu a0.
 _A0_PADE = (
     (-4.382754104315206e-14, 1.082313291769662e-12),
     (-3.7828914530027274e-11, 3.589922214890107e-10),
@@ -193,6 +197,28 @@ def _a0(q):
     g = h - k * z * h1
     omb = 0.25 * z * g * (1.0 - 1e-13)
     return (h * z - 2.0) / (z * z), 1.0 - omb, omb, 0.125 * z**3 * (g - 2 * (k * z)**2 * h2)
+
+
+def _seed(alpha):
+    """(log(l1), q b'(q)) where b = alpha at q = 2 l1, b = -a0'(q)/2 from
+    ``_a0``: the designer's seed and the slope of b in log(l1) there.  The seed is
+    at or below the root to rounding: b is concave and rising in q, so Newton
+    steps land below the root after the first and climb, from the root's small-
+    and large-q series 2 alpha (1 + 7 alpha^2/8) and 1/(4 (1 - alpha)^2) + 1/32
+    (DLMF 28.6.1, 28.8.1), until a step is below 1e-8 q, as the error then
+    left, |b''/(2b')| step^2 <= step^2/q, is below rounding."""
+    q = 2.0 * alpha * (1.0 + 0.875 * alpha * alpha)
+    if alpha >= 0.68:
+        q = 0.25 / (1.0 - alpha) ** 2 + 0.03125
+    for _ in range(16):
+        _, b, omb, db = _a0(q)
+        # where b >= 1/2, (1 - alpha) - (1 - b) keeps the bits of 1 - b near 1
+        # and, for alpha >= 1/2, rounds as b - alpha (both differences exact)
+        step = -(b - alpha if b < 0.5 else (1.0 - alpha) - omb) / db
+        q += step
+        if abs(step) <= 1e-8 * q:
+            break
+    return math.log(0.5 * q), q * db
 
 
 def _estimate(b):

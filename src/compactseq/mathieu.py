@@ -59,7 +59,7 @@ def _first_half_len(lam1: float) -> int:
     ``_TAIL_AMP`` if that comes first.  The bound's rows start past
     sqrt(lam1) = sqrt(2|b|), which lies beyond n0 once lam1 exceeds about
     3500, so it scans at most 23 rows at any |q|."""
-    n0 = max(24, int(math.ceil(8.0 * (max(lam1, 1.0) / 2.0) ** 0.25)) + 8)
+    n0 = max(24, int(math.ceil(8.0 * (lam1 / 2.0) ** 0.25)) + 8)
     return _support(0.5 * lam1, n0, _TAIL_AMP)
 
 

@@ -47,6 +47,9 @@ __all__ = [
 # the longest half N of a grid k = -N..N that a design, window or Mathieu
 # evaluation builds
 _MAX_HALF_LEN = 2**20
+# the smallest positive normal double: design's floor under b and
+# b_sup - b, and spreads' underflow test
+_TINY = np.finfo(float).tiny
 
 
 def _whole(x, name):

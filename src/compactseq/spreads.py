@@ -53,11 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence import Sequence, _peak, autocorrelation
+from .sequence import _TINY, Sequence, _peak, autocorrelation
 
 __all__ = ["SpreadReport", "measure"]
 
-_TINY = np.finfo(float).tiny
 _MAX_EXPONENT = 256
 # the lengths from which _rho takes the lags from transforms, where they
 # are timed faster than np.correlate (CHANGES.md)

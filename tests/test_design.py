@@ -12,13 +12,12 @@ from compactseq.design import (
     DesignResult,
     UnattainableSpreadError,
     _ground,
-    _seed,
     design_max_compact,
     sweep_curve,
 )
 from compactseq.bounds import eta_lower, eta_upper
 from compactseq.cli import main
-from compactseq.eigen import _residual_bound, min_eigenpair
+from compactseq.eigen import _residual_bound, _seed, min_eigenpair
 from compactseq.spreads import measure
 
 
@@ -415,6 +414,28 @@ def test_the_seed_is_the_root_on_the_line_up_to_alpha_099():
     for alpha in alphas.tolist():
         res = design_max_compact(1.0 / alpha**2 - 1.0, 2001)
         assert abs(math.exp(_seed(alpha)[0]) / res.lambda1 - 1.0) <= 1e-9, alpha
+
+
+def test_the_seed_reads_the_table_at_most_five_times(monkeypatch):
+    # Newton from the series guess reaches the root in 1 to 5 reads of the
+    # a0 table over 800 alpha evenly spaced in (0, 1) and at 1 - 10^-k and
+    # 10^-k (measured: the 90 seeds that take 5 have alpha in [0.568, 0.680],
+    # just below the guess's switch at 0.68), so a worse first guess shows
+    import compactseq.eigen as eigen
+
+    table, reads = eigen._a0, []
+
+    def counting(q):
+        reads.append(q)
+        return table(q)
+
+    monkeypatch.setattr(eigen, "_a0", counting)
+    alphas = np.linspace(0.0, 1.0, 802)[1:-1].tolist()
+    alphas += [1.0 - 10.0**-k for k in range(1, 16)] + [10.0**-k for k in range(1, 308)]
+    for alpha in alphas:
+        reads.clear()
+        _seed(alpha)
+        assert 1 <= len(reads) <= 5, alpha
 
 
 def test_one_ground_solve_per_design_up_to_alpha_099(monkeypatch):

@@ -71,25 +71,6 @@ def test_the_start_lies_below_the_certified_shift():
         assert eigen._start(-0.25 * abs(q)) <= pair.s, q
 
 
-def test_the_climb_takes_about_two_passes(monkeypatch):
-    # 2.02 Laguerre passes per solve on these grids; from the Gershgorin
-    # bound it took 3.95
-    counts = {"solves": 0, "passes": 0}
-
-    def counting(key, fn):
-        def wrapped(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(eigen, "_climb", counting("solves", eigen._climb))
-    monkeypatch.setattr(eigen, "_laguerre_step", counting("passes", eigen._laguerre_step))
-    for q in _QS:
-        mathieu._ground_taps(q)
-    assert counts["solves"] == len(_QS)
-    assert counts["passes"] <= 2.3 * counts["solves"]
-
-
 def test_one_pass_lands_and_one_solve_certifies(monkeypatch):
     # the first step from the start lands, and the shift a quarter rounding
     # level below it goes through: 1.00 Laguerre pass and 1.00 certifying

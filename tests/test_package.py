@@ -101,3 +101,35 @@ def test_public_names_have_a_runtime_use():
         if n not in used
     )
     assert not unused, f"public names with no runtime use: {unused}"
+
+
+def _package_imports(path) -> set:
+    """What the source at ``path`` imports from ``compactseq``: the module,
+    or the name for one taken from the package root."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["compactseq" * bool(node.level), node.module]))
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("compactseq.")}
+
+
+def test_eigen_imports_no_package_module():
+    # the kernel is the bottom layer: every other module may build on it
+    assert _package_imports(PKG / "eigen.py") == set()
+
+
+def test_only_eigen_reads_the_a0_table():
+    # _a0's (a0, b, 1 - b, b') layout is eigen's own; the designer reaches
+    # the table through eigen._seed
+    readers = [p.name for p in SOURCES if p.name != "eigen.py"
+               and "_a0" in _reads(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not readers, f"read eigen._a0: {readers}"
+
+
+def test_bounds_does_not_import_design():
+    # design imports bounds, so bounds reaches the root of b = alpha on the
+    # whole line through eigen._seed, not through design
+    assert "design" not in _package_imports(PKG / "bounds.py")
