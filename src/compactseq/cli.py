@@ -268,3 +268,7 @@ def main(argv=None) -> int:
         print(f"compactseq: solver failure: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

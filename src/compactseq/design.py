@@ -23,8 +23,9 @@ steep, and a step on it would creep.  Its seed, ``eigen._seed``, is the
 root of b = -a0'(q)/2 at q = 2 l1 (lambda_min(l1) = a0(2 l1)/4) on
 eigen's a0 table, so a design takes one ground solve up to alpha ~ 0.999
 and about 1.46 over a sweep to the grid's reach.  The
-optimal sequence is the ground state itself: symmetric, entrywise
-positive, and unit norm by construction.
+optimal sequence is the ground state itself: symmetric, unit norm,
+positive on the rows the eigensolver solves and exactly 0.0 past them,
+where it is below eps^2 of its peak.
 
 On the grid k = -N..N, A = diag(k^2) and B has zero diagonal and constant
 off-diagonal 1/2, so x'Bx is the first trigonometric moment of a unit x.
@@ -86,11 +87,15 @@ class DesignResult:
     1e-10 * (1 + |lambda2|), bounds it.  tail_mass
     is the energy in the two outermost taps; if it exceeds 1e-10 the grid
     was too short for the requested spread and status says "increase-taps".
-    Only that comparison carries meaning.  Below it, the edge taps and
-    tail_mass are the rounding noise of inverse iteration, not the ground
-    state: at sigma2 = 0.1 on 201 taps the edge tap reads 7.9e-19 and
-    tail_mass 1.2e-36, where the true edge amplitude is about 1e-177 (and
-    below the smallest subnormal from sigma2 ~ 0.9 on).
+    It is exactly 0.0 where the ground state's support, the rows on which
+    Parlett's ratio bound keeps it above eps^2 of its peak
+    (``eigen._support``), ends inside the grid, as the taps past it are
+    exact zeros: at sigma2 = 0.1 on 201 taps the support is the central 71
+    taps.  Where the support fills the grid, only the comparison with 1e-10
+    carries meaning: below it, the edge taps and tail_mass may be the
+    rounding noise of inverse iteration, not the ground state (at
+    sigma2 = 0.01 on 201 taps the edge tap reads 3.2e-17 where the true
+    one is about 1e-41).
     """
 
     sigma2: float
@@ -115,9 +120,12 @@ def _ground(k2, lambda1):
     ulps of noise there, and the certificate, which then needs b == alpha
     exactly, becomes a matter of luck.  The vector is its mirror image, so
     the sums run over its even half h = v[N:]: each mirrored product
-    appears twice, and the doubled half sums round to the same doubles."""
+    appears twice, and the doubled half sums round to the same doubles.
+    They stop at its last nonzero row, as the exact zeros past it add
+    nothing to an exactly rounded sum."""
     pair = min_eigenpair(k2, -0.5 * lambda1)
     h = pair.vector[pair.vector.size // 2:]
+    h = h[:h.nonzero()[0][-1] + 1]
     h2 = h * h
     h2[1:] *= 2.0
     return pair, 2.0 * math.fsum((h[:-1] * h[1:]).tolist()) / math.fsum(h2.tolist())

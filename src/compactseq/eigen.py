@@ -23,18 +23,21 @@ below the minimum to it cubically without passing it (Li and Zeng, SIAM
 J. Sci. Comput. 1994).  The climb starts from a0(q)/4, q = 4|b|, less a
 margin (``_start``); one step lands it at rounding (``_climb``).  It sees
 only the rows 0..W-1 past which the ground state is below eps^2
-(``_support``).  One pass on all N+1 rows, ``_solve``, both certifies the
-shift, as the shifted half is an M-matrix exactly when its elimination
-meets no pivot <= 0, and solves at it.  Each pivot is a chain of
+(``_support``).  One pass, ``_solve``, both certifies the shift, as the
+shifted half is an M-matrix exactly when its elimination meets no
+pivot <= 0, and solves at it: it solves on those W rows (rows 0 and 1
+always) and runs the pivots alone on past them, until they provably
+stay above |b| (``_clears``) or the half ends.  Each pivot is a chain of
 correctly rounded operations monotone in s, so the computed verdict is
 monotone in s (Demmel, Dhillon and Ren, ETNA 1995), and a landing that
 rounding carries onto a yes retreats by a fraction of the rounding level.
 There is no bisection, and the value returned is the Rayleigh quotient.
 With b <= 0 the shifted matrix has an entrywise positive inverse, so the
 iterate, started from a positive vector, stays positive and needs no sign
-fix-up; its residual, on all 2N+1 rows, is checked against the contract.
-The pair keeps the shift as its certificate.  The Mathieu a0 tables solve
-nothing: two pivot passes certify the table's a0/4 itself
+fix-up.  Past row W-1 it is exact zeros, where the ground state is below
+eps^2 of its peak; its residual, on all 2N+1 rows, is checked against the
+contract.  The pair keeps the shift as its certificate.  The Mathieu a0
+tables solve nothing: two pivot passes certify the table's a0/4 itself
 (``_ground_value``).
 
 This module alone reads the a0 table: ``_estimate`` for the climb's start
@@ -259,8 +262,8 @@ def _ground_value(b, n):
     else 4m or 16m.  None if the yes fails at 16m (rows 0..``n`` miss the
     ground state), :class:`EigenConvergenceError` if the no does.
 
-    The no at s = est - 3m/4 ends at the first row J >= 1 where
-    fl(J^2 - s) > 2|b|, so J^2 - s > 2|b| as 2|b| is a double, and
+    The no at s = est - 3m/4 (``_clears``) ends at the first row J >= 1
+    where fl(J^2 - s) > 2|b|, so J^2 - s > 2|b| as 2|b| is a double, and
     p_J > |b| (1 + 4 eps): if the exact P_J > |b|, every later
     P_i = i^2 - s - b^2/P_i-1 > |b|, and lam_min(H) >= s.  The yes at
     est + 3m/4 ends at the first p_i <= 0 on rows 0..n, so
@@ -272,16 +275,13 @@ def _ground_value(b, n):
     subnormal, est is within 3b^2 of 0 and the shifts >= 12 eps |b| from
     it: the yes ends at p_0 = -s < 0 and the no at p_1 = 1 - s - 2b^2/p_0,
     within 2^-430 of 1 - s, as in exact arithmetic."""
-    est, r = _estimate(b), 2.0 * abs(b)
-    b2, clear = b * b, 0.5 * r * (1.0 + 4.0 * _EPS)
-    m = max(8.0 * _EPS * (abs(est) + r), 5e-324)
+    est = _estimate(b)
+    b2 = b * b
+    m = max(8.0 * _EPS * (abs(est) + 2.0 * abs(b)), 5e-324)
     for m in (m, 4.0 * m, 16.0 * m):
         s = est - 0.75 * m
-        p, t, i = -s, 2.0 * b2, 0
-        while p > 0.0 and not (p > clear and i and i * i - s > r):
-            i += 1
-            p, t = i * i - s - t / p, b2
-        if p <= 0.0:
+        no = -s > 0.0 and _clears(b, s, 1, 1 - s - 2.0 * b2 / -s, 0)
+        if not no:
             continue
         s = est + 0.75 * m
         p, t, i = -s, 2.0 * b2, 0
@@ -290,9 +290,26 @@ def _ground_value(b, n):
             p, t = i * i - s - t / p, b2
         if p <= 0.0:
             return est, m
-    if p > 0.0:
+    if no:
         return None
     raise EigenConvergenceError(f"no certified lower bound below {est!r}")
+
+
+def _clears(b, s, i, p, end):
+    """Whether the pivots of the even half of the k^2 grid at the shift
+    ``s`` stay positive from row ``i`` >= 1, whose pivot is ``p``, through
+    row ``end`` - 1 (on every row if ``end`` is 0), continued pivots only:
+    False at the first pivot <= 0, True past row ``end`` - 1 or at the
+    first row J >= i where fl(J^2 - s) > 2|b| and p_J > |b| (1 + 4 eps),
+    as every later pivot then exceeds |b| (``_ground_value`` proves it)."""
+    a = abs(b)
+    r, b2, clear = a + a, b * b, a * (1.0 + 4.0 * _EPS)
+    while p > 0.0 and not (p > clear and i * i - s > r):
+        i += 1
+        if i == end:
+            return True
+        p = i * i - s - b2 / p
+    return p > 0.0
 
 
 def _support(a, end, tol):
@@ -316,7 +333,10 @@ def _support(a, end, tol):
 def _climb(d, b):
     """A certified no within a few ulps of the minimum of the even half
     ``d`` = (0, 1, 4, ..., N^2) and its inverse iterate: the shift and the
-    ground state's half, unnormalised.
+    ground state's half on its rows 0..max(W, 2) - 1, unnormalised, past
+    which it is below eps^2 of its peak.  Rows 0 and 1 are always solved:
+    at a large spread the designer's alpha ~ 2 v_0 v_1 and
+    delta_n2 ~ 2 v_1^2 rest on v_1.
 
     Laguerre steps on the n = W rows that ``_support`` keeps climb from
     x_0, ``_start`` or the Gershgorin bound if higher, both at or below
@@ -346,8 +366,9 @@ def _climb(d, b):
     more up to mu_1.
 
     The shift is tried at w/4, w/2 and w below the point x reached, w =
-    4 eps (|x| + 2|b|), and at the last iterate; ``_solve`` on all of ``d``
-    refuses a try that rounding has carried onto a yes.  Every try sits
+    4 eps (|x| + 2|b|), and at the last iterate; ``_solve``, which solves
+    on the window and certifies on all of ``d``, refuses a try that
+    rounding has carried onto a yes.  Every try sits
     eps*w lower, so lam - s, the inverse of an inverse iterate's growth, is
     at least about eps*w >= 2^(e-103), with 2^(e-1) <= |s| + 2|b| < 2^e, or
     2^-1074 where eps*w underflows (e < -971): s is then a negative double
@@ -381,18 +402,20 @@ def _climb(d, b):
     for m in (0.25, 0.5, 1.0, math.inf):
         s = max(below, x - m * w) - _EPS * w
         c = max(math.frexp(abs(s) + r)[1] - 52, -1000)
-        y = _solve(d, b, s, [math.ldexp(unit, c)] * len(d))
+        y = _solve(d, b, s, [math.ldexp(unit, c)] * max(n, 2))
         if y is not None:
             return s, y
     raise EigenConvergenceError(f"no certified shift below {x!r}")
 
 
 def _solve(d, b, s, y):
-    """Solve (H - s) z = y in place on the leading len(y) rows of the even
-    half H = tridiag(``d``, b), 2b above row 0, and return it; None, y
-    spoiled, at the first pivot <= 0, where those rows have an eigenvalue
-    at or below ``s``.  The pivots d_i - s - b^2/p_{i-1}, 2b^2 on row 1,
-    certify ``s`` as in a Sturm count, and eliminate y as they go."""
+    """Solve (H_w - s) z = y in place, H_w the leading w = len(y) >= 2 rows
+    of the even half H = tridiag(``d``, b) of the k^2 grid, 2b above row 0,
+    and return it; None, y spoiled, at the first pivot <= 0 on all of H,
+    where H has an eigenvalue at or below ``s``.  The pivots
+    d_i - s - b^2/p_{i-1}, 2b^2 on row 1, certify ``s`` as in a Sturm count
+    and eliminate y as they go; past row w - 1 they run on alone, until
+    ``_clears`` proves the rest positive or H ends."""
     b2 = b * b
     piv = d[0] - s
     if piv <= 0.0:
@@ -408,6 +431,8 @@ def _solve(d, b, s, y):
         y[i] = z
         p.append(piv)
         t = b2
+    if len(y) < len(d) and not _clears(b, s, len(y) - 1, piv, len(d)):
+        return None
     y[-1] = z / piv
     for i in range(len(y) - 2, 0, -1):
         y[i] = (y[i] - b * y[i + 1]) / p[i]
@@ -429,16 +454,20 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
     ``offdiag`` must be <= 0 with ||T|| = N^2 + 2|offdiag| finite and below
     2^256; anything else raises ``ValueError``.  The ground state is then
     even (the unique positive vector of a matrix that commutes with the
-    reversal): it is solved on the rows k = 0..N and mirrored, entrywise
-    nonnegative and equal to its reverse bit for bit.  It comes from one
-    inverse-iteration solve at the shift ``_climb`` certifies, from a
-    uniform start of norm at most 2^c, c = max(e - 52, -1000) with e as in
-    ``_climb``, grown by at most 1/(lam - s) <= 2^(103 - e), or 2^1074 where
-    eps*w underflows: below about 2^74 at any coupling, and the clamp keeps
-    the start normal where |b| is subnormal.  Its residual, on all rows,
-    must meet max(1e-10 (1 + |value|), 100 eps ||T||) (``_residual_bound``),
-    or :class:`EigenConvergenceError` is raised, as where no certified
-    shift is found.  The pair's ``s`` is the shift (0 where b = 0 or N = 0).
+    reversal): it is solved on the rows k = 0..W-1 of its half,
+    W = max(2, ``_support``'s row), mirrored, and 0.0 on the rows past
+    them, where it is below eps^2 of its peak: entrywise nonnegative,
+    positive on the solved rows and equal to its reverse bit for bit.  It
+    comes from one inverse-iteration solve at the shift ``_climb``
+    certifies, from a uniform start of norm at most 2^c,
+    c = max(e - 52, -1000) with e as in ``_climb``, grown by at most
+    1/(lam - s) <= 2^(103 - e), or 2^1074 where eps*w underflows: below
+    about 2^74 at any coupling, and the clamp keeps the start normal where
+    |b| is subnormal.  Its residual, on all 2N+1
+    rows, the zeros' too, must meet max(1e-10 (1 + |value|), 100 eps ||T||)
+    (``_residual_bound``), or :class:`EigenConvergenceError` is raised, as
+    where no certified shift is found.  The pair's ``s`` is the shift (0
+    where b = 0 or N = 0).
     """
     darr = np.asarray(diag, dtype=float)
     n = darr.size
@@ -462,7 +491,8 @@ def min_eigenpair(diag, offdiag) -> EigenPair:
         return EigenPair(0.0, vec, 0.0, 0.0)
 
     s, y = _climb(darr[half_len:].tolist(), b)
-    v = np.array(y[:0:-1] + y)
+    v = np.zeros(n)
+    v[half_len + 1 - len(y):half_len + len(y)] = y[:0:-1] + y
     v /= math.sqrt(v @ v)
     tv, bv = darr * v, b * v
     tv[:-1] += bv[1:]

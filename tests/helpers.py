@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package's own
 numerics, which it takes only the ``Sequence`` container from: a dense
 cyclic-Jacobi eigensolver and a dense ground pair of the even half to
 check the tridiagonal kernel against, the yes/no Sturm test its shift
-must pass, the ground state's tail from its ratio recurrence, the DTFT
+must pass, the ground state's tail from its ratio recurrence and the
+check of a design's taps against it, the DTFT
 by direct summation and brute-force quadrature for the frequency moments the
 closed forms are supposed to reproduce, the
 normalized autocorrelation from one ``np.correlate`` and the linear
@@ -185,6 +186,22 @@ def log_amplitudes(half, offdiag, lam):
         logr.append(math.log(r))
     logv = np.concatenate(([0.0], np.cumsum(logr[::-1])))
     return logv - logv.max()
+
+
+def support_taps_hold(res, rows) -> bool:
+    """Whether a design's taps are its ground state solved on the rows
+    |k| < ``rows`` and zero past them: every tap >= 0, every tap > 0 on
+    those rows, every tap exactly 0.0 past them, and at every zeroed row
+    the amplitude from ``log_amplitudes`` at most eps^2 of the peak."""
+    taps = res.sequence.taps.real
+    half = taps[taps.size // 2:]
+    if not (np.all(taps >= 0.0) and np.all(half[:rows] > 0.0) and np.all(half[rows:] == 0.0)):
+        return False
+    if rows >= half.size:
+        return True
+    d = [float(k * k) for k in range(half.size)]
+    logv = log_amplitudes(d, -0.5 * res.lambda1, res.lambda2)
+    return bool(np.all(logv[rows:] <= 2.0 * math.log(np.finfo(float).eps)))
 
 
 def freq_moments_quad(x: Sequence, npts: int = 1 << 16):

@@ -5,11 +5,15 @@ SHA-256 digest of its stdout (and of the ``--seq-output`` file) with a
 pinned value, so any change to a printed digit, a key order or a line
 ending fails here.  The cases cover all five subcommands in every output
 format; the small-sigma2 designs are the ones where a changed input to
-the dual root search first moves a printed lambda1.  A change that is
-meant to move printed digits is checked first against
-``test_design_values.py``, which pins the design and curve values to
-1e-9 relative, ``test_mathieu_values.py`` and ``test_spread_values.py``,
-which pin the mathieu and analyze values to 1e-13 relative.
+the dual root search first moves a printed lambda1.  A design's digest
+pins every tap: those past its ground state's support print as exact
+zeros (``test_design_support.py``), and the JSON ``tail_mass`` of such a
+design or curve point is 0.0.  A change that is meant to move printed
+digits is checked first against ``test_design_values.py``, which pins
+the design and curve values to 1e-9 relative, ``test_mathieu_values.py``
+and ``test_spread_values.py``, which pin the mathieu and analyze values
+to 1e-13 relative, and ``test_window_values.py``, which pins the windows
+values and taps.
 
 The digests were recorded with numpy 2.4 on x86-64 Linux, under
 OpenBLAS's SkylakeX kernel.  Float results can differ in the last digit
@@ -92,21 +96,21 @@ GOLDEN = {
     "design --sigma2 1e-3 --taps 201 --format csv": "35c5ef350437d2eff323092dd58fd550219bcac576a8de1bcc6ac935ae2d7a70",
     "design --sigma2 1e-3 --taps 1001 --format json": "7c262e3a13b5f6e0707b856143434b0e02cc665d0470bd33440a657eae1dbb9f",
     "design --sigma2 1e-3 --taps 1001 --format csv": "1ae75a5cff6c60c0247c6ea9e51292c6b243c7618fba19ad6b954e9a6759a158",
-    "design --sigma2 0.1 --taps 201 --format json": "ee5c9b5d1dc6e48ae259b60a84b4059cd6503322d28be2fcf57a8c7b79df16c7",
-    "design --sigma2 0.1 --taps 201 --format csv": "1cb5d9ad494db4acda0a2207509f107ce346752d365d4e04b5831489c1d0075c",
-    "design --sigma2 0.1 --taps 1001 --format json": "690ffe80fa279ec0f9c9c0a60d42c5e364ad100c03d3b1586eace98e84cf82ba",
-    "design --sigma2 0.1 --taps 1001 --format csv": "a99edf5ef08234b54bd0755b098187ea0df1186017a7e3038e9b6f66e35c2a1d",
-    "design --sigma2 10 --taps 201 --format json": "18d508e3d83df11407446ccd20931715c48ac6dd6d3be70f9e59661c1e48de14",
-    "design --sigma2 10 --taps 201 --format csv": "75f3956e9a3a8a6daa87d9b8fcc9fadbe2fa11a7cc810a81b2112c9422d9f17f",
-    "design --sigma2 10 --taps 1001 --format json": "27a1f1278a9c76b581b34561dd5934d193999498d45d629aebab70fdd0ee634f",
-    "design --sigma2 10 --taps 1001 --format csv": "25e52a9655c4c8dc60a1a9bbf7c6547e027f697c6ecd47ae9f7fd159cc430f54",
-    "design --sigma2 0.1 --taps 2001": "07bd63e865ffcbce38f8c1078d864747be5af9cfb48068f2436eccffa35491a7",
-    "design --sigma2 1e300 --taps 5": "76e866e2d19d0a14fddb57ace13e1337b37ec490b35f8b89fb106fcc253e7dce",
+    "design --sigma2 0.1 --taps 201 --format json": "f537e6bf66a808be4a5b5a045304096b2cb4b3104aca9615709425bcfed783ab",
+    "design --sigma2 0.1 --taps 201 --format csv": "15c8396a20697b0bac7a6de4386657be39270babd7a6e6d8de83e893f277efe5",
+    "design --sigma2 0.1 --taps 1001 --format json": "cdfb56a31ec232564f6c82bf86924d6655f9c16b3cd25c7b1d273d75a543f4ea",
+    "design --sigma2 0.1 --taps 1001 --format csv": "995b62fd103673d2ceaa25685bfbed1639d1bcb590d741fd34680165f8b53b46",
+    "design --sigma2 10 --taps 201 --format json": "c2297a2589e9c80e966c96a65c1b113039c74c080e34426cd5d497a1d41dac2e",
+    "design --sigma2 10 --taps 201 --format csv": "1b63308df3123ffa78357b72f1097bf308a8d66a09466e5bd9c43a7cdf52d692",
+    "design --sigma2 10 --taps 1001 --format json": "c741e594dd6fa41307ed17c605708f5ed1738bdb37d592f3c05b003311e32074",
+    "design --sigma2 10 --taps 1001 --format csv": "0324d5477f4fd541b8cc2e4640bb578b0dd04689fab5ae69d8b3a32da2ab362a",
+    "design --sigma2 0.1 --taps 2001": "9b56f3f2d174cb666d7b52aa149ed89df41e3767f2731ac2d131c272337d3a57",
+    "design --sigma2 1e300 --taps 5": "5b26cc9dab6d3aef6059c9986e6793ea5ba50c1c9622fc870ca46097cfcd03a6",
     "curve --format csv": "6f1337c7ab88955599c06e2bab1e9c9ef50f8ed912fda8c4b0d1dab32204644c",
     "curve --grid 1e-5:1:7:log --taps 101 --format csv": "4faab8d97f2c0ddf8c74f7c82172cacc01e60083b22f23ae7d19be14a7013e41",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format csv": "56449e3c6f980cd690a083638040434cfeefb160a6c30f08d661fbd538f9faff",
-    "curve --format json": "d37dd2d37fedc0155a4eadafe6182c3e984c115fe52fc92a82d62db86b5d37ec",
-    "curve --grid 1e-5:1:7:log --taps 101 --format json": "16c33bde894cce2e77fdd1cd90df4b4261ff58623c35a5536b7e22ba3970211b",
+    "curve --format json": "5a55aba3de5c2c5fc7b28fabc383653075010d0581bc1b2ef1844ef6d3b2bcb2",
+    "curve --grid 1e-5:1:7:log --taps 101 --format json": "530f47c45a1b24670fa6715a12fbc912a5dbfc58b9d0f3cf8dfaa7b795b1b3ad",
     "curve --grid 1e-9:0.5:2:log --taps 21 --format json": "67555d6667d00bea6d957673b19041b3625481b01a1be76ebb43e4d74d5acc47",
     "mathieu": "686a1132cfe26801f1522651033fb9f6cee0b884b9e01dcc15930513d3078c25",
     "mathieu --q -2.5": "cde709cebda965156629f2ab88cd21ff0e19400157bd2461198fdee7e61792e8",
@@ -123,9 +127,9 @@ GOLDEN = {
     "analyze --input sparse.seq --format csv": "751623b996e08327ba689975abb43803555debb8b5bbd6b029bf670a6f88f6cb",
     "analyze --input single.seq --format json": "0a745730e9bdc5926d7595f15a266452ef989ce6c77e1861fc1f8d6674f1e3b6",
     "analyze --input single.seq --format csv": "c5f980e0c77eda8a8ecfb893e01a5cfe946341d70e7f1c7bf97685b7930801c9",
-    "design --sigma2 0.1 --taps 201 --seq-output": "b52ff11617a4a62d40a0c5d63d860c9fb7631c5f9f83d7349f292ad4d41ed9f6",
-    "design --sigma2 0.1 --taps 2001 --seq-output": "ca0177b6e4f4e24e03d63f2698d09f91a40159aafd1687bf172aa2a9f0f8232e",
-    "design --sigma2 1e300 --taps 5 --seq-output": "befe43790d4f5e84707496e43011df3c916e4d28e6270d19f8736ed7fe3059ac",
+    "design --sigma2 0.1 --taps 201 --seq-output": "54816c9e01cc574dae3f96c3fa7156063e5b4bf529aebc46ecd48c01c71e9937",
+    "design --sigma2 0.1 --taps 2001 --seq-output": "d2695a9a3b489b0f2f725f8d3f6d9f312f829f95a5541bc27b811ab1e58e53ca",
+    "design --sigma2 1e300 --taps 5 --seq-output": "cb1a595d3bc31a82ec44ba5d45b97d928b7e5166325fb3f0e857e317d8dcf088",
 }
 
 

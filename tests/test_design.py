@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import jacobi_eigh, tridiag_dense
+from helpers import jacobi_eigh, support_taps_hold, tridiag_dense
 
 from compactseq.design import (
     CurvePoint,
@@ -90,7 +90,8 @@ def test_design_reference_point():
     assert res.tail_mass <= 1e-10
     seq = res.sequence
     assert seq.offset == -100
-    assert np.all(seq.taps.real > 0)
+    # solved on the support, 36 rows of the even half, and zero past it
+    assert support_taps_hold(res, 36)
     assert np.all(seq.taps.imag == 0)
     assert np.array_equal(seq.taps, seq.taps[::-1])
     assert math.isclose(float(np.sum(seq.taps.real**2)), 1.0, rel_tol=1e-12)

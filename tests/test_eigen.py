@@ -149,8 +149,9 @@ def test_solve_certifies_and_solves_as_the_oracles_do(half_len):
     # form with couplings sqrt(2) b, b, ...) it refuses exactly where the
     # Sturm oracle and the dense spectrum find an eigenvalue below the
     # shift, and below the minimum it matches a dense solve of the half
-    # itself, 2b above row 0.  The shift sits 1e-3 ||T|| below the minimum,
-    # where the dense solve's own error, eps ||T|| / (lam - s), is 1e-13
+    # itself, 2b above row 0, and of each leading window of it.  The shift
+    # sits 1e-3 ||T|| below the minimum, where the dense solve's own error,
+    # eps ||T|| / (lam - s), is 1e-13
     d = [float(i * i) for i in range(half_len + 1)]
     rhs = np.linspace(1.0, 2.0, half_len + 1)
     for b in (-1e-3, -0.5, -28.9, -1e4):
@@ -166,9 +167,20 @@ def test_solve_certifies_and_solves_as_the_oracles_do(half_len):
         shift = w[0] - 1e-3 * norm
         h = tridiag_dense(np.array(d) - shift, b)
         h[0, 1] = 2.0 * b
-        ref = np.linalg.solve(h, rhs)
-        y = np.array(_solve(d, b, shift, rhs.tolist()))
-        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), b
+        for rows in range(2, half_len + 2):
+            # on a leading window the solve is the window's own, and the
+            # pivots alone run on past it to certify the shift on all of d
+            ref = np.linalg.solve(h[:rows, :rows], rhs[:rows])
+            y = np.array(_solve(d, b, shift, rhs[:rows].tolist()))
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), (b, rows)
+            # a shift between the half's minimum and the window's: the
+            # window alone would certify it, the half must not
+            top = np.linalg.eigvalsh(np.diag(d[:rows]) + np.diag(off[:rows - 1], 1)
+                                     + np.diag(off[:rows - 1], -1))[0]
+            if top - w[0] > 1e-6 * norm:
+                between = 0.5 * (w[0] + top)
+                assert has_eigenvalue_below(d[:rows], b * b, between) is False
+                assert _solve(d, b, between, [1.0] * rows) is None, (b, rows)
 
 
 def test_matches_jacobi_random():

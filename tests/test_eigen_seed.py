@@ -71,9 +71,11 @@ def _climbs(diag, offdiag):
 
 def _assert_certified_no_near_minimum(diag, offdiag):
     for d, b, s, y in _climbs(diag, offdiag):
-        # the shift is certified on every row of the half, not on the window
+        # the shift is certified on every row of the half, not on the
+        # window; the iterate is solved on the window's rows, at least two
         assert len(d) == len(diag) // 2 + 1
-        assert len(y) == len(d) and min(y) > 0.0
+        assert len(y) == max(eigen._support(abs(b), len(d), eigen._TAIL), 2)
+        assert min(y) > 0.0
         assert not has_eigenvalue_below(d, b * b, s)
         # a few rounding levels below the minimum: w = 4 eps (|s| + 2|b|)
         w = 4.0 * eigen._EPS * (abs(s) + 2.0 * abs(b))
