@@ -37,8 +37,10 @@ iterate, started from a positive vector, stays positive and needs no sign
 fix-up.  Past row W-1 it is exact zeros, where the ground state is below
 eps^2 of its peak; its residual, on all 2N+1 rows, is checked against the
 contract.  The pair keeps the shift as its certificate.  The Mathieu a0
-tables solve nothing: two pivot passes certify the table's a0/4 itself
-(``_ground_value``).
+tables solve nothing: one pivot-only question, ``_no``, asked just below
+and just above the table's a0/4, certifies it on the whole line
+(``_ground_value``); each pass ends at its first pivot <= 0 or its clear
+row, so it needs no grid.
 
 This module alone reads the a0 table: ``_estimate`` for the climb's start
 and ``_a0`` for ``_seed``, its one runtime caller, the root of
@@ -255,44 +257,38 @@ def _start(b):
     return est - max(32.0 * _EPS * (abs(est) + 2.0 * abs(b)), 5e-324)
 
 
-def _ground_value(b, n):
+def _ground_value(b):
     """(est, m): ``_estimate``'s a0(q)/4, q = 4|b|, and the half-width of
     the enclosure est -+ m of lam_min(H), H the infinite even operator,
     that two pivot passes certify: m = max(8 eps (|est| + 2|b|), 2^-1074),
-    else 4m or 16m.  None if the yes fails at 16m (rows 0..``n`` miss the
-    ground state), :class:`EigenConvergenceError` if the no does.
+    else 4m or 16m; :class:`EigenConvergenceError` if none is certified.
 
-    The no at s = est - 3m/4 (``_clears``) ends at the first row J >= 1
-    where fl(J^2 - s) > 2|b|, so J^2 - s > 2|b| as 2|b| is a double, and
-    p_J > |b| (1 + 4 eps): if the exact P_J > |b|, every later
-    P_i = i^2 - s - b^2/P_i-1 > |b|, and lam_min(H) >= s.  The yes at
-    est + 3m/4 ends at the first p_i <= 0 on rows 0..n, so
-    lam_min(H) <= lam_min(H_n) <= s.  Each p_i is P_i (1 + a_i)(1 + e_i),
-    the rounding of its two differences, P_i exact for couplings off by
-    1.3 eps (Demmel, Dhillon and Ren): the signs agree,
-    P_J >= p_J/(1 + eps/2)^2 > |b|, and H moves by < 3.2 eps |b|, below
-    m/4 less the shifts' rounding.  Below |b| = 2^-490, where b^2/p may be
-    subnormal, est is within 3b^2 of 0 and the shifts >= 12 eps |b| from
-    it: the yes ends at p_0 = -s < 0 and the no at p_1 = 1 - s - 2b^2/p_0,
-    within 2^-430 of 1 - s, as in exact arithmetic."""
+    A no from ``_no`` at est - 3m/4 puts lam_min(H) above the shift.  A
+    yes at est + 3m/4 ends at the first p_i <= 0, on some rows 0..J, so
+    lam_min(H) <= lam_min(H_J) <= s by interlacing, whatever J is: the
+    pass needs no grid and ends, as the no does, at its clear row.  Each
+    p_i is P_i (1 + a_i)(1 + e_i), the rounding of its two differences,
+    P_i exact for couplings off by 1.3 eps (Demmel, Dhillon and Ren): the
+    signs agree, and H moves by < 3.2 eps |b|, below m/4 less the shifts'
+    rounding.  Below |b| = 2^-490, where b^2/p may be subnormal, est is
+    within 3b^2 of 0 and the shifts >= 12 eps |b| from it: the yes ends at
+    p_0 = -s < 0 and the no at p_1 = 1 - s - 2b^2/p_0, within 2^-430 of
+    1 - s, as in exact arithmetic."""
     est = _estimate(b)
-    b2 = b * b
     m = max(8.0 * _EPS * (abs(est) + 2.0 * abs(b)), 5e-324)
     for m in (m, 4.0 * m, 16.0 * m):
-        s = est - 0.75 * m
-        no = -s > 0.0 and _clears(b, s, 1, 1 - s - 2.0 * b2 / -s, 0)
-        if not no:
-            continue
-        s = est + 0.75 * m
-        p, t, i = -s, 2.0 * b2, 0
-        while p > 0.0 and i < n:
-            i += 1
-            p, t = i * i - s - t / p, b2
-        if p <= 0.0:
+        if _no(b, est - 0.75 * m) and not _no(b, est + 0.75 * m):
             return est, m
-    if no:
-        return None
-    raise EigenConvergenceError(f"no certified lower bound below {est!r}")
+    raise EigenConvergenceError(f"no certified enclosure of {est!r}")
+
+
+def _no(b, s):
+    """Whether the shift ``s`` is a certified no below lam_min(H), H the
+    infinite even operator at the coupling ``b``: its pivots
+    p_0 = -s and p_1 = 1 - s - 2b^2/p_0 are positive and ``_clears`` runs
+    on from row 1 to its clear row, where the rest provably stay so."""
+    b2 = b * b
+    return -s > 0.0 and _clears(b, s, 1, 1 - s - 2.0 * b2 / -s, 0)
 
 
 def _clears(b, s, i, p, end):
@@ -300,8 +296,12 @@ def _clears(b, s, i, p, end):
     ``s`` stay positive from row ``i`` >= 1, whose pivot is ``p``, through
     row ``end`` - 1 (on every row if ``end`` is 0), continued pivots only:
     False at the first pivot <= 0, True past row ``end`` - 1 or at the
-    first row J >= i where fl(J^2 - s) > 2|b| and p_J > |b| (1 + 4 eps),
-    as every later pivot then exceeds |b| (``_ground_value`` proves it)."""
+    first row J >= i where fl(J^2 - s) > 2|b| and p_J > |b| (1 + 4 eps).
+
+    Every later pivot then exceeds |b|: J^2 - s > 2|b|, as 2|b| is a
+    double, and the exact P_J >= p_J/(1 + eps/2)^2 > |b|, P_J the pivot of
+    a matrix whose couplings are off by 1.3 eps (Demmel, Dhillon and Ren),
+    so every P_i = i^2 - s - b^2/P_i-1 > |b| after it."""
     a = abs(b)
     r, b2, clear = a + a, b * b, a * (1.0 + 4.0 * _EPS)
     while p > 0.0 and not (p > clear and i * i - s > r):

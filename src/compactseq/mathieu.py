@@ -10,11 +10,12 @@ with A = diag(k^2) and B the constant lag-one form, and the coefficients
 are the (entrywise positive) ground-state taps.  a0 is even in q, and
 the two signs of q are related by the quarter-period reflection
 ce0(q; t) = ce0(-q; pi/2 - t), which is how positive q is evaluated
-here.  a0 is the kernel's table value, certified with no solve; ce0's
-coefficients are the unit, positive, palindromic vector of one ground
-solve of :func:`compactseq.eigen.min_eigenpair`.
+here.  a0 is the kernel's table value, certified on all of Z by pivots
+alone, with no solve and no grid; ce0's coefficients are the unit,
+positive, palindromic vector of one ground solve of
+:func:`compactseq.eigen.min_eigenpair`.
 
-The grid's half-length is the shorter of two.  One grows as
+ce0's grid half-length is the shorter of two.  One grows as
 |q|^(1/4), the width of the ground state at large |q|.  The other is a
 tail bound that is short at small |q|: lambda_min <= d_0 = 0, so on every
 row k with k^2 > 2|b| (b = -|q|/4 the coupling) a coefficient is at most
@@ -23,8 +24,8 @@ the grid ends at the first row where the product of those factors is
 below 1e-12 (``eigen._support``, which cuts the kernel's climb at
 eps^2).  That grid is the only one: outermost coefficients that still
 reach 1e-12 raise :class:`MathieuGridError` rather than let truncation
-show, and so does a half-length above 2**20 (|q| above about 1e21),
-refused before the grid is allocated.
+show.  A half-length above 2**20 (|q| above about 1e21) raises it too,
+before the grid is allocated, for a0 as for ce0.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -87,14 +88,12 @@ def _ground_taps(q: float) -> EigenPair:
 def char_value_a0(q: float) -> float:
     """Lowest characteristic value a0(q) = 4*lambda_min(A - (|q|/2)B): the
     kernel table's, which two pivot passes certify within 8 eps
-    (|a0| + 2|q|) of the infinite operator's (``eigen._ground_value``),
-    -0.0 where it underflows, 0.0 at q = 0; rows 0..N that do not certify
-    it raise :class:`MathieuGridError`."""
-    b, n = _grid(q)
-    enclosure = _ground_value(b, n)
-    if enclosure is None:
-        raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
-    return 4.0 * enclosure[0] if q else 0.0
+    (|a0| + 2|q|) of the infinite operator's on all of Z
+    (``eigen._ground_value``), -0.0 where it underflows, 0.0 at q = 0.
+    ``_grid`` refuses a non-finite q and a half-length past the cap, as
+    for ce0, though a0 builds no grid."""
+    b, _ = _grid(q)
+    return 4.0 * _ground_value(b)[0] if q else 0.0
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,14 @@ def ce0(q: float, thetas) -> MathieuEval:
     which then stays finite for any finite t.  That double is 1.2e-16 below
     pi, so a reduced angle carries a phase error of about |t| * 4e-17 rad;
     ``thetas`` in the result keeps the angles as given, a scalar as one
-    sample; an array of more than one dimension raises ``ValueError``."""
+    sample; an array of more than one dimension or a non-finite angle
+    raises ``ValueError``, as a non-finite q does."""
     q = float(q)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
     if t.ndim > 1:
         raise ValueError(f"thetas must be a scalar or 1-d, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"thetas must be finite, got {float(t[~np.isfinite(t)][0])!r}")
     pair = _ground_taps(q)
     n = pair.vector.size // 2
     half = pair.vector[n:].copy()  # c_k = tap at +k, k = 0..n

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import a0_reference, a0_small_q_series
+from helpers import a0_reference, a0_small_q_series, has_eigenvalue_below
 
 from compactseq import eigen, mathieu
 from compactseq.mathieu import char_value_a0
@@ -48,8 +48,24 @@ def test_the_certified_enclosure_holds_the_reference():
     for q in np.geomspace(1e-2, 1e4, 50).tolist():
         ref = a0_reference(q) / 4
         for signed in (q, -q):
-            b, n = mathieu._grid(signed)
-            est, m = eigen._ground_value(b, n)
+            b, _ = mathieu._grid(signed)
+            est, m = eigen._ground_value(b)
             assert m <= 8.0 * _EPS * (abs(est) + 2.0 * abs(b)), signed
             assert Decimal(est) - Decimal(m) <= ref <= Decimal(est) + Decimal(m), signed
             assert char_value_a0(signed) == 4.0 * est
+
+
+def test_the_no_question_is_a_sturm_no_on_the_grid():
+    # at 202 q of both signs from 1e-300 to 1e20, at the first width m, the
+    # no holds at est - 3m/4 and fails at est + 3m/4; wherever it holds, the
+    # Sturm test on the half that ``_grid`` sizes finds no eigenvalue at or
+    # below the shift, and at est + 3m/4 it finds one
+    for q in np.geomspace(1e-300, 1e20, 101).tolist():
+        for signed in (q, -q):
+            b, n = mathieu._grid(signed)
+            est, m = eigen._ground_value(b)
+            assert m == max(8.0 * _EPS * (abs(est) + 2.0 * abs(b)), 5e-324), signed
+            half = eigen._k2_grid(n)[n:].tolist()
+            for s, no in ((est - 12.0 * m, True), (est - 0.75 * m, True), (est + 0.75 * m, False)):
+                assert eigen._no(b, s) is no, (signed, s)
+                assert has_eigenvalue_below(half, b * b, s) is not no, (signed, s)

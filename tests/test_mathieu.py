@@ -181,6 +181,16 @@ def test_non_finite_q_rejected():
             ce0(q, [0.0])
 
 
+def test_non_finite_angles_rejected():
+    # an angle that is not finite has no sample, as a q that is not finite
+    # has no a0: refused, not returned as nan
+    for thetas in ([math.inf, math.nan], [0.1, -math.inf], math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="thetas must be finite"):
+                ce0(1.0, thetas)
+
+
 def test_ce0_takes_a_scalar_or_1d_angles():
     # every value lines up with its angle: a scalar is one sample, and an
     # array of more dimensions, which the outer product would flatten, is
@@ -194,11 +204,13 @@ def test_ce0_takes_a_scalar_or_1d_angles():
 
 
 def test_unresolved_tails_raise(monkeypatch, capsys):
-    # no q reaches this: the grid is solved once, and tails that still
-    # reach 1e-12 on it are refused
+    # no q reaches this: ce0's grid is solved once, and tails that still
+    # reach 1e-12 on it are refused; a0, certified on all of Z, uses no grid
+    a0 = char_value_a0(100.0)
     monkeypatch.setattr(mathieu, "_first_half_len", lambda lam1: 2)
     with pytest.raises(MathieuGridError, match="not resolved"):
-        char_value_a0(100.0)
+        ce0(100.0, [0.0])
+    assert char_value_a0(100.0).hex() == a0.hex()
     assert main(["mathieu", "--q", "100"]) == 2
     assert "compactseq: solver failure:" in capsys.readouterr().err
 
@@ -235,14 +247,14 @@ def test_the_sign_of_a_zero_a0(capsys):
 def test_a_table_value_off_the_minimum_is_refused(monkeypatch):
     # the passes test the table's value rather than trust it: moved 32 m
     # above a0/4 it fails the no at every width, 32 m below it the yes
-    b, n = mathieu._grid(7.25)
-    est, m = eigen._ground_value(b, n)
-    for moved, error in ((32.0 * m, EigenConvergenceError), (-32.0 * m, MathieuGridError)):
+    b, _ = mathieu._grid(7.25)
+    est, m = eigen._ground_value(b)
+    for moved in (32.0 * m, -32.0 * m):
         monkeypatch.setattr(eigen, "_estimate", lambda b, off=est + moved: off)
-        with pytest.raises(error):
+        with pytest.raises(EigenConvergenceError, match="no certified enclosure"):
             char_value_a0(7.25)
     # 8 m off, it is still certified, at the widest margin, whose
     # enclosure holds the true value
     monkeypatch.setattr(eigen, "_estimate", lambda b: est + 8.0 * m)
-    off, wide = eigen._ground_value(b, n)
+    off, wide = eigen._ground_value(b)
     assert off - wide <= est <= off + wide and wide > 8.0 * m
