@@ -24,8 +24,9 @@ the grid ends at the first row where the product of those factors is
 below 1e-12 (``eigen._support``, which cuts the kernel's climb at
 eps^2).  That grid is the only one: outermost coefficients that still
 reach 1e-12 raise :class:`MathieuGridError` rather than let truncation
-show.  A half-length above 2**20 (|q| above about 1e21) raises it too,
-before the grid is allocated, for a0 as for ce0.
+show.  A |q|^(1/4) half-length above 2**20 (|q| above about 1.18e21,
+where the tail bound's rows start past it) raises it too, checked in
+closed form before any work, for a0 as for ce0; a0 scans no grid.
 
 Normalization: the returned values satisfy int_0^{2pi} ce0^2 dt = pi
 (mean-square 1/2 over a period, the classical convention).  To read the
@@ -54,31 +55,25 @@ class MathieuGridError(RuntimeError):
     would exceed the half-length cap."""
 
 
-def _first_half_len(lam1: float) -> int:
-    """The grid's half-length for the pencil A - lam1*B: the
-    large-|q| half-length n0, or the row where the tail bound drops below
-    ``_TAIL_AMP`` if that comes first.  The bound's rows start past
-    sqrt(lam1) = sqrt(2|b|), which lies beyond n0 once lam1 exceeds about
-    3500, so it scans at most 23 rows at any |q|."""
-    n0 = max(24, int(math.ceil(8.0 * (lam1 / 2.0) ** 0.25)) + 8)
-    return _support(0.5 * lam1, n0, _TAIL_AMP)
-
-
 def _grid(q: float) -> tuple[float, int]:
-    """The coupling b = -|q|/4 and the half-length ``_first_half_len`` gives."""
+    """The coupling b = -|q|/4 and ce0's large-|q| half-length
+    n0 = max(24, ceil(8 (lam1/2)^(1/4)) + 8), lam1 = |q|/2, checked before
+    any work: a non-finite q raises ``ValueError``, an n0 above the cap
+    ``MathieuGridError``."""
     lam1 = 0.5 * abs(float(q))
     if not math.isfinite(lam1):
         raise ValueError(f"q must be finite, got {float(q)!r}")
-    n = _first_half_len(lam1)
-    if n > _MAX_HALF_LEN:
+    n0 = max(24, int(math.ceil(8.0 * (lam1 / 2.0) ** 0.25)) + 8)
+    if n0 > _MAX_HALF_LEN:
         raise MathieuGridError(f"q={float(q)!r} needs a grid half-length above {_MAX_HALF_LEN}")
-    return -0.5 * lam1, n
+    return -0.5 * lam1, n0
 
 
 def _ground_taps(q: float) -> EigenPair:
-    """Ground eigenpair for |q| on the grid ``_grid`` sizes, checked for
-    tails below ``_TAIL_AMP``."""
-    b, n = _grid(q)
+    """Ground eigenpair for |q| on ce0's grid, cut by the tail scan within
+    ``_grid``'s n0 rows, checked for tails below ``_TAIL_AMP``."""
+    b, n0 = _grid(q)
+    n = _support(-b, n0, _TAIL_AMP)
     pair = min_eigenpair(_k2_grid(n), b)
     if pair.vector[0] >= _TAIL_AMP:  # positive and palindromic
         raise MathieuGridError(f"coefficient tails not resolved at half-length {n}")
@@ -90,8 +85,8 @@ def char_value_a0(q: float) -> float:
     kernel table's, which two pivot passes certify within 8 eps
     (|a0| + 2|q|) of the infinite operator's on all of Z
     (``eigen._ground_value``), -0.0 where it underflows, 0.0 at q = 0.
-    ``_grid`` refuses a non-finite q and a half-length past the cap, as
-    for ce0, though a0 builds no grid."""
+    ``_grid``'s closed-form check refuses a non-finite q and a |q| past
+    the cap, as for ce0; a0 builds and scans no grid."""
     b, _ = _grid(q)
     return 4.0 * _ground_value(b)[0] if q else 0.0
 

@@ -58,8 +58,8 @@ def test_the_certified_enclosure_holds_the_reference():
 def test_the_no_question_is_a_sturm_no_on_the_grid():
     # at 202 q of both signs from 1e-300 to 1e20, at the first width m, the
     # no holds at est - 3m/4 and fails at est + 3m/4; wherever it holds, the
-    # Sturm test on the half that ``_grid`` sizes finds no eigenvalue at or
-    # below the shift, and at est + 3m/4 it finds one
+    # Sturm test on the half of ``_grid``'s n0 rows finds no eigenvalue at
+    # or below the shift, and at est + 3m/4 it finds one
     for q in np.geomspace(1e-300, 1e20, 101).tolist():
         for signed in (q, -q):
             b, n = mathieu._grid(signed)

@@ -53,4 +53,4 @@ def test_traced_solves_record_their_rows():
         if name == eig:
             rows[item].append(size)
     assert len(rows[0]) >= 2 and rows[0] == [31] * len(rows[0])
-    assert rows[1] == [2 * mathieu._first_half_len(0.5 * 7.25) + 1]
+    assert rows[1] == [23]  # the tail bound ends ce0's grid at row 11 of n0 = 24

@@ -140,29 +140,96 @@ def test_explicit_half_len():
     assert char_value_a0(2.0) == pytest.approx(4.0 * lam, abs=1e-11)
 
 
-# the first grid's half-length at lam1 = k^2 and its two one-ulp
+# ce0's grid half-length at lam1 = |q|/2 = k^2 and its two one-ulp
 # neighbours, for the k where Parlett's tail bound ends the grid before
 # the large-|q| half-length n0 (k <= 14) and a few where n0 binds
 _HALF_LEN_AT_K2 = {
     0: 1, 1: 9, 2: 12, 3: 14, 4: 16, 5: 18, 6: 20, 7: 22, 8: 24, 9: 25,
     10: 27, 11: 29, 12: 30, 13: 32, 14: 33, 15: 35, 16: 35, 20: 39, 59: 60,
 }
-# and on a log grid of lam1, where the bound cuts a row or n0 binds
+# and on a log grid of lam1, where the bound cuts a row or n0 binds; the
+# last lies past the cap
 _HALF_LEN_AT = {
     0.0: 1, 5e-324: 1, 1e-300: 1, 1e4: 76, 1e6: 221, 1e8: 681, 1e12: 6736, 1e22: 2127327,
 }
+# the largest |q| whose n0 is within the cap of 2**20 rows
+_LARGEST_Q = 1.1805555923327072e21
 
 
-def test_first_half_len_is_pinned():
-    # every Mathieu grid is sized by these rows; a change to the sizing
-    # moves the grid, the solve and every printed coefficient
+class _Sized(Exception):
+    pass
+
+
+def _ce0_half_len(monkeypatch, lam1):
+    # the half-length of the grid ce0 builds at q = 2 lam1, read where the
+    # grid is made, before any array is
+    def sized(n):
+        raise _Sized(n)
+
+    monkeypatch.setattr(mathieu, "_k2_grid", sized)
+    with pytest.raises(_Sized) as info:
+        ce0(2.0 * lam1, [0.0])
+    return info.value.args[0]
+
+
+def test_ce0_half_len_is_pinned(monkeypatch):
+    # every ce0 grid is sized by these rows; a change to the sizing moves
+    # the grid, the solve and every printed coefficient
     for k, n in _HALF_LEN_AT_K2.items():
         lam1 = float(k * k)
         for x in (math.nextafter(lam1, -math.inf), lam1, math.nextafter(lam1, math.inf)):
             if x >= 0.0:
-                assert mathieu._first_half_len(x) == n, (k, x)
+                assert _ce0_half_len(monkeypatch, x) == n, (k, x)
+    # lam1 = 1e22 is refused under the cap and sized by n0 without it
+    with pytest.raises(MathieuGridError, match="half-length above 1048576"):
+        _ce0_half_len(monkeypatch, 1e22)
+    monkeypatch.setattr(mathieu, "_MAX_HALF_LEN", 2**22)
     for lam1, n in _HALF_LEN_AT.items():
-        assert mathieu._first_half_len(lam1) == n, lam1
+        assert _ce0_half_len(monkeypatch, lam1) == n, lam1
+
+
+def test_a0_scans_no_grid(monkeypatch):
+    # a0 is certified on all of Z by pivots alone: the tail scan that
+    # sizes ce0's grid never runs for it, over the benchmark's q range
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eigen._support(*args)
+
+    monkeypatch.setattr(mathieu, "_support", counting)
+    for q in (0.0, 5e-324, *np.geomspace(1e-2, 1e4, 41).tolist()):
+        for signed in (q, -q):
+            char_value_a0(signed)
+    assert calls == []
+    ce0(7.25, [0.0])
+    assert len(calls) == 1
+
+
+def test_the_cap_is_pinned_for_both_signs():
+    # the closed-form check accepts the largest |q| and refuses the next
+    # double, for a0 as for the grid
+    for sign in (1.0, -1.0):
+        q = sign * _LARGEST_Q
+        assert mathieu._grid(q) == (-0.25 * _LARGEST_Q, 2**20)
+        assert math.isfinite(char_value_a0(q))
+        past = math.nextafter(q, sign * math.inf)
+        for refused in (mathieu._grid, char_value_a0):
+            with pytest.raises(MathieuGridError, match="half-length above 1048576"):
+                refused(past)
+
+
+def test_ce0_refuses_past_the_cap_before_any_array(monkeypatch):
+    # ce0 just past the cap is refused before the scan, the grid or the
+    # solve is reached
+    calls = []
+    for name in ("_support", "_k2_grid", "min_eigenpair"):
+        monkeypatch.setattr(mathieu, name, lambda *args, _name=name: calls.append(_name))
+    past = math.nextafter(_LARGEST_Q, math.inf)
+    for q in (past, -past):
+        with pytest.raises(MathieuGridError, match="half-length above 1048576"):
+            ce0(q, [0.0])
+    assert calls == []
 
 
 def test_scaled_ce0_is_unit_energy_spectrum():
@@ -175,6 +242,8 @@ def test_scaled_ce0_is_unit_energy_spectrum():
 
 def test_non_finite_q_rejected():
     for q in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            mathieu._grid(q)
         with pytest.raises(ValueError, match="finite"):
             char_value_a0(q)
         with pytest.raises(ValueError, match="finite"):
@@ -207,7 +276,7 @@ def test_unresolved_tails_raise(monkeypatch, capsys):
     # no q reaches this: ce0's grid is solved once, and tails that still
     # reach 1e-12 on it are refused; a0, certified on all of Z, uses no grid
     a0 = char_value_a0(100.0)
-    monkeypatch.setattr(mathieu, "_first_half_len", lambda lam1: 2)
+    monkeypatch.setattr(mathieu, "_support", lambda a, end, tol: 2)
     with pytest.raises(MathieuGridError, match="not resolved"):
         ce0(100.0, [0.0])
     assert char_value_a0(100.0).hex() == a0.hex()
